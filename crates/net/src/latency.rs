@@ -10,7 +10,7 @@
 use crate::country::Region;
 use crate::hash::{mix2, unit};
 use crate::ip::Ip;
-use crate::registry::GeoRegistry;
+use crate::registry::{Endpoint, GeoRegistry};
 
 /// One-way delay in microseconds, as a pure function of the endpoint pair.
 #[derive(Debug, Clone, Copy)]
@@ -29,29 +29,35 @@ impl LatencyModel {
     /// Symmetric in expectation with a small directional jitter, like the
     /// hop model.
     pub fn one_way_us(&self, reg: &GeoRegistry, src: Ip, dst: Ip) -> u64 {
-        if src.same_subnet(dst) {
+        self.one_way_us_between(reg.endpoint(src), reg.endpoint(dst))
+    }
+
+    /// [`LatencyModel::one_way_us`] between endpoints already resolved
+    /// with [`GeoRegistry::endpoint`].
+    pub fn one_way_us_between(&self, src: Endpoint, dst: Endpoint) -> u64 {
+        if src.ip.same_subnet(dst.ip) {
             return 100; // LAN: 0.1 ms
         }
-        let (lo, hi) = if src.0 <= dst.0 { (src, dst) } else { (dst, src) };
+        let (lo, hi) = if src.ip.0 <= dst.ip.0 {
+            (src.ip, dst.ip)
+        } else {
+            (dst.ip, src.ip)
+        };
         let sym = mix2(self.seed ^ lo.0 as u64, hi.0 as u64);
-        let dir = mix2(self.seed ^ src.0 as u64, dst.0 as u64);
+        let dir = mix2(self.seed ^ src.ip.0 as u64, dst.ip.0 as u64);
 
-        let (base_us, spread_us) = match (reg.as_of(src), reg.as_of(dst)) {
+        let (base_us, spread_us) = match (src.asn, dst.asn) {
             (Some(a), Some(b)) if a == b => (2_000, 6_000),
-            (Some(a), Some(b)) => {
-                let ra = reg.info(a).map(|i| i.country.region());
-                let rb = reg.info(b).map(|i| i.country.region());
-                match (ra, rb) {
-                    (Some(x), Some(y)) if x.same(y) => match x {
-                        Region::Europe => (8_000, 22_000),
-                        Region::Asia => (10_000, 40_000),
-                        _ => (10_000, 50_000),
-                    },
-                    (Some(Region::Europe), Some(Region::Asia))
-                    | (Some(Region::Asia), Some(Region::Europe)) => (110_000, 60_000),
-                    _ => (80_000, 60_000),
-                }
-            }
+            (Some(_), Some(_)) => match (src.region, dst.region) {
+                (Some(x), Some(y)) if x.same(y) => match x {
+                    Region::Europe => (8_000, 22_000),
+                    Region::Asia => (10_000, 40_000),
+                    _ => (10_000, 50_000),
+                },
+                (Some(Region::Europe), Some(Region::Asia))
+                | (Some(Region::Asia), Some(Region::Europe)) => (110_000, 60_000),
+                _ => (80_000, 60_000),
+            },
             _ => (60_000, 80_000),
         };
         let jitter = 1.0 + 0.05 * (unit(dir) - 0.5); // ±2.5% directional

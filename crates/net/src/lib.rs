@@ -45,5 +45,5 @@ pub use error::NetError;
 pub use ip::{Ip, Prefix};
 pub use latency::LatencyModel;
 pub use path::PathModel;
-pub use registry::{GeoRegistry, GeoRegistryBuilder};
+pub use registry::{Endpoint, GeoRegistry, GeoRegistryBuilder};
 pub use ttl::{hops_from_ttl, ttl_at_receiver, DEFAULT_TTL};

@@ -19,7 +19,7 @@
 use crate::country::Region;
 use crate::hash::{mix2, ranged};
 use crate::ip::Ip;
-use crate::registry::GeoRegistry;
+use crate::registry::{Endpoint, GeoRegistry};
 
 /// Per-direction router hop model over a [`GeoRegistry`].
 #[derive(Debug, Clone, Copy)]
@@ -41,38 +41,47 @@ impl PathModel {
     /// * different AS → access hops + AS-path router hops, with the
     ///   AS-path length growing with geographic spread.
     pub fn hops(&self, reg: &GeoRegistry, src: Ip, dst: Ip) -> u8 {
-        if src.same_subnet(dst) {
+        self.hops_between(reg.endpoint(src), reg.endpoint(dst))
+    }
+
+    /// [`PathModel::hops`] between endpoints already resolved with
+    /// [`GeoRegistry::endpoint`].
+    pub fn hops_between(&self, src: Endpoint, dst: Endpoint) -> u8 {
+        let (src_ip, dst_ip) = (src.ip, dst.ip);
+        if src_ip.same_subnet(dst_ip) {
             return 0;
         }
         let pair = mix2(
-            self.seed ^ ((src.0 as u64) << 32 | dst.0 as u64),
-            (dst.0 as u64) << 32 | src.0 as u64,
+            self.seed ^ ((src_ip.0 as u64) << 32 | dst_ip.0 as u64),
+            (dst_ip.0 as u64) << 32 | src_ip.0 as u64,
         );
         // Key AS-path properties on the *unordered* pair so forward and
         // reverse share path length; jitter on the ordered pair.
-        let (lo, hi) = if src.0 <= dst.0 { (src, dst) } else { (dst, src) };
+        let (lo, hi) = if src_ip.0 <= dst_ip.0 {
+            (src_ip, dst_ip)
+        } else {
+            (dst_ip, src_ip)
+        };
         let sym = mix2(self.seed ^ lo.0 as u64, hi.0 as u64);
 
-        let src_as = reg.as_of(src);
-        let dst_as = reg.as_of(dst);
-        match (src_as, dst_as) {
+        match (src.asn, dst.asn) {
             (Some(a), Some(b)) if a == b => {
                 // Intra-AS: 2..=6 router hops, direction jitter ±1.
                 let base = ranged(sym, 2, 5) as i32;
                 let jitter = ranged(pair, 0, 2) as i32 - 1;
                 (base + jitter).max(1) as u8
             }
-            (Some(a), Some(b)) => {
-                let (ra, rb) = match (reg.info(a), reg.info(b)) {
-                    (Some(ia), Some(ib)) => (ia.country.region(), ib.country.region()),
+            (Some(_), Some(_)) => {
+                let (ra, rb) = match (src.region, dst.region) {
+                    (Some(ra), Some(rb)) => (ra, rb),
                     _ => (Region::Elsewhere, Region::Elsewhere),
                 };
                 let as_path = Self::as_path_len(ra, rb, sym);
                 // Routers per AS traversed: 2..=4, plus 2..=3 access hops
                 // on each edge.
                 let per_as = ranged(sym.rotate_left(17), 2, 4);
-                let edge_src = ranged(mix2(self.seed, src.0 as u64), 2, 3);
-                let edge_dst = ranged(mix2(self.seed, dst.0 as u64), 2, 3);
+                let edge_src = ranged(mix2(self.seed, src_ip.0 as u64), 2, 3);
+                let edge_dst = ranged(mix2(self.seed, dst_ip.0 as u64), 2, 3);
                 let jitter = ranged(pair, 0, 4) as i32 - 2; // ±2 asymmetry
                 let total = edge_src as i32 + edge_dst as i32 + (as_path * per_as) as i32 + jitter;
                 total.clamp(3, 64) as u8

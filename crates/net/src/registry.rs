@@ -8,11 +8,27 @@
 //! truth directly.
 
 use crate::asn::{AsId, AsInfo};
-use crate::country::CountryCode;
+use crate::country::{CountryCode, Region};
 use crate::error::NetError;
 use crate::ip::{Ip, Prefix};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+
+/// An address resolved once against a [`GeoRegistry`]: everything the
+/// latency and hop models read about one end of a path. Callers that
+/// price the same peer many times resolve it once with
+/// [`GeoRegistry::endpoint`] instead of repeating the prefix search and
+/// AS lookup on every call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Endpoint {
+    /// The address.
+    pub ip: Ip,
+    /// The AS announcing `ip` ([`GeoRegistry::as_of`]).
+    pub asn: Option<AsId>,
+    /// Region of that AS's country; `None` when `ip` is unannounced or
+    /// the AS has no metadata ([`GeoRegistry::info`]).
+    pub region: Option<Region>,
+}
 
 /// Immutable prefix→AS registry with AS metadata. Built once via
 /// [`GeoRegistryBuilder`], then shared read-only across threads.
@@ -51,6 +67,13 @@ impl GeoRegistry {
     /// Metadata for a registered AS.
     pub fn info(&self, asid: AsId) -> Option<&AsInfo> {
         self.index.get(&asid).map(|&i| &self.infos[i])
+    }
+
+    /// Resolves `ip` to the AS and region the path models read.
+    pub fn endpoint(&self, ip: Ip) -> Endpoint {
+        let asn = self.as_of(ip);
+        let region = asn.and_then(|a| self.info(a)).map(|i| i.country.region());
+        Endpoint { ip, asn, region }
     }
 
     /// All registered ASes, in registration order.
@@ -198,6 +221,41 @@ mod tests {
             r.country_of(Ip::from_octets(130, 192, 9, 9)),
             Some(CountryCode::IT)
         );
+    }
+
+    #[test]
+    fn endpoint_resolves_like_as_of_and_info() {
+        let fresh = |r: &GeoRegistry, ip: Ip| {
+            let asn = r.as_of(ip);
+            let region = asn.and_then(|a| r.info(a)).map(|i| i.country.region());
+            (asn, region)
+        };
+        // A deserialized registry has an empty AS index until `reindex`:
+        // addresses still resolve to an AS, but to no region.
+        let json = serde_json::to_string(&sample()).unwrap();
+        let unindexed: GeoRegistry = serde_json::from_str(&json).unwrap();
+        let ips = [
+            Ip::from_octets(152, 66, 0, 0),
+            Ip::from_octets(152, 66, 255, 255),
+            Ip::from_octets(152, 67, 0, 0),
+            Ip::from_octets(130, 192, 9, 9),
+            Ip::from_octets(58, 1, 2, 3),
+            Ip::from_octets(8, 8, 8, 8),
+            Ip(0),
+            Ip(u32::MAX),
+        ];
+        for r in [sample(), unindexed] {
+            for ip in ips {
+                let ep = r.endpoint(ip);
+                assert_eq!(ep.ip, ip);
+                assert_eq!((ep.asn, ep.region), fresh(&r, ip), "{ip}");
+            }
+        }
+        let r = sample();
+        let cn = r.endpoint(Ip::from_octets(58, 1, 2, 3));
+        assert_eq!(cn.region, Some(Region::Asia));
+        let miss = r.endpoint(Ip::from_octets(8, 8, 8, 8));
+        assert_eq!((miss.asn, miss.region), (None, None));
     }
 
     #[test]

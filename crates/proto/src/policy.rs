@@ -71,8 +71,22 @@ impl SelectionPolicy {
 
     /// Weight of one candidate given its observable context.
     pub fn weight(&self, c: &Candidate) -> f64 {
-        let bw = c.est_up_bps.unwrap_or(self.unknown_bw_prior_bps) as f64 / 1e6;
-        let mut w = bw.max(0.01).powf(self.bw_exponent);
+        self.with_factors(self.bw_term(c.est_up_bps), c)
+    }
+
+    /// The bandwidth term of a weight: `(est_up / 1 Mb/s)^bw_exponent`,
+    /// with the prior standing in for a candidate never exchanged with.
+    /// It depends on nothing else, so a caller pricing many unmeasured
+    /// candidates can compute `bw_term(None)` once.
+    pub(crate) fn bw_term(&self, est_up_bps: Option<u64>) -> f64 {
+        let bw = est_up_bps.unwrap_or(self.unknown_bw_prior_bps) as f64 / 1e6;
+        bw.max(0.01).powf(self.bw_exponent)
+    }
+
+    /// Applies the locality and stickiness factors of `c` to its
+    /// bandwidth term `bw` (`c.est_up_bps` is not read).
+    pub(crate) fn with_factors(&self, bw: f64, c: &Candidate) -> f64 {
+        let mut w = bw;
         if c.same_subnet {
             w *= self.subnet_boost.max(self.same_as_boost);
         } else if c.same_as {

@@ -21,6 +21,9 @@ pub(crate) struct Announce {
     tx_n: u32,
     rx_n: u32,
     tick_us: u64,
+    /// Scratch list of the RX sample's external neighbors, cleared on
+    /// each tick and kept only for its capacity.
+    ext_neighbors: Vec<PeerId>,
 }
 
 impl Announce {
@@ -29,6 +32,7 @@ impl Announce {
             tx_n: p.announces_per_tick.0,
             rx_n: p.announces_per_tick.1,
             tick_us: p.tick_us,
+            ext_neighbors: Vec::new(),
         }
     }
 }
@@ -52,14 +56,14 @@ impl Behaviour for Announce {
         for k in 0..tx_n {
             let core = &mut *ctx.core;
             let pick = core.probe_states[i].rng.range(0..n_neigh);
-            let to = core.probe_states[i].disc.neighbors[pick].id;
+            let n = core.probe_states[i].disc.neighbors[pick];
+            let to = n.id;
             let at = now + (k as u64 * tick) / (tx_n.max(1) as u64 * 2);
             // Sender-side half here; a probe receiver charges its own
             // fate and RX capture when the packet reaches it (possibly
             // on another shard).
             let arrival = core.signal_tx(at, pid, to, Signal::BufferMap);
-            let to_is_probe = core.probe_index(to).is_some();
-            if let (Some(arrival), true) = (arrival, to_is_probe) {
+            if let (Some(arrival), PeerRole::Probe) = (arrival, n.role) {
                 ctx.schedule(
                     arrival,
                     Event::SignalRx {
@@ -72,13 +76,16 @@ impl Behaviour for Announce {
         }
         let core = &mut *ctx.core;
         // RX: sample external neighbors only.
-        let ext_neighbors: Vec<PeerId> = core.probe_states[i]
-            .disc
-            .neighbors
-            .iter()
-            .map(|n| n.id)
-            .filter(|id| core.peers[id.0 as usize].role == PeerRole::External)
-            .collect();
+        let ext_neighbors = &mut self.ext_neighbors;
+        ext_neighbors.clear();
+        ext_neighbors.extend(
+            core.probe_states[i]
+                .disc
+                .neighbors
+                .iter()
+                .filter(|n| n.role == PeerRole::External)
+                .map(|n| n.id),
+        );
         if ext_neighbors.is_empty() {
             return;
         }

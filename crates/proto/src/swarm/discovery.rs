@@ -9,7 +9,7 @@
 //! neighbor table and the halo contact rate.
 
 use super::behaviour::{Behaviour, Ctx};
-use super::state::{DiscoveryTables, Neighbor};
+use super::state::DiscoveryTables;
 use crate::message::Signal;
 use crate::peer::PeerId;
 use crate::profiles::AppProfile;
@@ -76,7 +76,7 @@ impl Discovery {
             return false;
         }
         let pid = PeerId((1 + i) as u32);
-        let my_asn = core.meta[pid.0 as usize].asn;
+        let my_asn = core.meta[pid.0 as usize].ep.asn;
 
         // AS-biased discovery: with probability derived from the boost and
         // the same-AS population share, draw from the same-AS shortlist.
@@ -156,10 +156,8 @@ impl Discovery {
             PacketFate::Dropped => return false,
             PacketFate::Pass { extra_delay_us } => reply_at + extra_delay_us,
         };
-        core.probe_states[i].disc.neighbors.push(Neighbor {
-            id: cand,
-            expires_us: now_us.saturating_add(lifetime),
-        });
+        let entry = core.neighbor(i, cand, now_us.saturating_add(lifetime));
+        core.probe_states[i].disc.neighbors.push(entry);
         let ttl = core.ttl_to(cand, pid);
         core.capture(
             i,

@@ -283,6 +283,7 @@ pub(crate) fn run(
         let groups: Vec<u64> = (0..core.n_probes)
             .map(|i| {
                 core.meta[1 + i]
+                    .ep
                     .asn
                     .map(|a| a.0 as u64)
                     // Unannounced prefixes: each its own group, offset
@@ -438,9 +439,9 @@ fn run_parallel(
     // The conservative lookahead: the cheapest cross-shard link bounds
     // how far ahead any cross-shard event can land.
     let lookahead = min_cross_delay_us(&plan, |a, b| {
-        let ia = core.meta[1 + a].ip;
-        let ib = core.meta[1 + b].ip;
-        core.env.latency.one_way_us(core.env.registry, ia, ib)
+        core.env
+            .latency
+            .one_way_us_between(core.meta[1 + a].ep, core.meta[1 + b].ep)
     })
     .unwrap_or(1)
     .max(1);

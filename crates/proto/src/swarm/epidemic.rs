@@ -24,13 +24,15 @@
 //! byte-identical to serial ones.
 
 use super::behaviour::{Behaviour, Ctx};
+use super::state::Neighbor;
 use crate::chunk::{ChunkId, BUFFER_WINDOW};
 use crate::peer::{PeerId, PeerRole};
 use crate::profiles::PushPolicy;
 use netaware_obs::Level;
 
 /// The epidemic push behaviour (see the module docs). Pure
-/// configuration — cloning it replicates the policy, not mid-run state.
+/// configuration plus scratch lists that every push round clears —
+/// cloning it replicates the policy, not mid-run state.
 #[derive(Clone, Debug)]
 pub(crate) struct EpidemicPush {
     /// Push attempts per protocol tick.
@@ -40,6 +42,10 @@ pub(crate) struct EpidemicPush {
     bw_exponent: f64,
     /// Uplink backlog (µs) above which the pusher sits a tick out.
     backlog_cap_us: u64,
+    /// Scratch: one round's candidate targets, aligned with `weights`.
+    cand: Vec<Neighbor>,
+    /// Scratch: the bandwidth-aware variant's target weights.
+    weights: Vec<f64>,
 }
 
 impl EpidemicPush {
@@ -49,6 +55,8 @@ impl EpidemicPush {
             pushes_per_tick: policy.pushes_per_tick,
             bw_exponent: policy.bw_exponent,
             backlog_cap_us,
+            cand: Vec::new(),
+            weights: Vec::new(),
         }
     }
 }
@@ -79,13 +87,15 @@ impl Behaviour for EpidemicPush {
             // Candidate targets: live neighbors (the source never needs
             // a push). Weights only matter for the bandwidth-aware
             // variant.
-            let mut cand: Vec<PeerId> = Vec::new();
-            for n in &core.probe_states[i].disc.neighbors {
-                if core.peers[n.id.0 as usize].role == PeerRole::Source || core.is_offline(n.id) {
-                    continue;
-                }
-                cand.push(n.id);
-            }
+            let cand = &mut self.cand;
+            cand.clear();
+            cand.extend(
+                core.probe_states[i]
+                    .disc
+                    .neighbors
+                    .iter()
+                    .filter(|n| n.role != PeerRole::Source && !core.is_offline(n.id)),
+            );
             if cand.is_empty() {
                 return;
             }
@@ -93,13 +103,13 @@ impl Behaviour for EpidemicPush {
                 let k = core.probe_states[i].rng.range(0..cand.len());
                 cand[k]
             } else {
-                let weights: Vec<f64> = cand
-                    .iter()
-                    .map(|id| {
-                        (core.meta[id.0 as usize].up_bps.max(1) as f64).powf(self.bw_exponent)
-                    })
-                    .collect();
-                match core.probe_states[i].rng.pick_weighted(&weights) {
+                let weights = &mut self.weights;
+                weights.clear();
+                for n in cand.iter() {
+                    let up_bps = core.meta[n.id.0 as usize].up_bps.max(1);
+                    weights.push((up_bps as f64).powf(self.bw_exponent));
+                }
+                match core.probe_states[i].rng.pick_weighted(weights) {
                     Some(k) => cand[k],
                     None => return,
                 }
@@ -112,22 +122,19 @@ impl Behaviour for EpidemicPush {
             let chunk = {
                 let map = &core.probe_states[i].sched.bufmap;
                 let base = map.base();
+                let stream = core.cfg.stream;
                 let mut found = None;
                 for off in (0..BUFFER_WINDOW).rev() {
                     let c = ChunkId(base.0 + off);
                     if !map.contains(c) {
                         continue;
                     }
-                    let useful = match core.peers[target.0 as usize].role {
+                    let useful = match target.role {
                         PeerRole::Probe => {
-                            let qi = target.0 as usize - 1;
-                            let lag = core.probe_states[qi].sched.fetch_lag_chunks;
-                            core.cfg.stream.chunk_time_us(ChunkId(c.0 + 2 + lag)) > now_us
+                            stream.chunk_time_us(ChunkId(c.0 + 2 + target.fetch_lag_chunks))
+                                > now_us
                         }
-                        PeerRole::External => {
-                            let m = &core.meta[target.0 as usize];
-                            core.cfg.stream.chunk_time_us(c) + m.lag_us > now_us
-                        }
+                        PeerRole::External => stream.chunk_time_us(c) + target.lag_us > now_us,
                         PeerRole::Source => false,
                     };
                     if useful {
@@ -152,12 +159,12 @@ impl Behaviour for EpidemicPush {
                 "swarm.epidemic.push",
                 now,
                 "probe" = i,
-                "target" = target.0,
+                "target" = target.id.0,
                 "chunk" = chunk.0,
             );
             // Receiver-side dedup (`chunks_duplicate`) absorbs pushes
             // the heuristic mispriced, exactly like stale pull serves.
-            core.probe_serve_chunk(actions, now, pusher, target, chunk);
+            core.probe_serve_chunk(actions, now, pusher, target.id, chunk);
         }
     }
 }

@@ -53,6 +53,7 @@ use netaware_faults::FaultPlan;
 use netaware_obs::{Counter, Gauge, HistogramMetric, Level, Obs};
 use netaware_sim::{DetRng, LinkFaults, PacketFate, SimTime};
 use netaware_trace::{MemorySink, ProbeTrace, RecordSink, TraceError, TraceSet};
+use rayon::prelude::*;
 use state::{PeerMeta, ProbeState};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -346,17 +347,33 @@ impl<'a> Swarm<'a> {
         }
     }
 
-    /// Runs the experiment, draining each probe's finalized capture into
-    /// `sink` as it is collected — the capture is never held as a whole
-    /// unless the sink chooses to (e.g. [`MemorySink`]); a spill-to-disk
-    /// sink bounds peak memory to one probe's trace.
+    /// Runs the experiment, then hands each probe's finalized capture to
+    /// `sink` in probe order.
+    ///
+    /// Every capture stays in `core.traces` until the event loop ends:
+    /// transfers push future-timestamped records into any probe's trace
+    /// at any time. Finalize then trims each capture to its length and
+    /// sorts the captures in parallel — each one stably and on its own,
+    /// so what the sink receives does not depend on the thread count. A
+    /// spill-to-disk sink therefore bounds what is kept after the run,
+    /// not the peak of the capture itself.
     pub fn run_into<S: RecordSink>(
         mut self,
         mut sink: S,
     ) -> Result<(S::Output, SwarmReport), TraceError> {
         self.execute();
-        for mut trace in std::mem::take(&mut self.core.traces) {
-            trace.finalize();
+        let mut traces = std::mem::take(&mut self.core.traces);
+        // Trim before sorting, so the spare capacity is gone before the
+        // sorts allocate their scratch buffers.
+        traces.iter_mut().for_each(ProbeTrace::shrink_to_fit);
+        let traces: Vec<ProbeTrace> = traces
+            .into_par_iter()
+            .map(|mut trace| {
+                trace.finalize();
+                trace
+            })
+            .collect();
+        for trace in traces {
             sink.sink_probe(trace)?;
         }
         let out = sink.finish(&self.core.cfg.profile.name, self.core.cfg.duration_us)?;
@@ -411,7 +428,7 @@ impl<'a> Swarm<'a> {
                 "lost" = s.sched.lost,
             );
             core.report.per_probe.push(report::ProbePerf {
-                probe: core.meta[1 + i].ip,
+                probe: core.meta[1 + i].ep.ip,
                 delivered: s.sched.delivered,
                 lost: s.sched.lost,
                 continuity,

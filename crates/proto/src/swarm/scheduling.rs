@@ -13,7 +13,7 @@ use super::state::{Event, Pending};
 use crate::chunk::ChunkId;
 use crate::message::Signal;
 use crate::peer::{PeerId, PeerRole};
-use crate::policy::{Candidate, SelectionPolicy};
+use crate::policy::SelectionPolicy;
 use crate::profiles::AppProfile;
 use netaware_obs::Level;
 use netaware_sim::PacketFate;
@@ -30,12 +30,32 @@ const ACTIVE_REQUESTER_CAP: usize = 48;
 pub(crate) struct Scheduling {
     download_policy: SelectionPolicy,
     upload_policy: SelectionPolicy,
+    /// `bw_term(None)` of each policy: the weight's bandwidth term for a
+    /// candidate never measured, which depends on the policy alone.
+    download_unknown_bw: f64,
+    upload_unknown_bw: f64,
     exploration: f64,
     max_parallel_requests: usize,
     request_timeout_us: u64,
     buffer_delay_chunks: u32,
     demand_stickiness: f64,
     upload_backlog_cap_us: u64,
+    scratch: Scratch,
+}
+
+/// Scratch lists of the request draft, the demand draft and the tick's
+/// request list. Each use clears them first; they live here only so
+/// their capacity survives across events.
+#[derive(Clone, Default)]
+struct Scratch {
+    /// Candidate peers, aligned with `weights`.
+    ids: Vec<PeerId>,
+    /// Selection weight per candidate.
+    weights: Vec<f64>,
+    /// Candidate externals never exchanged with (exploration pool).
+    untried: Vec<PeerId>,
+    /// Chunks one tick requests, in request order.
+    missing: Vec<ChunkId>,
 }
 
 impl Scheduling {
@@ -43,12 +63,15 @@ impl Scheduling {
         Scheduling {
             download_policy: p.download_policy,
             upload_policy: p.upload_policy,
+            download_unknown_bw: p.download_policy.bw_term(None),
+            upload_unknown_bw: p.upload_policy.bw_term(None),
             exploration: p.exploration,
             max_parallel_requests: p.max_parallel_requests,
             request_timeout_us: p.request_timeout_us,
             buffer_delay_chunks: p.buffer_delay_chunks,
             demand_stickiness: p.demand_stickiness,
             upload_backlog_cap_us: p.upload_backlog_cap_us,
+            scratch: Scratch::default(),
         }
     }
 
@@ -63,70 +86,65 @@ impl Scheduling {
         let now = ctx.now();
         let now_us = now.as_us();
         let core = &mut *ctx.core;
-        let my = core.meta[pid.0 as usize].clone();
 
         // Gather candidates that plausibly hold the chunk.
-        let mut cand_ids: Vec<PeerId> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
-        let mut untried: Vec<PeerId> = Vec::new();
+        let Scratch {
+            ids,
+            weights,
+            untried,
+            ..
+        } = &mut self.scratch;
+        ids.clear();
+        weights.clear();
+        untried.clear();
         {
             let s = &core.probe_states[i];
-            let chunk_ready_us = core.cfg.stream.chunk_time_us(chunk);
+            let stream = core.cfg.stream;
+            let chunk_ready_us = stream.chunk_time_us(chunk);
             for n in &s.disc.neighbors {
-                let id = n.id;
                 // Departed externals are scrubbed from neighbor tables
                 // eagerly, but a same-tick departure can race the scan.
-                if core.is_offline(id) {
+                if core.is_offline(n.id) {
                     continue;
                 }
-                let available = match core.peers[id.0 as usize].role {
+                let available = match n.role {
                     PeerRole::Source => true,
+                    // Playout-position heuristic, not the remote buffer
+                    // map: probe `q` fetches `2 + lag_q` chunks behind
+                    // the live head, so a chunk is plausibly held once
+                    // the stream has advanced that far past it. Real
+                    // clients guess from (stale) buffer-map gossip the
+                    // same way; the provider's authoritative `has` check
+                    // at serve time refuses misses. Crucially this reads
+                    // only the remote's *static* lag, never its live
+                    // state — a request can be priced without looking
+                    // across a shard boundary.
                     PeerRole::Probe => {
-                        // Playout-position heuristic, not the remote
-                        // buffer map: probe `q` fetches `2 + lag_q`
-                        // chunks behind the live head, so a chunk is
-                        // plausibly held once the stream has advanced
-                        // that far past it. Real clients guess from
-                        // (stale) buffer-map gossip the same way; the
-                        // provider's authoritative `has` check at serve
-                        // time refuses misses. Crucially this reads only
-                        // the remote's *static* lag, never its live
-                        // state — a request can be priced without
-                        // looking across a shard boundary.
-                        let qi = id.0 as usize - 1;
-                        let lag = core.probe_states[qi].sched.fetch_lag_chunks;
-                        core.cfg.stream.chunk_time_us(ChunkId(chunk.0 + 2 + lag)) <= now_us
+                        stream.chunk_time_us(ChunkId(chunk.0 + 2 + n.fetch_lag_chunks)) <= now_us
                     }
-                    PeerRole::External => {
-                        let m = &core.meta[id.0 as usize];
-                        chunk_ready_us + m.lag_us <= now_us
-                    }
+                    PeerRole::External => chunk_ready_us + n.lag_us <= now_us,
                 };
                 if !available {
                     continue;
                 }
-                let m = &core.meta[id.0 as usize];
-                let cand = Candidate {
-                    est_up_bps: s.sched.est_bps.get(&id).copied(),
-                    same_subnet: m.ip.same_subnet(my.ip),
-                    same_as: m.asn.is_some() && m.asn == my.asn,
-                    same_cc: m.cc.is_some() && m.cc == my.cc,
-                    is_last_provider: s.sched.last_provider == Some(id),
+                let est = s.sched.est_bps.get(&n.id).copied();
+                let bw = match est {
+                    Some(_) => self.download_policy.bw_term(est),
+                    None => self.download_unknown_bw,
                 };
-                let mut w = self.download_policy.weight(&cand);
-                if core.peers[id.0 as usize].role == PeerRole::Source {
+                let cand = n.candidate(est, s.sched.last_provider == Some(n.id));
+                let mut w = self.download_policy.with_factors(bw, &cand);
+                if n.role == PeerRole::Source {
                     w *= SOURCE_WEIGHT_FACTOR;
                 }
-                cand_ids.push(id);
+                ids.push(n.id);
                 weights.push(w);
-                if cand.est_up_bps.is_none()
-                    && core.peers[id.0 as usize].role == PeerRole::External
-                {
-                    untried.push(id);
+                if est.is_none() && n.role == PeerRole::External {
+                    untried.push(n.id);
                 }
             }
         }
-        if cand_ids.is_empty() {
+        if ids.is_empty() {
             // Nobody reachable has it. The chunk stays missing, so the
             // next tick's scan retries it — and if it got here via the
             // requeue path (sole provider departed), churn recovery
@@ -139,9 +157,9 @@ impl Scheduling {
         let provider = if !untried.is_empty() && s.rng.chance(self.exploration) {
             untried[s.rng.range(0..untried.len())]
         } else {
-            match s.rng.pick_weighted(&weights) {
-                Some(k) => cand_ids[k],
-                None => cand_ids[s.rng.range(0..cand_ids.len())],
+            match s.rng.pick_weighted(weights) {
+                Some(k) => ids[k],
+                None => ids[s.rng.range(0..ids.len())],
             }
         };
 
@@ -170,7 +188,7 @@ impl Scheduling {
             "probe" = i,
             "chunk" = chunk.0,
             "provider" = provider.0,
-            "candidates" = cand_ids.len(),
+            "candidates" = ids.len(),
         );
         // A lost request packet simply never reaches the provider: the
         // pending entry rides out its timeout and the chunk is retried.
@@ -225,7 +243,7 @@ impl Behaviour for Scheduling {
                 s.sched.bufmap.advance_base(playhead);
                 // Chunks behind the playhead can never be requested
                 // again: drop their retry-backoff bookkeeping.
-                s.rec.attempts = s.rec.attempts.split_off(&playhead);
+                s.rec.attempts.retain(|c, _| *c >= playhead);
                 if lost > 0 {
                     core.m.chunks_expired.add(lost);
                     netaware_obs::event!(
@@ -249,33 +267,33 @@ impl Behaviour for Scheduling {
             .max_parallel_requests
             .saturating_sub(ctx.core.probe_states[i].sched.pending.len());
         if budget > 0 {
-            let missing: Vec<ChunkId> = {
+            // The list leaves the scratch while `request_chunk` borrows
+            // the behaviour, and returns with its capacity.
+            let mut missing = std::mem::take(&mut self.scratch.missing);
+            missing.clear();
+            {
                 let s = &mut ctx.core.probe_states[i];
-                let mut list: Vec<ChunkId> = Vec::new();
-                for c in std::mem::take(&mut s.rec.requeue) {
+                let in_flight = |c: ChunkId| s.sched.pending.iter().any(|p| p.chunk == c);
+                for c in s.rec.requeue.drain(..) {
                     if c.0 >= playhead.0
                         && !s.sched.bufmap.contains(c)
-                        && !s.sched.pending.iter().any(|p| p.chunk == c)
-                        && !list.contains(&c)
+                        && !in_flight(c)
+                        && !missing.contains(&c)
                     {
-                        list.push(c);
+                        missing.push(c);
                     }
                 }
-                let scan: Vec<ChunkId> = s
-                    .sched
-                    .bufmap
-                    .missing_in(playhead, target)
-                    .filter(|c| {
-                        !s.sched.pending.iter().any(|p| p.chunk == *c) && !list.contains(c)
-                    })
-                    .collect();
-                list.extend(scan);
-                list.truncate(budget);
-                list
-            };
-            for chunk in missing {
+                for c in s.sched.bufmap.missing_in(playhead, target) {
+                    if !in_flight(c) && !missing.contains(&c) {
+                        missing.push(c);
+                    }
+                }
+                missing.truncate(budget);
+            }
+            for &chunk in &missing {
                 self.request_chunk(ctx, i, pid, chunk);
             }
+            self.scratch.missing = missing;
         }
     }
 
@@ -367,7 +385,6 @@ impl Behaviour for Scheduling {
 
         let core = &mut *ctx.core;
         // Pick the requester.
-        let my = core.meta[pid.0 as usize].clone();
         let requester = {
             let sticky = {
                 let s = &mut core.probe_states[i];
@@ -380,35 +397,25 @@ impl Behaviour for Scheduling {
             } else {
                 // Weighted draft among external neighbors by the upload
                 // policy's locality terms.
-                let cands: Vec<PeerId> = core.probe_states[i]
-                    .disc
-                    .neighbors
-                    .iter()
-                    .map(|n| n.id)
-                    .filter(|id| core.peers[id.0 as usize].role == PeerRole::External)
-                    .collect();
-                if cands.is_empty() {
+                let Scratch { ids, weights, .. } = &mut self.scratch;
+                let (policy, unknown_bw) = (&self.upload_policy, self.upload_unknown_bw);
+                ids.clear();
+                weights.clear();
+                for n in &core.probe_states[i].disc.neighbors {
+                    if n.role == PeerRole::External {
+                        ids.push(n.id);
+                        weights.push(policy.with_factors(unknown_bw, &n.candidate(None, false)));
+                    }
+                }
+                if ids.is_empty() {
                     None
                 } else {
-                    let weights: Vec<f64> = cands
-                        .iter()
-                        .map(|id| {
-                            let m = &core.meta[id.0 as usize];
-                            self.upload_policy.weight(&Candidate {
-                                est_up_bps: None,
-                                same_subnet: m.ip.same_subnet(my.ip),
-                                same_as: m.asn.is_some() && m.asn == my.asn,
-                                same_cc: m.cc.is_some() && m.cc == my.cc,
-                                is_last_provider: false,
-                            })
-                        })
-                        .collect();
                     let s = &mut core.probe_states[i];
                     let pick = s
                         .rng
-                        .pick_weighted(&weights)
-                        .unwrap_or_else(|| s.rng.range(0..cands.len()));
-                    let r = cands[pick];
+                        .pick_weighted(weights)
+                        .unwrap_or_else(|| s.rng.range(0..ids.len()));
+                    let r = ids[pick];
                     if !s.sched.active_requesters.contains(&r) {
                         if s.sched.active_requesters.len() >= ACTIVE_REQUESTER_CAP {
                             let evict = s.rng.range(0..s.sched.active_requesters.len());

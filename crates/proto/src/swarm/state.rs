@@ -13,8 +13,9 @@
 use super::{Swarm, SwarmConfig, SwarmCore, SwarmReport};
 use crate::chunk::{BufferMap, ChunkId};
 use crate::peer::{PeerId, PeerInfo, PeerRole};
+use crate::policy::Candidate;
 use netaware_net::{
-    hash, AccessLink, AsId, CountryCode, GeoRegistry, Ip, LatencyModel, PathModel,
+    hash, AccessLink, AsId, CountryCode, Endpoint, GeoRegistry, Ip, LatencyModel, PathModel,
 };
 use netaware_sim::{AccessSerializer, DetRng};
 use netaware_trace::ProbeTrace;
@@ -63,10 +64,10 @@ pub struct PeerSetup {
 /// Pre-resolved geolocation and capacity of a peer (lookups are hot).
 #[derive(Clone, Debug)]
 pub struct PeerMeta {
-    /// Overlay address.
-    pub ip: Ip,
-    /// Origin AS, when the address is announced.
-    pub asn: Option<AsId>,
+    /// Overlay address with its origin AS and region, resolved once at
+    /// build: the delay and hop models price it without searching the
+    /// registry again.
+    pub ep: Endpoint,
     /// Country of the origin AS.
     pub cc: Option<CountryCode>,
     /// Uplink capacity, bits per second.
@@ -84,13 +85,68 @@ pub struct PeerMeta {
     pub port: u16,
 }
 
-/// A neighbor-table entry at a probe.
+/// A neighbor-table entry at a probe, carrying the per-pair facts the
+/// hot loops read. They are resolved once, by [`SwarmCore::neighbor`],
+/// and never go stale: roles, addresses and playout lags are fixed for
+/// the whole run. Live facts (offline state, bandwidth estimates) stay
+/// where they are kept.
 #[derive(Clone, Copy, Debug)]
 pub struct Neighbor {
     /// The neighbor peer.
     pub id: PeerId,
     /// Entry eviction time, µs since experiment start.
     pub expires_us: u64,
+    /// The neighbor's role.
+    pub role: PeerRole,
+    /// Shares the owning probe's subnet.
+    pub same_subnet: bool,
+    /// Resolves to the owning probe's AS.
+    pub same_as: bool,
+    /// Resolves to the owning probe's country.
+    pub same_cc: bool,
+    /// Playout lag of an external neighbor, µs ([`PeerMeta::lag_us`];
+    /// 0 for the source and probes).
+    pub lag_us: u64,
+    /// Fetch lag of a probe neighbor, chunks
+    /// ([`SchedulingState::fetch_lag_chunks`]; 0 for the others).
+    pub fetch_lag_chunks: u32,
+}
+
+impl Neighbor {
+    /// This neighbor as a selection candidate of the owning probe.
+    pub(crate) fn candidate(&self, est_up_bps: Option<u64>, is_last_provider: bool) -> Candidate {
+        Candidate {
+            est_up_bps,
+            same_subnet: self.same_subnet,
+            same_as: self.same_as,
+            same_cc: self.same_cc,
+            is_last_provider,
+        }
+    }
+}
+
+impl SwarmCore<'_> {
+    /// The neighbor-table entry for peer `id` at probe `i`, expiring at
+    /// `expires_us`. The bootstrap mesh and discovery both build their
+    /// entries here, so the cached facts have one derivation.
+    pub(crate) fn neighbor(&self, i: usize, id: PeerId, expires_us: u64) -> Neighbor {
+        let me = &self.meta[1 + i];
+        let m = &self.meta[id.0 as usize];
+        let role = self.peers[id.0 as usize].role;
+        Neighbor {
+            id,
+            expires_us,
+            role,
+            same_subnet: m.ep.ip.same_subnet(me.ep.ip),
+            same_as: m.ep.asn.is_some() && m.ep.asn == me.ep.asn,
+            same_cc: m.cc.is_some() && m.cc == me.cc,
+            lag_us: m.lag_us,
+            fetch_lag_chunks: match role {
+                PeerRole::Probe => self.probe_states[id.0 as usize - 1].sched.fetch_lag_chunks,
+                PeerRole::Source | PeerRole::External => 0,
+            },
+        }
+    }
 }
 
 /// An in-flight chunk request.
@@ -332,8 +388,7 @@ pub fn app_port(ip: Ip) -> u16 {
 
 fn meta_of(reg: &GeoRegistry, ip: Ip, access: AccessLink, lag_us: u64) -> PeerMeta {
     PeerMeta {
-        ip,
-        asn: reg.as_of(ip),
+        ep: reg.endpoint(ip),
         cc: reg.country_of(ip),
         up_bps: access.class.up_bps(),
         down_bps: access.class.down_bps(),
@@ -392,7 +447,7 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
         acc += w;
         ext_ids.push(id);
         cum_weights.push(acc);
-        if let Some(asn) = m.asn {
+        if let Some(asn) = m.ep.asn {
             by_as.entry(asn).or_default().push(id);
         }
     }
@@ -422,29 +477,7 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
     let mut traces = Vec::with_capacity(n_probes);
     #[allow(clippy::needless_range_loop)] // i is also the probe index baked into ids/seeds
     for i in 0..n_probes {
-        let id = PeerId((1 + i) as u32);
-        let m = meta[id.0 as usize].clone();
-        // Neighbor table: the source, every probe-pair edge that the
-        // mesh probability grants, plus tracker-provided externals.
-        let mut neighbors = vec![Neighbor {
-            id: PeerId(0),
-            expires_us: u64::MAX,
-        }];
-        for j in 0..n_probes {
-            if i == j {
-                continue;
-            }
-            // Symmetric coin per unordered pair.
-            let (lo, hi) = if i < j { (i, j) } else { (j, i) };
-            let coin = hash::unit(hash::mix2(cfg.seed ^ lo as u64, hi as u64));
-            if coin < cfg.profile.probe_mesh_prob {
-                neighbors.push(Neighbor {
-                    id: PeerId((1 + j) as u32),
-                    expires_us: u64::MAX,
-                });
-            }
-        }
-
+        let m = &meta[1 + i];
         let prng = DetRng::substream(cfg.seed, "probe", i as u64);
 
         // External demand rate on this probe: capped by its uplink.
@@ -469,7 +502,8 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
                 ext_up: BTreeMap::new(),
             },
             disc: DiscoveryState {
-                neighbors,
+                // Filled below, once every probe's fetch lag exists.
+                neighbors: Vec::new(),
                 halo_rate_hz: cfg.profile.halo_contacts_per_sec * halo_jitter,
             },
             sched: SchedulingState {
@@ -489,7 +523,7 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
             },
             rng: prng,
         });
-        traces.push(ProbeTrace::new(m.ip));
+        traces.push(ProbeTrace::new(m.ep.ip));
     }
 
     // The profile *is* the behaviour composition: build the stack from
@@ -517,6 +551,24 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
         offline: std::collections::BTreeSet::new(),
         shard: super::ShardRole::default(),
     };
+
+    // Neighbor tables: the source, then every probe-pair edge that the
+    // mesh probability grants; tracker-provided externals follow.
+    for i in 0..n_probes {
+        let mut neighbors = vec![core.neighbor(i, PeerId(0), u64::MAX)];
+        for j in 0..n_probes {
+            if i == j {
+                continue;
+            }
+            // Symmetric coin per unordered pair.
+            let (lo, hi) = if i < j { (i, j) } else { (j, i) };
+            let coin = hash::unit(hash::mix2(core.cfg.seed ^ lo as u64, hi as u64));
+            if coin < core.cfg.profile.probe_mesh_prob {
+                neighbors.push(core.neighbor(i, PeerId((1 + j) as u32), u64::MAX));
+            }
+        }
+        core.probe_states[i].disc.neighbors = neighbors;
+    }
 
     // Tracker bootstrap: hand each probe its initial external neighbors
     // through the discovery behaviour (no scheduler exists yet — the

@@ -648,6 +648,74 @@ fn churned_swarm_recovers_and_reports() {
     );
 }
 
+/// Every neighbor entry's cached facts — role, locality, static lag —
+/// equal a fresh derivation from the peer table, the registry and the
+/// probe states. Returns how many entries were checked.
+fn assert_neighbor_cache_coherent(core: &SwarmCore<'_>) -> usize {
+    let reg = core.env.registry;
+    let mut checked = 0;
+    for (i, s) in core.probe_states.iter().enumerate() {
+        let me = core.peers[1 + i].ip;
+        for n in &s.disc.neighbors {
+            let peer = &core.peers[n.id.0 as usize];
+            let ctx = format!("probe {i}, neighbor {}", n.id.0);
+            assert_eq!(n.role, peer.role, "{ctx}: role");
+            assert_eq!(n.same_subnet, peer.ip.same_subnet(me), "{ctx}: subnet");
+            let (asn, my_asn) = (reg.as_of(peer.ip), reg.as_of(me));
+            assert_eq!(n.same_as, asn.is_some() && asn == my_asn, "{ctx}: AS");
+            let (cc, my_cc) = (reg.country_of(peer.ip), reg.country_of(me));
+            assert_eq!(n.same_cc, cc.is_some() && cc == my_cc, "{ctx}: country");
+            let (lag_us, fetch_lag_chunks) = match peer.role {
+                PeerRole::External => (state::ext_lag_us(peer.ip), 0),
+                PeerRole::Probe => {
+                    let q = &core.probe_states[n.id.0 as usize - 1];
+                    (0, q.sched.fetch_lag_chunks)
+                }
+                PeerRole::Source => (0, 0),
+            };
+            assert_eq!(n.lag_us, lag_us, "{ctx}: playout lag");
+            assert_eq!(n.fetch_lag_chunks, fetch_lag_chunks, "{ctx}: fetch lag");
+            checked += 1;
+        }
+    }
+    checked
+}
+
+#[test]
+fn neighbor_cache_matches_a_fresh_derivation() {
+    let run = |profile: AppProfile, churn: bool, seed: u64| {
+        let reg = mini_registry();
+        let env = NetworkEnv {
+            registry: &reg,
+            paths: PathModel::new(seed),
+            latency: LatencyModel::new(seed),
+        };
+        let cfg = SwarmConfig {
+            profile: small_profile(profile),
+            ..mini_cfg(30, seed)
+        };
+        let mut swarm = Swarm::new(cfg, env, mini_setup(80));
+        if churn {
+            swarm.set_faults(&netaware_faults::FaultPlan::from_flags(None, None, true));
+        }
+        let at_build = assert_neighbor_cache_coherent(&swarm.core);
+        assert!(at_build > 0, "empty tables at build");
+        swarm.execute();
+        let at_end = assert_neighbor_cache_coherent(&swarm.core);
+        assert!(at_end > 0, "no neighbor entries left to check");
+        swarm.core.report
+    };
+    let clean = run(AppProfile::pplive(), false, 41);
+    assert!(clean.chunks_delivered > 0);
+    // Churn evicts departed neighbors and re-discovers replacements, so
+    // the tables end up holding entries made mid-run.
+    let churned = run(AppProfile::sopcast(), true, 42);
+    assert!(churned.peers_departed > 0, "no departures");
+    assert!(churned.peers_arrived > 0, "no re-arrivals");
+    let pushed = run(AppProfile::epidemic_rp(), false, 43);
+    assert!(pushed.chunks_pushed > 0, "Epidemic-RP never pushed");
+}
+
 // ---------- per-behaviour units (hand-built Ctx, no dispatcher) ----------
 
 #[test]

@@ -16,6 +16,7 @@ use crate::peer::PeerId;
 use netaware_net::{ttl_at_receiver, DEFAULT_TTL};
 use netaware_sim::{AccessSerializer, PacketFate, SimTime};
 use netaware_trace::{PacketRecord, PayloadKind};
+use std::collections::btree_map::Entry;
 
 /// ADSL interleave window: packets draining within the same window reach
 /// the host NIC as one burst.
@@ -50,13 +51,14 @@ impl SwarmCore<'_> {
     ) -> SimTime {
         let s = &mut self.probe_states[probe_idx];
         let tx = s.link.downlink.tx_time_us(size);
-        let floor = s
-            .link
-            .last_rx_from
-            .get(&from)
-            .map_or(SimTime::ZERO, |&t| t + tx);
-        let drain = reach.max(floor);
-        s.link.last_rx_from.insert(from, drain);
+        let drain = match s.link.last_rx_from.entry(from) {
+            Entry::Occupied(mut last) => {
+                let drain = reach.max(*last.get() + tx);
+                last.insert(drain);
+                drain
+            }
+            Entry::Vacant(slot) => *slot.insert(reach),
+        };
         let Some(m) = &mut s.link.modem else {
             return drain;
         };
@@ -72,16 +74,16 @@ impl SwarmCore<'_> {
 
     /// One-way delay between two peers, µs.
     pub(crate) fn delay_us(&self, from: PeerId, to: PeerId) -> u64 {
-        let a = self.meta[from.0 as usize].ip;
-        let b = self.meta[to.0 as usize].ip;
-        self.env.latency.one_way_us(self.env.registry, a, b)
+        let a = self.meta[from.0 as usize].ep;
+        let b = self.meta[to.0 as usize].ep;
+        self.env.latency.one_way_us_between(a, b)
     }
 
     /// TTL a packet from `from` carries when it reaches `to`.
     pub(crate) fn ttl_to(&self, from: PeerId, to: PeerId) -> u8 {
-        let a = self.meta[from.0 as usize].ip;
-        let b = self.meta[to.0 as usize].ip;
-        ttl_at_receiver(self.env.paths.hops(self.env.registry, a, b))
+        let a = self.meta[from.0 as usize].ep;
+        let b = self.meta[to.0 as usize].ep;
+        ttl_at_receiver(self.env.paths.hops_between(a, b))
     }
 
     /// Records a packet in probe `probe_idx`'s trace.
@@ -100,8 +102,8 @@ impl SwarmCore<'_> {
         let dm = &self.meta[dst.0 as usize];
         self.traces[probe_idx].push(PacketRecord {
             ts_us: ts.as_us(),
-            src: sm.ip,
-            dst: dm.ip,
+            src: sm.ep.ip,
+            dst: dm.ep.ip,
             sport: sm.port,
             dport: dm.port,
             size,
@@ -299,51 +301,44 @@ impl SwarmCore<'_> {
         // per-(probe, external): each probe sees its own copy of the
         // external's uplink, so the path stays a pure function of one
         // probe's state (the sharding contract; see `LinkState::ext_up`).
-        if let Some(up) = self.probe_states[to_idx].link.ext_up.get(&provider) {
-            if up.backlog_us(now) > EXT_BACKLOG_CAP_US {
-                self.report.chunks_refused += 1;
-                self.m.chunks_refused.inc();
-                return;
-            }
-        }
-
-        // Pre-draw the background cross-traffic pattern: the external
-        // also uploads to peers we cannot see. A short burst ahead of
-        // ours delays the train start; occasional interleaved packets
-        // stretch some gaps (min-IPG still finds clean back-to-back
-        // pairs).
-        let (bg_before, bg_flags) = {
-            let rng = &mut self.probe_states[to_idx].rng;
-            let before = rng.range(0..3u32);
-            let flags: Vec<bool> = (0..n_pkts).map(|_| rng.chance(0.08)).collect();
-            (before, flags)
-        };
-
+        // A fresh serializer has no backlog, so creating it here never
+        // races the refusal. The train runs on a local copy, written
+        // back below.
         let up_bps = self.meta[provider.0 as usize].up_bps.max(1);
-        let mut departures = Vec::with_capacity(n_pkts as usize);
-        {
+        let mut up = {
             let up = self.probe_states[to_idx]
                 .link
                 .ext_up
                 .entry(provider)
                 .or_insert_with(|| AccessSerializer::new(up_bps));
-            for _ in 0..bg_before {
-                up.enqueue(now, stream.packet_bytes);
+            if up.backlog_us(now) > EXT_BACKLOG_CAP_US {
+                self.report.chunks_refused += 1;
+                self.m.chunks_refused.inc();
+                return;
             }
-            for i in 0..n_pkts {
-                if bg_flags[i as usize] {
-                    up.enqueue(now, stream.packet_bytes); // interleaved bg
-                }
-                let size = stream.packet_size(i);
-                departures.push((up.enqueue(now, size), size as u16));
-            }
-        }
+            up.clone()
+        };
 
+        // Background cross-traffic: the external also uploads to peers
+        // we cannot see. A short burst ahead of ours delays the train
+        // start; occasional interleaved packets stretch some gaps
+        // (min-IPG still finds clean back-to-back pairs). The pattern's
+        // draws come from the probe's stream, in packet order; the link
+        // fates below draw from the link's own stream.
+        let bg_before = self.probe_states[to_idx].rng.range(0..3u32);
+        for _ in 0..bg_before {
+            up.enqueue(now, stream.packet_bytes);
+        }
         let mut first_arrival = None;
         let mut last_arrival = SimTime::ZERO;
         let mut chunk_ok = true;
-        for (dep, size) in departures {
-            let reach = dep + lat;
+        for i in 0..n_pkts {
+            if self.probe_states[to_idx].rng.chance(0.08) {
+                up.enqueue(now, stream.packet_bytes); // interleaved bg
+            }
+            let size = stream.packet_size(i);
+            let reach = up.enqueue(now, size) + lat;
+            let size = size as u16;
             // Only the probe's own access link is fault-modelled: the
             // external's link sits outside the observable path, so its
             // impairments are indistinguishable from capacity noise.
@@ -359,6 +354,7 @@ impl SwarmCore<'_> {
             first_arrival.get_or_insert(arrival);
             last_arrival = arrival;
         }
+        self.probe_states[to_idx].link.ext_up.insert(provider, up);
         self.report.chunks_served_by_externals += 1;
         if !chunk_ok {
             // Incomplete chunk: the requester's pending entry rides out

@@ -82,6 +82,12 @@ impl ProbeTrace {
         self.records.iter().map(|r| r.size as u64).sum()
     }
 
+    /// Releases the spare capacity a capture grown push by push keeps
+    /// (up to its own length again).
+    pub fn shrink_to_fit(&mut self) {
+        self.records.shrink_to_fit();
+    }
+
     /// Sorts records by timestamp (idempotent).
     pub fn finalize(&mut self) {
         if !self.sorted {

@@ -5,8 +5,9 @@
 //! [`RecordSink`] inverts that: the producer hands over one finalized
 //! [`ProbeTrace`] at a time and the sink decides whether to keep it in
 //! memory ([`MemorySink`], the legacy behaviour) or spill it to a corpus
-//! directory immediately ([`CorpusSink`], bounding peak memory to a
-//! single probe's capture regardless of experiment scale).
+//! directory immediately ([`CorpusSink`], which itself never holds more
+//! than one probe's capture; the producer may still hold the rest — the
+//! swarm keeps every capture until its event loop ends).
 
 use crate::corpus::CorpusManifest;
 use crate::format::{write_trace, TraceError};

@@ -1,15 +1,56 @@
-//! Counting-allocator accuracy, pinned against a known allocation
-//! pattern. This test lives alone in its own binary so the process-wide
-//! counters see no concurrent test traffic, which lets the deltas be
-//! asserted exactly.
+//! Counting-allocator accuracy, pinned against known allocation
+//! patterns, and the allocation budgets of two hot loops. The counters
+//! are process-wide, so every check runs in sequence inside one test:
+//! tests of one binary run on parallel threads, and each would count
+//! the others' allocations.
 
 use netaware::obs::alloc::{snapshot, CountingAlloc};
+use netaware::proto::{NetworkEnv, StreamParams, Swarm, SwarmConfig};
 use netaware::sim::{Scheduler, SimTime};
+use netaware::testbed::{BuiltScenario, ScenarioConfig};
+use netaware::trace::MemorySink;
+use netaware::AppProfile;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
+fn counters_track_a_known_allocation_pattern_exactly() {
+    known_pattern_is_counted_exactly();
+    scheduler_steady_state_allocates_nothing();
+    swarm_loop_allocates_less_than_once_per_event();
+}
+
+fn known_pattern_is_counted_exactly() {
+    assert!(netaware::obs::alloc::is_counting());
+    let before = snapshot();
+
+    // One Vec of 1000 u64 is exactly one allocation of 8000 bytes.
+    let v: Vec<u64> = Vec::with_capacity(1000);
+    let held = snapshot();
+    assert_eq!(held.allocs - before.allocs, 1, "one allocation expected");
+    assert_eq!(held.bytes - before.bytes, 8000, "8000 bytes expected");
+    assert_eq!(held.live_bytes - before.live_bytes, 8000);
+    assert!(held.peak_bytes >= before.live_bytes + 8000);
+
+    // A second, differently-sized block accumulates on top.
+    let w: Vec<u8> = Vec::with_capacity(512);
+    let held2 = snapshot();
+    assert_eq!(held2.allocs - before.allocs, 2);
+    assert_eq!(held2.bytes - before.bytes, 8512);
+    assert_eq!(held2.live_bytes - before.live_bytes, 8512);
+
+    // Frees return live bytes to the starting level; the cumulative
+    // counters are monotone and keep both allocations.
+    drop(v);
+    drop(w);
+    let after = snapshot();
+    assert_eq!(after.live_bytes, before.live_bytes, "frees balance");
+    assert_eq!(after.allocs - before.allocs, 2);
+    assert_eq!(after.bytes - before.bytes, 8512);
+    assert!(after.peak_bytes >= held2.live_bytes);
+}
+
 fn scheduler_steady_state_allocates_nothing() {
     // The calendar-queue scheduler recycles popped slots through its
     // free slab, so once the bucket wheel and slab are warm, push/pop
@@ -54,33 +95,44 @@ fn scheduler_steady_state_allocates_nothing() {
     assert_eq!(after.bytes - before.bytes, 0);
 }
 
-#[test]
-fn counters_track_a_known_allocation_pattern_exactly() {
-    assert!(netaware::obs::alloc::is_counting());
+fn swarm_loop_allocates_less_than_once_per_event() {
+    // The swarm's event loop keeps its per-event lists in reused
+    // scratch buffers, so a whole run — dispatch, capture growth and
+    // the finalize sort — stays under one allocation per dispatched
+    // event. Per-event Vecs in a behaviour hook would cost several.
+    let profile = AppProfile::pplive();
+    let scenario = BuiltScenario::build(
+        &ScenarioConfig {
+            seed: 777,
+            scale: 0.02,
+            ..ScenarioConfig::default()
+        },
+        profile.overlay_size,
+    );
+    let env = NetworkEnv {
+        registry: &scenario.registry,
+        paths: scenario.paths,
+        latency: scenario.latency,
+    };
+    let cfg = SwarmConfig {
+        seed: 777,
+        duration_us: 20_000_000,
+        stream: StreamParams::cctv1(),
+        profile,
+    };
+    let swarm = Swarm::new(cfg, env, scenario.peer_setup());
+
     let before = snapshot();
-
-    // One Vec of 1000 u64 is exactly one allocation of 8000 bytes.
-    let v: Vec<u64> = Vec::with_capacity(1000);
-    let held = snapshot();
-    assert_eq!(held.allocs - before.allocs, 1, "one allocation expected");
-    assert_eq!(held.bytes - before.bytes, 8000, "8000 bytes expected");
-    assert_eq!(held.live_bytes - before.live_bytes, 8000);
-    assert!(held.peak_bytes >= before.live_bytes + 8000);
-
-    // A second, differently-sized block accumulates on top.
-    let w: Vec<u8> = Vec::with_capacity(512);
-    let held2 = snapshot();
-    assert_eq!(held2.allocs - before.allocs, 2);
-    assert_eq!(held2.bytes - before.bytes, 8512);
-    assert_eq!(held2.live_bytes - before.live_bytes, 8512);
-
-    // Frees return live bytes to the starting level; the cumulative
-    // counters are monotone and keep both allocations.
-    drop(v);
-    drop(w);
-    let after = snapshot();
-    assert_eq!(after.live_bytes, before.live_bytes, "frees balance");
-    assert_eq!(after.allocs - before.allocs, 2);
-    assert_eq!(after.bytes - before.bytes, 8512);
-    assert!(after.peak_bytes >= held2.live_bytes);
+    let (set, report) = swarm
+        .run_into(MemorySink::new())
+        .expect("in-memory sink cannot fail");
+    let allocs = snapshot().allocs - before.allocs;
+    assert!(set.total_packets() > 0, "degenerate run");
+    let events = report.events_dispatched;
+    assert!(events > 10_000, "only {events} events dispatched");
+    assert!(
+        allocs <= events,
+        "{allocs} allocations over {events} events ({:.2} per event)",
+        allocs as f64 / events as f64
+    );
 }
