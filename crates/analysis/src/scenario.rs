@@ -15,10 +15,9 @@
 //! ## Determinism contract
 //!
 //! A report is a pure function of the per-cell analyses: it embeds no
-//! wall-clock time, host name, shard count or toolchain version, so the
-//! same seed must yield a **byte-identical** report across runs, shard
-//! layouts and toolchains (the CI `scenario-matrix` job diffs exactly
-//! this).
+//! wall-clock time, host name or toolchain version, so the same seed
+//! must yield a **byte-identical** report across runs and toolchains
+//! (the CI `scenario-matrix` job diffs exactly this).
 
 use crate::report::ExperimentAnalysis;
 use serde::{Deserialize, Serialize};

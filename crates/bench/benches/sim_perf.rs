@@ -22,26 +22,6 @@ fn swarm_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// Shard-scaling: the same PPLive workload at increasing worker counts.
-/// Results are byte-identical across the axis (enforced by the golden
-/// and determinism tests), so this group measures the pure cost/benefit
-/// of the parallel engine — barrier overhead at low core counts, event
-/// throughput gains where cores are available.
-fn shard_scale(c: &mut Criterion) {
-    let mut g = c.benchmark_group("swarm/shard_scale_pplive");
-    g.sample_size(10);
-    for shards in [1usize, 2, 4, 8] {
-        let opts = netaware_testbed::ExperimentOptions {
-            shards,
-            ..tiny_options()
-        };
-        g.bench_with_input(BenchmarkId::from_parameter(shards), &opts, |b, o| {
-            b.iter(|| black_box(run_experiment(AppProfile::pplive(), o)))
-        });
-    }
-    g.finish();
-}
-
 fn scheduler_microbench(c: &mut Criterion) {
     let mut g = c.benchmark_group("scheduler");
     let n = 100_000u64;
@@ -102,6 +82,6 @@ fn rng_microbench(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = swarm_throughput, shard_scale, scheduler_microbench, serializer_microbench, rng_microbench
+    targets = swarm_throughput, scheduler_microbench, serializer_microbench, rng_microbench
 }
 criterion_main!(benches);

@@ -53,9 +53,7 @@ pub use metrics::{Counter, Gauge, HistogramMetric, MetricsSnapshot, Registry};
 pub use profile::{
     masked_diff, PerfMeta, PerfReport, ProfCell, ProfSpan, ProfileNode, Profiler, MASKED_FIELDS,
 };
-pub use sink::{
-    replay_merged, EventSink, Filter, JsonlSink, NullSink, RingSink, ShardBufferSink, TaggedEvent,
-};
+pub use sink::{EventSink, Filter, JsonlSink, NullSink, RingSink};
 pub use summary::{LogSummary, SummaryError};
 
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -73,10 +71,9 @@ pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct Inner {
     filter: Filter,
     sink: Arc<dyn EventSink>,
-    registry: Arc<Registry>,
+    registry: Registry,
     timings: Timings,
     profiler: Option<Profiler>,
-    clock: Arc<dyn Clock>,
 }
 
 /// The observability handle threaded through the pipeline.
@@ -144,40 +141,12 @@ impl Obs {
         Obs {
             inner: Some(Arc::new(Inner {
                 filter,
-                sink: Arc::clone(&sink),
-                registry: Arc::new(Registry::new()),
+                sink,
+                registry: Registry::new(),
                 timings: Timings::new(Arc::clone(&clock)),
-                profiler: prof.then(|| Profiler::new(Arc::clone(&clock))),
-                clock,
+                profiler: prof.then(|| Profiler::new(clock)),
             })),
         }
-    }
-
-    /// A handle sharing this one's filter, metrics registry, profiler
-    /// and clock, but writing events to `sink` instead. This is how
-    /// shard workers observe into per-shard buffers while metric
-    /// updates and profiler spans land in the shared collectors (both
-    /// are commutative, so sharding never changes the merged totals).
-    /// Forking a disabled handle yields a disabled handle.
-    pub fn fork(&self, sink: Arc<dyn EventSink>) -> Obs {
-        match &self.inner {
-            None => Obs::disabled(),
-            Some(inner) => Obs {
-                inner: Some(Arc::new(Inner {
-                    filter: inner.filter.clone(),
-                    sink,
-                    registry: Arc::clone(&inner.registry),
-                    timings: Timings::new(Arc::clone(&inner.clock)),
-                    profiler: inner.profiler.clone(),
-                    clock: Arc::clone(&inner.clock),
-                })),
-            },
-        }
-    }
-
-    /// The sink this handle writes events to; `None` when disabled.
-    pub fn sink(&self) -> Option<Arc<dyn EventSink>> {
-        self.inner.as_ref().map(|i| Arc::clone(&i.sink))
     }
 
     /// Whether this handle collects anything at all.
@@ -411,35 +380,6 @@ mod tests {
         assert_eq!(snap.counters["shared"], 3);
         event!(clone, Level::Info, "swarm.handshake", SimTime::ZERO);
         assert_eq!(sink.events_seen(), 1);
-    }
-
-    #[test]
-    fn fork_shares_metrics_but_not_the_sink() {
-        let main_sink = Arc::new(NullSink::new());
-        let shard_sink = Arc::new(NullSink::new());
-        let obs = Obs::new(main_sink.clone());
-        let forked = obs.fork(shard_sink.clone());
-        forked.counter("shared").add(5);
-        assert_eq!(obs.metrics().expect("enabled").counters["shared"], 5);
-        event!(forked, Level::Info, "swarm.handshake", SimTime::ZERO);
-        assert_eq!(main_sink.events_seen(), 0);
-        assert_eq!(shard_sink.events_seen(), 1);
-        assert!(!Obs::disabled().fork(shard_sink).is_enabled());
-    }
-
-    #[test]
-    fn fork_profiles_into_the_shared_tree() {
-        let obs = Obs::profiled();
-        let forked = obs.fork(Arc::new(NullSink::new()));
-        assert!(forked.profiling());
-        {
-            let _s = forked.pspan("shard.window");
-        }
-        let tree = obs.profile_tree().expect("profiling");
-        assert!(
-            tree.children.iter().any(|c| c.name == "shard.window"),
-            "forked span must land in the parent's tree"
-        );
     }
 
     #[test]

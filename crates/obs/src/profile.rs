@@ -119,18 +119,6 @@ pub struct Profiler {
     root: Arc<Node>,
 }
 
-impl Clone for Profiler {
-    /// Clones share the tree: spans recorded through the clone land in
-    /// the same nodes (same-named children merge), which is what lets
-    /// shard worker threads profile into one merged report.
-    fn clone(&self) -> Profiler {
-        Profiler {
-            clock: Arc::clone(&self.clock),
-            root: Arc::clone(&self.root),
-        }
-    }
-}
-
 impl std::fmt::Debug for Profiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Profiler").finish_non_exhaustive()

@@ -180,115 +180,6 @@ impl Default for Filter {
     }
 }
 
-/// An event captured by a [`ShardBufferSink`], tagged with the canonical
-/// scheduler key of the event handling that emitted it. Sorting tagged
-/// events from all shards by `(time_us, origin, oseq, idx)` reproduces
-/// the exact emission order of a single-threaded run, because that key
-/// *is* the global dispatch order and `idx` numbers the emissions within
-/// one handling.
-#[derive(Clone, Debug)]
-pub struct TaggedEvent {
-    /// Simulation time of the handling that emitted the event.
-    pub time_us: u64,
-    /// Origin lane of the scheduler key being handled.
-    pub origin: u32,
-    /// Origin sequence of the scheduler key being handled.
-    pub oseq: u32,
-    /// Emission index within the handling (reset by `set_tag`).
-    pub idx: u32,
-    /// The captured event.
-    pub event: Event,
-}
-
-impl TaggedEvent {
-    /// The canonical merge key.
-    pub fn key(&self) -> (u64, u32, u32, u32) {
-        (self.time_us, self.origin, self.oseq, self.idx)
-    }
-}
-
-struct ShardBuf {
-    time_us: u64,
-    origin: u32,
-    oseq: u32,
-    idx: u32,
-    events: Vec<TaggedEvent>,
-}
-
-/// Per-shard event buffer for the parallel engine: worker threads record
-/// into this sink (tagged with the scheduler key currently being
-/// handled, via [`ShardBufferSink::set_tag`]); after the run, the
-/// buffers of all shards are merged by key and replayed into the real
-/// sink in the exact order a single-threaded run would have produced.
-///
-/// `accepts` delegates to the destination sink so filtering (and the
-/// `event!` macro's skip-fields fast path) behaves identically to the
-/// unsharded pipeline.
-pub struct ShardBufferSink {
-    dest: std::sync::Arc<dyn EventSink>,
-    buf: Mutex<ShardBuf>,
-}
-
-impl ShardBufferSink {
-    /// A buffer whose filtering mirrors `dest`.
-    pub fn new(dest: std::sync::Arc<dyn EventSink>) -> Self {
-        ShardBufferSink {
-            dest,
-            buf: Mutex::new(ShardBuf {
-                time_us: 0,
-                origin: 0,
-                oseq: 0,
-                idx: 0,
-                events: Vec::new(),
-            }),
-        }
-    }
-
-    /// Sets the scheduler key for the event handling about to run and
-    /// resets the per-handling emission index.
-    pub fn set_tag(&self, time_us: u64, origin: u32, oseq: u32) {
-        let mut b = locked(&self.buf);
-        b.time_us = time_us;
-        b.origin = origin;
-        b.oseq = oseq;
-        b.idx = 0;
-    }
-
-    /// Drains the captured events.
-    pub fn take(&self) -> Vec<TaggedEvent> {
-        std::mem::take(&mut locked(&self.buf).events)
-    }
-}
-
-impl EventSink for ShardBufferSink {
-    fn accepts(&self, target: &'static str, level: Level) -> bool {
-        self.dest.accepts(target, level)
-    }
-
-    fn record(&self, event: &Event) {
-        let mut b = locked(&self.buf);
-        let tagged = TaggedEvent {
-            time_us: b.time_us,
-            origin: b.origin,
-            oseq: b.oseq,
-            idx: b.idx,
-            event: event.clone(),
-        };
-        b.idx += 1;
-        b.events.push(tagged);
-    }
-}
-
-/// Merges per-shard buffers by canonical key and replays them into
-/// `dest` — the single-threaded emission order, reconstructed.
-pub fn replay_merged(mut buffers: Vec<Vec<TaggedEvent>>, dest: &dyn EventSink) {
-    let mut all: Vec<TaggedEvent> = buffers.drain(..).flatten().collect();
-    all.sort_by_key(TaggedEvent::key);
-    for t in &all {
-        dest.record(&t.event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,43 +251,5 @@ mod tests {
     fn default_filter_accepts_everything() {
         let f = Filter::default();
         assert!(f.allows("anything.at", Level::Trace));
-    }
-
-    #[test]
-    fn shard_buffer_tags_and_replays_in_key_order() {
-        let dest = std::sync::Arc::new(RingSink::new(16));
-        // Two shards emitting interleaved handlings, out of global order.
-        let a = ShardBufferSink::new(dest.clone());
-        let b = ShardBufferSink::new(dest.clone());
-        b.set_tag(200, 5, 0);
-        b.record(&ev("swarm.tick", Level::Debug, 200));
-        a.set_tag(100, 3, 1);
-        a.record(&ev("swarm.tick", Level::Debug, 100));
-        a.record(&ev("swarm.tick", Level::Debug, 101)); // idx 1, same handling
-        a.set_tag(200, 2, 0); // earlier origin than shard b's at t=200
-        a.record(&ev("swarm.tick", Level::Debug, 202));
-        assert_eq!(dest.len(), 0, "buffered events must not reach dest yet");
-        replay_merged(vec![a.take(), b.take()], dest.as_ref());
-        let got: Vec<u64> = dest
-            .snapshot()
-            .iter()
-            .map(|e| e.time.as_us())
-            .collect();
-        assert_eq!(got, vec![100, 101, 202, 200]);
-        assert!(a.take().is_empty(), "take drains the buffer");
-    }
-
-    #[test]
-    fn shard_buffer_delegates_accepts() {
-        struct Picky;
-        impl EventSink for Picky {
-            fn accepts(&self, target: &'static str, _level: Level) -> bool {
-                target.starts_with("swarm")
-            }
-            fn record(&self, _event: &Event) {}
-        }
-        let s = ShardBufferSink::new(std::sync::Arc::new(Picky));
-        assert!(s.accepts("swarm.tick", Level::Debug));
-        assert!(!s.accepts("pass.flow", Level::Error));
     }
 }

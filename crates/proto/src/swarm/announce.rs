@@ -15,7 +15,6 @@ use netaware_sim::PacketFate;
 use netaware_trace::PayloadKind;
 
 /// The announce behaviour and its profile-derived parameters.
-#[derive(Clone)]
 pub(crate) struct Announce {
     /// Buffer maps (sent, received) per tick.
     tx_n: u32,
@@ -60,8 +59,7 @@ impl Behaviour for Announce {
             let to = n.id;
             let at = now + (k as u64 * tick) / (tx_n.max(1) as u64 * 2);
             // Sender-side half here; a probe receiver charges its own
-            // fate and RX capture when the packet reaches it (possibly
-            // on another shard).
+            // fate and RX capture when the packet reaches it.
             let arrival = core.signal_tx(at, pid, to, Signal::BufferMap);
             if let (Some(arrival), PeerRole::Probe) = (arrival, n.role) {
                 ctx.schedule(

@@ -123,13 +123,8 @@ impl Ctx<'_, '_> {
 /// events it cares about. Hooks run in fixed stack order for each
 /// event; effects that must reach the scheduler go through
 /// [`Ctx::schedule`], never a direct queue push (lint rule BH01).
-///
-/// `Send` is required because the sharded engine moves behaviour stacks
-/// onto worker threads (custom behaviours are never replicated — a
-/// stack with customs falls back to one shard — but the bound must hold
-/// for the type to cross the spawn boundary).
 #[allow(unused_variables)]
-pub trait Behaviour: Send {
+pub trait Behaviour {
     /// Short stable name, used to label this behaviour's node in the
     /// dispatch profile (`swarm.dispatch/behaviour.<name>`).
     fn name(&self) -> &'static str {
@@ -200,21 +195,5 @@ impl BehaviourStack {
     /// actions) leaves runs byte-identical to the plain stack.
     pub fn push(&mut self, behaviour: Box<dyn Behaviour>) {
         self.custom.push(behaviour);
-    }
-
-    /// A shard replica of the stack: built-in behaviours are cloned with
-    /// their full mid-run state (discovery tables and outages, the churn
-    /// process's RNG position, parameters), customs are not replicated.
-    /// Callers must force a single shard when `custom` is non-empty.
-    pub(crate) fn clone_builtins(&self) -> BehaviourStack {
-        debug_assert!(self.custom.is_empty(), "custom behaviours cannot shard");
-        BehaviourStack {
-            discovery: self.discovery.clone(),
-            announce: self.announce.clone(),
-            recovery: self.recovery.clone_replica(),
-            scheduling: self.scheduling.clone(),
-            epidemic: self.epidemic.clone(),
-            custom: Vec::new(),
-        }
     }
 }

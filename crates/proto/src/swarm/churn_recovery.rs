@@ -32,12 +32,6 @@ const TIMEOUT_EST_BPS: u64 = 200_000;
 /// Churn process state: the configured plan and the stream that decides
 /// session/offline durations (who is offline lives in the core, where
 /// discovery and scheduling consult it).
-///
-/// `Clone` preserves the RNG's *mid-stream position*: shard replicas
-/// re-draw the same session/offline durations in lockstep, which is how
-/// churn — a broadcast event processed by every shard — stays identical
-/// across shard layouts.
-#[derive(Clone)]
 pub(crate) struct ChurnState {
     plan: ChurnPlan,
     /// Session model reshaping the renewal process; the default model
@@ -82,25 +76,10 @@ impl ChurnRecovery {
         });
     }
 
-    /// A shard replica: the churn process is copied *mid-stream* (not
-    /// re-seeded), so replicas draw identical durations in lockstep.
-    pub(crate) fn clone_replica(&self) -> ChurnRecovery {
-        ChurnRecovery {
-            churn: self.churn.clone(),
-        }
-    }
-
     /// Scrubs a departed peer from every probe's protocol state and
     /// re-queues the chunk requests that were pending on it (the
-    /// mid-transfer-crash recovery path). Returns the *owned* probes
-    /// that lost a neighbor entry.
-    ///
-    /// Churn events are broadcast: every shard replica runs this over
-    /// all probes (non-owned scrubs are discarded at merge time), but
-    /// counters, obs events and the returned replacement list are
-    /// restricted to probes this core owns — otherwise shard replicas
-    /// would double-count into the shared metrics and re-run discovery
-    /// draws the owner already made.
+    /// mid-transfer-crash recovery path). Returns the probes that lost a
+    /// neighbor entry.
     fn evict_peer(core: &mut SwarmCore<'_>, id: PeerId, now: SimTime) -> Vec<usize> {
         let mut touched = Vec::new();
         let mut requeued_by_probe: Vec<(usize, u64)> = Vec::new();
@@ -137,16 +116,9 @@ impl ChurnRecovery {
                 }
             }
         }
-        touched.retain(|&i| core.owns_probe(i));
         for (i, n) in requeued_by_probe {
-            if !core.owns_probe(i) {
-                continue;
-            }
             core.report.requests_requeued += n;
             core.m.requests_requeued.add(n);
-            // Broadcast-handling emission: re-tag onto the probe's lane
-            // so the tag is unique and shard-layout-invariant.
-            core.tag_probe_sub(i, now);
             netaware_obs::event!(
                 core.obs,
                 Level::Debug,
@@ -247,19 +219,15 @@ impl Behaviour for ChurnRecovery {
             SimTime::from_us(churn.rearrive_at_us(now.as_us()))
         };
         ctx.schedule(back_at, Event::Arrive(id));
-        // Broadcast event: every shard replica handles it, but the
-        // swarm-global count and event are the leader's to record.
-        if ctx.core.is_leader() {
-            ctx.core.report.peers_departed += 1;
-            ctx.core.m.peers_departed.inc();
-            netaware_obs::event!(
-                ctx.core.obs,
-                Level::Debug,
-                "swarm.churn.peer_departed",
-                now,
-                "peer" = id.0,
-            );
-        }
+        ctx.core.report.peers_departed += 1;
+        ctx.core.m.peers_departed.inc();
+        netaware_obs::event!(
+            ctx.core.obs,
+            Level::Debug,
+            "swarm.churn.peer_departed",
+            now,
+            "peer" = id.0,
+        );
         let touched = Self::evict_peer(ctx.core, id, now);
         // Dead-peer replacement: each probe that lost this neighbor
         // immediately asks the gossip/tracker view for a substitute
@@ -282,16 +250,14 @@ impl Behaviour for ChurnRecovery {
         }
         let gone_at = now + churn.session_us();
         ctx.schedule(gone_at, Event::Depart(id));
-        if ctx.core.is_leader() {
-            ctx.core.report.peers_arrived += 1;
-            ctx.core.m.peers_arrived.inc();
-            netaware_obs::event!(
-                ctx.core.obs,
-                Level::Debug,
-                "swarm.churn.peer_arrived",
-                now,
-                "peer" = id.0,
-            );
-        }
+        ctx.core.report.peers_arrived += 1;
+        ctx.core.m.peers_arrived.inc();
+        netaware_obs::event!(
+            ctx.core.obs,
+            Level::Debug,
+            "swarm.churn.peer_arrived",
+            now,
+            "peer" = id.0,
+        );
     }
 }

@@ -19,7 +19,6 @@ use netaware_sim::{PacketFate, SimTime};
 use netaware_trace::PayloadKind;
 
 /// The discovery behaviour and its profile-derived parameters.
-#[derive(Clone)]
 pub(crate) struct Discovery {
     max_neighbors: usize,
     pub(crate) init_neighbors: usize,

@@ -13,56 +13,23 @@
 //! byte-identical across the decomposition (ND01–ND05; pinned by
 //! `tests/golden_behaviours.rs`).
 //!
-//! ## The sharded engine
+//! ## Lane keys
 //!
-//! With `--shards N` the dispatcher becomes the driver of a
-//! conservative parallel discrete-event simulation:
-//!
-//! 1. **Bootstrap** (single-threaded): initial tick/demand/halo
-//!    processes and the `on_start` hooks run on the unified core; the
-//!    resulting events carry the `ORIGIN_INIT` lane.
-//! 2. **Partition**: probes are grouped by home AS
-//!    ([`netaware_sim::partition`]) so the cheapest links stay
-//!    shard-internal; the conservative lookahead Δ is the minimum
-//!    cross-shard one-way delay — every cross-shard event carries at
-//!    least one inter-probe propagation delay, so it always lands ≥ Δ
-//!    after its emission.
-//! 3. **Replicate**: each worker gets a full clone of the swarm state.
-//!    It *mutates* everything (churn events are broadcast and processed
-//!    in lockstep) but is the *authority* only for its owned probes;
-//!    non-owned mutations are discarded at merge. Externals' per-probe
-//!    serializers ride with the probe that owns them, so no external
-//!    state needs coordination.
-//! 4. **Windows**: [`netaware_sim::run_sharded`] advances all workers
-//!    in `[g, g+Δ)` windows; cross-shard events travel through the
-//!    outbox between windows, keyed by their deterministic
-//!    `(origin, oseq)` lane so the receiving scheduler reproduces the
-//!    exact single-queue pop order.
-//! 5. **Merge**: owned probe state, traces and per-shard reports fold
-//!    back into the parent core; per-shard obs buffers are replayed in
-//!    canonical key order, byte-identical to the serial emission order.
-//!
-//! Every scheduler insertion goes through the lane of the event being
-//! *handled* (`handler_lane`), each lane is advanced by exactly one
-//! shard (or by all shards in lockstep, for churn), so keys — and
-//! therefore pop order, RNG draw order, trace bytes and the obs log —
-//! are invariant under the shard count.
+//! Every insertion made while handling an event is keyed by the handled
+//! event's lane (`handler_lane`): the probe whose hooks and RNG stream
+//! the event drives, or the churn lane for departures and arrivals.
+//! Bootstrap events ride the `ORIGIN_INIT` lane. Each lane numbers its
+//! own insertions, so an event's key depends only on the history of
+//! the lane that emitted it. Obs events go straight to the sink as the
+//! hooks emit them, so the event log follows dispatch order.
 
 use super::behaviour::{Actions, Behaviour, BehaviourAction, BehaviourStack, Ctx};
 use super::state::Event;
-use super::{ShardRole, SwarmCore, SwarmMetrics};
+use super::SwarmCore;
 use crate::peer::PeerId;
-use netaware_obs::{Level, ProfCell, ProfSpan, ShardBufferSink};
-use netaware_sim::{
-    min_cross_delay_us, partition, run_sharded, Outbox, PacketFate, Scheduler, ShardPlan,
-    ShardWorker, SimTime, ORIGIN_CHURN, ORIGIN_INIT,
-};
+use netaware_obs::{Level, ProfCell, ProfSpan};
+use netaware_sim::{PacketFate, Scheduler, SimTime, ORIGIN_CHURN, ORIGIN_INIT};
 use netaware_trace::PayloadKind;
-use std::sync::Arc;
-
-/// A cross-shard event in flight: the canonical scheduler key assigned
-/// by the emitting lane, plus the event itself.
-type ShardMsg = (u32, u32, Event);
 
 /// Pre-registered profiler cells for the dispatch hot path: one per
 /// built-in behaviour, one per custom behaviour (labelled by
@@ -70,8 +37,7 @@ type ShardMsg = (u32, u32, Event);
 /// for the action drain. When the obs handle is not profiling every
 /// cell is disabled and [`ProfCell::time`] reduces to a bare closure
 /// call, keeping the disabled path within the `obs_overhead` bench
-/// budget. Cells of all shard workers attach to the same profile nodes,
-/// so the merged tree reports swarm-wide hook costs.
+/// budget.
 pub(crate) struct DispatchProf {
     discovery: ProfCell,
     announce: ProfCell,
@@ -117,12 +83,10 @@ impl DispatchProf {
     }
 }
 
-/// Per-lane insertion counters. Each probe lane (`1 + probe_idx`) is
-/// advanced only while handling that probe's events — which exactly one
-/// shard does — and the churn lane is advanced identically by every
-/// shard (broadcast events are handled in lockstep), so the produced
-/// `(origin, oseq)` keys are globally unique and invariant under the
-/// shard layout.
+/// Per-lane insertion counters. A probe lane (`1 + probe_idx`) advances
+/// only while handling that probe's events, and the churn lane only
+/// while handling departures and arrivals, so the produced
+/// `(origin, oseq)` keys are unique.
 pub(crate) struct LaneSeqs {
     probe: Vec<u32>,
     churn: u32,
@@ -149,9 +113,9 @@ impl LaneSeqs {
 }
 
 /// The lane that handles `ev`: the probe whose hooks (and RNG stream)
-/// the event drives, or the churn lane for broadcast events. Every
-/// scheduler insertion made while handling an event is keyed by the
-/// handled event's lane.
+/// the event drives, or the churn lane for departures and arrivals.
+/// Every scheduler insertion made while handling an event is keyed by
+/// the handled event's lane.
 fn handler_lane(core: &SwarmCore<'_>, ev: &Event) -> u32 {
     match ev {
         Event::Tick(i) | Event::Demand(i) | Event::Halo(i) => 1 + *i,
@@ -159,8 +123,8 @@ fn handler_lane(core: &SwarmCore<'_>, ev: &Event) -> u32 {
             if core.is_probe(*provider) {
                 provider.0
             } else {
-                // External/source providers are simulated on the
-                // requesting probe's shard.
+                // External/source providers have no lane of their own:
+                // the requesting probe's lane carries the serve.
                 to.0
             }
         }
@@ -171,74 +135,41 @@ fn handler_lane(core: &SwarmCore<'_>, ev: &Event) -> u32 {
     }
 }
 
-/// Where an insertion of `ev` must land.
-enum Route {
-    /// This core's own scheduler (also used for broadcast events: every
-    /// shard schedules its own replica in lockstep).
-    Local,
-    /// Another shard's scheduler, via the outbox.
-    Remote(usize),
-}
-
-fn route_of(core: &SwarmCore<'_>, lane: u32) -> Route {
-    if lane == ORIGIN_CHURN {
-        return Route::Local;
-    }
-    match &core.shard.plan {
-        None => Route::Local,
-        Some(plan) => {
-            let dest = plan.of_entity[lane as usize - 1];
-            if dest == core.shard.idx {
-                Route::Local
-            } else {
-                Route::Remote(dest)
-            }
-        }
-    }
-}
-
 /// Runs the event loop from time zero to `horizon`: schedules the
 /// initial per-probe processes, fires the `on_start` hooks, and
-/// dispatches until the queue runs dry or passes the horizon — on one
-/// scheduler, or on `shards` conservatively synchronised workers.
-pub(crate) fn run(
-    core: &mut SwarmCore<'_>,
-    stack: &mut BehaviourStack,
-    horizon: SimTime,
-    shards: usize,
-) {
+/// dispatches until the queue runs dry or passes the horizon.
+pub(crate) fn run(core: &mut SwarmCore<'_>, stack: &mut BehaviourStack, horizon: SimTime) {
     let dspan = core.obs.pspan("swarm.dispatch");
+    let prof = DispatchProf::new(&dspan, stack);
+    let mut sched: Scheduler<Event> = Scheduler::new();
 
-    // ---- Bootstrap (single-threaded, unified core). --------------------
+    // ---- Bootstrap. ----------------------------------------------------
     // Stagger initial ticks across one tick interval so probes do not
-    // act in lockstep. All bootstrap events ride the ORIGIN_INIT lane:
-    // their keys predate any handling and are identical for every shard
-    // layout.
-    let mut boot: Vec<(SimTime, u32, Event)> = Vec::new();
-    let mut bseq = 0u32;
-    let mut push_boot = |at: SimTime, ev: Event, bseq: &mut u32| {
-        boot.push((at, *bseq, ev));
-        *bseq = bseq.wrapping_add(1);
+    // act in lockstep. All bootstrap events ride the ORIGIN_INIT lane,
+    // numbered in emission order.
+    let mut boot_seq = 0u32;
+    let mut boot = |sched: &mut Scheduler<Event>, at: SimTime, ev: Event| {
+        sched.push_keyed(at, ORIGIN_INIT, boot_seq, ev);
+        boot_seq = boot_seq.wrapping_add(1);
     };
     let tick = core.cfg.profile.tick_us;
     for p in 0..core.n_probes {
         let offset = core.rng.range(0..tick.max(1));
-        push_boot(SimTime::from_us(offset), Event::Tick(p as u32), &mut bseq);
+        boot(&mut sched, SimTime::from_us(offset), Event::Tick(p as u32));
         // Demand and halo processes start once the stream exists.
         let warmup = core.cfg.stream.chunk_interval_us()
             * (core.cfg.profile.buffer_delay_chunks as u64 + 2);
         let d0 = warmup + core.rng.range(0..1_000_000);
-        push_boot(SimTime::from_us(d0), Event::Demand(p as u32), &mut bseq);
+        boot(&mut sched, SimTime::from_us(d0), Event::Demand(p as u32));
         if core.cfg.profile.halo_contacts_per_sec > 0.0 {
             let h0 = core.rng.range(0..2_000_000);
-            push_boot(SimTime::from_us(h0), Event::Halo(p as u32), &mut bseq);
+            boot(&mut sched, SimTime::from_us(h0), Event::Halo(p as u32));
         }
     }
 
     // Start-of-run hooks (churn seeding lives here), then drain their
     // actions so the seeded departures/arrivals enter the queue in
-    // emission order. Discover actions re-enter discovery immediately
-    // (single-threaded here, so the unified core is the authority).
+    // emission order. Discover actions re-enter discovery immediately.
     let mut actions = Actions::default();
     {
         let mut ctx = Ctx {
@@ -259,7 +190,7 @@ pub(crate) fn run(
     }
     while let Some(action) = actions.queue.pop_front() {
         match action {
-            BehaviourAction::Schedule { at, ev } => push_boot(at, ev, &mut bseq),
+            BehaviourAction::Schedule { at, ev } => boot(&mut sched, at, ev),
             BehaviourAction::Discover { probe } => {
                 let mut ctx = Ctx {
                     core: &mut *core,
@@ -271,41 +202,16 @@ pub(crate) fn run(
         }
     }
 
-    // ---- Choose the engine. --------------------------------------------
-    // Custom behaviours hold arbitrary un-replicable state, and fewer
-    // than two probes cannot be split; both force the serial loop.
-    let requested = if !stack.custom.is_empty() || core.n_probes < 2 {
-        1
-    } else {
-        shards.max(1)
-    };
-    let plan = if requested > 1 {
-        let groups: Vec<u64> = (0..core.n_probes)
-            .map(|i| {
-                core.meta[1 + i]
-                    .ep
-                    .asn
-                    .map(|a| a.0 as u64)
-                    // Unannounced prefixes: each its own group, offset
-                    // past the 32-bit ASN space.
-                    .unwrap_or((1u64 << 33) + i as u64)
-            })
-            .collect();
-        let weights = vec![1u64; core.n_probes];
-        partition(&groups, &weights, requested)
-    } else {
-        ShardPlan::single(core.n_probes)
-    };
-
-    let (dispatched, saturated) = if plan.n_shards <= 1 {
-        run_serial(core, stack, horizon, &dspan, boot)
-    } else {
-        run_parallel(core, stack, horizon, &dspan, boot, Arc::new(plan))
-    };
+    // ---- The event loop. -----------------------------------------------
+    let mut seq = LaneSeqs::new(core.n_probes);
+    let dispatched = sched.run_until(horizon, |sched, now, ev| {
+        deliver(core, stack, sched, &mut actions, &mut seq, now, ev, &prof);
+    });
 
     core.report.events_dispatched = dispatched;
     dspan.add_events(dispatched);
     dspan.add_sim_us(horizon.as_us());
+    let saturated = sched.saturated();
     if saturated > 0 {
         // Past-time insertions were clamped to "now" (the scheduler's
         // saturating path; `Scheduler::try_push` is the typed-error
@@ -320,222 +226,6 @@ pub(crate) fn run(
     }
 }
 
-/// The serial engine: one scheduler, one core, events processed in key
-/// order to the horizon. Obs events are still routed through a tagged
-/// buffer and replayed in key order at the end, so the emission order
-/// is *defined* by the canonical key — which is what makes the sharded
-/// engines byte-compatible with this one.
-fn run_serial(
-    core: &mut SwarmCore<'_>,
-    stack: &mut BehaviourStack,
-    horizon: SimTime,
-    dspan: &ProfSpan,
-    boot: Vec<(SimTime, u32, Event)>,
-) -> (u64, u64) {
-    let prof = DispatchProf::new(dspan, stack);
-    let mut sched: Scheduler<Event> = Scheduler::new();
-    for (at, oseq, ev) in boot {
-        sched.push_keyed(at, ORIGIN_INIT, oseq, ev);
-    }
-
-    let dest = core.obs.sink();
-    let saved_obs = core.obs.clone();
-    let buf = dest.map(|d| {
-        let buf = Arc::new(ShardBufferSink::new(d));
-        core.obs = saved_obs.fork(buf.clone());
-        core.m = SwarmMetrics::register(&core.obs);
-        core.shard.tag_sink = Some(buf.clone());
-        core.shard.sub_seq = vec![0; core.n_probes];
-        buf
-    });
-
-    let mut seq = LaneSeqs::new(core.n_probes);
-    let mut actions = Actions::default();
-    let mut outbox: Outbox<ShardMsg> = Outbox::new();
-    sched.run_window_keyed(horizon.as_us() + 1, |sched, now, key, ev| {
-        if let Some(sink) = &core.shard.tag_sink {
-            sink.set_tag(now.as_us(), key.0, key.1);
-        }
-        core.shard.in_churn = matches!(ev, Event::Depart(_) | Event::Arrive(_));
-        deliver(
-            core, stack, sched, &mut actions, &mut seq, &mut outbox, now, ev, &prof,
-        );
-        core.shard.in_churn = false;
-    });
-    debug_assert!(outbox.is_empty(), "serial run routed an event off-core");
-
-    if let Some(buf) = buf {
-        core.shard.tag_sink = None;
-        core.obs = saved_obs;
-        core.m = SwarmMetrics::register(&core.obs);
-        if let Some(dest) = core.obs.sink() {
-            netaware_obs::replay_merged(vec![buf.take()], dest.as_ref());
-        }
-    }
-    (sched.dispatched(), sched.saturated())
-}
-
-/// One shard worker: a full replica of the swarm advancing its owned
-/// probes' lanes, exchanging cross-shard events through the outbox.
-struct SwarmShard<'a> {
-    core: SwarmCore<'a>,
-    stack: BehaviourStack,
-    sched: Scheduler<Event>,
-    seq: LaneSeqs,
-    prof: DispatchProf,
-    actions: Actions,
-    /// Broadcast (churn) events this worker popped; every worker pops
-    /// the same ones, so the merged event total counts them once.
-    churn_pops: u64,
-}
-
-impl ShardWorker for SwarmShard<'_> {
-    type Msg = ShardMsg;
-
-    fn next_time_us(&mut self) -> Option<u64> {
-        self.sched.peek_time().map(|t| t.as_us())
-    }
-
-    fn run_window(&mut self, _start_us: u64, end_us: u64, outbox: &mut Outbox<ShardMsg>) {
-        let SwarmShard {
-            core,
-            stack,
-            sched,
-            seq,
-            prof,
-            actions,
-            churn_pops,
-        } = self;
-        sched.run_window_keyed(end_us, |sched, now, key, ev| {
-            if let Some(sink) = &core.shard.tag_sink {
-                sink.set_tag(now.as_us(), key.0, key.1);
-            }
-            if matches!(ev, Event::Depart(_) | Event::Arrive(_)) {
-                *churn_pops += 1;
-                core.shard.in_churn = true;
-            }
-            deliver(core, stack, sched, actions, seq, outbox, now, ev, prof);
-            core.shard.in_churn = false;
-        });
-    }
-
-    fn accept(&mut self, _src: usize, msgs: Vec<(u64, ShardMsg)>) {
-        for (at_us, (origin, oseq, ev)) in msgs {
-            self.sched.push_keyed(SimTime::from_us(at_us), origin, oseq, ev);
-        }
-    }
-}
-
-/// The parallel engine: replicate, window, merge (see the module docs).
-fn run_parallel(
-    core: &mut SwarmCore<'_>,
-    stack: &mut BehaviourStack,
-    horizon: SimTime,
-    dspan: &ProfSpan,
-    boot: Vec<(SimTime, u32, Event)>,
-    plan: Arc<ShardPlan>,
-) -> (u64, u64) {
-    let n = plan.n_shards;
-    // The conservative lookahead: the cheapest cross-shard link bounds
-    // how far ahead any cross-shard event can land.
-    let lookahead = min_cross_delay_us(&plan, |a, b| {
-        core.env
-            .latency
-            .one_way_us_between(core.meta[1 + a].ep, core.meta[1 + b].ep)
-    })
-    .unwrap_or(1)
-    .max(1);
-
-    let dest = core.obs.sink();
-    let mut workers: Vec<SwarmShard<'_>> = (0..n)
-        .map(|s| {
-            let (obs, tag_sink) = match &dest {
-                Some(d) => {
-                    let buf = Arc::new(ShardBufferSink::new(Arc::clone(d)));
-                    (core.obs.fork(buf.clone()), Some(buf))
-                }
-                None => (core.obs.clone(), None),
-            };
-            let m = SwarmMetrics::register(&obs);
-            let shard_core = SwarmCore {
-                cfg: core.cfg.clone(),
-                env: core.env,
-                peers: Arc::clone(&core.peers),
-                meta: Arc::clone(&core.meta),
-                n_probes: core.n_probes,
-                probe_states: core.probe_states.clone(),
-                traces: core.traces.clone(),
-                rng: core.rng.clone(),
-                report: Default::default(),
-                obs,
-                m,
-                links: core.links.clone(),
-                offline: core.offline.clone(),
-                shard: ShardRole {
-                    plan: Some(Arc::clone(&plan)),
-                    idx: s,
-                    tag_sink,
-                    sub_seq: vec![0; core.n_probes],
-                    in_churn: false,
-                },
-            };
-            let shard_stack = stack.clone_builtins();
-            let mut sched: Scheduler<Event> = Scheduler::new();
-            for (at, oseq, ev) in &boot {
-                let lane = handler_lane(&shard_core, ev);
-                let owned = lane == ORIGIN_CHURN
-                    || plan.of_entity[lane as usize - 1] == s;
-                if owned {
-                    sched.push_keyed(*at, ORIGIN_INIT, *oseq, ev.clone());
-                }
-            }
-            let prof = DispatchProf::new(dspan, &shard_stack);
-            SwarmShard {
-                core: shard_core,
-                stack: shard_stack,
-                sched,
-                seq: LaneSeqs::new(core.n_probes),
-                prof,
-                actions: Actions::default(),
-                churn_pops: 0,
-            }
-        })
-        .collect();
-
-    run_sharded(&mut workers, lookahead, horizon.as_us());
-
-    // ---- Merge. --------------------------------------------------------
-    let mut dispatched = 0u64;
-    let mut saturated = 0u64;
-    let mut buffers = Vec::with_capacity(n);
-    for (s, w) in workers.iter_mut().enumerate() {
-        // Owned probe state and traces: the shard replica is the
-        // authority; everything else in it is a discarded mirror.
-        for i in 0..core.n_probes {
-            if plan.of_entity[i] == s {
-                std::mem::swap(&mut core.probe_states[i], &mut w.core.probe_states[i]);
-                std::mem::swap(&mut core.traces[i], &mut w.core.traces[i]);
-            }
-        }
-        core.report.absorb(&w.core.report);
-        // Every worker pops every broadcast event; count them once.
-        dispatched += w.sched.dispatched() - w.churn_pops;
-        saturated += w.sched.saturated();
-        if let Some(buf) = &w.core.shard.tag_sink {
-            buffers.push(buf.take());
-        }
-    }
-    dispatched += workers[0].churn_pops;
-    // The offline set advanced in lockstep; adopt shard 0's.
-    std::mem::swap(&mut core.offline, &mut workers[0].core.offline);
-    drop(workers);
-
-    if let Some(dest) = dest {
-        netaware_obs::replay_merged(buffers, dest.as_ref());
-    }
-    (dispatched, saturated)
-}
-
 /// Dispatches one event: the receiver-side transfer preambles, hooks in
 /// stack order, then the FIFO drain, then — for ticks — the next tick
 /// of the protocol clock (after the drained chunk serves, matching the
@@ -547,7 +237,6 @@ pub(crate) fn deliver(
     sched: &mut Scheduler<Event>,
     actions: &mut Actions,
     seq: &mut LaneSeqs,
-    outbox: &mut Outbox<ShardMsg>,
     now: SimTime,
     ev: Event,
     prof: &DispatchProf,
@@ -617,7 +306,7 @@ pub(crate) fn deliver(
             } => {
                 let (provider, to, chunk, deferred) = (*provider, *to, *chunk, *deferred);
                 if !deferred && serve_preamble(&mut ctx, provider, to, chunk) {
-                    return_drain(core, stack, sched, actions, seq, outbox, now, lane, prof);
+                    return_drain(core, stack, sched, actions, seq, now, lane, prof);
                     return;
                 }
                 prof.discovery.time(|| stack.discovery.on_serve(&mut ctx, provider, to, chunk));
@@ -710,7 +399,7 @@ pub(crate) fn deliver(
             }
         }
     }
-    prof.drain.time(|| drain(core, stack, sched, actions, seq, outbox, now, lane));
+    prof.drain.time(|| drain(core, stack, sched, actions, seq, now, lane));
     // The dispatcher owns the protocol clock: one tick reschedules the
     // next, inserted after the drained actions (the monolithic handler
     // pushed the chunk serves first, then the tick).
@@ -771,44 +460,32 @@ fn return_drain(
     sched: &mut Scheduler<Event>,
     actions: &mut Actions,
     seq: &mut LaneSeqs,
-    outbox: &mut Outbox<ShardMsg>,
     now: SimTime,
     lane: u32,
     prof: &DispatchProf,
 ) {
-    prof.drain.time(|| drain(core, stack, sched, actions, seq, outbox, now, lane));
+    prof.drain.time(|| drain(core, stack, sched, actions, seq, now, lane));
 }
 
 /// Drains the action queue FIFO. `Schedule` actions become keyed
-/// scheduler insertions in emission order — local, or routed to the
-/// owning shard's outbox; `Discover` actions re-enter the discovery
-/// behaviour (which may emit further actions — the loop runs until the
-/// queue is dry).
-#[allow(clippy::too_many_arguments)]
+/// scheduler insertions in emission order; `Discover` actions re-enter
+/// the discovery behaviour (which may emit further actions — the loop
+/// runs until the queue is dry).
 fn drain(
     core: &mut SwarmCore<'_>,
     stack: &mut BehaviourStack,
     sched: &mut Scheduler<Event>,
     actions: &mut Actions,
     seq: &mut LaneSeqs,
-    outbox: &mut Outbox<ShardMsg>,
     now: SimTime,
     lane: u32,
 ) {
     while let Some(action) = actions.queue.pop_front() {
         match action {
             BehaviourAction::Schedule { at, ev } => {
-                let oseq = seq.next(lane);
-                match route_of(core, handler_lane(core, &ev)) {
-                    Route::Local => sched.push_keyed(at, lane, oseq, ev),
-                    Route::Remote(dest) => outbox.send(dest, at.as_us(), (lane, oseq, ev)),
-                }
+                sched.push_keyed(at, lane, seq.next(lane), ev);
             }
             BehaviourAction::Discover { probe } => {
-                // Dead-peer replacement during broadcast handling: tag
-                // the probe's own lane so its handshake events merge
-                // deterministically.
-                core.tag_probe_sub(probe, now);
                 let mut ctx = Ctx {
                     core: &mut *core,
                     actions: &mut *actions,

@@ -11,17 +11,15 @@
 //! same static playout-lag heuristic the pull scheduler prices requests
 //! with).
 //!
-//! ## Determinism and sharding
+//! ## Determinism
 //!
 //! The push draws ride the pusher's private probe stream
 //! ([`Ctx::probe_rng`]-equivalent), so a profile without a push policy
 //! (`AppProfile::push == None`) consumes zero extra draws and stays
 //! byte-identical to the pre-epidemic engine — the paper-profile golden
-//! fingerprints pin that. The behaviour is a true built-in: shard
-//! replicas clone it (it is pure configuration), every push happens
-//! while handling the pusher's own `Tick` lane, and transfers reuse the
-//! two-sided `probe_serve_chunk` path, so sharded runs remain
-//! byte-identical to serial ones.
+//! fingerprints pin that. Every push happens while handling the
+//! pusher's own `Tick` lane, and transfers reuse the two-sided
+//! `probe_serve_chunk` path.
 
 use super::behaviour::{Behaviour, Ctx};
 use super::state::Neighbor;
@@ -31,9 +29,8 @@ use crate::profiles::PushPolicy;
 use netaware_obs::Level;
 
 /// The epidemic push behaviour (see the module docs). Pure
-/// configuration plus scratch lists that every push round clears —
-/// cloning it replicates the policy, not mid-run state.
-#[derive(Clone, Debug)]
+/// configuration plus scratch lists that every push round clears.
+#[derive(Debug)]
 pub(crate) struct EpidemicPush {
     /// Push attempts per protocol tick.
     pushes_per_tick: u32,
@@ -117,8 +114,8 @@ impl Behaviour for EpidemicPush {
             // Latest useful chunk: newest held chunk the target
             // plausibly lacks. Probes are priced by the same static
             // playout-lag heuristic the pull scheduler uses (never the
-            // remote's live state — the sharding contract); externals by
-            // their configured playout lag.
+            // remote's live state); externals by their configured
+            // playout lag.
             let chunk = {
                 let map = &core.probe_states[i].sched.bufmap;
                 let base = map.base();

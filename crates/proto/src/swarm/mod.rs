@@ -56,7 +56,6 @@ use netaware_trace::{MemorySink, ProbeTrace, RecordSink, TraceError, TraceSet};
 use rayon::prelude::*;
 use state::{PeerMeta, ProbeState};
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Experiment-level configuration of one swarm run.
 #[derive(Clone, Debug)]
@@ -116,28 +115,6 @@ impl SwarmMetrics {
     }
 }
 
-/// Where a [`SwarmCore`] sits in the sharded engine. The default role
-/// (no plan) is the unsharded core: it owns every probe and leads.
-/// Shard replicas carry the plan, their index, and the per-shard
-/// observability buffer used to tag emitted events with the scheduler
-/// key of the handling that produced them.
-#[derive(Clone, Default)]
-pub(crate) struct ShardRole {
-    /// The probe→shard assignment; `None` when unsharded.
-    pub(crate) plan: Option<Arc<netaware_sim::ShardPlan>>,
-    /// This core's shard index (0 when unsharded).
-    pub(crate) idx: usize,
-    /// The per-shard tagged event buffer, when obs events are collected.
-    pub(crate) tag_sink: Option<Arc<netaware_obs::ShardBufferSink>>,
-    /// Per-probe sub-emission counters, used to re-tag owned-probe
-    /// emissions that happen while handling a *broadcast* (churn) event:
-    /// every shard handles the same churn event, so its key alone would
-    /// collide across shards; the owning probe's lane disambiguates.
-    pub(crate) sub_seq: Vec<u32>,
-    /// Set while a broadcast (churn) event is being handled.
-    pub(crate) in_churn: bool,
-}
-
 /// Everything the behaviours share: peer tables, per-probe state
 /// slices, trace capture, observability, and the fault substrate (link
 /// impairment machines and the offline set — the *consequences* of
@@ -146,9 +123,9 @@ pub(crate) struct SwarmCore<'a> {
     pub(crate) cfg: SwarmConfig,
     pub(crate) env: NetworkEnv<'a>,
     /// Index 0 is the source, `1..=n_probes` the probes, the rest
-    /// externals. Read-only after build, shared across shard replicas.
-    pub(crate) peers: Arc<Vec<PeerInfo>>,
-    pub(crate) meta: Arc<Vec<PeerMeta>>,
+    /// externals. Read-only after build.
+    pub(crate) peers: Vec<PeerInfo>,
+    pub(crate) meta: Vec<PeerMeta>,
     pub(crate) n_probes: usize,
     pub(crate) probe_states: Vec<ProbeState>,
     pub(crate) traces: Vec<ProbeTrace>,
@@ -165,8 +142,6 @@ pub(crate) struct SwarmCore<'a> {
     /// Externals currently offline (written by churn recovery, read by
     /// discovery and scheduling).
     pub(crate) offline: BTreeSet<PeerId>,
-    /// This core's place in the sharded engine (default: unsharded).
-    pub(crate) shard: ShardRole,
 }
 
 impl SwarmCore<'_> {
@@ -206,40 +181,6 @@ impl SwarmCore<'_> {
             .map(|p| p.id)
             .collect()
     }
-
-    /// Whether this core is the authority for probe `idx`'s state.
-    /// Unsharded cores own everything; shard replicas own their
-    /// partition. Mutations to non-owned probe state are discarded at
-    /// merge time, and the byte-identity contract forbids *reading*
-    /// non-owned mutable state on owned paths.
-    pub(crate) fn owns_probe(&self, idx: usize) -> bool {
-        match &self.shard.plan {
-            None => true,
-            Some(plan) => plan.of_entity[idx] == self.shard.idx,
-        }
-    }
-
-    /// Whether this core performs once-per-swarm work (global counters
-    /// for broadcast events). Shard 0 leads; the unsharded core always
-    /// does.
-    pub(crate) fn is_leader(&self) -> bool {
-        self.shard.idx == 0
-    }
-
-    /// Re-tags the per-shard obs buffer onto probe `idx`'s sub-emission
-    /// lane when handling a broadcast (churn) event, so the same logical
-    /// emission gets the same tag on every shard layout. No-op outside
-    /// broadcast handling or when events are not collected.
-    pub(crate) fn tag_probe_sub(&mut self, idx: usize, now: SimTime) {
-        if !self.shard.in_churn {
-            return;
-        }
-        if let Some(sink) = &self.shard.tag_sink {
-            let seq = self.shard.sub_seq[idx];
-            self.shard.sub_seq[idx] = seq.wrapping_add(1);
-            sink.set_tag(now.as_us(), 1 + idx as u32, seq);
-        }
-    }
 }
 
 /// A fully wired simulation, ready to run: the shared core plus the
@@ -247,8 +188,6 @@ impl SwarmCore<'_> {
 pub struct Swarm<'a> {
     pub(crate) core: SwarmCore<'a>,
     pub(crate) stack: BehaviourStack,
-    /// Requested shard-worker count for the parallel engine (default 1).
-    pub(crate) shards: usize,
 }
 
 impl<'a> Swarm<'a> {
@@ -311,18 +250,6 @@ impl<'a> Swarm<'a> {
             .as_ref()
             .map(|c| c.tracker_outages.clone())
             .unwrap_or_default();
-    }
-
-    /// Requests `n` shard workers for the event loop. The swarm is
-    /// partitioned by home AS, workers advance in conservative lookahead
-    /// windows derived from the minimum cross-shard link latency, and
-    /// all outputs — traces, report, obs log, metrics — are
-    /// byte-identical to a single-threaded run. `n = 1` (the default,
-    /// and anything ≤ 1) keeps the serial loop. Runs with custom
-    /// behaviours installed fall back to a single shard (their state
-    /// cannot be replicated).
-    pub fn set_shards(&mut self, n: usize) {
-        self.shards = n.max(1);
     }
 
     /// The peer table (source, probes, externals).
@@ -398,8 +325,8 @@ impl<'a> Swarm<'a> {
             "duration_us" = self.core.cfg.duration_us,
         );
 
-        let Swarm { core, stack, shards } = self;
-        dispatch::run(core, stack, horizon, *shards);
+        let Swarm { core, stack } = self;
+        dispatch::run(core, stack, horizon);
 
         let mut min_permille: i64 = 1000;
         for (i, s) in core.probe_states.iter().enumerate() {

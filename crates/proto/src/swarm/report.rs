@@ -67,26 +67,6 @@ impl SwarmReport {
         self.chunks_delivered as f64 / total as f64
     }
 
-    /// Folds a shard worker's counters into this report (field-wise
-    /// sum). `events_dispatched` is excluded — the dispatcher computes
-    /// it from the schedulers, correcting for broadcast events every
-    /// shard pops — and `per_probe` rows are built after the merge.
-    pub(crate) fn absorb(&mut self, other: &SwarmReport) {
-        debug_assert!(other.per_probe.is_empty());
-        self.chunks_delivered += other.chunks_delivered;
-        self.chunks_lost += other.chunks_lost;
-        self.chunks_served_by_probes += other.chunks_served_by_probes;
-        self.chunks_served_by_externals += other.chunks_served_by_externals;
-        self.chunks_pushed += other.chunks_pushed;
-        self.chunks_refused += other.chunks_refused;
-        self.signal_packets += other.signal_packets;
-        self.video_bytes_tx += other.video_bytes_tx;
-        self.packets_dropped += other.packets_dropped;
-        self.peers_departed += other.peers_departed;
-        self.peers_arrived += other.peers_arrived;
-        self.requests_requeued += other.requests_requeued;
-    }
-
     /// The probe with the worst continuity, if any probes ran.
     pub fn worst_probe(&self) -> Option<&ProbePerf> {
         self.per_probe

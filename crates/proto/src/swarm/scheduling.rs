@@ -26,7 +26,6 @@ const SOURCE_WEIGHT_FACTOR: f64 = 0.05;
 const ACTIVE_REQUESTER_CAP: usize = 48;
 
 /// The scheduling behaviour and its profile-derived parameters.
-#[derive(Clone)]
 pub(crate) struct Scheduling {
     download_policy: SelectionPolicy,
     upload_policy: SelectionPolicy,
@@ -46,7 +45,7 @@ pub(crate) struct Scheduling {
 /// Scratch lists of the request draft, the demand draft and the tick's
 /// request list. Each use clears them first; they live here only so
 /// their capacity survives across events.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct Scratch {
     /// Candidate peers, aligned with `weights`.
     ids: Vec<PeerId>,
@@ -117,8 +116,7 @@ impl Scheduling {
                     // same way; the provider's authoritative `has` check
                     // at serve time refuses misses. Crucially this reads
                     // only the remote's *static* lag, never its live
-                    // state — a request can be priced without looking
-                    // across a shard boundary.
+                    // state.
                     PeerRole::Probe => {
                         stream.chunk_time_us(ChunkId(chunk.0 + 2 + n.fetch_lag_chunks)) <= now_us
                     }
@@ -193,9 +191,8 @@ impl Scheduling {
         // A lost request packet simply never reaches the provider: the
         // pending entry rides out its timeout and the chunk is retried.
         // Only the *sender's* half runs here; a probe provider charges
-        // its own inbound fate and capture in the `Serve` preamble (on
-        // its own shard), external providers have no modelled inbound
-        // link.
+        // its own inbound fate and capture in the `Serve` preamble,
+        // external providers have no modelled inbound link.
         if let Some(arrival) = core.signal_tx(now, pid, provider, Signal::ChunkRequest(chunk)) {
             ctx.schedule(
                 arrival,

@@ -173,7 +173,6 @@ pub struct ModemState {
 }
 
 /// Access-link state of one probe, owned by the transfer machinery.
-#[derive(Clone)]
 pub struct LinkState {
     /// Upload access-link queue.
     pub uplink: AccessSerializer,
@@ -186,13 +185,11 @@ pub struct LinkState {
     /// Upload serializers of the external peers *this probe* talks to,
     /// created lazily on first serve. Keeping them per-probe (instead of
     /// globally shared) makes every external-interaction path a pure
-    /// function of one probe's state, which is what lets the sharded
-    /// engine replicate externals without cross-shard coordination.
+    /// function of one probe's state.
     pub ext_up: BTreeMap<PeerId, AccessSerializer>,
 }
 
 /// The discovery behaviour's slice of one probe's state.
-#[derive(Clone)]
 pub struct DiscoveryState {
     /// Current neighbor table.
     pub neighbors: Vec<Neighbor>,
@@ -201,7 +198,6 @@ pub struct DiscoveryState {
 }
 
 /// The scheduling behaviour's slice of one probe's state.
-#[derive(Clone)]
 pub struct SchedulingState {
     /// Chunks held in the playout buffer.
     pub bufmap: BufferMap,
@@ -226,7 +222,6 @@ pub struct SchedulingState {
 }
 
 /// The churn-recovery behaviour's slice of one probe's state.
-#[derive(Clone)]
 pub struct RecoveryState {
     /// Chunks to re-request promptly: their provider departed while the
     /// request was in flight (churn recovery path).
@@ -237,7 +232,6 @@ pub struct RecoveryState {
 }
 
 /// Full protocol state of one probe, sliced by owning concern.
-#[derive(Clone)]
 pub struct ProbeState {
     /// Access-link state (transfer machinery).
     pub link: LinkState,
@@ -253,7 +247,7 @@ pub struct ProbeState {
 }
 
 /// Discovery sampling structures shared by all probes.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub struct DiscoveryTables {
     /// External indices (into `peers`) with cumulative bandwidth-biased
     /// weights, for O(log n) weighted sampling.
@@ -295,12 +289,13 @@ impl DiscoveryTables {
     }
 }
 
-/// The packet train of one probe→probe chunk transfer, built on the
-/// provider's shard and consumed on the receiver's. Carrying departure
-/// times instead of mutating receiver state at serve time is what keeps
-/// the transfer's two halves on their own shards: the provider computes
-/// when each packet clears its uplink and the path, the receiver applies
-/// its own loss process and downlink queueing when the train reaches it.
+/// The packet train of one probe→probe chunk transfer, built when the
+/// provider serves and consumed when it reaches the receiver. Carrying
+/// departure times instead of mutating receiver state at serve time
+/// splits the transfer into two halves that each touch one probe's
+/// state: the provider computes when each packet clears its uplink and
+/// the path, the receiver applies its own loss process and downlink
+/// queueing when the train reaches it.
 #[derive(Clone, Debug)]
 pub struct ChunkTrain {
     /// No packet was dropped on the provider's side of the path; only a
@@ -538,8 +533,8 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
     let mut core = SwarmCore {
         cfg,
         env,
-        peers: std::sync::Arc::new(peers),
-        meta: std::sync::Arc::new(meta),
+        peers,
+        meta,
         n_probes,
         probe_states,
         traces,
@@ -549,7 +544,6 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
         m: super::SwarmMetrics::default(),
         links: Vec::new(),
         offline: std::collections::BTreeSet::new(),
-        shard: super::ShardRole::default(),
     };
 
     // Neighbor tables: the source, then every probe-pair edge that the
@@ -587,9 +581,5 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
     }
     debug_assert!(actions.queue.is_empty());
 
-    Swarm {
-        core,
-        stack,
-        shards: 1,
-    }
+    Swarm { core, stack }
 }

@@ -146,53 +146,6 @@ fn deterministic_same_seed_same_trace() {
     }
 }
 
-/// The tentpole contract of the sharded engine: for any worker count,
-/// clean or faulted, every probe trace and every report counter is
-/// identical to the single-threaded run.
-#[test]
-fn shard_count_never_changes_the_run() {
-    let run = |shards: usize, faulted: bool| {
-        let reg = mini_registry();
-        let env = NetworkEnv {
-            registry: &reg,
-            paths: PathModel::new(9),
-            latency: LatencyModel::new(9),
-        };
-        let cfg = SwarmConfig {
-            seed: 9,
-            duration_us: 20_000_000,
-            stream: StreamParams::cctv1(),
-            profile: small_profile(AppProfile::pplive()),
-        };
-        let mut swarm = Swarm::new(cfg, env, mini_setup(60));
-        if faulted {
-            swarm.set_faults(&netaware_faults::FaultPlan::from_flags(Some(0.02), None, true));
-        }
-        swarm.set_shards(shards);
-        swarm.run()
-    };
-    for faulted in [false, true] {
-        let (base_set, base_report) = run(1, faulted);
-        assert!(base_report.chunks_delivered > 0, "degenerate baseline");
-        for shards in [2, 3, 8] {
-            let (set, report) = run(shards, faulted);
-            assert_eq!(
-                format!("{base_report:?}"),
-                format!("{report:?}"),
-                "report diverged at {shards} shards (faulted={faulted})"
-            );
-            for (ta, tb) in base_set.traces.iter().zip(&set.traces) {
-                assert_eq!(
-                    ta.records_unsorted(),
-                    tb.records_unsorted(),
-                    "trace of probe {} diverged at {shards} shards (faulted={faulted})",
-                    ta.probe
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn different_seeds_differ() {
     let (a, _) = run_mini(small_profile(AppProfile::tvants()), 15, 7);
@@ -594,16 +547,14 @@ fn departed_provider_pending_requests_move_to_requeue() {
     let mut sched = netaware_sim::Scheduler::new();
     let mut actions = behaviour::Actions::default();
     {
-        let Swarm { core, stack, .. } = &mut swarm;
+        let Swarm { core, stack } = &mut swarm;
         let mut seq = dispatch::LaneSeqs::new(core.n_probes);
-        let mut outbox = netaware_sim::Outbox::new();
         dispatch::deliver(
             core,
             stack,
             &mut sched,
             &mut actions,
             &mut seq,
-            &mut outbox,
             netaware_sim::SimTime::from_ms(100),
             Event::Depart(provider),
             &dispatch::DispatchProf::disabled(),
@@ -738,7 +689,7 @@ fn discovery_tick_evicts_expired_neighbors() {
     let now = netaware_sim::SimTime::from_secs(10);
     let mut actions = behaviour::Actions::default();
     {
-        let Swarm { core, stack, .. } = &mut swarm;
+        let Swarm { core, stack } = &mut swarm;
         let mut ctx = behaviour::Ctx {
             core,
             actions: &mut actions,
@@ -771,7 +722,7 @@ fn recovery_tick_times_out_overdue_requests() {
     });
     let mut actions = behaviour::Actions::default();
     {
-        let Swarm { core, stack, .. } = &mut swarm;
+        let Swarm { core, stack } = &mut swarm;
         let mut ctx = behaviour::Ctx {
             core,
             actions: &mut actions,
@@ -802,7 +753,7 @@ fn scheduling_delivery_fills_buffer_once() {
     let (to, from, chunk) = (crate::peer::PeerId(1), crate::peer::PeerId(0), ChunkId(5));
     let mut actions = behaviour::Actions::default();
     for _ in 0..2 {
-        let Swarm { core, stack, .. } = &mut swarm;
+        let Swarm { core, stack } = &mut swarm;
         let mut ctx = behaviour::Ctx {
             core,
             actions: &mut actions,
@@ -829,7 +780,7 @@ fn announce_tick_emits_buffer_maps() {
     let before = swarm.core.report.signal_packets;
     let mut actions = behaviour::Actions::default();
     {
-        let Swarm { core, stack, .. } = &mut swarm;
+        let Swarm { core, stack } = &mut swarm;
         let mut ctx = behaviour::Ctx {
             core,
             actions: &mut actions,
@@ -847,15 +798,15 @@ fn announce_tick_emits_buffer_maps() {
 /// every event, without any dispatcher or state-core change.
 #[test]
 fn dispatcher_runs_custom_behaviours() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::cell::Cell;
+    use std::rc::Rc;
 
     struct TickSpy {
-        ticks: Arc<AtomicU64>,
+        ticks: Rc<Cell<u64>>,
     }
     impl Behaviour for TickSpy {
         fn on_tick(&mut self, _ctx: &mut Ctx<'_, '_>, _i: usize) {
-            self.ticks.fetch_add(1, Ordering::Relaxed);
+            self.ticks.set(self.ticks.get() + 1);
         }
     }
 
@@ -866,28 +817,26 @@ fn dispatcher_runs_custom_behaviours() {
         latency: LatencyModel::new(35),
     };
     let mut swarm = Swarm::new(mini_cfg(1, 35), env, mini_setup(20));
-    let ticks = Arc::new(AtomicU64::new(0));
+    let ticks = Rc::new(Cell::new(0));
     swarm.push_behaviour(Box::new(TickSpy { ticks: ticks.clone() }));
 
     let mut sched = netaware_sim::Scheduler::new();
     let mut actions = behaviour::Actions::default();
     {
-        let Swarm { core, stack, .. } = &mut swarm;
+        let Swarm { core, stack } = &mut swarm;
         let mut seq = dispatch::LaneSeqs::new(core.n_probes);
-        let mut outbox = netaware_sim::Outbox::new();
         dispatch::deliver(
             core,
             stack,
             &mut sched,
             &mut actions,
             &mut seq,
-            &mut outbox,
             netaware_sim::SimTime::from_ms(100),
             Event::Tick(0),
             &dispatch::DispatchProf::disabled(),
         );
     }
-    assert_eq!(ticks.load(Ordering::Relaxed), 1, "custom behaviour hook not dispatched");
+    assert_eq!(ticks.get(), 1, "custom behaviour hook not dispatched");
 }
 
 /// Attaching the no-op plan must leave the run byte-identical to never

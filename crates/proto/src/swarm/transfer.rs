@@ -120,8 +120,7 @@ impl SwarmCore<'_> {
     /// access link). The receiver's fate and RX capture are applied on
     /// the receiver's side: by [`SwarmCore::receive_signal`] for
     /// probe receivers (via [`Event::SignalRx`]), by the `Serve`
-    /// preamble for chunk requests, and not at all for externals. The
-    /// split is what lets the two endpoints live on different shards.
+    /// preamble for chunk requests, and not at all for externals.
     pub(crate) fn signal_tx(
         &mut self,
         now: SimTime,
@@ -172,7 +171,7 @@ impl SwarmCore<'_> {
     /// the provider's uplink, captures TX records, applies the
     /// provider's link fates, and (when the requester is a probe)
     /// schedules the surviving packet train as an [`Event::ChunkRx`] on
-    /// the requester — whose own shard applies its loss process,
+    /// the requester, whose handler applies its loss process,
     /// downlink queueing and RX captures in
     /// [`SwarmCore::receive_chunk_train`].
     pub(crate) fn probe_serve_chunk(
@@ -300,7 +299,7 @@ impl SwarmCore<'_> {
         // departure times physically near the present. The serializer is
         // per-(probe, external): each probe sees its own copy of the
         // external's uplink, so the path stays a pure function of one
-        // probe's state (the sharding contract; see `LinkState::ext_up`).
+        // probe's state (see `LinkState::ext_up`).
         // A fresh serializer has no backlog, so creating it here never
         // races the refusal. The train runs on a local copy, written
         // back below.

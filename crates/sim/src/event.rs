@@ -13,10 +13,8 @@
 //!    ids (probe index, or the reserved [`ORIGIN_INIT`]/[`ORIGIN_CHURN`]
 //!    lanes) and `oseq` is the origin's own monotone emission counter,
 //!    so the key of an event is a pure function of the *emitting
-//!    entity's* history. That makes the pop order invariant under
-//!    sharding: however the entities are partitioned across schedulers,
-//!    merging the per-scheduler pop streams by key reproduces the
-//!    single-queue order (see DESIGN.md, "Sharded parallel engine").
+//!    entity's* history, not of when other entities happened to push
+//!    (see DESIGN.md, "Event order").
 //! 3. **Stable ties** — entries pushed through the legacy
 //!    [`Scheduler::push`] (origin [`ORIGIN_NONE`]) tie-break in
 //!    insertion order, preserving the historical FIFO behaviour for
@@ -45,16 +43,16 @@ const SLOTS: usize = 512;
 const DEFAULT_WIDTH_US: u64 = 4_096;
 
 /// Origin id for unattributed pushes (the legacy [`Scheduler::push`]
-/// API). Entity origins used by the sharded dispatcher start at 1.
+/// API). Entity origins used by the swarm dispatcher start at 1.
 pub const ORIGIN_NONE: u32 = 0;
 
-/// Reserved origin for events pushed during single-threaded
-/// bootstrap, before any shard worker runs.
+/// Reserved origin for events pushed during bootstrap, before the
+/// first event is handled.
 pub const ORIGIN_INIT: u32 = u32::MAX - 1;
 
-/// Reserved origin for replicated churn events. Sorts after every
-/// entity origin at equal timestamps, so all shards observe churn
-/// state transitions at the same point of the merged order.
+/// Reserved origin for churn events (peer departures and arrivals).
+/// Sorts after every entity origin at equal timestamps, so churn state
+/// transitions apply after every probe's events at that instant.
 pub const ORIGIN_CHURN: u32 = u32::MAX;
 
 struct Entry<E> {
@@ -307,11 +305,6 @@ impl<E> Scheduler<E> {
 
     /// Pops the next event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let e = self.pop_entry()?;
-        Some((SimTime::from_us(e.at), e.event))
-    }
-
-    fn pop_entry(&mut self) -> Option<Entry<E>> {
         if self.len == 0 {
             return None;
         }
@@ -324,78 +317,14 @@ impl<E> Scheduler<E> {
         self.popped += 1;
         debug_assert!(e.at >= self.now.as_us());
         self.now = SimTime::from_us(e.at);
-        Some(e)
-    }
-
-    /// Drains every event sharing the earliest pending timestamp into
-    /// `out` (cleared first, capacity reused), advancing the clock to
-    /// that timestamp. Returns the batch size (0 when empty). Handlers
-    /// that push new events *at the same timestamp* during batch
-    /// processing get them in a later batch, still in key order.
-    pub fn pop_batch(&mut self, out: &mut Vec<(SimTime, E)>) -> usize {
-        out.clear();
-        let Some((t, ev)) = self.pop() else {
-            return 0;
-        };
-        out.push((t, ev));
-        while self.len > 0 {
-            self.settle();
-            self.sort_current();
-            let slot = (self.cur % SLOTS as u64) as usize;
-            match self.buckets[slot].last() {
-                // Equal timestamps always share a bucket, so the batch
-                // ends as soon as the cursor bucket's minimum moves on.
-                Some(e) if e.at == t.as_us() => {
-                    let Some(pair) = self.pop() else { break };
-                    out.push(pair);
-                }
-                _ => break,
-            }
-        }
-        out.len()
-    }
-
-    /// Timestamp of the next pending event without popping it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.len == 0 {
-            return None;
-        }
-        for k in 0..SLOTS as u64 {
-            let bi = self.cur + k;
-            let v = &self.buckets[(bi % SLOTS as u64) as usize];
-            if v.is_empty() {
-                continue;
-            }
-            let at = if bi == self.cur && self.cur_sorted {
-                v.last().map(|e| e.at)
-            } else {
-                v.iter().map(|e| e.at).min()
-            };
-            return at.map(SimTime::from_us);
-        }
-        let (_, v) = self.far.iter().next()?;
-        v.iter().map(|e| e.at).min().map(SimTime::from_us)
+        Some((self.now, e.event))
     }
 
     /// Drains and handles events with timestamps strictly below
     /// `end_us`, in key order; later events stay queued and the clock
     /// is left at the last dispatched timestamp. Returns the number of
-    /// events dispatched. This is the shard-window workhorse: one call
-    /// per conservative window, no per-event peeking.
+    /// events dispatched.
     pub fn run_window<F: FnMut(&mut Self, SimTime, E)>(
-        &mut self,
-        end_us: u64,
-        mut handler: F,
-    ) -> u64 {
-        self.run_window_keyed(end_us, |s, at, _key, ev| handler(s, at, ev))
-    }
-
-    /// [`Scheduler::run_window`] with the popped entry's canonical
-    /// `(origin, oseq)` key exposed to the handler. The sharded
-    /// dispatcher tags the observability events emitted while handling
-    /// an entry with that key, so per-shard event buffers can be merged
-    /// back into the exact single-queue emission order.
-    pub fn run_window_keyed<F: FnMut(&mut Self, SimTime, (u32, u32), E)>(
         &mut self,
         end_us: u64,
         mut handler: F,
@@ -416,9 +345,8 @@ impl<E> Scheduler<E> {
             if next_at >= end_us {
                 break;
             }
-            let Some(e) = self.pop_entry() else { break };
-            let at = SimTime::from_us(e.at);
-            handler(self, at, (e.origin, e.oseq), e.event);
+            let Some((at, ev)) = self.pop() else { break };
+            handler(self, at, ev);
         }
         self.popped - start
     }
@@ -438,15 +366,6 @@ impl<E> Scheduler<E> {
             self.now = horizon;
         }
         n
-    }
-
-    /// Advances the clock to `t` without dispatching (no-op when the
-    /// clock is already past `t`). Used by the sharded driver to close
-    /// the final window on the horizon.
-    pub fn advance_to(&mut self, t: SimTime) {
-        if self.now < t {
-            self.now = t;
-        }
     }
 }
 
@@ -606,24 +525,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_one_timestamp() {
-        let mut s = Scheduler::new();
-        s.push(SimTime::from_ms(1), 10);
-        s.push(SimTime::from_ms(1), 11);
-        s.push(SimTime::from_ms(2), 20);
-        let mut buf = Vec::new();
-        assert_eq!(s.pop_batch(&mut buf), 2);
-        assert_eq!(
-            buf,
-            vec![(SimTime::from_ms(1), 10), (SimTime::from_ms(1), 11)]
-        );
-        assert_eq!(s.pop_batch(&mut buf), 1);
-        assert_eq!(buf, vec![(SimTime::from_ms(2), 20)]);
-        assert_eq!(s.pop_batch(&mut buf), 0);
-        assert!(buf.is_empty());
-    }
-
-    #[test]
     fn far_future_events_cross_the_ring_window() {
         // Narrow buckets so the ring spans only SLOTS µs.
         let mut s = Scheduler::with_granularity(1);
@@ -635,18 +536,6 @@ mod tests {
         assert_eq!(s.pop().unwrap().1, "halo");
         assert_eq!(s.now(), SimTime::from_secs(600));
         assert!(s.pop().is_none());
-    }
-
-    #[test]
-    fn peek_time_sees_ring_and_far_entries() {
-        let mut s = Scheduler::with_granularity(1);
-        assert_eq!(s.peek_time(), None);
-        s.push(SimTime::from_secs(60), ());
-        assert_eq!(s.peek_time(), Some(SimTime::from_secs(60)));
-        s.push(SimTime::from_us(5), ());
-        assert_eq!(s.peek_time(), Some(SimTime::from_us(5)));
-        s.pop();
-        assert_eq!(s.peek_time(), Some(SimTime::from_secs(60)));
     }
 
     /// The calendar queue must pop in exactly the reference order — a

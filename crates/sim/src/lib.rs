@@ -17,14 +17,9 @@
 //! * [`stats`] — streaming mean/max/variance, rate meters and integer
 //!   histograms used by both the protocol models and the benchmarks.
 //!
-//! Determinism comes first, but it no longer implies a single thread:
-//! the [`shard`] partitioner and the [`par`] superstep driver split a
-//! simulation across worker threads under conservative lookahead
-//! windows, with cross-shard events exchanged at barriers and every
-//! queue ordered by canonical `(time, origin, oseq)` keys — so a
-//! sharded run is byte-identical to the single-threaded one. The only
-//! concurrency primitives live in `sim::par` (and the `obs` crate),
-//! both explicitly sanctioned by the CC01 lint scope.
+//! One simulation runs on one thread, and nothing here spawns threads
+//! or takes locks: parallelism lives a level up, across independent
+//! experiments and across probes in the analysis.
 
 #![warn(missing_docs)]
 
@@ -32,9 +27,7 @@ pub mod error;
 pub mod event;
 pub mod fault;
 pub mod link;
-pub mod par;
 pub mod rng;
-pub mod shard;
 pub mod stats;
 pub mod time;
 
@@ -42,8 +35,6 @@ pub use error::SimError;
 pub use event::{Scheduler, ORIGIN_CHURN, ORIGIN_INIT, ORIGIN_NONE};
 pub use fault::{LinkFaultParams, LinkFaults, PacketFate};
 pub use link::{AccessSerializer, DownlinkQueue};
-pub use par::{run_sharded, Outbox, PoisonBarrier, ShardWorker};
 pub use rng::DetRng;
-pub use shard::{min_cross_delay_us, partition, ShardPlan};
 pub use stats::{Histogram, MeanMax, RateMeter, Welford};
 pub use time::SimTime;

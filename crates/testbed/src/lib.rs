@@ -23,7 +23,7 @@ pub use matrix::{run_matrix, FaultSpec, MatrixConfig, SessionSpec};
 pub use population::PopulationConfig;
 pub use runner::{
     run_ablation, run_experiment, run_on_scenario, run_paper_suite, run_streamed,
-    run_streamed_on_scenario, ExperimentOptions, ExperimentOutput,
+    ExperimentOptions, ExperimentOutput,
 };
 pub use replication::{run_replicated, ReplicatedSummary, RunStat};
 pub use scenario::{BuiltScenario, ScenarioConfig};

@@ -14,8 +14,8 @@
 //!
 //! Cells are independent deterministic experiments sharing one seed, so
 //! the report is a pure function of the config: byte-identical across
-//! repeat runs, shard counts and toolchains (the CI `scenario-matrix`
-//! job re-runs a small config twice and diffs the bytes). Cells execute
+//! repeat runs and toolchains (the CI `scenario-matrix` job re-runs a
+//! small config twice and diffs the bytes). Cells execute
 //! concurrently under rayon, but results are collected in sweep order,
 //! so thread scheduling never reaches the output.
 
@@ -192,14 +192,9 @@ fn cell_dirname(label: &str) -> String {
 
 /// Runs the whole matrix. With `out_dir` set, every cell streams its
 /// capture to `out_dir/<cell-dirname>/` (a re-analysable corpus);
-/// without it, cells run in memory. `shards` is forwarded to each
-/// swarm's event loop (sharded cells are byte-identical to serial
-/// ones). Returns the report in fixed sweep order.
-pub fn run_matrix(
-    cfg: &MatrixConfig,
-    shards: usize,
-    out_dir: Option<&Path>,
-) -> Result<MatrixReport, String> {
+/// without it, cells run in memory. Returns the report in fixed sweep
+/// order.
+pub fn run_matrix(cfg: &MatrixConfig, out_dir: Option<&Path>) -> Result<MatrixReport, String> {
     cfg.validate()?;
     // Enumerate cells in sweep order first; rayon preserves this order
     // in the collected results regardless of execution interleaving.
@@ -224,7 +219,6 @@ pub fn run_matrix(
                 scale,
                 duration_us: cfg.duration_us,
                 faults: cell_plan(sess, fs),
-                shards,
                 ..Default::default()
             };
             let out = match out_dir {
@@ -311,8 +305,8 @@ mod tests {
                 link: LinkFaultPlan::default(),
             }],
         };
-        let a = run_matrix(&cfg, 1, None).expect("matrix runs");
-        let b = run_matrix(&cfg, 1, None).expect("matrix runs");
+        let a = run_matrix(&cfg, None).expect("matrix runs");
+        let b = run_matrix(&cfg, None).expect("matrix runs");
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.cells.len(), 2);
         assert_eq!(a.cells[0].profile, "TVAnts");

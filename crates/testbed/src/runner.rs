@@ -17,7 +17,7 @@ use netaware_proto::{
     AppProfile, NetworkEnv, StreamParams, Swarm, SwarmConfig, SwarmReport,
 };
 use netaware_sim::SimTime;
-use netaware_trace::{CorpusSink, MemorySink, TraceError, TraceSet};
+use netaware_trace::{CorpusSink, MemorySink, RecordSink, TraceError, TraceSet};
 use rayon::prelude::*;
 use std::path::Path;
 
@@ -46,10 +46,6 @@ pub struct ExperimentOptions {
     /// Defaults to the no-op plan, which installs nothing and leaves
     /// runs byte-identical to fault-unaware ones.
     pub faults: FaultPlan,
-    /// Shard workers for the swarm event loop (default 1 = serial).
-    /// Sharded runs are byte-identical to serial ones; see
-    /// `Swarm::set_shards`.
-    pub shards: usize,
 }
 
 impl Default for ExperimentOptions {
@@ -62,7 +58,6 @@ impl Default for ExperimentOptions {
             keep_traces: false,
             obs: Obs::default(),
             faults: FaultPlan::none(),
-            shards: 1,
         }
     }
 }
@@ -100,19 +95,23 @@ pub struct ExperimentOutput {
     pub traces: Option<TraceSet>,
 }
 
+/// Builds the testbed scenario `profile` runs on, inside the
+/// `testbed.build` span.
+fn build_scenario(profile: &AppProfile, opts: &ExperimentOptions) -> BuiltScenario {
+    let _build = opts.obs.pspan("testbed.build");
+    BuiltScenario::build(
+        &ScenarioConfig {
+            seed: opts.seed,
+            scale: opts.scale,
+            ..Default::default()
+        },
+        profile.overlay_size,
+    )
+}
+
 /// Runs one application end-to-end.
 pub fn run_experiment(profile: AppProfile, opts: &ExperimentOptions) -> ExperimentOutput {
-    let scenario = {
-        let _build = opts.obs.pspan("testbed.build");
-        BuiltScenario::build(
-            &ScenarioConfig {
-                seed: opts.seed,
-                scale: opts.scale,
-                ..Default::default()
-            },
-            profile.overlay_size,
-        )
-    };
+    let scenario = build_scenario(&profile, opts);
     run_on_scenario(profile, &scenario, opts)
 }
 
@@ -122,54 +121,28 @@ pub fn run_on_scenario(
     scenario: &BuiltScenario,
     opts: &ExperimentOptions,
 ) -> ExperimentOutput {
-    let app = profile.name.clone();
-    let tspan = opts.obs.pspan("testbed.run");
-    tspan.add_sim_us(opts.duration_us);
-    let env = NetworkEnv {
-        registry: &scenario.registry,
-        paths: scenario.paths,
-        latency: scenario.latency,
-    };
-    let cfg = SwarmConfig {
-        seed: opts.seed,
-        duration_us: opts.duration_us,
-        stream: StreamParams::cctv1(),
+    let out = run_captured(
         profile,
-    };
-    netaware_obs::event!(
-        opts.obs,
-        Level::Info,
-        "testbed.experiment",
-        SimTime::ZERO,
-        "app" = app.as_str(),
-        "seed" = opts.seed,
-        "scale" = opts.scale,
-        "streamed" = false,
+        scenario,
+        opts,
+        false,
+        || Ok(MemorySink::with_obs(opts.obs.clone())),
+        |traces| {
+            let analysis = analyze_with_obs(
+                &traces,
+                &scenario.registry,
+                &opts.analysis,
+                &scenario.highbw_probe_ips,
+                &opts.obs,
+            );
+            Ok((analysis, opts.keep_traces.then_some(traces)))
+        },
     );
-    let mut swarm = Swarm::new(cfg, env, scenario.peer_setup());
-    swarm.set_obs(opts.obs.clone());
-    swarm.set_faults(&opts.faults);
-    swarm.set_shards(opts.shards);
-    let (traces, report) = {
-        let _swarm_span = opts.obs.span("testbed.swarm");
-        match swarm.run_into(MemorySink::with_obs(opts.obs.clone())) {
-            Ok(out) => out,
-            // MemorySink::sink_probe / finish are infallible.
-            Err(_) => unreachable!("in-memory sink cannot fail"),
-        }
-    };
-    let analysis = analyze_with_obs(
-        &traces,
-        &scenario.registry,
-        &opts.analysis,
-        &scenario.highbw_probe_ips,
-        &opts.obs,
-    );
-    ExperimentOutput {
-        app,
-        analysis,
-        report,
-        traces: opts.keep_traces.then_some(traces),
+    match out {
+        Ok(out) => out,
+        // MemorySink::sink_probe / finish are infallible, and so is the
+        // in-memory analysis.
+        Err(_) => unreachable!("in-memory run cannot fail"),
     }
 }
 
@@ -183,26 +156,39 @@ pub fn run_streamed(
     opts: &ExperimentOptions,
     dir: &Path,
 ) -> Result<ExperimentOutput, TraceError> {
-    let scenario = {
-        let _build = opts.obs.pspan("testbed.build");
-        BuiltScenario::build(
-            &ScenarioConfig {
-                seed: opts.seed,
-                scale: opts.scale,
-                ..Default::default()
-            },
-            profile.overlay_size,
-        )
-    };
-    run_streamed_on_scenario(profile, &scenario, opts, dir)
+    let scenario = build_scenario(&profile, opts);
+    run_captured(
+        profile,
+        &scenario,
+        opts,
+        true,
+        || CorpusSink::create_with(dir, opts.obs.clone()),
+        |manifest| {
+            let analysis = analyze_corpus_with_obs(
+                dir,
+                &scenario.registry,
+                &opts.analysis,
+                &scenario.highbw_probe_ips,
+                &opts.obs,
+            )?;
+            debug_assert_eq!(manifest.total_packets, analysis.total_packets);
+            Ok((analysis, None))
+        },
+    )
 }
 
-/// [`run_streamed`] on an already-built scenario.
-pub fn run_streamed_on_scenario(
+/// The pipeline behind [`run_on_scenario`] and [`run_streamed`]: wires
+/// the swarm on `scenario`, runs it into the sink `make_sink` builds,
+/// and hands the sink's output to `analyze`, which returns the analysis
+/// plus any traces to keep. `streamed` labels the `testbed.experiment`
+/// event.
+fn run_captured<S: RecordSink>(
     profile: AppProfile,
     scenario: &BuiltScenario,
     opts: &ExperimentOptions,
-    dir: &Path,
+    streamed: bool,
+    make_sink: impl FnOnce() -> Result<S, TraceError>,
+    analyze: impl FnOnce(S::Output) -> Result<(ExperimentAnalysis, Option<TraceSet>), TraceError>,
 ) -> Result<ExperimentOutput, TraceError> {
     let app = profile.name.clone();
     let tspan = opts.obs.pspan("testbed.run");
@@ -226,29 +212,21 @@ pub fn run_streamed_on_scenario(
         "app" = app.as_str(),
         "seed" = opts.seed,
         "scale" = opts.scale,
-        "streamed" = true,
+        "streamed" = streamed,
     );
     let mut swarm = Swarm::new(cfg, env, scenario.peer_setup());
     swarm.set_obs(opts.obs.clone());
     swarm.set_faults(&opts.faults);
-    swarm.set_shards(opts.shards);
-    let (manifest, report) = {
+    let (captured, report) = {
         let _swarm_span = opts.obs.span("testbed.swarm");
-        swarm.run_into(CorpusSink::create_with(dir, opts.obs.clone())?)?
+        swarm.run_into(make_sink()?)?
     };
-    let analysis = analyze_corpus_with_obs(
-        dir,
-        &scenario.registry,
-        &opts.analysis,
-        &scenario.highbw_probe_ips,
-        &opts.obs,
-    )?;
-    debug_assert_eq!(manifest.total_packets, analysis.total_packets);
+    let (analysis, traces) = analyze(captured)?;
     Ok(ExperimentOutput {
         app,
         analysis,
         report,
-        traces: None,
+        traces,
     })
 }
 
@@ -288,7 +266,6 @@ mod tests {
             keep_traces: false,
             obs: Obs::default(),
             faults: FaultPlan::none(),
-            shards: 1,
         }
     }
 

@@ -25,7 +25,7 @@ fn usage() -> ExitCode {
         "usage: netaware-xtask <command>\n\n\
          commands:\n  \
          lint [options]   run the workspace lint pass\n  \
-         perf [options]   run the perf matrix (6 app cells + 2 scenario cells + shard scaling); write BENCH_*.json snapshots\n  \
+         perf [options]   run the perf matrix (6 app cells + 2 scenario cells); write BENCH_*.json snapshots\n  \
          rules [--json]   print the lint catalogue\n\n\
          lint options:\n  \
          --format <text|json|sarif>  output format (default text)\n  \
@@ -42,8 +42,7 @@ fn usage() -> ExitCode {
          --write-baseline [<file>]   record the gated series of this run as the new baseline\n  \
          --tolerance <f>             allowed drift for deterministic series (default 0.10)\n  \
          --wall-tolerance <f>        allowed growth for wall/heap series (default 1.0)\n  \
-         --seed <n> --scale <f> --sim-secs <n>   matrix cell parameters (default 777/0.02/20)\n  \
-         --shards <list|none>        worker counts for the shard-scaling cells (default 1,2,8)"
+         --seed <n> --scale <f> --sim-secs <n>   matrix cell parameters (default 777/0.02/20)"
     );
     ExitCode::from(2)
 }
@@ -248,20 +247,6 @@ fn perf(args: &[String]) -> ExitCode {
             },
             "--sim-secs" => match it.next().and_then(|v| v.parse().ok()) {
                 Some(v) => cfg.sim_secs = v,
-                None => return usage(),
-            },
-            // Comma-separated worker counts for the shard-scaling cells
-            // (`--shards 1,2,8`); `--shards none` drops the series.
-            "--shards" => match it.next() {
-                Some(v) if v == "none" => cfg.shard_series.clear(),
-                Some(v) => {
-                    let parsed: Result<Vec<usize>, _> =
-                        v.split(',').map(|p| p.trim().parse()).collect();
-                    match parsed {
-                        Ok(list) => cfg.shard_series = list,
-                        Err(_) => return usage(),
-                    }
-                }
                 None => return usage(),
             },
             _ => return usage(),

@@ -38,10 +38,6 @@ pub struct PerfConfig {
     pub scale: f64,
     /// Simulated duration per cell, seconds.
     pub sim_secs: u64,
-    /// Shard-scaling cells: one PPLive clean cell per worker count
-    /// (`pplive_shard<N>`), measuring the parallel engine. Empty
-    /// disables the series.
-    pub shard_series: Vec<usize>,
 }
 
 impl Default for PerfConfig {
@@ -50,7 +46,6 @@ impl Default for PerfConfig {
             seed: 777,
             scale: 0.02,
             sim_secs: 20,
-            shard_series: vec![1, 2, 8],
         }
     }
 }
@@ -79,30 +74,12 @@ pub fn run_cell(profile: AppProfile, faulted: bool, cfg: &PerfConfig) -> PerfRep
         profile.name.to_lowercase(),
         if faulted { "faulted" } else { "clean" }
     );
-    run_named_cell(profile, faulted, 1, scenario, cfg)
-}
-
-/// Runs one shard-scaling cell: PPLive clean with `shards` workers.
-/// The scenario id carries the shard count so each worker count gets
-/// its own gated series in the baseline.
-pub fn run_shard_cell(profile: AppProfile, shards: usize, cfg: &PerfConfig) -> PerfReport {
-    let scenario = format!("{}_shard{}", profile.name.to_lowercase(), shards);
-    run_named_cell(profile, false, shards, scenario, cfg)
-}
-
-fn run_named_cell(
-    profile: AppProfile,
-    faulted: bool,
-    shards: usize,
-    scenario: String,
-    cfg: &PerfConfig,
-) -> PerfReport {
     let plan = if faulted {
         faulted_plan()
     } else {
         FaultPlan::none()
     };
-    run_plan_cell(profile, plan, shards, scenario, cfg)
+    run_plan_cell(profile, plan, scenario, cfg)
 }
 
 /// Runs one profiled cell under an explicit fault plan (the
@@ -111,7 +88,6 @@ fn run_named_cell(
 pub fn run_plan_cell(
     profile: AppProfile,
     plan: FaultPlan,
-    shards: usize,
     scenario: String,
     cfg: &PerfConfig,
 ) -> PerfReport {
@@ -124,7 +100,6 @@ pub fn run_plan_cell(
         scale: cfg.scale,
         duration_us: cfg.sim_secs * 1_000_000,
         obs: obs.clone(),
-        shards,
         faults: plan,
         ..Default::default()
     };
@@ -141,7 +116,7 @@ pub fn run_plan_cell(
 }
 
 /// Runs the full 3-application × {clean, faulted} matrix plus the
-/// shard-scaling cells, in a stable order (report order is the
+/// scenario-diversity cells, in a stable order (report order is the
 /// scenario id order).
 pub fn run_matrix(cfg: &PerfConfig) -> Vec<PerfReport> {
     let mut out = Vec::new();
@@ -156,25 +131,15 @@ pub fn run_matrix(cfg: &PerfConfig) -> Vec<PerfReport> {
     out.push(run_plan_cell(
         AppProfile::pplive(),
         flashcrowd_plan(),
-        1,
         String::from("pplive_flashcrowd"),
         cfg,
     ));
     out.push(run_plan_cell(
         AppProfile::epidemic_rp(),
         FaultPlan::none(),
-        1,
         String::from("epidemic_rp"),
         cfg,
     ));
-    // Shard-scaling pass: the same PPLive clean workload at each worker
-    // count. Byte-identical results are enforced elsewhere (goldens,
-    // CI determinism job); these cells gate the *cost* of parallelism.
-    if let Some(pplive) = AppProfile::paper_apps().into_iter().next() {
-        for &shards in &cfg.shard_series {
-            out.push(run_shard_cell(pplive.clone(), shards, cfg));
-        }
-    }
     out.sort_by(|a, b| a.meta.scenario.cmp(&b.meta.scenario));
     out
 }

@@ -28,7 +28,7 @@ pub enum RuleId {
     Nd04,
     /// No hash-ordered iteration flowing into sinks or reductions.
     Nd05,
-    /// No bare thread/lock primitives outside the sanctioned parallel core.
+    /// No bare thread/lock primitives outside the audited obs modules.
     Cc01,
     /// No relaxed atomic orderings outside audited commutative metrics.
     Cc02,
@@ -121,7 +121,7 @@ impl RuleId {
 
     /// The rule's default severity. The original catalogue is deny
     /// (the workspace is clean under it); the concurrency/RNG-stream
-    /// rules added ahead of the parallel core land warn-first with
+    /// rules land warn-first with
     /// pre-existing findings baselined. BH01 lands deny directly: it
     /// shipped together with the behaviour decomposition it guards, so
     /// there were zero pre-existing findings to baseline.
@@ -157,8 +157,8 @@ impl RuleId {
                  serialisation, or reduce calls (collect/fold/sum); order the collection first"
             }
             RuleId::Cc01 => {
-                "no bare std::thread::spawn/Mutex/RwLock outside the sanctioned parallel-core \
-                 modules (sim::par); cross-shard state goes through audited primitives"
+                "no bare std::thread::spawn/Mutex/RwLock outside the audited obs modules; \
+                 parallel work goes through rayon's order-preserving iterators"
             }
             RuleId::Cc02 => {
                 "no Ordering::Relaxed/AcqRel atomics outside the audited commutative-metrics \
@@ -189,14 +189,12 @@ impl RuleId {
 }
 
 /// Modules sanctioned to hold bare thread/lock primitives (CC01): the
-/// sharded parallel simulation core, plus the audited observability
-/// modules — each holds exactly one flat `Mutex` (no nested
-/// acquisition, so no lock-order coupling) and everything merge-visible
-/// serialises in `BTreeMap` order, so byte-stable merges cannot be
-/// broken by lock scheduling. Everything else goes through `sim::par`.
+/// audited observability modules — each holds exactly one flat `Mutex`
+/// (no nested acquisition, so no lock-order coupling) and everything
+/// merge-visible serialises in `BTreeMap` order, so byte-stable output
+/// cannot be broken by lock scheduling. Everything else parallelises
+/// through rayon.
 const CC01_SANCTIONED: &[&str] = &[
-    "crates/sim/src/par.rs",
-    "crates/sim/src/par/",
     "crates/obs/src/clock.rs",
     "crates/obs/src/lib.rs",
     "crates/obs/src/metrics.rs",
@@ -249,7 +247,7 @@ pub struct FileScope {
     pub nd04: bool,
     /// ND05 applies (hash-ordered iteration into sinks).
     pub nd05: bool,
-    /// CC01 applies (not a sanctioned parallel-core module).
+    /// CC01 applies (not an audited obs module).
     pub cc01: bool,
     /// CC02 applies (not an audited commutative-metrics module).
     pub cc02: bool,
@@ -820,8 +818,8 @@ fn cc01(code: &[Tok], lo: usize, hi: usize, paths: &[ast::PathMention], out: &mu
                             RuleId::Cc01,
                             t,
                             format!(
-                                "bare `thread::{}` outside the sanctioned parallel core; shard \
-                                 work through `sim::par` so cross-shard order stays \
+                                "bare `thread::{}` outside the audited modules; parallelise \
+                                 with rayon's order-preserving iterators so output order stays \
                                  deterministic",
                                 pair.1
                             ),
@@ -837,9 +835,9 @@ fn cc01(code: &[Tok], lo: usize, hi: usize, paths: &[ast::PathMention], out: &mu
                 RuleId::Cc01,
                 t,
                 format!(
-                    "bare `{}` outside the sanctioned parallel core; lock-ordering bugs break \
-                     byte-stable merges — use `sim::par` primitives or add the module to the \
-                     audited list",
+                    "bare `{}` outside the audited modules; lock-ordering bugs break \
+                     byte-stable output — collect parallel results in order or add the module \
+                     to the audited list",
                     t.text
                 ),
             ));
@@ -865,7 +863,7 @@ fn cc02(code: &[Tok], paths: &[ast::PathMention], out: &mut Vec<RawFinding>) {
                             t,
                             format!(
                                 "`Ordering::{variant}` outside the audited commutative-metrics \
-                                 modules; non-SeqCst updates can reorder across shard merges — \
+                                 modules; non-SeqCst updates can reorder across threads — \
                                  use SeqCst or move the counter into `crates/obs` metrics"
                             ),
                         ));

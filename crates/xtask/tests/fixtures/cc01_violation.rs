@@ -1,4 +1,4 @@
-//! CC01 fixture: bare thread/lock primitives outside the parallel core.
+//! CC01 fixture: bare thread/lock primitives outside the audited modules.
 
 use std::sync::Mutex;
 

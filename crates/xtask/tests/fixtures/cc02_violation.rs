@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Relaxed fetch-add: updates may reorder across shard merges.
+/// Relaxed fetch-add: updates may reorder across threads.
 pub fn bump(counter: &AtomicU64) -> u64 {
     counter.fetch_add(1, Ordering::Relaxed)
 }

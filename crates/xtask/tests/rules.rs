@@ -160,16 +160,6 @@ fn cc01_fixture_clean_passes() {
     assert_clean(&lint_as("crates/sim/src/fixture.rs", "cc01_clean.rs"));
 }
 
-#[test]
-fn cc01_sanctioned_parallel_core_is_exempt() {
-    // The sharded parallel core owns these primitives.
-    let diags = lint_as("crates/sim/src/par.rs", "cc01_violation.rs");
-    assert!(
-        diags.iter().all(|d| d.rule != "CC01"),
-        "CC01 fired in the sanctioned module: {diags:?}"
-    );
-}
-
 // ---- CC02: relaxed atomic orderings -------------------------------------
 
 #[test]

@@ -4,10 +4,10 @@
 //! netaware-cli suite     [--scale F] [--secs N] [--seed N] [--json FILE]
 //! netaware-cli replicate APP [--runs N] [--scale F] [--secs N]
 //! netaware-cli run APP [--uniform] [--spill DIR] [--scale F] [--secs N] [--seed N] [--json FILE]
-//!                      [--obs-log FILE] [--metrics FILE] [--profile FILE] [--shards N]
+//!                      [--obs-log FILE] [--metrics FILE] [--profile FILE]
 //!                      [--faults FILE] [--loss P] [--jitter-us N] [--churn]
 //! netaware-cli nextgen [--scale F] [--secs N] [--seed N]
-//! netaware-cli matrix  --config FILE [--out DIR] [--seed N] [--shards N] [--json FILE]
+//! netaware-cli matrix  --config FILE [--out DIR] [--seed N] [--json FILE]
 //! netaware-cli matrix  --example
 //! netaware-cli testbed
 //! netaware-cli export  --dir DIR [--app APP] [--scale F] [--secs N]
@@ -26,7 +26,7 @@
 //! deterministic cross-scenario awareness report (markdown on stdout;
 //! `--out DIR` additionally writes `report.json`/`report.md` plus a
 //! re-analysable per-cell trace corpus). `--seed` overrides the
-//! config's seed; same seed ⇒ byte-identical report, any `--shards`.
+//! config's seed; same seed ⇒ byte-identical report.
 //! `run --spill DIR` spills the capture to an on-disk corpus as it is
 //! produced and streams the analysis back off disk — constant memory in
 //! the experiment size, and the corpus stays behind for `analyze --dir`.
@@ -52,12 +52,6 @@
 //! error events, and the chunk-scheduler decision rate; pass
 //! `--metrics FILE` to fold a metrics snapshot (counter throughput,
 //! histogram percentiles) into the same report.
-//!
-//! `run --shards N` (any run-like subcommand accepts it) executes the
-//! swarm event loop on N shard workers partitioned by home AS, with
-//! conservative lookahead synchronisation. Traces, reports, obs logs
-//! and metrics are byte-identical to `--shards 1` — parallelism is a
-//! pure speed knob.
 //!
 //! `run --profile FILE` and `analyze --profile FILE` arm the span
 //! profiler and write the finished run's `PerfReport` (the
@@ -114,7 +108,6 @@ struct Common {
     metrics: Option<String>,
     profile_out: Option<String>,
     faults: FaultPlan,
-    shards: usize,
     config: Option<String>,
     out: Option<String>,
     example: bool,
@@ -140,7 +133,6 @@ fn parse_common(args: &[String]) -> Result<Common, String> {
         metrics: None,
         profile_out: None,
         faults: FaultPlan::none(),
-        shards: 1,
         config: None,
         out: None,
         example: false,
@@ -160,7 +152,13 @@ fn parse_common(args: &[String]) -> Result<Common, String> {
                 .ok_or_else(|| format!("{} needs a value", args[*i - 1]))
         };
         match args[i].as_str() {
-            "--scale" => c.scale = take(&mut i)?.parse().map_err(|e| format!("scale: {e}"))?,
+            "--scale" => {
+                let s: f64 = take(&mut i)?.parse().map_err(|e| format!("scale: {e}"))?;
+                if !(s > 0.0 && s.is_finite()) {
+                    return Err(format!("scale {s} must be finite and > 0"));
+                }
+                c.scale = s;
+            }
             "--secs" => c.secs = take(&mut i)?.parse().map_err(|e| format!("secs: {e}"))?,
             "--seed" => {
                 c.seed = take(&mut i)?.parse().map_err(|e| format!("seed: {e}"))?;
@@ -169,9 +167,6 @@ fn parse_common(args: &[String]) -> Result<Common, String> {
             "--config" => c.config = Some(take(&mut i)?),
             "--out" => c.out = Some(take(&mut i)?),
             "--example" => c.example = true,
-            "--shards" => {
-                c.shards = take(&mut i)?.parse().map_err(|e| format!("shards: {e}"))?
-            }
             "--json" => c.json = Some(take(&mut i)?),
             "--csv" => c.csv = Some(take(&mut i)?),
             "--markdown" => c.markdown = Some(take(&mut i)?),
@@ -280,7 +275,6 @@ fn opts_of(c: &Common) -> ExperimentOptions {
         scale: c.scale,
         duration_us: c.secs * 1_000_000,
         faults: c.faults.clone(),
-        shards: c.shards,
         ..Default::default()
     }
 }
@@ -632,7 +626,7 @@ fn cmd_matrix(c: &Common) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let report = match netaware::testbed::run_matrix(&cfg, c.shards, out_dir.as_deref()) {
+    let report = match netaware::testbed::run_matrix(&cfg, out_dir.as_deref()) {
         Ok(r) => r,
         Err(e) => {
             eprintln!("matrix: {e}");

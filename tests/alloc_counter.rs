@@ -55,7 +55,7 @@ fn scheduler_steady_state_allocates_nothing() {
     // The calendar-queue scheduler recycles popped slots through its
     // free slab, so once the bucket wheel and slab are warm, push/pop
     // traffic must be allocation-free — an exact zero delta, not a
-    // bound. This is the hot loop of every shard worker.
+    // bound. The swarm event loop runs exactly this traffic.
     // Bucket width 16 µs × 512 ring slots = an 8 192 µs window; the
     // phase below is an exact replay of the warm-up phase (same seeded
     // delay stream, started at a wheel-aligned timestamp), so every

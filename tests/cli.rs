@@ -68,6 +68,30 @@ fn run_rejects_unknown_app() {
 }
 
 #[test]
+fn run_rejects_invalid_scale() {
+    for scale in ["NaN", "-1", "0"] {
+        let out = cli()
+            .args(["run", "pplive", "--scale", scale, "--secs", "1"])
+            .output()
+            .expect("spawn");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "--scale {scale} must be a usage error"
+        );
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("scale {scale} must be finite and > 0")),
+            "--scale {scale}: unexpected stderr {err}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "--scale {scale} still printed tables"
+        );
+    }
+}
+
+#[test]
 fn run_obs_log_and_metrics_roundtrip() {
     let log = std::env::temp_dir().join("netaware_cli_obs.jsonl");
     let metrics = std::env::temp_dir().join("netaware_cli_metrics.json");

@@ -14,12 +14,12 @@ use netaware::proto::{
 use netaware::testbed::{BuiltScenario, ScenarioConfig};
 use netaware::AppProfile;
 use netaware::sim::SimTime;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::cell::Cell;
+use std::rc::Rc;
 
 /// Pure observer: tallies deliveries, touches nothing else.
 struct DeliveryLedger {
-    delivered: Arc<AtomicU64>,
+    delivered: Rc<Cell<u64>>,
 }
 
 impl Behaviour for DeliveryLedger {
@@ -31,7 +31,7 @@ impl Behaviour for DeliveryLedger {
         _chunk: ChunkId,
         _est_bps: u64,
     ) {
-        self.delivered.fetch_add(1, Ordering::Relaxed);
+        self.delivered.set(self.delivered.get() + 1);
     }
 }
 
@@ -78,15 +78,15 @@ fn run_with(
 
 #[test]
 fn pure_observer_is_byte_invisible() {
-    let delivered = Arc::new(AtomicU64::new(0));
+    let delivered = Rc::new(Cell::new(0u64));
     let (with_obs, ra) = run_with(Some(Box::new(DeliveryLedger {
         delivered: delivered.clone(),
     })));
     let (plain, rb) = run_with(None);
 
-    assert!(delivered.load(Ordering::Relaxed) > 0, "observer hook never fired");
+    assert!(delivered.get() > 0, "observer hook never fired");
     assert_eq!(
-        delivered.load(Ordering::Relaxed),
+        delivered.get(),
         ra.chunks_delivered,
         "ledger disagrees with the ground-truth report"
     );

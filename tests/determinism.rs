@@ -21,7 +21,6 @@ fn options() -> ExperimentOptions {
         keep_traces: true,
         obs: netaware::Obs::default(),
         faults: FaultPlan::none(),
-        shards: 1,
     }
 }
 

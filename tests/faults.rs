@@ -16,7 +16,6 @@ fn options(faults: FaultPlan) -> ExperimentOptions {
         keep_traces: false,
         obs: netaware::Obs::default(),
         faults,
-        shards: 1,
     }
 }
 

@@ -10,11 +10,6 @@
 //! (Epidemic-RP / Epidemic-BA) are pinned the same way, with an extra
 //! assertion that the two push policies stay mutually distinguishable.
 //!
-//! Since the sharded parallel engine landed, every cell runs across the
-//! full shard axis (`SHARD_AXIS` = 1/2/8 workers) and must reproduce
-//! the *same* fingerprints at every worker count: parallelism is a pure
-//! speed knob, never an output knob.
-//!
 //! The one sanctioned divergence is the per-behaviour event *naming*
 //! (`swarm.handshake` → `swarm.discovery.handshake`, …): the obs log is
 //! normalised back to the legacy names before hashing, so a rename is
@@ -30,10 +25,11 @@
 //! commit message.
 
 use netaware::analysis::AnalysisConfig;
-use netaware::obs::RingSink;
+use netaware::obs::{Event, FieldValue, RingSink};
 use netaware::testbed::{run_experiment, ExperimentOptions};
 use netaware::trace::write_trace;
 use netaware::{AppProfile, FaultPlan, Obs};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Behaviour-scoped target → legacy (pre-refactor) target. Applied to
@@ -69,12 +65,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Shard-worker counts every golden cell is checked under. The sharded
-/// engine promises byte-identical artifacts at any worker count, so the
-/// same fingerprints must reproduce across the whole axis.
-const SHARD_AXIS: &[usize] = &[1, 2, 8];
-
-fn options(faults: FaultPlan, obs: Obs, shards: usize) -> ExperimentOptions {
+fn options(faults: FaultPlan, obs: Obs) -> ExperimentOptions {
     ExperimentOptions {
         seed: 777,
         scale: 0.02,
@@ -83,15 +74,14 @@ fn options(faults: FaultPlan, obs: Obs, shards: usize) -> ExperimentOptions {
         keep_traces: true,
         obs,
         faults,
-        shards,
     }
 }
 
 /// One observed run → (corpus hash, normalised obs-log hash, metrics hash).
-fn fingerprint(profile: AppProfile, faults: FaultPlan, shards: usize) -> (u64, u64, u64) {
+fn fingerprint(profile: AppProfile, faults: FaultPlan) -> (u64, u64, u64) {
     let sink = Arc::new(RingSink::new(1 << 22));
     let obs = Obs::new(sink.clone() as Arc<dyn netaware::obs::EventSink>);
-    let out = run_experiment(profile, &options(faults, obs.clone(), shards));
+    let out = run_experiment(profile, &options(faults, obs.clone()));
     let traces = out.traces.expect("keep_traces is set");
     let mut corpus = Vec::new();
     for t in &traces.traces {
@@ -128,21 +118,23 @@ struct Golden {
 }
 
 /// Fingerprints of the current engine (seed 777, scale 0.02, 20 s).
-/// Last regenerated for the sharded-core rewrite, whose receiver-side
-/// wire model (explicit `ChunkRx`/`SignalRx` arrival events) is a
-/// sanctioned trace-affecting change; every cell must reproduce these
-/// bytes at 1, 2, and 8 shard workers alike.
+/// The corpus and metrics columns date from the receiver-side wire
+/// model (explicit `ChunkRx`/`SignalRx` arrival events). The faulted
+/// obs logs were last regenerated when events started going straight
+/// to the sink: a departure's `peer_departed` line now precedes the
+/// `requests_requeued` and replacement `handshake` lines it causes.
+/// Only lines within one timestamp moved.
 const GOLDEN: &[Golden] = &[
     Golden { app: "PPLive", faulted: false, corpus: 0xc138c8aab60ccdf4, obs_log: 0x9586a9df3958f2e9, metrics: 0x205509e05444cf95 },
-    Golden { app: "PPLive", faulted: true, corpus: 0x08461cc584e098be, obs_log: 0x9c7b414ee4c496b6, metrics: 0xe587f424aa94650b },
+    Golden { app: "PPLive", faulted: true, corpus: 0x08461cc584e098be, obs_log: 0xa55c30d317e7636a, metrics: 0xe587f424aa94650b },
     Golden { app: "SopCast", faulted: false, corpus: 0x94a061318cadb6fc, obs_log: 0xd2b96dfc6840617f, metrics: 0xb99e2185ae496b5b },
-    Golden { app: "SopCast", faulted: true, corpus: 0xe352c7abd446e85d, obs_log: 0x8fc32b09f760b90b, metrics: 0x7d58c0fbf4815f89 },
+    Golden { app: "SopCast", faulted: true, corpus: 0xe352c7abd446e85d, obs_log: 0x286cc6a11ed3213d, metrics: 0x7d58c0fbf4815f89 },
     Golden { app: "TVAnts", faulted: false, corpus: 0x8d6d98cf22f22728, obs_log: 0xe757145bfe98a813, metrics: 0xf131d489d1ecbf89 },
-    Golden { app: "TVAnts", faulted: true, corpus: 0x2fbedd7ff4d806fb, obs_log: 0xf5f11083306d89d4, metrics: 0x83170092cf65f013 },
+    Golden { app: "TVAnts", faulted: true, corpus: 0x2fbedd7ff4d806fb, obs_log: 0x53056a224ad533b2, metrics: 0x83170092cf65f013 },
     Golden { app: "Epidemic-RP", faulted: false, corpus: 0x029e634dc01fb8cd, obs_log: 0x7ffbff52c3642a91, metrics: 0xdad33ca7ab82f6e1 },
-    Golden { app: "Epidemic-RP", faulted: true, corpus: 0xc96981c22c6993e9, obs_log: 0xffb06796e0d6b366, metrics: 0x42299d78469a5351 },
+    Golden { app: "Epidemic-RP", faulted: true, corpus: 0xc96981c22c6993e9, obs_log: 0xc26d3cca6709dd74, metrics: 0x42299d78469a5351 },
     Golden { app: "Epidemic-BA", faulted: false, corpus: 0x9fe5d7a2072bd7db, obs_log: 0x15bcb6a057c0955e, metrics: 0x65089d060351e231 },
-    Golden { app: "Epidemic-BA", faulted: true, corpus: 0xd821e17b13bb1108, obs_log: 0x2b318cbf73b40c1b, metrics: 0xabdff705c366be63 },
+    Golden { app: "Epidemic-BA", faulted: true, corpus: 0xd821e17b13bb1108, obs_log: 0xbe7e254c57007307, metrics: 0xabdff705c366be63 },
 ];
 
 fn profile_by_name(name: &str) -> AppProfile {
@@ -155,18 +147,13 @@ const GOLDEN_APPS: &[&str] = &["PPLive", "SopCast", "TVAnts", "Epidemic-RP", "Ep
 
 fn check(g: &Golden) {
     let faults = if g.faulted { fault_plan() } else { FaultPlan::none() };
-    for &shards in SHARD_AXIS {
-        let (corpus, obs_log, metrics) =
-            fingerprint(profile_by_name(g.app), faults.clone(), shards);
-        assert_eq!(
-            (corpus, obs_log, metrics),
-            (g.corpus, g.obs_log, g.metrics),
-            "{} (faulted={}, shards={}) diverged from the golden artifacts",
-            g.app,
-            g.faulted,
-            shards
-        );
-    }
+    assert_eq!(
+        fingerprint(profile_by_name(g.app), faults),
+        (g.corpus, g.obs_log, g.metrics),
+        "{} (faulted={}) diverged from the golden artifacts",
+        g.app,
+        g.faulted
+    );
 }
 
 #[test]
@@ -219,6 +206,48 @@ fn epidemic_profiles_match_golden_and_differ() {
     }
 }
 
+/// The `peer` field of a churn event.
+fn peer_of(e: &Event) -> Option<u64> {
+    e.fields.iter().find_map(|(k, v)| match (*k, v) {
+        ("peer", FieldValue::U64(p)) => Some(*p),
+        _ => None,
+    })
+}
+
+/// Obs events reach the sink in dispatch order, so a departure's
+/// `peer_departed` line comes before the `requests_requeued` lines its
+/// eviction causes (same peer, same instant). Runs the faulted PPLive
+/// golden cell.
+#[test]
+fn departure_precedes_the_requeues_it_causes() {
+    let sink = Arc::new(RingSink::new(1 << 22));
+    let obs = Obs::new(sink.clone() as Arc<dyn netaware::obs::EventSink>);
+    run_experiment(profile_by_name("PPLive"), &options(fault_plan(), obs));
+    let mut departed = BTreeSet::new();
+    let mut pairs = 0;
+    for e in sink.snapshot() {
+        match e.target {
+            "swarm.churn.peer_departed" => {
+                departed.insert((e.time, peer_of(&e)));
+            }
+            "swarm.churn.requests_requeued" => {
+                assert!(
+                    departed.contains(&(e.time, peer_of(&e))),
+                    "requests_requeued for peer {:?} at {:?} precedes its peer_departed",
+                    peer_of(&e),
+                    e.time
+                );
+                pairs += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(
+        pairs > 0,
+        "no departure re-queued a request: the check is vacuous"
+    );
+}
+
 /// Prints the golden table for the current tree. Run with
 /// `--ignored --nocapture` and paste the output over `GOLDEN`.
 #[test]
@@ -227,7 +256,7 @@ fn print_golden_table() {
     for app in GOLDEN_APPS.iter().copied() {
         for faulted in [false, true] {
             let faults = if faulted { fault_plan() } else { FaultPlan::none() };
-            let (corpus, obs_log, metrics) = fingerprint(profile_by_name(app), faults, 1);
+            let (corpus, obs_log, metrics) = fingerprint(profile_by_name(app), faults);
             println!(
                 "    Golden {{ app: \"{app}\", faulted: {faulted}, corpus: \
                  0x{corpus:016x}, obs_log: 0x{obs_log:016x}, metrics: 0x{metrics:016x} }},"
