@@ -12,7 +12,7 @@
 //! ("NAPA-WINE peers clearly prefer to exchange data among them").
 
 use crate::contributors::{is_rx_contributor, is_tx_contributor};
-use crate::flows::ProbeFlows;
+use crate::flows::{FlowStats, ProbeFlows};
 use crate::heuristics::AnalysisConfig;
 use crate::partition::{Metric, PairCtx};
 use netaware_net::{GeoRegistry, Ip};
@@ -109,52 +109,13 @@ pub fn preference(
     if dir == Dir::Upload && !metric.upload_measurable() {
         return PrefValue::nan();
     }
-    let mut peers_pref = 0u64;
-    let mut peers_tot = 0u64;
-    let mut bytes_pref = 0u64;
-    let mut bytes_tot = 0u64;
-
-    for pf in pfs {
-        for f in pf.flows.values() {
-            if let Some(w) = exclude {
-                if w.contains(&f.remote) {
-                    continue;
-                }
-            }
-            let (in_dir, bytes) = match dir {
-                Dir::Download => (is_rx_contributor(f, cfg), f.bytes_rx),
-                Dir::Upload => (is_tx_contributor(f, cfg), f.bytes_tx),
-            };
-            if !in_dir {
-                continue;
-            }
-            let ctx = PairCtx {
-                flow: f,
-                registry,
-                cfg,
-                hop_threshold,
-            };
-            let Some(pref) = metric.preferred(&ctx) else {
-                continue; // unmeasurable pair: out of both sums
-            };
-            peers_tot += 1;
-            bytes_tot += bytes;
-            if pref {
-                peers_pref += 1;
-                bytes_pref += bytes;
-            }
-        }
-    }
-    if peers_tot == 0 {
-        return PrefValue::nan();
-    }
-    PrefValue {
-        peers_pct: 100.0 * peers_pref as f64 / peers_tot as f64,
-        bytes_pct: if bytes_tot == 0 {
-            f64::NAN
-        } else {
-            100.0 * bytes_pref as f64 / bytes_tot as f64
-        },
+    let no_w = BTreeSet::new();
+    let list = Contributors::collect(pfs, cfg, dir, exclude.unwrap_or(&no_w));
+    let (nonw, all) = list.tally(registry, cfg, hop_threshold, metric);
+    if exclude.is_some() {
+        nonw
+    } else {
+        all
     }
 }
 
@@ -168,29 +129,9 @@ pub fn metric_preference(
     metric: Metric,
     probe_set: &BTreeSet<Ip>,
 ) -> MetricPreference {
-    MetricPreference {
-        metric: metric.name().to_string(),
-        download_nonw: preference(
-            pfs,
-            registry,
-            cfg,
-            hop_threshold,
-            metric,
-            Dir::Download,
-            Some(probe_set),
-        ),
-        download_all: preference(pfs, registry, cfg, hop_threshold, metric, Dir::Download, None),
-        upload_nonw: preference(
-            pfs,
-            registry,
-            cfg,
-            hop_threshold,
-            metric,
-            Dir::Upload,
-            Some(probe_set),
-        ),
-        upload_all: preference(pfs, registry, cfg, hop_threshold, metric, Dir::Upload, None),
-    }
+    let download = Contributors::collect(pfs, cfg, Dir::Download, probe_set);
+    let upload = Contributors::collect(pfs, cfg, Dir::Upload, probe_set);
+    block(&download, &upload, registry, cfg, hop_threshold, metric)
 }
 
 /// All five metrics (the full Table IV block for one application).
@@ -201,16 +142,153 @@ pub fn all_preferences(
     hop_threshold: u8,
     probe_set: &BTreeSet<Ip>,
 ) -> Vec<MetricPreference> {
+    let download = Contributors::collect(pfs, cfg, Dir::Download, probe_set);
+    let upload = Contributors::collect(pfs, cfg, Dir::Upload, probe_set);
     Metric::ALL
         .iter()
-        .map(|&m| metric_preference(pfs, registry, cfg, hop_threshold, m, probe_set))
+        .map(|&m| block(&download, &upload, registry, cfg, hop_threshold, m))
         .collect()
+}
+
+/// One metric's Table IV row block from the two directions'
+/// contributor lists.
+fn block(
+    download: &Contributors<'_>,
+    upload: &Contributors<'_>,
+    registry: &GeoRegistry,
+    cfg: &AnalysisConfig,
+    hop_threshold: u8,
+    metric: Metric,
+) -> MetricPreference {
+    let (download_nonw, download_all) = download.tally(registry, cfg, hop_threshold, metric);
+    let (upload_nonw, upload_all) = if metric.upload_measurable() {
+        upload.tally(registry, cfg, hop_threshold, metric)
+    } else {
+        (PrefValue::nan(), PrefValue::nan())
+    };
+    MetricPreference {
+        metric: metric.name().to_string(),
+        download_nonw,
+        download_all,
+        upload_nonw,
+        upload_all,
+    }
+}
+
+/// One direction's contributors over every probe — `D(p)` or `U(p)`,
+/// in probe then remote order — split by whether the remote is in the
+/// probe set `W`. Every metric's sums for both variants (`P`, `B` and
+/// the primed `P'`, `B'`) are reductions over these two lists.
+struct Contributors<'a> {
+    dir: Dir,
+    outside_w: Vec<&'a FlowStats>,
+    in_w: Vec<&'a FlowStats>,
+}
+
+impl<'a> Contributors<'a> {
+    /// Walks every flow once. The contributor test comes first: only
+    /// about one flow in five passes it, and only those pay the `W`
+    /// lookup.
+    fn collect(pfs: &'a [ProbeFlows], cfg: &AnalysisConfig, dir: Dir, w: &BTreeSet<Ip>) -> Self {
+        let mut list = Contributors {
+            dir,
+            outside_w: Vec::new(),
+            in_w: Vec::new(),
+        };
+        for f in pfs.iter().flat_map(|pf| pf.flows.values()) {
+            let in_dir = match dir {
+                Dir::Download => is_rx_contributor(f, cfg),
+                Dir::Upload => is_tx_contributor(f, cfg),
+            };
+            if !in_dir {
+                continue;
+            }
+            if w.contains(&f.remote) {
+                list.in_w.push(f);
+            } else {
+                list.outside_w.push(f);
+            }
+        }
+        list
+    }
+
+    /// `(excluding W, all)` preference values of `metric` over the lists.
+    fn tally(
+        &self,
+        registry: &GeoRegistry,
+        cfg: &AnalysisConfig,
+        hop_threshold: u8,
+        metric: Metric,
+    ) -> (PrefValue, PrefValue) {
+        let mut nonw = Sums::default();
+        let mut all = Sums::default();
+        let classify = |flow: &FlowStats| {
+            let ctx = PairCtx {
+                flow,
+                registry,
+                cfg,
+                hop_threshold,
+            };
+            // `None`: an unmeasurable pair, out of both sums.
+            let pref = metric.preferred(&ctx)?;
+            let bytes = match self.dir {
+                Dir::Download => flow.bytes_rx,
+                Dir::Upload => flow.bytes_tx,
+            };
+            Some((pref, bytes))
+        };
+        for &f in &self.outside_w {
+            if let Some((pref, bytes)) = classify(f) {
+                nonw.add(pref, bytes);
+                all.add(pref, bytes);
+            }
+        }
+        for &f in &self.in_w {
+            if let Some((pref, bytes)) = classify(f) {
+                all.add(pref, bytes);
+            }
+        }
+        (nonw.value(), all.value())
+    }
+}
+
+/// The four counters behind one [`PrefValue`].
+#[derive(Default)]
+struct Sums {
+    peers_pref: u64,
+    peers_tot: u64,
+    bytes_pref: u64,
+    bytes_tot: u64,
+}
+
+impl Sums {
+    fn add(&mut self, pref: bool, bytes: u64) {
+        self.peers_tot += 1;
+        self.bytes_tot += bytes;
+        if pref {
+            self.peers_pref += 1;
+            self.bytes_pref += bytes;
+        }
+    }
+
+    fn value(&self) -> PrefValue {
+        if self.peers_tot == 0 {
+            return PrefValue::nan();
+        }
+        PrefValue {
+            peers_pct: 100.0 * self.peers_pref as f64 / self.peers_tot as f64,
+            bytes_pct: if self.bytes_tot == 0 {
+                f64::NAN
+            } else {
+                100.0 * self.bytes_pref as f64 / self.bytes_tot as f64
+            },
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flows::FlowStats;
     use netaware_net::{AsId, AsInfo, AsKind, CountryCode, GeoRegistryBuilder, Prefix};
 
     fn reg() -> GeoRegistry {
@@ -301,6 +379,12 @@ mod tests {
         assert!((all.bytes_pct - 80.0).abs() < 1e-9);
         assert!((nonw.peers_pct - 0.0).abs() < 1e-9);
         assert!((nonw.bytes_pct - 0.0).abs() < 1e-9);
+        // The row block reduces the same contributor lists.
+        let block = metric_preference(&pfs, &r, &cfg, 19, Metric::As, &w);
+        assert_eq!(block.download_all.bytes_pct, all.bytes_pct);
+        assert_eq!(block.download_nonw.peers_pct, nonw.peers_pct);
+        assert_eq!(block.download_nonw.bytes_pct, nonw.bytes_pct);
+        assert!(!block.upload_all.is_measurable());
     }
 
     #[test]

@@ -140,10 +140,15 @@ pub(crate) fn read_header<R: Read>(input: &mut R) -> Result<(Ip, u64), TraceErro
     Ok((probe, count))
 }
 
+/// Records [`read_trace`] reserves up front (384 KiB). The header's
+/// count is untrusted input: a short file may claim 2^64 records, so
+/// beyond this the buffer grows only as records actually decode.
+const PREALLOC_RECORDS: u64 = 1 << 14;
+
 /// Deserialises a probe trace from `input`.
 pub fn read_trace<R: Read>(input: &mut R) -> Result<ProbeTrace, TraceError> {
     let (probe, count) = read_header(input)?;
-    let mut records = Vec::with_capacity(count.min(1 << 24) as usize);
+    let mut records = Vec::with_capacity(count.min(PREALLOC_RECORDS) as usize);
     let mut rec_buf = [0u8; PacketRecord::WIRE_SIZE];
     for i in 0..count {
         match input.read_exact(&mut rec_buf) {

@@ -1,5 +1,6 @@
 //! Counting-allocator accuracy, pinned against known allocation
-//! patterns, and the allocation budgets of two hot loops. The counters
+//! patterns, the allocation budgets of two hot loops, and the bound on
+//! what a lying trace header can make the reader allocate. The counters
 //! are process-wide, so every check runs in sequence inside one test:
 //! tests of one binary run on parallel threads, and each would count
 //! the others' allocations.
@@ -8,7 +9,9 @@ use netaware::obs::alloc::{snapshot, CountingAlloc};
 use netaware::proto::{NetworkEnv, StreamParams, Swarm, SwarmConfig};
 use netaware::sim::{Scheduler, SimTime};
 use netaware::testbed::{BuiltScenario, ScenarioConfig};
-use netaware::trace::MemorySink;
+use netaware::trace::{
+    read_trace, write_trace, MemorySink, PacketRecord, PayloadKind, ProbeTrace, TraceError,
+};
 use netaware::AppProfile;
 
 #[global_allocator]
@@ -19,6 +22,7 @@ fn counters_track_a_known_allocation_pattern_exactly() {
     known_pattern_is_counted_exactly();
     scheduler_steady_state_allocates_nothing();
     swarm_loop_allocates_less_than_once_per_event();
+    lying_trace_header_allocates_little();
 }
 
 fn known_pattern_is_counted_exactly() {
@@ -134,5 +138,47 @@ fn swarm_loop_allocates_less_than_once_per_event() {
         allocs <= events,
         "{allocs} allocations over {events} events ({:.2} per event)",
         allocs as f64 / events as f64
+    );
+}
+
+fn lying_trace_header_allocates_little() {
+    // A 3-record trace whose header claims u64::MAX records: the reader
+    // must fail with `Truncated` after the 3 it finds, having reserved
+    // room for a few records rather than for what the header promised.
+    let probe = netaware::net::Ip::from_octets(130, 192, 1, 9);
+    let mut t = ProbeTrace::new(probe);
+    for i in 0..3u64 {
+        t.push(PacketRecord {
+            ts_us: i * 100,
+            src: probe,
+            dst: netaware::net::Ip::from_octets(58, 0, 0, 1),
+            sport: 1,
+            dport: 2,
+            size: 1250,
+            ttl: 128,
+            kind: PayloadKind::Video,
+        });
+    }
+    let mut bytes = Vec::new();
+    write_trace(&t, &mut bytes).expect("in-memory write");
+    // Header: magic (4 B), version (2 B), probe (4 B), then the count.
+    bytes[10..18].copy_from_slice(&u64::MAX.to_le_bytes());
+
+    let before = snapshot();
+    let result = read_trace(&mut bytes.as_slice());
+    let allocated = snapshot().bytes - before.bytes;
+    assert!(
+        matches!(
+            result,
+            Err(TraceError::Truncated {
+                expected: u64::MAX,
+                got: 3
+            })
+        ),
+        "unexpected result {result:?}"
+    );
+    assert!(
+        allocated < 4 << 20,
+        "a lying header made the reader allocate {allocated} bytes"
     );
 }

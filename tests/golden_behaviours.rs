@@ -3,10 +3,11 @@
 //! The behaviour decomposition (DESIGN.md "Behaviour composition")
 //! promised that same-seed runs stay **byte-identical** to the
 //! pre-refactor monolithic handler. These tests pin that promise with
-//! checked-in fingerprints: the corpus bytes, the obs event log, and
-//! the metrics snapshot of all three paper profiles — plan-free and
-//! fault-armed — hashed and compared against constants generated from
-//! the last pre-refactor commit. The epidemic push profiles
+//! checked-in fingerprints: the corpus bytes, the obs event log, the
+//! metrics snapshot and the analysis JSON (Tables II–IV, Figs. 1–2) of
+//! all three paper profiles — plan-free and fault-armed — hashed and
+//! compared against constants generated from the last pre-refactor
+//! commit. The epidemic push profiles
 //! (Epidemic-RP / Epidemic-BA) are pinned the same way, with an extra
 //! assertion that the two push policies stay mutually distinguishable.
 //!
@@ -77,8 +78,9 @@ fn options(faults: FaultPlan, obs: Obs) -> ExperimentOptions {
     }
 }
 
-/// One observed run → (corpus hash, normalised obs-log hash, metrics hash).
-fn fingerprint(profile: AppProfile, faults: FaultPlan) -> (u64, u64, u64) {
+/// One observed run → (corpus hash, normalised obs-log hash, metrics
+/// hash, analysis-JSON hash).
+fn fingerprint(profile: AppProfile, faults: FaultPlan) -> (u64, u64, u64, u64) {
     let sink = Arc::new(RingSink::new(1 << 22));
     let obs = Obs::new(sink.clone() as Arc<dyn netaware::obs::EventSink>);
     let out = run_experiment(profile, &options(faults, obs.clone()));
@@ -102,6 +104,7 @@ fn fingerprint(profile: AppProfile, faults: FaultPlan) -> (u64, u64, u64) {
         fnv1a(&corpus),
         fnv1a(normalize(&log).as_bytes()),
         fnv1a(metrics.as_bytes()),
+        fnv1a(out.analysis.to_json().as_bytes()),
     )
 }
 
@@ -115,6 +118,7 @@ struct Golden {
     corpus: u64,
     obs_log: u64,
     metrics: u64,
+    analysis: u64,
 }
 
 /// Fingerprints of the current engine (seed 777, scale 0.02, 20 s).
@@ -123,18 +127,22 @@ struct Golden {
 /// obs logs were last regenerated when events started going straight
 /// to the sink: a departure's `peer_departed` line now precedes the
 /// `requests_requeued` and replacement `handshake` lines it causes.
-/// Only lines within one timestamp moved.
+/// Only lines within one timestamp moved. The analysis column hashes
+/// `ExperimentAnalysis::to_json()`, so any change to a Table II–IV or
+/// Fig. 1–2 number trips it; it was generated before the flow-slot
+/// sweep and the single-walk preference reduction, which left it
+/// unchanged.
 const GOLDEN: &[Golden] = &[
-    Golden { app: "PPLive", faulted: false, corpus: 0xc138c8aab60ccdf4, obs_log: 0x9586a9df3958f2e9, metrics: 0x205509e05444cf95 },
-    Golden { app: "PPLive", faulted: true, corpus: 0x08461cc584e098be, obs_log: 0xa55c30d317e7636a, metrics: 0xe587f424aa94650b },
-    Golden { app: "SopCast", faulted: false, corpus: 0x94a061318cadb6fc, obs_log: 0xd2b96dfc6840617f, metrics: 0xb99e2185ae496b5b },
-    Golden { app: "SopCast", faulted: true, corpus: 0xe352c7abd446e85d, obs_log: 0x286cc6a11ed3213d, metrics: 0x7d58c0fbf4815f89 },
-    Golden { app: "TVAnts", faulted: false, corpus: 0x8d6d98cf22f22728, obs_log: 0xe757145bfe98a813, metrics: 0xf131d489d1ecbf89 },
-    Golden { app: "TVAnts", faulted: true, corpus: 0x2fbedd7ff4d806fb, obs_log: 0x53056a224ad533b2, metrics: 0x83170092cf65f013 },
-    Golden { app: "Epidemic-RP", faulted: false, corpus: 0x029e634dc01fb8cd, obs_log: 0x7ffbff52c3642a91, metrics: 0xdad33ca7ab82f6e1 },
-    Golden { app: "Epidemic-RP", faulted: true, corpus: 0xc96981c22c6993e9, obs_log: 0xc26d3cca6709dd74, metrics: 0x42299d78469a5351 },
-    Golden { app: "Epidemic-BA", faulted: false, corpus: 0x9fe5d7a2072bd7db, obs_log: 0x15bcb6a057c0955e, metrics: 0x65089d060351e231 },
-    Golden { app: "Epidemic-BA", faulted: true, corpus: 0xd821e17b13bb1108, obs_log: 0xbe7e254c57007307, metrics: 0xabdff705c366be63 },
+    Golden { app: "PPLive", faulted: false, corpus: 0xc138c8aab60ccdf4, obs_log: 0x9586a9df3958f2e9, metrics: 0x205509e05444cf95, analysis: 0x6c7776a1746e4273 },
+    Golden { app: "PPLive", faulted: true, corpus: 0x08461cc584e098be, obs_log: 0xa55c30d317e7636a, metrics: 0xe587f424aa94650b, analysis: 0xffea966eb236147e },
+    Golden { app: "SopCast", faulted: false, corpus: 0x94a061318cadb6fc, obs_log: 0xd2b96dfc6840617f, metrics: 0xb99e2185ae496b5b, analysis: 0x9f3a964a7fe22161 },
+    Golden { app: "SopCast", faulted: true, corpus: 0xe352c7abd446e85d, obs_log: 0x286cc6a11ed3213d, metrics: 0x7d58c0fbf4815f89, analysis: 0x0912d9fab7cc0e5a },
+    Golden { app: "TVAnts", faulted: false, corpus: 0x8d6d98cf22f22728, obs_log: 0xe757145bfe98a813, metrics: 0xf131d489d1ecbf89, analysis: 0x1cc972fb9fcae9c9 },
+    Golden { app: "TVAnts", faulted: true, corpus: 0x2fbedd7ff4d806fb, obs_log: 0x53056a224ad533b2, metrics: 0x83170092cf65f013, analysis: 0xde7f543212336150 },
+    Golden { app: "Epidemic-RP", faulted: false, corpus: 0x029e634dc01fb8cd, obs_log: 0x7ffbff52c3642a91, metrics: 0xdad33ca7ab82f6e1, analysis: 0x2edaa9039988e159 },
+    Golden { app: "Epidemic-RP", faulted: true, corpus: 0xc96981c22c6993e9, obs_log: 0xc26d3cca6709dd74, metrics: 0x42299d78469a5351, analysis: 0x4a509b8d8c7ca3ee },
+    Golden { app: "Epidemic-BA", faulted: false, corpus: 0x9fe5d7a2072bd7db, obs_log: 0x15bcb6a057c0955e, metrics: 0x65089d060351e231, analysis: 0x957d99f016d950db },
+    Golden { app: "Epidemic-BA", faulted: true, corpus: 0xd821e17b13bb1108, obs_log: 0xbe7e254c57007307, metrics: 0xabdff705c366be63, analysis: 0x3c11d808e7228e5d },
 ];
 
 fn profile_by_name(name: &str) -> AppProfile {
@@ -149,7 +157,7 @@ fn check(g: &Golden) {
     let faults = if g.faulted { fault_plan() } else { FaultPlan::none() };
     assert_eq!(
         fingerprint(profile_by_name(g.app), faults),
-        (g.corpus, g.obs_log, g.metrics),
+        (g.corpus, g.obs_log, g.metrics, g.analysis),
         "{} (faulted={}) diverged from the golden artifacts",
         g.app,
         g.faulted
@@ -203,6 +211,7 @@ fn epidemic_profiles_match_golden_and_differ() {
         assert_ne!(rp.corpus, ba.corpus, "push policies indistinguishable (corpus, faulted={faulted})");
         assert_ne!(rp.obs_log, ba.obs_log, "push policies indistinguishable (obs log, faulted={faulted})");
         assert_ne!(rp.metrics, ba.metrics, "push policies indistinguishable (metrics, faulted={faulted})");
+        assert_ne!(rp.analysis, ba.analysis, "push policies indistinguishable (analysis, faulted={faulted})");
     }
 }
 
@@ -256,10 +265,11 @@ fn print_golden_table() {
     for app in GOLDEN_APPS.iter().copied() {
         for faulted in [false, true] {
             let faults = if faulted { fault_plan() } else { FaultPlan::none() };
-            let (corpus, obs_log, metrics) = fingerprint(profile_by_name(app), faults);
+            let (corpus, obs_log, metrics, analysis) = fingerprint(profile_by_name(app), faults);
             println!(
                 "    Golden {{ app: \"{app}\", faulted: {faulted}, corpus: \
-                 0x{corpus:016x}, obs_log: 0x{obs_log:016x}, metrics: 0x{metrics:016x} }},"
+                 0x{corpus:016x}, obs_log: 0x{obs_log:016x}, metrics: 0x{metrics:016x}, \
+                 analysis: 0x{analysis:016x} }},"
             );
         }
     }
