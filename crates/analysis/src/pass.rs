@@ -201,9 +201,9 @@ const RECENT_ENTRIES: usize = 1 << 10;
 /// from the same remote), then a direct-mapped table of recently seen
 /// remotes, then an ordered map holding every remote. A hash map would
 /// make the last step O(1) too, but its iteration order is not
-/// reproducible and the analysis code admits none (lint ND02); the
-/// first two steps leave the ordered map only a few percent of the
-/// records.
+/// reproducible and `crates/clippy.toml` bans it from the library
+/// crates; the first two steps leave the ordered map only a few
+/// percent of the records.
 struct SlotIndex {
     last: Option<(Ip, u32)>,
     recent: Box<[Option<(Ip, u32)>]>,
@@ -553,15 +553,117 @@ mod tests {
         }
     }
 
+    /// The reference bucketing, straight from the definition: window
+    /// `i` holds the timestamps in `[i·w, (i+1)·w)`, and the last window
+    /// also takes every later one. RX is what is addressed to the probe
+    /// and TX everything else, foreign records included; a window's
+    /// active peers are the distinct remotes of its probe-touching
+    /// records.
+    fn naive_series(
+        probe: Ip,
+        records: &[PacketRecord],
+        duration_us: u64,
+        window_us: u64,
+    ) -> RateSeries {
+        let mut windows = 1;
+        while windows * window_us < duration_us {
+            windows += 1;
+        }
+        let kbps = |bytes: u64| bytes as f64 * 8.0 / window_us as f64 * 1_000.0;
+        let mut out = RateSeries {
+            window_us,
+            ..RateSeries::default()
+        };
+        for i in 0..windows {
+            let lo = i * window_us;
+            let last = i + 1 == windows;
+            let inside: Vec<&PacketRecord> = records
+                .iter()
+                .filter(|r| r.ts_us >= lo && (last || r.ts_us < lo + window_us))
+                .collect();
+            let bytes = |rx: bool| {
+                inside
+                    .iter()
+                    .filter(|r| (r.dst == probe) == rx)
+                    .map(|r| r.size as u64)
+                    .sum::<u64>()
+            };
+            out.rx_kbps.push(kbps(bytes(true)));
+            out.tx_kbps.push(kbps(bytes(false)));
+            let peers: BTreeSet<Ip> = inside
+                .iter()
+                .filter_map(|r| match (r.src == probe, r.dst == probe) {
+                    (true, _) => Some(r.dst),
+                    (_, true) => Some(r.src),
+                    _ => None,
+                })
+                .collect();
+            out.active_peers.push(peers.len() as u32);
+        }
+        out
+    }
+
+    /// A seeded, unsorted probe stream over `windows` windows of
+    /// `window_us`: random traffic with a dozen remotes, records one µs
+    /// either side of every window edge, timestamps at and past
+    /// `duration_us`, and foreign records.
+    fn series_trace(seed: u64, probe: Ip, duration_us: u64, window_us: u64) -> Vec<PacketRecord> {
+        let mut rng = netaware_sim::DetRng::stream(seed, "series-pass-oracle");
+        let remotes: Vec<Ip> = (1..=12).map(|i| Ip::from_octets(58, 0, 0, i)).collect();
+        let mut stamps: Vec<u64> = (0..400).map(|_| rng.range(0..duration_us)).collect();
+        let mut edge = window_us;
+        while edge <= duration_us + window_us {
+            stamps.extend([edge - 1, edge]);
+            edge += window_us;
+        }
+        stamps.extend([
+            duration_us,
+            duration_us + 1,
+            duration_us + 3 * window_us,
+            u64::MAX,
+        ]);
+        let mut out = Vec::new();
+        for ts in stamps {
+            let remote = *rng.pick(&remotes);
+            let size = rng.range(40..1400u16);
+            let (src, dst) = match rng.range(0..10u8) {
+                0 => (remote, FOREIGN),
+                1..=5 => (remote, probe),
+                _ => (probe, remote),
+            };
+            out.push(rec(ts, src, dst, size, 110));
+        }
+        out
+    }
+
     #[test]
-    fn series_pass_matches_batch_bucketing() {
-        let t = sample_trace();
-        let duration = 2_000_000;
-        let streamed = run_pass(t.records(), SeriesPass::new(t.probe, duration, 100_000));
-        let batch = crate::timeseries::probe_series(&t, duration, 100_000);
-        assert_eq!(streamed.rx_kbps, batch.rx_kbps);
-        assert_eq!(streamed.tx_kbps, batch.tx_kbps);
-        assert_eq!(streamed.active_peers, batch.active_peers);
+    fn series_pass_matches_naive_reference() {
+        let probe = Ip::from_octets(10, 0, 0, 1);
+        // Durations on and off a window boundary.
+        for (duration, window) in [(2_000_000, 100_000), (1_950_000, 100_000), (99_999, 7_000)] {
+            for seed in [1, 2, 3] {
+                let records = series_trace(seed, probe, duration, window);
+                // The trace really has what the reference is meant to cover.
+                assert!(records.iter().any(|r| r.ts_us > 0 && r.ts_us % window == 0));
+                assert!(records.iter().any(|r| r.ts_us >= duration));
+                assert!(records.iter().any(|r| r.dst == FOREIGN));
+                let streamed = run_pass(&records, SeriesPass::new(probe, duration, window));
+                let want = naive_series(probe, &records, duration, window);
+                assert_eq!(streamed.window_us, want.window_us);
+                assert_eq!(
+                    streamed.rx_kbps, want.rx_kbps,
+                    "seed {seed}, window {window}"
+                );
+                assert_eq!(
+                    streamed.tx_kbps, want.tx_kbps,
+                    "seed {seed}, window {window}"
+                );
+                assert_eq!(
+                    streamed.active_peers, want.active_peers,
+                    "seed {seed}, window {window}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -325,8 +325,11 @@ impl ExperimentAnalysis {
     }
 
     /// Serialises to pretty JSON (for EXPERIMENTS.md artifacts).
+    #[expect(
+        clippy::expect_used,
+        reason = "value-tree serialisation of an in-memory struct cannot fail"
+    )]
     pub fn to_json(&self) -> String {
-        // netaware-lint: allow(PA01) value-tree serialisation of an in-memory struct cannot fail
         serde_json::to_string_pretty(self).expect("analysis serialises")
     }
 }

@@ -5,6 +5,8 @@
 //! the measured biases appear under the native policy and vanish under
 //! uniform selection on the *same* testbed.
 
+#![allow(clippy::unwrap_used)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netaware_bench::tiny_options;
 use netaware_proto::AppProfile;

@@ -12,51 +12,31 @@
 //!   materialise-then-analyze, with peak heap reported via a counting
 //!   allocator.
 
+#![allow(clippy::expect_used)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use netaware_analysis::flows::{aggregate, aggregate_probe};
 use netaware_analysis::partition::Metric;
 use netaware_analysis::preference::{preference, Dir};
 use netaware_analysis::{analyze, analyze_corpus, AnalysisConfig};
 use netaware_bench::fixture;
+use netaware_obs::alloc::{reset_peak, snapshot, CountingAlloc};
 use netaware_trace::TraceSet;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Heap meter for the streaming comparison: tracks live bytes and the
-/// high-water mark so the bench can report peak memory, not just time.
-struct CountingAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
-            let live = LIVE.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(live, Ordering::Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) };
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-    }
-}
-
+/// Heap meter for the streaming comparison, so the bench can report
+/// peak memory, not just time.
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
 /// Runs `f` and returns how far the heap high-water mark rose above the
 /// live baseline during the call, in bytes.
-fn peak_heap_of(f: impl FnOnce()) -> usize {
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
+fn peak_heap_of(f: impl FnOnce()) -> u64 {
+    let base = snapshot().live_bytes;
+    reset_peak();
     f();
-    PEAK.load(Ordering::Relaxed).saturating_sub(base)
+    snapshot().peak_bytes.saturating_sub(base)
 }
 
 fn flow_aggregation(c: &mut Criterion) {

@@ -56,7 +56,8 @@ fn build_fixture(profile: AppProfile) -> Fixture {
         profile.overlay_size,
     );
     let out = netaware_testbed::run_on_scenario(profile, &scenario, &bench_options());
-    let traces = out.traces.expect("fixtures keep traces"); // netaware-lint: allow(PA01) bench_options sets keep_traces
+    #[expect(clippy::expect_used, reason = "bench_options sets keep_traces")]
+    let traces = out.traces.expect("fixtures keep traces");
     let flows = aggregate(&traces, &AnalysisConfig::default());
     Fixture {
         app: out.app,

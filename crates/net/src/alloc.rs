@@ -95,10 +95,8 @@ impl AddressAllocator {
                 continue;
             }
             self.handed_out += 1;
-            return Ok(self
-                .prefix
-                .host(idx)
-                .expect("idx < size by construction")); // netaware-lint: allow(PA01) idx is reduced mod size above
+            #[expect(clippy::expect_used, reason = "idx is reduced mod size above")]
+            return Ok(self.prefix.host(idx).expect("idx < size by construction"));
         }
     }
 
@@ -151,7 +149,7 @@ mod tests {
     fn all_allocations_inside_prefix_and_unique() {
         let p = Prefix::of(Ip::from_octets(10, 7, 0, 0), 22);
         let mut a = AddressAllocator::scattered(p, 42);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for _ in 0..a.capacity() {
             let ip = a.next_ip().unwrap();
             assert!(p.contains(ip), "{ip} outside {p}");
@@ -165,7 +163,7 @@ mod tests {
         let p = Prefix::of(Ip::from_octets(60, 0, 0, 0), 16);
         let mut a = AddressAllocator::scattered(p, 7);
         let ips: Vec<Ip> = (0..100).map(|_| a.next_ip().unwrap()).collect();
-        let subnets: std::collections::HashSet<u32> = ips.iter().map(|ip| ip.0 >> 8).collect();
+        let subnets: std::collections::BTreeSet<u32> = ips.iter().map(|ip| ip.0 >> 8).collect();
         assert!(
             subnets.len() > 50,
             "only {} distinct /24s in 100 scattered allocations",

@@ -157,7 +157,7 @@ mod tests {
 
     #[test]
     fn all_is_exhaustive_and_unique() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for cc in CountryCode::ALL {
             assert!(seen.insert(cc));
         }

@@ -229,7 +229,7 @@ mod tests {
         let r = reg();
         let a = Ip::from_octets(130, 192, 1, 10);
         let b = Ip::from_octets(58, 4, 5, 6);
-        let hs: std::collections::HashSet<u8> = (0..32u64)
+        let hs: std::collections::BTreeSet<u8> = (0..32u64)
             .map(|s| PathModel::new(s).hops(&r, a, b))
             .collect();
         assert!(hs.len() > 1);

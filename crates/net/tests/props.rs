@@ -1,6 +1,8 @@
 //! Randomized property tests for the network substrate, driven by a
 //! seeded [`DetRng`] so every run explores the same cases.
 
+#![allow(clippy::unwrap_used)]
+
 use netaware_net::{
     hash, hops_from_ttl, ttl_at_receiver, AddressAllocator, AsId, AsInfo, AsKind, CountryCode,
     GeoRegistry, GeoRegistryBuilder, Ip, LatencyModel, PathModel, Prefix,
@@ -63,7 +65,7 @@ fn allocators_unique() {
         let p = Prefix::of(Ip::from_octets(10, 7, 0, 0), len);
         for mut alloc in [AddressAllocator::dense(p), AddressAllocator::scattered(p, seed)] {
             let cap = alloc.capacity();
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             for _ in 0..cap {
                 let ip = alloc.next_ip().unwrap();
                 assert!(p.contains(ip));

@@ -17,6 +17,12 @@
 //! lazily) and on the allocator itself, so perf reports list them among
 //! the masked wall-clock-like fields (see `profile::MASKED_FIELDS`).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "audited: the process-wide allocation tallies are commutative adds, read only at \
+              snapshot points and kept out of every deterministic artifact"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -1,12 +1,19 @@
 //! Wall-clock abstraction and span timing.
 //!
-//! The determinism contract (ND01) bans `Instant`/`SystemTime` from the
-//! simulation-facing crates; this module is where the one sanctioned
-//! wall-clock read lives. Layers that may spend real time (analysis
-//! passes, corpus streaming, report emission) time themselves through
-//! the [`Clock`] trait, so they never name a concrete clock — tests
-//! inject a [`ManualClock`], production uses [`WallClock`], and the
-//! simulation crates stay wall-clock-free.
+//! The determinism contract (`crates/clippy.toml`) bans
+//! `Instant`/`SystemTime` from the library crates; this module is where
+//! the one sanctioned wall-clock read lives. Layers that may spend real
+//! time (analysis passes, corpus streaming, report emission) time
+//! themselves through the [`Clock`] trait, so they never name a
+//! concrete clock — tests inject a [`ManualClock`], production uses
+//! [`WallClock`], and the simulation crates stay wall-clock-free.
+
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "audited: the one host-clock boundary (everything else takes a Clock handle); \
+              its Mutex is never held while taking another"
+)]
 
 use crate::locked;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -56,12 +56,16 @@ pub use profile::{
 pub use sink::{EventSink, Filter, JsonlSink, NullSink, RingSink};
 pub use summary::{LogSummary, SummaryError};
 
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, MutexGuard};
 
 /// Locks a mutex, recovering the data from a poisoned lock (a panicked
 /// holder can only have been mid-update on plain counters/buffers, which
 /// are safe to keep reading).
-pub(crate) fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+#[expect(
+    clippy::disallowed_types,
+    reason = "the lock helper of the audited obs modules"
+)]
+pub(crate) fn locked<T>(m: &std::sync::Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),

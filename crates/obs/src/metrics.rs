@@ -7,6 +7,12 @@
 //! bucket-wise addition, again order-independent. Snapshots are
 //! `BTreeMap`-ordered, so the JSON/CSV exports are byte-stable.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "audited: counter adds commute, locks are only taken map before cell, and \
+              snapshots serialise in BTreeMap order"
+)]
+
 use crate::locked;
 use netaware_sim::stats::Histogram;
 use serde::{Deserialize, Serialize};

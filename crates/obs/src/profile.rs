@@ -35,6 +35,12 @@
 //! Spans close in `Drop`, so a panicking scope still records itself and
 //! its ancestors stay balanced (also pinned by tests).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "audited: span tallies are commutative adds read only at snapshot points, and \
+              node locks are only taken parent before child"
+)]
+
 use crate::alloc;
 use crate::clock::Clock;
 use crate::locked;

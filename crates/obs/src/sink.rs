@@ -4,6 +4,11 @@
 //! sink can be shared between the emitting layer and the caller that
 //! later inspects what was collected (keep an `Arc` clone).
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "audited: each sink's one Mutex is never held while taking another"
+)]
+
 use crate::event::{Event, Level};
 use crate::locked;
 use std::collections::VecDeque;

@@ -8,7 +8,7 @@
 //! [`AppProfile`](crate::profiles::AppProfile) *constructs* one
 //! ([`AppProfile::stack`](crate::profiles::AppProfile::stack)), and the
 //! dispatcher in `swarm/dispatch.rs` is the only place a raw simulation
-//! [`Event`] is ever matched (lint rule BH01 enforces this).
+//! [`Event`] is ever matched: no hook signature receives one.
 //!
 //! ## Determinism contract
 //!
@@ -122,7 +122,8 @@ impl Ctx<'_, '_> {
 /// Every hook has a no-op default, so a behaviour implements only the
 /// events it cares about. Hooks run in fixed stack order for each
 /// event; effects that must reach the scheduler go through
-/// [`Ctx::schedule`], never a direct queue push (lint rule BH01).
+/// [`Ctx::schedule`], never a direct queue push: no hook receives the
+/// scheduler.
 #[allow(unused_variables)]
 pub trait Behaviour {
     /// Short stable name, used to label this behaviour's node in the

@@ -1,6 +1,6 @@
 //! The deterministic dispatcher: the **only** module that matches raw
-//! simulation [`Event`]s or touches the scheduler (lint rule BH01
-//! holds everywhere else in `crates/proto`).
+//! simulation [`Event`]s or touches the scheduler (no behaviour hook
+//! receives either).
 //!
 //! For every popped event the dispatcher runs the behaviour hooks in
 //! fixed stack order — discovery, announce, churn-recovery, scheduling,
@@ -10,7 +10,7 @@
 //! timestamp ties by a canonical `(origin, oseq)` key assigned at
 //! insertion, this two-phase scheme inserts events in exactly the order
 //! the monolithic handler did, which is what keeps same-seed runs
-//! byte-identical across the decomposition (ND01–ND05; pinned by
+//! byte-identical across the decomposition (pinned by
 //! `tests/golden_behaviours.rs`).
 //!
 //! ## Lane keys

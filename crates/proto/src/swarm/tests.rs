@@ -183,8 +183,8 @@ fn rx_video_ipg_reflects_sender_class() {
         .iter()
         .find(|t| t.probe == lan_probe)
         .unwrap();
-    let mut min_gap: std::collections::HashMap<Ip, u64> = std::collections::HashMap::new();
-    let mut last_ts: std::collections::HashMap<Ip, u64> = std::collections::HashMap::new();
+    let mut min_gap: std::collections::BTreeMap<Ip, u64> = std::collections::BTreeMap::new();
+    let mut last_ts: std::collections::BTreeMap<Ip, u64> = std::collections::BTreeMap::new();
     for r in trace.records() {
         if r.dst != lan_probe || r.size < 1000 {
             continue;
@@ -250,7 +250,7 @@ fn pplive_contacts_vastly_more_peers() {
     let (set_pp, _) = run_mini(pp, 30, 10);
     let (set_tv, _) = run_mini(small_profile(AppProfile::tvants()), 30, 10);
     let distinct = |set: &netaware_trace::TraceSet| {
-        let mut s = std::collections::HashSet::new();
+        let mut s = std::collections::BTreeSet::new();
         for t in &set.traces {
             for r in t.records_unsorted() {
                 s.insert(if r.src == t.probe { r.dst } else { r.src });
@@ -400,7 +400,7 @@ fn sample_held_uniformity_and_edges() {
     for c in [2u32, 5, 9] {
         m.insert(ChunkId(c));
     }
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = std::collections::BTreeSet::new();
     for pick in 0..30u32 {
         let c = sample_held(&m, pick).unwrap();
         assert!(m.contains(c));
@@ -421,7 +421,7 @@ fn halo_contacts_appear_as_signaling_only_peers() {
     let mut signaling_only = 0;
     let mut with_video = 0;
     for t in &set.traces {
-        let mut by_remote: std::collections::HashMap<Ip, bool> = std::collections::HashMap::new();
+        let mut by_remote: std::collections::BTreeMap<Ip, bool> = std::collections::BTreeMap::new();
         for r in t.records_unsorted() {
             let remote = if r.src == t.probe { r.dst } else { r.src };
             let e = by_remote.entry(remote).or_insert(false);
@@ -445,7 +445,7 @@ fn demand_stickiness_narrows_the_requester_set() {
         };
         let (set, _) = run_mini(profile, 60, seed);
         // Count distinct remotes the probes sent video to.
-        let mut requesters = std::collections::HashSet::new();
+        let mut requesters = std::collections::BTreeSet::new();
         for t in &set.traces {
             for r in t.records_unsorted() {
                 if r.src == t.probe && r.size >= 1000 {
@@ -492,7 +492,7 @@ fn upload_backlog_cap_limits_serving() {
 fn per_probe_report_rows_cover_every_probe() {
     let (set, report) = run_mini(small_profile(AppProfile::tvants()), 20, 17);
     assert_eq!(report.per_probe.len(), set.traces.len());
-    let probes: std::collections::HashSet<Ip> = set.traces.iter().map(|t| t.probe).collect();
+    let probes: std::collections::BTreeSet<Ip> = set.traces.iter().map(|t| t.probe).collect();
     for row in &report.per_probe {
         assert!(probes.contains(&row.probe));
         assert!((0.0..=1.0).contains(&row.continuity));

@@ -185,9 +185,13 @@ impl SwarmCore<'_> {
         let stream = self.cfg.stream;
         let n_pkts = stream.packets_per_chunk();
         let lat = self.delay_us(provider, to);
+        #[expect(
+            clippy::expect_used,
+            reason = "dispatch routes probe providers here only"
+        )]
         let prov_idx = self
             .probe_index(provider)
-            .expect("probe_serve_chunk needs a probe provider"); // netaware-lint: allow(PA01) dispatch routes probe providers here only
+            .expect("probe_serve_chunk needs a probe provider");
         let to_probe = self.is_probe(to);
 
         let mut train = ChunkTrain {
@@ -289,9 +293,10 @@ impl SwarmCore<'_> {
         let n_pkts = stream.packets_per_chunk();
         let lat = self.delay_us(provider, to);
         let ttl = self.ttl_to(provider, to);
+        #[expect(clippy::expect_used, reason = "only probes issue chunk requests")]
         let to_idx = self
             .probe_index(to)
-            .expect("external_serve_chunk requester must be a probe"); // netaware-lint: allow(PA01) only probes issue chunk requests
+            .expect("external_serve_chunk requester must be a probe");
 
         // Real clients bound their upload queue: an external whose
         // uplink is already seconds behind refuses further requests (the
@@ -382,7 +387,11 @@ impl SwarmCore<'_> {
         provider: PeerId,
         to: PeerId,
     ) -> bool {
-        let prov_idx = self.probe_index(provider).expect("provider must be probe"); // netaware-lint: allow(PA01) halo path picks probe providers only
+        #[expect(
+            clippy::expect_used,
+            reason = "the halo path picks probe providers only"
+        )]
+        let prov_idx = self.probe_index(provider).expect("provider must be probe");
         // Refuse when the uplink backlog is past the cap — the real
         // clients stop accepting requests when saturated.
         if self.probe_states[prov_idx].link.uplink.backlog_us(now)

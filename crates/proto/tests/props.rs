@@ -3,11 +3,11 @@
 
 use netaware_proto::{BufferMap, Candidate, ChunkId, SelectionPolicy, StreamParams, BUFFER_WINDOW};
 use netaware_sim::DetRng;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 const CASES: usize = 256;
 
-/// Model-based test of the buffer map against a HashSet reference that
+/// Model-based test of the buffer map against a BTreeSet reference that
 /// implements the same sliding-window semantics.
 #[derive(Debug, Clone)]
 enum Op {
@@ -33,7 +33,7 @@ fn bufmap_matches_reference() {
         let n = rng.range(0..200usize);
         let ops: Vec<Op> = (0..n).map(|_| arb_op(&mut rng)).collect();
         let mut map = BufferMap::new();
-        let mut reference: HashSet<u32> = HashSet::new();
+        let mut reference: BTreeSet<u32> = BTreeSet::new();
         let mut base = 0u32;
         for op in ops {
             match op {
@@ -83,8 +83,10 @@ fn bufmap_missing_is_complement() {
             map.insert(ChunkId(c));
         }
         let to = from + span;
-        let missing: HashSet<u32> =
-            map.missing_in(ChunkId(from), ChunkId(to)).map(|c| c.0).collect();
+        let missing: BTreeSet<u32> = map
+            .missing_in(ChunkId(from), ChunkId(to))
+            .map(|c| c.0)
+            .collect();
         for c in from..=to {
             assert_eq!(missing.contains(&c), !map.contains(ChunkId(c)));
         }

@@ -75,10 +75,14 @@ impl Sub<SimTime> for SimTime {
     type Output = u64;
     /// Microseconds between two times; panics when `rhs` is later (use
     /// [`SimTime::since`] for the saturating form).
+    #[expect(
+        clippy::expect_used,
+        reason = "panicking is this operator's documented contract"
+    )]
     fn sub(self, rhs: SimTime) -> u64 {
         self.0
             .checked_sub(rhs.0)
-            .expect("SimTime subtraction underflow") // netaware-lint: allow(PA01) panic is this operator's documented contract
+            .expect("SimTime subtraction underflow")
     }
 }
 

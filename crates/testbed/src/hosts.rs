@@ -91,12 +91,13 @@ impl HostDef {
     }
 
     /// The site definition for this host.
+    #[expect(clippy::expect_used, reason = "table1_hosts only uses SITES names")]
     pub fn site_def(&self) -> Site {
         SITES
             .iter()
             .copied()
             .find(|s| s.name == self.site)
-            .expect("host references a known site") // netaware-lint: allow(PA01) table1_hosts only uses SITES names
+            .expect("host references a known site")
     }
 }
 
@@ -193,12 +194,11 @@ mod tests {
         let institutional = hosts.iter().filter(|h| !h.home).count();
         assert_eq!(institutional, 39);
         // Seven sites, four countries, six institution ASes.
-        let sites: std::collections::HashSet<_> = hosts.iter().map(|h| h.site).collect();
+        let sites: std::collections::BTreeSet<_> = hosts.iter().map(|h| h.site).collect();
         assert_eq!(sites.len(), 7);
-        let ccs: std::collections::HashSet<_> =
-            hosts.iter().map(|h| h.site_def().cc).collect();
+        let ccs: std::collections::BTreeSet<_> = hosts.iter().map(|h| h.site_def().cc).collect();
         assert_eq!(ccs.len(), 4);
-        let ases: std::collections::HashSet<_> = hosts
+        let ases: std::collections::BTreeSet<_> = hosts
             .iter()
             .filter(|h| !h.home)
             .map(|h| h.site_def().as_label)

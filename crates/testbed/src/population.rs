@@ -174,7 +174,7 @@ mod tests {
     #[test]
     fn addresses_unique_and_in_prefix() {
         let peers = generate(&slots(), &PopulationConfig { size: 3_000, seed: 3 });
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for p in &peers {
             assert!(seen.insert(p.ip), "duplicate {ip}", ip = p.ip);
             assert!(

@@ -131,23 +131,27 @@ impl BuiltScenario {
         // so registration cannot fail at runtime.
         for (id, name, cc, p) in AS_ACADEMIC {
             b.register_as(AsInfo::new(id, cc, AsKind::Academic, name));
+            #[expect(clippy::expect_used, reason = "const table, disjoint by construction")]
             b.announce(Prefix::of(Ip::from_octets(p[0], p[1], 0, 0), 16), AsId(id))
-                .expect("academic prefix"); // netaware-lint: allow(PA01) const table, disjoint by construction
+                .expect("academic prefix");
         }
         for (id, name, cc, p) in AS_RESIDENTIAL {
             b.register_as(AsInfo::new(id, cc, AsKind::ResidentialIsp, name));
+            #[expect(clippy::expect_used, reason = "const table, disjoint by construction")]
             b.announce(Prefix::of(Ip::from_octets(p[0], p[1], 0, 0), 16), AsId(id))
-                .expect("residential prefix"); // netaware-lint: allow(PA01) const table, disjoint by construction
+                .expect("residential prefix");
         }
         for (id, name, p, _) in AS_CN {
             b.register_as(AsInfo::new(id, CountryCode::CN, AsKind::Carrier, name));
+            #[expect(clippy::expect_used, reason = "const table, disjoint by construction")]
             b.announce(Prefix::of(Ip::from_octets(p[0], p[1], 0, 0), 10), AsId(id))
-                .expect("CN prefix"); // netaware-lint: allow(PA01) const table, disjoint by construction
+                .expect("CN prefix");
         }
         for (id, name, cc, p) in AS_WORLD {
             b.register_as(AsInfo::new(id, cc, AsKind::Carrier, name));
+            #[expect(clippy::expect_used, reason = "const table, disjoint by construction")]
             b.announce(Prefix::of(Ip::from_octets(p[0], p[1], 0, 0), 12), AsId(id))
-                .expect("world prefix"); // netaware-lint: allow(PA01) const table, disjoint by construction
+                .expect("world prefix");
         }
         let registry = b.build();
 
@@ -162,25 +166,30 @@ impl BuiltScenario {
             let site = h.site_def();
             let ip = if h.home {
                 let asn = home_as_for(h.site, h.host);
+                #[expect(clippy::expect_used, reason = "home_as_for only returns table ids")]
                 let (_, _, _, p) = AS_RESIDENTIAL
                     .iter()
                     .find(|(id, ..)| *id == asn)
-                    .expect("home AS registered"); // netaware-lint: allow(PA01) home_as_for only returns table ids
+                    .expect("home AS registered");
                 let alloc = home_allocs.entry(asn).or_insert_with(|| {
                     AddressAllocator::dense(Prefix::of(
                         Ip::from_octets(p[0], p[1], 77, 0),
                         24,
                     ))
                 });
-                // netaware-lint: allow(PA01) a /24 holds every Table-1 home host
+                #[expect(clippy::expect_used, reason = "a /24 holds every Table-1 home host")]
                 alloc.next_ip().expect("home subnet has room")
             } else {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "every SITES label appears in AS_ACADEMIC"
+                )]
                 let (_, _, _, p) = AS_ACADEMIC
                     .iter()
                     .find(|(_, name, ..)| name.starts_with(site.as_label))
-                    .expect("site AS registered"); // netaware-lint: allow(PA01) every SITES label appears in AS_ACADEMIC
+                    .expect("site AS registered");
                 // Site subnet: one /24 per site, numbered by site index.
-                // netaware-lint: allow(PA01) host site names come from SITES itself
+                #[expect(clippy::unwrap_used, reason = "host site names come from SITES itself")]
                 let site_idx = SITES.iter().position(|s| s.name == h.site).unwrap() as u8;
                 Ip::from_octets(p[0], p[1], 10 + site_idx, h.host)
             };

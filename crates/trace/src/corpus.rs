@@ -43,7 +43,10 @@ impl TraceSet {
             probes: self.traces.iter().map(|t| t.probe).collect(),
             total_packets: self.total_packets(),
         };
-        // netaware-lint: allow(PA01) value-tree serialisation of an in-memory struct cannot fail
+        #[expect(
+            clippy::expect_used,
+            reason = "value-tree serialisation of an in-memory struct cannot fail"
+        )]
         let js = serde_json::to_string_pretty(&manifest).expect("manifest serialises");
         std::fs::write(dir.join("manifest.json"), js)?;
         Ok(manifest)

@@ -1,10 +1,11 @@
-//! CLI entry point: `cargo run -p netaware-xtask -- lint [--format sarif]`.
+//! Workspace tasks: `cargo run -p netaware-xtask -- perf [options]`
+//! runs the perf-snapshot matrix and its budget gate (see [`perf`]).
 //!
-//! Exit codes: 0 = clean (or warn-only without `--deny-warnings`),
-//! 1 = unsuppressed deny findings (or any finding under
-//! `--deny-warnings`), 2 = usage or I/O error.
+//! Exit codes: 0 = success (or every gated series within budget),
+//! 1 = series over budget, 2 = usage or I/O error.
 
-use netaware_xtask::{apply_baseline, baseline, perf as perf_mod, sarif, LintReport};
+mod perf;
+
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -15,28 +16,17 @@ use std::process::ExitCode;
 #[global_allocator]
 static ALLOC: netaware_obs::alloc::CountingAlloc = netaware_obs::alloc::CountingAlloc;
 
-/// Writes to stdout, tolerating a closed pipe (e.g. `lint | head`).
+/// Writes to stdout, tolerating a closed pipe (e.g. `perf | head`).
 fn out(s: std::fmt::Arguments<'_>) {
     let _ = writeln!(std::io::stdout(), "{s}");
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: netaware-xtask <command>\n\n\
-         commands:\n  \
-         lint [options]   run the workspace lint pass\n  \
-         perf [options]   run the perf matrix (6 app cells + 2 scenario cells); write BENCH_*.json snapshots\n  \
-         rules [--json]   print the lint catalogue\n\n\
-         lint options:\n  \
-         --format <text|json|sarif>  output format (default text)\n  \
-         --json                      shorthand for --format json\n  \
-         --out <file>                write the report to a file instead of stdout\n  \
-         --root <dir>                workspace root (default: two above the xtask crate)\n  \
-         --baseline <file>           suppression baseline (default: <root>/lint-baseline.json)\n  \
-         --no-baseline               ignore any baseline file\n  \
-         --write-baseline [<file>]   record all current findings as the new baseline\n  \
-         --deny-warnings             treat warn-level findings as failures (CI mode)\n\n\
-         perf options:\n  \
+        "usage: netaware-xtask perf [options]\n\n\
+         Runs the perf matrix (6 app cells + 2 scenario cells) and writes\n\
+         one BENCH_<scenario>.json snapshot per cell.\n\n\
+         options:\n  \
          --out-dir <dir>             where BENCH_<scenario>.json land (default: workspace root)\n  \
          --check [<file>]            gate against a baseline (default: <root>/perf-baseline.json)\n  \
          --write-baseline [<file>]   record the gated series of this run as the new baseline\n  \
@@ -47,163 +37,16 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Output formats for `lint`.
-enum Format {
-    Text,
-    Json,
-    Sarif,
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("lint") => lint(&args[1..]),
-        Some("perf") => perf(&args[1..]),
-        Some("rules") => {
-            let json = args[1..].iter().any(|a| a == "--json");
-            if json {
-                out(format_args!("{}", netaware_xtask::catalogue_json()));
-            } else {
-                let _ = write!(std::io::stdout(), "{}", netaware_xtask::catalogue());
-            }
-            ExitCode::SUCCESS
-        }
+        Some("perf") => run_perf(&args[1..]),
         _ => usage(),
     }
 }
 
-fn lint(args: &[String]) -> ExitCode {
-    let mut format = Format::Text;
-    let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut no_baseline = false;
-    let mut write_baseline: Option<Option<PathBuf>> = None;
-    let mut deny_warnings = false;
-    let mut out_path: Option<PathBuf> = None;
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--json" => format = Format::Json,
-            "--format" => match it.next().map(String::as_str) {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some("sarif") => format = Format::Sarif,
-                _ => return usage(),
-            },
-            "--root" => match it.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => return usage(),
-            },
-            "--baseline" => match it.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--no-baseline" => no_baseline = true,
-            "--write-baseline" => {
-                // Optional file operand: consume the next arg unless it
-                // looks like another flag.
-                let file = it
-                    .peek()
-                    .filter(|n| !n.starts_with("--"))
-                    .map(|n| PathBuf::from(n.as_str()));
-                if file.is_some() {
-                    it.next();
-                }
-                write_baseline = Some(file);
-            }
-            "--deny-warnings" => deny_warnings = true,
-            "--out" => match it.next() {
-                Some(p) => out_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            _ => return usage(),
-        }
-    }
-    let root = root.unwrap_or_else(workspace_root);
-    let diags = match netaware_xtask::lint_workspace(&root) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!(
-                "netaware-xtask: cannot walk workspace at {}: {e}",
-                root.display()
-            );
-            return ExitCode::from(2);
-        }
-    };
-
-    if let Some(file) = write_baseline {
-        let path = file.unwrap_or_else(|| root.join("lint-baseline.json"));
-        let text = baseline::render(&diags);
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("netaware-xtask: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        out(format_args!(
-            "netaware-xtask lint: wrote {} suppression(s) to {}",
-            diags.len(),
-            path.display()
-        ));
-        return ExitCode::SUCCESS;
-    }
-
-    let base = if no_baseline {
-        None
-    } else {
-        let path = baseline_path.unwrap_or_else(|| root.join("lint-baseline.json"));
-        if path.exists() {
-            match std::fs::read_to_string(&path) {
-                Ok(text) => match baseline::Baseline::parse(&text) {
-                    Ok(b) => Some(b),
-                    Err(e) => {
-                        eprintln!("netaware-xtask: {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                },
-                Err(e) => {
-                    eprintln!("netaware-xtask: cannot read {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        } else if baseline_path_was_explicit(args) {
-            eprintln!("netaware-xtask: baseline {} not found", path.display());
-            return ExitCode::from(2);
-        } else {
-            None
-        }
-    };
-    let report = apply_baseline(diags, base.as_ref());
-
-    let rendered = match format {
-        Format::Text => None,
-        Format::Json => Some(netaware_xtask::json_report(&report.active)),
-        Format::Sarif => Some(sarif::report(&report.active, &report.suppressed)),
-    };
-    match (rendered, &out_path) {
-        (Some(text), Some(path)) => {
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("netaware-xtask: cannot write {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        }
-        (Some(text), None) => {
-            let _ = write!(std::io::stdout(), "{text}");
-            if !text.ends_with('\n') {
-                out(format_args!(""));
-            }
-        }
-        (None, _) => render_text(&report),
-    }
-
-    let failing = report.deny_count() + if deny_warnings { report.warn_count() } else { 0 };
-    if failing == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
-}
-
-fn perf(args: &[String]) -> ExitCode {
-    let mut cfg = perf_mod::PerfConfig::default();
+fn run_perf(args: &[String]) -> ExitCode {
+    let mut cfg = perf::PerfConfig::default();
     let mut out_dir: Option<PathBuf> = None;
     let mut check: Option<Option<PathBuf>> = None;
     let mut write_baseline: Option<Option<PathBuf>> = None;
@@ -259,7 +102,7 @@ fn perf(args: &[String]) -> ExitCode {
         return ExitCode::from(2);
     }
 
-    let reports = perf_mod::run_matrix(&cfg);
+    let reports = perf::run_matrix(&cfg);
     for r in &reports {
         let path = out_dir.join(format!("BENCH_{}.json", r.meta.scenario));
         if let Err(e) = std::fs::write(&path, r.to_json()) {
@@ -279,13 +122,13 @@ fn perf(args: &[String]) -> ExitCode {
 
     if let Some(file) = write_baseline {
         let path = file.unwrap_or_else(|| root.join("perf-baseline.json"));
-        if let Err(e) = std::fs::write(&path, perf_mod::render_baseline(&reports)) {
+        if let Err(e) = std::fs::write(&path, perf::render_baseline(&reports)) {
             eprintln!("netaware-xtask: cannot write {}: {e}", path.display());
             return ExitCode::from(2);
         }
         out(format_args!(
             "perf: wrote {} gated series to {}",
-            perf_mod::gated_series(&reports).len(),
+            perf::gated_series(&reports).len(),
             path.display()
         ));
         return ExitCode::SUCCESS;
@@ -300,15 +143,15 @@ fn perf(args: &[String]) -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let baseline = match perf_mod::Baseline::parse(&body) {
+        let baseline = match perf::Baseline::parse(&body) {
             Ok(b) => b,
             Err(e) => {
                 eprintln!("netaware-xtask: {}: {e}", path.display());
                 return ExitCode::from(2);
             }
         };
-        let breaches = perf_mod::check(
-            &perf_mod::gated_series(&reports),
+        let breaches = perf::check(
+            &perf::gated_series(&reports),
             &baseline.series,
             tolerance,
             wall_tolerance,
@@ -333,40 +176,6 @@ fn perf(args: &[String]) -> ExitCode {
         return ExitCode::from(1);
     }
     ExitCode::SUCCESS
-}
-
-/// Whether `--baseline` appeared explicitly (a missing default baseline
-/// is fine; a missing explicit one is an error).
-fn baseline_path_was_explicit(args: &[String]) -> bool {
-    args.iter().any(|a| a == "--baseline")
-}
-
-fn render_text(report: &LintReport) {
-    for d in &report.active {
-        out(format_args!("{}", d.render()));
-    }
-    for stale in &report.stale {
-        out(format_args!(
-            "netaware-xtask lint: stale baseline entry {stale} — regenerate with --write-baseline"
-        ));
-    }
-    let deny = report.deny_count();
-    let warn = report.warn_count();
-    if deny == 0 && warn == 0 {
-        if report.suppressed.is_empty() {
-            out(format_args!("netaware-xtask lint: clean"));
-        } else {
-            out(format_args!(
-                "netaware-xtask lint: clean ({} baselined finding(s))",
-                report.suppressed.len()
-            ));
-        }
-    } else {
-        out(format_args!(
-            "netaware-xtask lint: {deny} deny, {warn} warn ({} baselined)",
-            report.suppressed.len()
-        ));
-    }
 }
 
 /// The workspace root: `CARGO_MANIFEST_DIR` is `crates/xtask`, two up.

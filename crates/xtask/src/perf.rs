@@ -111,8 +111,12 @@ pub fn run_plan_cell(
         scale_permille: (cfg.scale * 1000.0).round() as u64,
         sim_secs: cfg.sim_secs,
     };
-    // netaware-lint: allow(PA01) a handle built by Obs::profiled() always carries a profiler
-    obs.perf_report(meta).expect("profiled handle has a profiler")
+    #[expect(
+        clippy::expect_used,
+        reason = "a handle built by Obs::profiled() always carries a profiler"
+    )]
+    obs.perf_report(meta)
+        .expect("profiled handle has a profiler")
 }
 
 /// Runs the full 3-application × {clean, faulted} matrix plus the

@@ -159,7 +159,12 @@ fn parse_common(args: &[String]) -> Result<Common, String> {
                 }
                 c.scale = s;
             }
-            "--secs" => c.secs = take(&mut i)?.parse().map_err(|e| format!("secs: {e}"))?,
+            "--secs" => {
+                c.secs = take(&mut i)?.parse().map_err(|e| format!("secs: {e}"))?;
+                if c.secs == 0 {
+                    return Err(String::from("secs 0 must be > 0"));
+                }
+            }
             "--seed" => {
                 c.seed = take(&mut i)?.parse().map_err(|e| format!("seed: {e}"))?;
                 c.seed_set = true;
@@ -184,7 +189,12 @@ fn parse_common(args: &[String]) -> Result<Common, String> {
             "--app" => c.app = Some(take(&mut i)?),
             "--uniform" => c.uniform = true,
             "--persite" => c.persite = true,
-            "--runs" => c.runs = take(&mut i)?.parse().map_err(|e| format!("runs: {e}"))?,
+            "--runs" => {
+                c.runs = take(&mut i)?.parse().map_err(|e| format!("runs: {e}"))?;
+                if c.runs == 0 {
+                    return Err(String::from("runs 0 must be > 0"));
+                }
+            }
             "--probe" => {
                 let ip: Ip = take(&mut i)?
                     .parse()

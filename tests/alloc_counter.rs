@@ -1,18 +1,21 @@
 //! Counting-allocator accuracy, pinned against known allocation
-//! patterns, the allocation budgets of two hot loops, and the bound on
-//! what a lying trace header can make the reader allocate. The counters
-//! are process-wide, so every check runs in sequence inside one test:
-//! tests of one binary run on parallel threads, and each would count
-//! the others' allocations.
+//! patterns, the allocation budgets of two hot loops, the bound on what
+//! a lying trace header can make the reader allocate, and the streaming
+//! analysis's memory bound. The counters are process-wide, so every
+//! check runs in sequence inside one test: tests of one binary run on
+//! parallel threads, and each would count the others' allocations.
 
-use netaware::obs::alloc::{snapshot, CountingAlloc};
+use netaware::net::{GeoRegistryBuilder, Ip};
+use netaware::obs::alloc::{reset_peak, snapshot, CountingAlloc};
 use netaware::proto::{NetworkEnv, StreamParams, Swarm, SwarmConfig};
 use netaware::sim::{Scheduler, SimTime};
 use netaware::testbed::{BuiltScenario, ScenarioConfig};
 use netaware::trace::{
     read_trace, write_trace, MemorySink, PacketRecord, PayloadKind, ProbeTrace, TraceError,
+    TraceSet,
 };
-use netaware::AppProfile;
+use netaware::{analyze_corpus, AnalysisConfig, AppProfile};
+use std::collections::BTreeSet;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -23,6 +26,7 @@ fn counters_track_a_known_allocation_pattern_exactly() {
     scheduler_steady_state_allocates_nothing();
     swarm_loop_allocates_less_than_once_per_event();
     lying_trace_header_allocates_little();
+    corpus_analysis_heap_is_bounded_by_remotes_not_records();
 }
 
 fn known_pattern_is_counted_exactly() {
@@ -180,5 +184,57 @@ fn lying_trace_header_allocates_little() {
     assert!(
         allocated < 4 << 20,
         "a lying header made the reader allocate {allocated} bytes"
+    );
+}
+
+fn corpus_analysis_heap_is_bounded_by_remotes_not_records() {
+    // `analyze_corpus` streams each probe's records through per-probe
+    // accumulators, so its peak heap grows with the remotes a probe
+    // talks to, never with the records. One probe with 8 remotes and
+    // 200 000 records (4.8 MB once decoded) makes buffering even one
+    // probe's records stand out against a few kilobytes of flow state.
+    const RECORDS: u64 = 200_000;
+    let probe = Ip::from_octets(130, 192, 1, 9);
+    let mut t = ProbeTrace::new(probe);
+    for i in 0..RECORDS {
+        let remote = Ip::from_octets(58, 0, 0, (i % 8) as u8 + 1);
+        let (src, dst) = if i % 4 == 0 {
+            (probe, remote)
+        } else {
+            (remote, probe)
+        };
+        t.push(PacketRecord {
+            ts_us: i * 50,
+            src,
+            dst,
+            sport: 1,
+            dport: 2,
+            size: 1250,
+            ttl: 110,
+            kind: PayloadKind::Video,
+        });
+    }
+    let mut set = TraceSet::new("HeapBound", RECORDS * 50);
+    set.add(t);
+    set.finalize();
+    let dir = std::env::temp_dir().join(format!("netaware_heap_bound_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    set.write_dir(&dir).expect("spill the corpus");
+    drop(set);
+    let registry = GeoRegistryBuilder::new().build();
+    let cfg = AnalysisConfig::default();
+    let highbw = BTreeSet::new();
+
+    let base = snapshot().live_bytes;
+    reset_peak();
+    let analysis = analyze_corpus(&dir, &registry, &cfg, &highbw);
+    let grew = snapshot().peak_bytes.saturating_sub(base);
+    let _ = std::fs::remove_dir_all(&dir);
+    let analysis = analysis.expect("the corpus analyses");
+    assert_eq!(analysis.total_packets as u64, RECORDS);
+    let decoded = std::mem::size_of::<PacketRecord>() as u64 * RECORDS;
+    assert!(
+        grew < decoded / 8,
+        "analyze_corpus grew the heap by {grew} bytes for {decoded} bytes of decoded records"
     );
 }

@@ -67,27 +67,33 @@ fn run_rejects_unknown_app() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown app"));
 }
 
+/// Every numeric flag that `parse_common` range-checks is a usage error
+/// (exit 2) that names the bad value and prints no tables.
 #[test]
 fn run_rejects_invalid_scale() {
-    for scale in ["NaN", "-1", "0"] {
+    let cases = [
+        ("--scale", "NaN", "scale NaN must be finite and > 0"),
+        ("--scale", "-1", "scale -1 must be finite and > 0"),
+        ("--scale", "0", "scale 0 must be finite and > 0"),
+        ("--secs", "0", "secs 0 must be > 0"),
+        ("--runs", "0", "runs 0 must be > 0"),
+    ];
+    for (flag, value, message) in cases {
         let out = cli()
-            .args(["run", "pplive", "--scale", scale, "--secs", "1"])
+            .args(["run", "pplive", "--secs", "1", flag, value])
             .output()
             .expect("spawn");
         assert_eq!(
             out.status.code(),
             Some(2),
-            "--scale {scale} must be a usage error"
+            "{flag} {value} must be a usage error"
         );
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(
-            err.contains(&format!("scale {scale} must be finite and > 0")),
-            "--scale {scale}: unexpected stderr {err}"
+            err.contains(message),
+            "{flag} {value}: unexpected stderr {err}"
         );
-        assert!(
-            out.stdout.is_empty(),
-            "--scale {scale} still printed tables"
-        );
+        assert!(out.stdout.is_empty(), "{flag} {value} still printed tables");
     }
 }
 
