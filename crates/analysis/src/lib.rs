@@ -10,8 +10,8 @@
 //!
 //! 1. [`pass`] — the streaming engine: [`pass::AnalysisPass`]
 //!    accumulators observe each record of a probe exactly once (flow
-//!    aggregation, windowed rates, timeseries buckets), composing in
-//!    tuples so one sweep feeds every registered pass;
+//!    aggregation, windowed rates); the drivers in [`report`] feed one
+//!    sweep per probe through all of them;
 //! 2. [`flows`] — aggregate each probe's trace into per-remote flow
 //!    statistics: bytes/packets per direction, video bytes by the size
 //!    heuristic, minimum inter-packet gap of received video trains, and
@@ -59,11 +59,9 @@ pub mod persite;
 pub mod preference;
 pub mod report;
 pub mod scenario;
-pub mod scatter;
 pub mod selfbias;
 pub mod summary;
 pub mod tables;
-pub mod timeseries;
 pub mod validation;
 
 pub use heuristics::AnalysisConfig;

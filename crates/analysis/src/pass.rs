@@ -5,9 +5,9 @@
 //! record slices independently cannot scale there. An [`AnalysisPass`]
 //! is the alternative contract: an accumulator that observes each
 //! [`PacketRecord`] of one probe **once**, in timestamp order, and
-//! yields its result at the end. Passes compose as tuples, so a driver
-//! feeds one record stream through every registered pass in a single
-//! sweep — from an in-memory trace or straight off disk
+//! yields its result at the end. The drivers in [`crate::report`] bundle
+//! the passes into one per-probe pass, so one record stream feeds every
+//! pass in a single sweep — from an in-memory trace or straight off disk
 //! ([`crate::report::analyze_corpus`]) with peak memory bounded by the
 //! accumulator state, not the capture size.
 //!
@@ -17,12 +17,10 @@
 
 use crate::flows::{FlowStats, ProbeFlows};
 use crate::heuristics::AnalysisConfig;
-use crate::timeseries::RateSeries;
 use netaware_net::Ip;
 use netaware_sim::{RateMeter, SimTime};
 use netaware_trace::PacketRecord;
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
 /// An incremental analysis over one probe's record stream.
 ///
@@ -37,35 +35,6 @@ pub trait AnalysisPass {
 
     /// Consumes the accumulator into its result.
     fn finish(self) -> Self::Output;
-}
-
-/// Two passes over one stream, still one sweep.
-impl<A: AnalysisPass, B: AnalysisPass> AnalysisPass for (A, B) {
-    type Output = (A::Output, B::Output);
-
-    fn on_record(&mut self, rec: &PacketRecord) {
-        self.0.on_record(rec);
-        self.1.on_record(rec);
-    }
-
-    fn finish(self) -> Self::Output {
-        (self.0.finish(), self.1.finish())
-    }
-}
-
-/// Three passes over one stream, still one sweep.
-impl<A: AnalysisPass, B: AnalysisPass, C: AnalysisPass> AnalysisPass for (A, B, C) {
-    type Output = (A::Output, B::Output, C::Output);
-
-    fn on_record(&mut self, rec: &PacketRecord) {
-        self.0.on_record(rec);
-        self.1.on_record(rec);
-        self.2.on_record(rec);
-    }
-
-    fn finish(self) -> Self::Output {
-        (self.0.finish(), self.1.finish(), self.2.finish())
-    }
 }
 
 /// Streams `records` once through `pass` and returns its output.
@@ -267,8 +236,8 @@ pub struct ProbeRates {
 }
 
 /// Incremental windowed rate measurement for one probe — the per-record
-/// half of [`crate::summary::summarize`]. Timestamps are clamped into
-/// the experiment horizon exactly as the legacy path does.
+/// half of Table II, which [`crate::summary`] reduces. Timestamps are
+/// clamped into the experiment horizon.
 pub struct RatePass {
     probe: Ip,
     duration_us: u64,
@@ -314,65 +283,11 @@ impl AnalysisPass for RatePass {
     }
 }
 
-/// Incremental timeseries bucketing — the streaming form of
-/// [`crate::timeseries::probe_series`].
-pub struct SeriesPass {
-    probe: Ip,
-    window_us: u64,
-    rx: Vec<u64>,
-    tx: Vec<u64>,
-    peers: Vec<BTreeSet<Ip>>,
-}
-
-impl SeriesPass {
-    /// Buckets for `probe` over `duration_us` at `window_us` granularity.
-    ///
-    /// # Panics
-    /// If `window_us` is zero.
-    pub fn new(probe: Ip, duration_us: u64, window_us: u64) -> Self {
-        assert!(window_us > 0);
-        let n = (duration_us.div_ceil(window_us)).max(1) as usize;
-        SeriesPass {
-            probe,
-            window_us,
-            rx: vec![0; n],
-            tx: vec![0; n],
-            peers: vec![BTreeSet::new(); n],
-        }
-    }
-}
-
-impl AnalysisPass for SeriesPass {
-    type Output = RateSeries;
-
-    fn on_record(&mut self, rec: &PacketRecord) {
-        let w = ((rec.ts_us / self.window_us) as usize).min(self.rx.len() - 1);
-        if rec.dst == self.probe {
-            self.rx[w] += rec.size as u64;
-        } else {
-            self.tx[w] += rec.size as u64;
-        }
-        if let Some(remote) = rec.remote_of(self.probe) {
-            self.peers[w].insert(remote);
-        }
-    }
-
-    fn finish(self) -> RateSeries {
-        let window_us = self.window_us;
-        let to_kbps = |bytes: u64| bytes as f64 * 8.0 / window_us as f64 * 1_000.0;
-        RateSeries {
-            window_us,
-            rx_kbps: self.rx.into_iter().map(to_kbps).collect(),
-            tx_kbps: self.tx.into_iter().map(to_kbps).collect(),
-            active_peers: self.peers.into_iter().map(|s| s.len() as u32).collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netaware_trace::{PayloadKind, ProbeTrace};
+    use netaware_trace::PayloadKind;
+    use std::collections::BTreeSet;
 
     fn rec(ts: u64, src: Ip, dst: Ip, size: u16, ttl: u8) -> PacketRecord {
         PacketRecord {
@@ -385,23 +300,6 @@ mod tests {
             ttl,
             kind: PayloadKind::Video,
         }
-    }
-
-    fn sample_trace() -> ProbeTrace {
-        let probe = Ip::from_octets(10, 0, 0, 1);
-        let a = Ip::from_octets(58, 0, 0, 1);
-        let b = Ip::from_octets(60, 0, 0, 1);
-        let mut t = ProbeTrace::new(probe);
-        for i in 0..200u64 {
-            let remote = if i % 3 == 0 { b } else { a };
-            if i % 4 == 0 {
-                t.push(rec(i * 5_000, probe, remote, 1250, 128));
-            } else {
-                t.push(rec(i * 5_000, remote, probe, 1250, 110));
-            }
-        }
-        t.finalize();
-        t
     }
 
     /// The reference aggregation: group each remote's records in a
@@ -551,135 +449,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// The reference bucketing, straight from the definition: window
-    /// `i` holds the timestamps in `[i·w, (i+1)·w)`, and the last window
-    /// also takes every later one. RX is what is addressed to the probe
-    /// and TX everything else, foreign records included; a window's
-    /// active peers are the distinct remotes of its probe-touching
-    /// records.
-    fn naive_series(
-        probe: Ip,
-        records: &[PacketRecord],
-        duration_us: u64,
-        window_us: u64,
-    ) -> RateSeries {
-        let mut windows = 1;
-        while windows * window_us < duration_us {
-            windows += 1;
-        }
-        let kbps = |bytes: u64| bytes as f64 * 8.0 / window_us as f64 * 1_000.0;
-        let mut out = RateSeries {
-            window_us,
-            ..RateSeries::default()
-        };
-        for i in 0..windows {
-            let lo = i * window_us;
-            let last = i + 1 == windows;
-            let inside: Vec<&PacketRecord> = records
-                .iter()
-                .filter(|r| r.ts_us >= lo && (last || r.ts_us < lo + window_us))
-                .collect();
-            let bytes = |rx: bool| {
-                inside
-                    .iter()
-                    .filter(|r| (r.dst == probe) == rx)
-                    .map(|r| r.size as u64)
-                    .sum::<u64>()
-            };
-            out.rx_kbps.push(kbps(bytes(true)));
-            out.tx_kbps.push(kbps(bytes(false)));
-            let peers: BTreeSet<Ip> = inside
-                .iter()
-                .filter_map(|r| match (r.src == probe, r.dst == probe) {
-                    (true, _) => Some(r.dst),
-                    (_, true) => Some(r.src),
-                    _ => None,
-                })
-                .collect();
-            out.active_peers.push(peers.len() as u32);
-        }
-        out
-    }
-
-    /// A seeded, unsorted probe stream over `windows` windows of
-    /// `window_us`: random traffic with a dozen remotes, records one µs
-    /// either side of every window edge, timestamps at and past
-    /// `duration_us`, and foreign records.
-    fn series_trace(seed: u64, probe: Ip, duration_us: u64, window_us: u64) -> Vec<PacketRecord> {
-        let mut rng = netaware_sim::DetRng::stream(seed, "series-pass-oracle");
-        let remotes: Vec<Ip> = (1..=12).map(|i| Ip::from_octets(58, 0, 0, i)).collect();
-        let mut stamps: Vec<u64> = (0..400).map(|_| rng.range(0..duration_us)).collect();
-        let mut edge = window_us;
-        while edge <= duration_us + window_us {
-            stamps.extend([edge - 1, edge]);
-            edge += window_us;
-        }
-        stamps.extend([
-            duration_us,
-            duration_us + 1,
-            duration_us + 3 * window_us,
-            u64::MAX,
-        ]);
-        let mut out = Vec::new();
-        for ts in stamps {
-            let remote = *rng.pick(&remotes);
-            let size = rng.range(40..1400u16);
-            let (src, dst) = match rng.range(0..10u8) {
-                0 => (remote, FOREIGN),
-                1..=5 => (remote, probe),
-                _ => (probe, remote),
-            };
-            out.push(rec(ts, src, dst, size, 110));
-        }
-        out
-    }
-
-    #[test]
-    fn series_pass_matches_naive_reference() {
-        let probe = Ip::from_octets(10, 0, 0, 1);
-        // Durations on and off a window boundary.
-        for (duration, window) in [(2_000_000, 100_000), (1_950_000, 100_000), (99_999, 7_000)] {
-            for seed in [1, 2, 3] {
-                let records = series_trace(seed, probe, duration, window);
-                // The trace really has what the reference is meant to cover.
-                assert!(records.iter().any(|r| r.ts_us > 0 && r.ts_us % window == 0));
-                assert!(records.iter().any(|r| r.ts_us >= duration));
-                assert!(records.iter().any(|r| r.dst == FOREIGN));
-                let streamed = run_pass(&records, SeriesPass::new(probe, duration, window));
-                let want = naive_series(probe, &records, duration, window);
-                assert_eq!(streamed.window_us, want.window_us);
-                assert_eq!(
-                    streamed.rx_kbps, want.rx_kbps,
-                    "seed {seed}, window {window}"
-                );
-                assert_eq!(
-                    streamed.tx_kbps, want.tx_kbps,
-                    "seed {seed}, window {window}"
-                );
-                assert_eq!(
-                    streamed.active_peers, want.active_peers,
-                    "seed {seed}, window {window}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn tuple_composition_is_one_sweep() {
-        let t = sample_trace();
-        let cfg = AnalysisConfig::default();
-        let (flows, rates) = run_pass(
-            t.records(),
-            (
-                FlowPass::new(t.probe, &cfg),
-                RatePass::new(t.probe, 2_000_000, &cfg),
-            ),
-        );
-        assert_eq!(flows.peers_seen(), 2);
-        assert!(rates.rx_mean_kbps > 0.0);
-        assert!(rates.tx_mean_kbps > 0.0);
     }
 
     #[test]

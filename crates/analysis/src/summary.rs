@@ -9,9 +9,7 @@
 use crate::contributors::{rx_contributor_count, tx_contributor_count};
 use crate::flows::ProbeFlows;
 use crate::heuristics::AnalysisConfig;
-use crate::pass::{run_pass, ProbeRates, RatePass};
-use netaware_trace::TraceSet;
-use rayon::prelude::*;
+use crate::pass::ProbeRates;
 use serde::{Deserialize, Serialize};
 
 /// A mean/max column pair.
@@ -40,22 +38,8 @@ pub struct AppSummary {
     pub contrib_tx: MeanMaxVal,
 }
 
-/// Computes Table II for one experiment from traces held in memory. The
-/// per-record half (windowed rates) runs as a [`RatePass`] per probe in
-/// parallel; the reduction is [`summarize_with_rates`].
-pub fn summarize(set: &TraceSet, pfs: &[ProbeFlows], cfg: &AnalysisConfig) -> AppSummary {
-    // Windowed rates per probe (parallel over probes, reduced in slice
-    // order below).
-    let rates: Vec<ProbeRates> = set
-        .traces
-        .par_iter()
-        .map(|t| run_pass(t.records_unsorted(), RatePass::new(t.probe, set.duration_us, cfg)))
-        .collect();
-    summarize_with_rates(&set.app, &rates, pfs, cfg)
-}
-
-/// The reduction half of Table II: folds already-computed per-probe
-/// [`ProbeRates`] and [`ProbeFlows`] into the mean/max columns.
+/// Table II for one experiment: folds the per-probe [`ProbeRates`] and
+/// [`ProbeFlows`] of one analysis sweep into the mean/max columns.
 /// `rates` and `pfs` must be in the same (trace) order so streaming and
 /// in-memory drivers produce bit-identical float accumulation.
 pub fn summarize_with_rates(
@@ -103,9 +87,15 @@ pub fn summarize_with_rates(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flows::aggregate;
-    use netaware_net::Ip;
-    use netaware_trace::{PacketRecord, PayloadKind, ProbeTrace};
+    use netaware_net::{GeoRegistryBuilder, Ip};
+    use netaware_trace::{PacketRecord, PayloadKind, ProbeTrace, TraceSet};
+    use std::collections::BTreeSet;
+
+    /// Table II of `set` as the analysis driver computes it.
+    fn table2(set: &TraceSet) -> AppSummary {
+        let registry = GeoRegistryBuilder::new().build();
+        crate::analyze(set, &registry, &AnalysisConfig::default(), &BTreeSet::new()).summary
+    }
 
     fn rec(ts: u64, src: Ip, dst: Ip, size: u16) -> PacketRecord {
         PacketRecord {
@@ -133,9 +123,7 @@ mod tests {
             }
         }
         set.add(t);
-        let cfg = AnalysisConfig::default();
-        let pfs = aggregate(&set, &cfg);
-        let sum = summarize(&set, &pfs, &cfg);
+        let sum = table2(&set);
         assert!((sum.rx_kbps.mean - 384.0).abs() < 4.0, "{}", sum.rx_kbps.mean);
         assert!(sum.tx_kbps.mean < 1.0);
         assert_eq!(sum.peers.mean, 1.0);
@@ -158,18 +146,14 @@ mod tests {
         let mut t2 = ProbeTrace::new(p2);
         t2.push(rec(5_000_000, p2, e, 1200));
         set.add(t2);
-        let cfg = AnalysisConfig::default();
-        let pfs = aggregate(&set, &cfg);
-        let sum = summarize(&set, &pfs, &cfg);
+        let sum = table2(&set);
         assert!(sum.tx_kbps.max > sum.tx_kbps.mean * 1.5);
     }
 
     #[test]
     fn empty_experiment_is_all_zero() {
         let set = TraceSet::new("X", 1_000_000);
-        let cfg = AnalysisConfig::default();
-        let pfs = aggregate(&set, &cfg);
-        let sum = summarize(&set, &pfs, &cfg);
+        let sum = table2(&set);
         assert_eq!(sum.peers.mean, 0.0);
         assert_eq!(sum.rx_kbps.max, 0.0);
     }

@@ -13,15 +13,17 @@
 //! * a **metrics registry** — named [`Counter`]s/[`Gauge`]s and
 //!   [`netaware_sim::stats::Histogram`]-backed histograms with a
 //!   `BTreeMap`-ordered JSON/CSV [`MetricsSnapshot`];
-//! * **span timing** — a [`Clock`] abstraction so the layers allowed to
-//!   spend wall time (analysis, corpus streaming, report emission) can be
-//!   timed without `sim`/`proto`/`net`/`testbed` ever naming `Instant`.
+//! * a **span profiler** — an opt-in [`Profiler`] tree of named spans
+//!   ([`Obs::pspan`]) with wall time, calls, allocations and work
+//!   tallies, read back as a [`ProfileNode`] tree or a `BENCH_*.json`
+//!   [`PerfReport`]. Wall time is read through the [`Clock`]
+//!   abstraction, so `sim`/`proto`/`net`/`testbed` never name `Instant`.
 //!
 //! The [`Obs`] handle bundles all three. It is a cheap `Arc` clone, and a
 //! default-constructed (disabled) handle makes every operation — event
 //! emission, metric updates, spans — a near-free no-op, so instrumented
-//! hot paths cost nothing when nobody is watching (the `obs-overhead`
-//! bench group pins this).
+//! hot paths cost nothing when nobody is watching (the `obs_overhead`
+//! bench pins this).
 //!
 //! ```
 //! use netaware_obs::{event, Level, NullSink, Obs};
@@ -47,7 +49,7 @@ pub mod profile;
 pub mod sink;
 pub mod summary;
 
-pub use clock::{Clock, ManualClock, PhaseTiming, Span, Timings, WallClock};
+pub use clock::{Clock, ManualClock, WallClock};
 pub use event::{Event, FieldValue, Level};
 pub use metrics::{Counter, Gauge, HistogramMetric, MetricsSnapshot, Registry};
 pub use profile::{
@@ -76,15 +78,14 @@ struct Inner {
     filter: Filter,
     sink: Arc<dyn EventSink>,
     registry: Registry,
-    timings: Timings,
     profiler: Option<Profiler>,
 }
 
 /// The observability handle threaded through the pipeline.
 ///
-/// Cloning shares the sink, registry and timings. The default handle is
-/// *disabled*: [`Obs::enabled`] is `false` for everything, metric handles
-/// are no-ops, and spans record nothing.
+/// Cloning shares the sink, registry and profiler. The default handle
+/// is *disabled*: [`Obs::enabled`] is `false` for everything, metric
+/// handles are no-ops, and spans record nothing.
 #[derive(Clone, Default)]
 pub struct Obs {
     inner: Option<Arc<Inner>>,
@@ -104,30 +105,25 @@ impl Obs {
         Obs::default()
     }
 
-    /// An enabled handle sending everything to `sink`, timing spans with
-    /// the real [`WallClock`].
+    /// An enabled handle sending everything to `sink`. It collects
+    /// events and metrics but does *not* profile; see
+    /// [`Obs::with_profiler`].
     pub fn new(sink: Arc<dyn EventSink>) -> Obs {
-        Obs::with_parts(sink, Filter::all(), Arc::new(WallClock::new()))
+        Obs::build(sink, Filter::all(), None)
     }
 
     /// An enabled handle with an explicit [`Filter`].
     pub fn with_filter(sink: Arc<dyn EventSink>, filter: Filter) -> Obs {
-        Obs::with_parts(sink, filter, Arc::new(WallClock::new()))
+        Obs::build(sink, filter, None)
     }
 
-    /// Fully explicit construction: sink, filter and span clock. The
-    /// handle collects events, metrics and timings but does *not*
-    /// profile; see [`Obs::with_profiler`].
-    pub fn with_parts(sink: Arc<dyn EventSink>, filter: Filter, clock: Arc<dyn Clock>) -> Obs {
-        Obs::build(sink, filter, clock, false)
-    }
-
-    /// Like [`Obs::with_parts`] but with the span profiler armed:
-    /// [`Obs::pspan`]/[`Obs::prof_cell`] record into a tree read back by
+    /// Like [`Obs::with_filter`] but with the span profiler armed,
+    /// timing spans with `clock`: [`Obs::pspan`]/[`Obs::prof_cell`]
+    /// record into a tree read back by
     /// [`Obs::profile_tree`]/[`Obs::perf_report`]. Profiling is opt-in
     /// because it reads the clock around every instrumented hook call.
     pub fn with_profiler(sink: Arc<dyn EventSink>, filter: Filter, clock: Arc<dyn Clock>) -> Obs {
-        Obs::build(sink, filter, clock, true)
+        Obs::build(sink, filter, Some(Profiler::new(clock)))
     }
 
     /// A profiling handle with no event collection (null sink, wall
@@ -141,14 +137,13 @@ impl Obs {
         )
     }
 
-    fn build(sink: Arc<dyn EventSink>, filter: Filter, clock: Arc<dyn Clock>, prof: bool) -> Obs {
+    fn build(sink: Arc<dyn EventSink>, filter: Filter, profiler: Option<Profiler>) -> Obs {
         Obs {
             inner: Some(Arc::new(Inner {
                 filter,
                 sink,
                 registry: Registry::new(),
-                timings: Timings::new(Arc::clone(&clock)),
-                profiler: prof.then(|| Profiler::new(clock)),
+                profiler,
             })),
         }
     }
@@ -207,15 +202,6 @@ impl Obs {
         self.inner.as_ref().map(|i| i.registry.snapshot())
     }
 
-    /// Starts a wall-clock span; the guard records on drop (nothing when
-    /// disabled).
-    pub fn span(&self, name: &str) -> Span<'_> {
-        match &self.inner {
-            None => Span::disabled(),
-            Some(inner) => inner.timings.span(name),
-        }
-    }
-
     /// Whether the span profiler is armed (see [`Obs::with_profiler`]).
     pub fn profiling(&self) -> bool {
         self.inner
@@ -257,14 +243,6 @@ impl Obs {
         let tree = self.profile_tree()?;
         let metrics = self.metrics()?;
         Some(PerfReport::new(meta, tree, metrics))
-    }
-
-    /// Completed spans, in completion order (empty when disabled).
-    pub fn timings(&self) -> Vec<PhaseTiming> {
-        self.inner
-            .as_ref()
-            .map(|i| i.timings.snapshot())
-            .unwrap_or_default()
     }
 
     /// Flushes the sink (e.g. the JSONL writer's buffer).
@@ -331,7 +309,7 @@ mod tests {
         obs.gauge("y").set(3);
         obs.histogram("z", 8).record(1);
         assert!(obs.metrics().is_none());
-        assert!(obs.timings().is_empty());
+        assert!(obs.profile_tree().is_none());
         obs.flush().expect("flush never fails when disabled");
         let _ = format!("{obs:?}");
     }
@@ -384,19 +362,5 @@ mod tests {
         assert_eq!(snap.counters["shared"], 3);
         event!(clone, Level::Info, "swarm.handshake", SimTime::ZERO);
         assert_eq!(sink.events_seen(), 1);
-    }
-
-    #[test]
-    fn spans_record_through_the_handle() {
-        let clock = Arc::new(ManualClock::new());
-        let obs = Obs::with_parts(Arc::new(NullSink::new()), Filter::all(), clock.clone());
-        {
-            let _s = obs.span("analysis.sweep");
-            clock.advance(42);
-        }
-        let t = obs.timings();
-        assert_eq!(t.len(), 1);
-        assert_eq!(t[0].name, "analysis.sweep");
-        assert_eq!(t[0].elapsed_us, 42);
     }
 }

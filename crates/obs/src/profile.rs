@@ -436,6 +436,14 @@ impl ProfileNode {
         }
     }
 
+    /// The phases a one-line-per-phase timing report lists: every
+    /// top-level span, each followed by its direct children.
+    pub fn phases(&self) -> impl Iterator<Item = &ProfileNode> {
+        self.children
+            .iter()
+            .flat_map(|top| std::iter::once(top).chain(&top.children))
+    }
+
     /// Sum of `f` over this node and every descendant.
     pub fn total(&self, f: impl Fn(&ProfileNode) -> u64 + Copy) -> u64 {
         f(self) + self.children.iter().map(|c| c.total(f)).sum::<u64>()

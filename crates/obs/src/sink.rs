@@ -38,7 +38,7 @@ pub trait EventSink: Send + Sync {
 }
 
 /// Counting null sink: drops every event but counts them. The cheapest
-/// enabled sink, used by the `obs-overhead` bench to price the emission
+/// enabled sink, used by the `obs_overhead` bench to price the emission
 /// path itself.
 #[derive(Debug, Default)]
 pub struct NullSink {

@@ -217,10 +217,7 @@ fn run_captured<S: RecordSink>(
     let mut swarm = Swarm::new(cfg, env, scenario.peer_setup());
     swarm.set_obs(opts.obs.clone());
     swarm.set_faults(&opts.faults);
-    let (captured, report) = {
-        let _swarm_span = opts.obs.span("testbed.swarm");
-        swarm.run_into(make_sink()?)?
-    };
+    let (captured, report) = swarm.run_into(make_sink()?)?;
     let (analysis, traces) = analyze(captured)?;
     Ok(ExperimentOutput {
         app,

@@ -11,15 +11,13 @@
 //! GBs of in-memory traces); the defaults are laptop-friendly. With
 //! `--spill DIR`, each application's capture is streamed to an on-disk
 //! corpus under `DIR/<app>/` and analysed back off disk, bounding peak
-//! memory at paper scale. `--timings` attaches an observability handle
-//! and prints per-phase wall-clock spans (swarm, analysis sweep,
+//! memory at paper scale. `--timings` arms the span profiler and prints
+//! per-phase wall-clock times (testbed build, swarm, analysis sweep,
 //! reduction) after the tables.
 
 use netaware::analysis::tables;
-use netaware::obs::NullSink;
 use netaware::testbed::{self, ExperimentOptions};
 use netaware::Obs;
-use std::sync::Arc;
 
 struct Args {
     scale: f64,
@@ -60,9 +58,8 @@ fn parse_args() -> Args {
 
 fn main() {
     let args = parse_args();
-    // Timings only need the span recorder; events go to a null sink.
     let obs = if args.timings {
-        Obs::new(Arc::new(NullSink::new()))
+        Obs::profiled()
     } else {
         Obs::default()
     };
@@ -158,10 +155,10 @@ fn main() {
         );
     }
 
-    if args.timings {
-        println!("PHASE TIMINGS (wall clock, all three apps; spans overlap across rayon workers)");
-        for t in obs.timings() {
-            println!("  {:<20} {:>10.3} ms", t.name, t.elapsed_us as f64 / 1000.0);
+    if let Some(tree) = obs.profile_tree() {
+        println!("PHASE TIMINGS (wall clock summed over the three apps, which run concurrently)");
+        for phase in tree.phases() {
+            println!("  {:<20} {:>10.3} ms", phase.name, phase.wall_ns as f64 / 1e6);
         }
         println!();
     }

@@ -70,9 +70,10 @@ use netaware::obs::{
     EventSink, Filter, JsonlSink, LogSummary, MetricsSnapshot, NullSink, PerfMeta, PerfReport,
     WallClock,
 };
-use netaware::trace::pcap::import_pcap;
-use netaware::trace::TraceSet;
+use netaware::trace::pcap::{export_pcap, import_pcap};
+use netaware::trace::{ProbeTrace, TraceError, TraceSet};
 use netaware::{AppProfile, ChurnPlan, FaultPlan, Obs};
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -314,42 +315,60 @@ fn print_all_tables(outs: &[testbed::ExperimentOutput]) {
     println!("{}", tables::render_fig2(&fig2));
 }
 
-fn write_json(path: &str, outs: &[testbed::ExperimentOutput]) {
+/// Exit 0, or exit 1 after printing `cmd: error`.
+fn exit_on(cmd: &str, result: Result<(), String>) -> ExitCode {
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{cmd}: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+/// Writes `body` to `path`; the error names the path.
+fn write_file(path: &str, body: impl AsRef<[u8]>) -> Result<(), String> {
+    std::fs::write(path, body).map_err(|e| format!("writing {path} failed: {e}"))
+}
+
+fn write_json(path: &str, outs: &[testbed::ExperimentOutput]) -> Result<(), String> {
     let all: Vec<_> = outs.iter().map(|o| &o.analysis).collect();
-    std::fs::write(path, serde_json::to_string_pretty(&all).expect("serialise"))
-        .expect("write json");
+    write_file(path, serde_json::to_string_pretty(&all).expect("serialise"))?;
     eprintln!("analysis written to {path}");
+    Ok(())
 }
 
 fn cmd_suite(c: &Common) -> ExitCode {
     println!("{}", testbed::hosts::render_table1());
     let outs = run_paper_suite(&opts_of(c));
     print_all_tables(&outs);
+    exit_on("suite", write_suite_artifacts(c, &outs))
+}
+
+/// Writes the `--json`, `--csv` and `--markdown` artifacts of `suite`.
+fn write_suite_artifacts(c: &Common, outs: &[testbed::ExperimentOutput]) -> Result<(), String> {
     if let Some(p) = &c.json {
-        write_json(p, &outs);
+        write_json(p, outs)?;
     }
+    let refs: Vec<&netaware::ExperimentAnalysis> = outs.iter().map(|o| &o.analysis).collect();
     if let Some(dir) = &c.csv {
-        std::fs::create_dir_all(dir).expect("create csv dir");
-        let refs: Vec<&netaware::ExperimentAnalysis> =
-            outs.iter().map(|o| &o.analysis).collect();
         use netaware::analysis::csv;
-        std::fs::write(format!("{dir}/table4.csv"), csv::table4_csv(&refs)).unwrap();
-        std::fs::write(format!("{dir}/fig1.csv"), csv::fig1_csv(&refs)).unwrap();
-        std::fs::write(format!("{dir}/fig2.csv"), csv::fig2_csv(&refs)).unwrap();
-        std::fs::write(format!("{dir}/hopdist.csv"), csv::hopdist_csv(&refs)).unwrap();
+        std::fs::create_dir_all(dir).map_err(|e| format!("creating {dir} failed: {e}"))?;
+        write_file(&format!("{dir}/table4.csv"), csv::table4_csv(&refs))?;
+        write_file(&format!("{dir}/fig1.csv"), csv::fig1_csv(&refs))?;
+        write_file(&format!("{dir}/fig2.csv"), csv::fig2_csv(&refs))?;
+        write_file(&format!("{dir}/hopdist.csv"), csv::hopdist_csv(&refs))?;
         eprintln!("CSV artifacts written to {dir}/");
     }
     if let Some(path) = &c.markdown {
-        let refs: Vec<&netaware::ExperimentAnalysis> =
-            outs.iter().map(|o| &o.analysis).collect();
         let md = netaware::analysis::markdown::render_report(
             &refs,
             "netaware reproduction suite",
         );
-        std::fs::write(path, md).expect("write markdown");
+        write_file(path, md)?;
         eprintln!("markdown report written to {path}");
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn cmd_run(c: &Common) -> ExitCode {
@@ -444,7 +463,10 @@ fn cmd_run(c: &Common) -> ExitCode {
         );
     }
     if let Some(p) = &c.json {
-        write_json(p, &outs);
+        if let Err(e) = write_json(p, &outs) {
+            eprintln!("run: {e}");
+            return ExitCode::FAILURE;
+        }
     }
     let obs = &opts.obs;
     if let Err(e) = obs.flush() {
@@ -474,9 +496,9 @@ fn cmd_run(c: &Common) -> ExitCode {
     if !write_profile_snapshot(obs, &scenario, c) {
         return ExitCode::FAILURE;
     }
-    if obs.is_enabled() {
-        for t in obs.timings() {
-            eprintln!("timing: {:<20} {:>10.3} ms", t.name, t.elapsed_us as f64 / 1000.0);
+    if let Some(tree) = obs.profile_tree() {
+        for phase in tree.phases() {
+            eprintln!("timing: {:<20} {:>10.3} ms", phase.name, phase.wall_ns as f64 / 1e6);
         }
     }
     ExitCode::SUCCESS
@@ -678,79 +700,122 @@ fn cmd_export(c: &Common) -> ExitCode {
         eprintln!("export: --dir is required");
         return ExitCode::from(2);
     };
-    std::fs::create_dir_all(dir).expect("create dir");
-    let profile = c
-        .app
-        .as_deref()
-        .map(|n| profile_by_name(n).expect("known app"))
-        .unwrap_or_else(AppProfile::sopcast);
+    let profile = match c.app.as_deref() {
+        None => AppProfile::sopcast(),
+        Some(name) => match profile_by_name(name) {
+            Some(p) => p,
+            None => {
+                eprintln!("unknown app {name}");
+                return ExitCode::from(2);
+            }
+        },
+    };
     let mut opts = opts_of(c);
     opts.keep_traces = true;
     let out = run_experiment(profile, &opts);
     let traces = out.traces.expect("keep_traces set");
-    // Corpus format: manifest.json + per-probe .nawt files…
+    exit_on("export", export_corpus(&traces, dir))
+}
+
+/// Writes `traces` to `dir` as a corpus (manifest.json + per-probe
+/// .nawt files), plus a classic pcap next to each capture for standard
+/// tooling.
+fn export_corpus(traces: &TraceSet, dir: &str) -> Result<(), String> {
     let manifest = traces
         .write_dir(std::path::Path::new(dir))
-        .expect("write corpus");
-    // …plus classic pcap next to each capture for standard tooling.
+        .map_err(|e| format!("writing corpus to {dir} failed: {e}"))?;
     for t in &traces.traces {
         let path = format!("{dir}/{}.pcap", t.probe);
-        let mut p = std::io::BufWriter::new(std::fs::File::create(path).unwrap());
-        netaware::trace::pcap::export_pcap(t, &mut p).expect("write pcap");
+        write_pcap(t, &path).map_err(|e| format!("writing {path} failed: {e}"))?;
     }
     eprintln!(
         "{} probe traces ({} packets) exported to {dir}/ (manifest.json + .nawt + .pcap)",
         manifest.probes.len(),
         manifest.total_packets
     );
-    ExitCode::SUCCESS
+    Ok(())
+}
+
+fn write_pcap(trace: &ProbeTrace, path: &str) -> Result<(), TraceError> {
+    let mut out = std::io::BufWriter::new(std::fs::File::create(path)?);
+    export_pcap(trace, &mut out)?;
+    out.flush()?;
+    Ok(())
 }
 
 fn cmd_analyze(c: &Common) -> ExitCode {
-    // A saved corpus directory (from `export` or `run --spill`) analyses
-    // in one step, streaming each probe's records straight off disk.
+    if c.dir.is_none() && c.pcaps.is_empty() {
+        eprintln!("analyze: `--dir CORPUS` or at least one `--probe IP FILE.pcap` pair is required");
+        return ExitCode::from(2);
+    }
     let obs = if c.profile_out.is_some() {
         Obs::profiled()
     } else {
         Obs::default()
     };
-    if let Some(dir) = &c.dir {
-        let scenario = BuiltScenario::build(&ScenarioConfig { seed: 42, scale: 0.01, ..Default::default() }, 100);
-        let a = match netaware::analysis::analyze_corpus_with_obs(
+    // Resolve against the reconstructed testbed registry.
+    let scenario = BuiltScenario::build(&ScenarioConfig { seed: 42, scale: 0.01, ..Default::default() }, 100);
+    let cfg = AnalysisConfig::default();
+    let (a, label) = if let Some(dir) = &c.dir {
+        // A saved corpus directory (from `export` or `run --spill`)
+        // analyses in one step, streaming each probe's records straight
+        // off disk.
+        match netaware::analysis::analyze_corpus_with_obs(
             std::path::Path::new(dir),
             &scenario.registry,
-            &AnalysisConfig::default(),
+            &cfg,
             &scenario.highbw_probe_ips,
             &obs,
         ) {
-            Ok(a) => a,
+            Ok(a) => (a, "analyze_corpus"),
             Err(e) => {
                 eprintln!("analyze: reading corpus {dir} failed: {e}");
                 return ExitCode::FAILURE;
             }
-        };
-        println!("{}", tables::render_table4(&[(a.app.clone(), a.preferences.clone())]));
-        println!(
-            "{} packets, {} peers observed, hop threshold {}",
-            a.total_packets, a.geo.total_peers, a.hop_threshold
-        );
-        if let Some(p) = &c.json {
-            std::fs::write(p, a.to_json()).expect("write json");
         }
-        if !write_profile_snapshot(&obs, "analyze_corpus", c) {
+    } else {
+        let set = match read_pcaps(&c.pcaps) {
+            Ok(set) => set,
+            Err(e) => {
+                eprintln!("analyze: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
+        let a = netaware::analysis::analyze_with_obs(
+            &set,
+            &scenario.registry,
+            &cfg,
+            &scenario.highbw_probe_ips,
+            &obs,
+        );
+        (a, "analyze_pcap")
+    };
+    println!("{}", tables::render_table4(&[(a.app.clone(), a.preferences.clone())]));
+    println!(
+        "{} packets, {} peers observed, hop threshold {}",
+        a.total_packets, a.geo.total_peers, a.hop_threshold
+    );
+    if let Some(p) = &c.json {
+        if let Err(e) = write_file(p, a.to_json()) {
+            eprintln!("analyze: {e}");
             return ExitCode::FAILURE;
         }
-        return ExitCode::SUCCESS;
     }
-    if c.pcaps.is_empty() {
-        eprintln!("analyze: `--dir CORPUS` or at least one `--probe IP FILE.pcap` pair is required");
-        return ExitCode::from(2);
+    if !write_profile_snapshot(&obs, label, c) {
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
+}
+
+/// Imports each `--probe IP FILE.pcap` capture into one trace set.
+fn read_pcaps(pcaps: &[(Ip, String)]) -> Result<TraceSet, String> {
     let mut set = TraceSet::new("pcap-import", 0);
     let mut max_ts = 0u64;
-    for (probe, path) in &c.pcaps {
-        let mut f = std::io::BufReader::new(std::fs::File::open(path).expect("open pcap"));
-        let (trace, skipped) = import_pcap(*probe, &mut f).expect("parse pcap");
+    for (probe, path) in pcaps {
+        let (trace, skipped) = std::fs::File::open(path)
+            .map_err(TraceError::from)
+            .and_then(|f| import_pcap(*probe, &mut std::io::BufReader::new(f)))
+            .map_err(|e| format!("reading {path} failed: {e}"))?;
         if skipped > 0 {
             eprintln!("{path}: skipped {skipped} non-UDP/IPv4 frames");
         }
@@ -759,29 +824,7 @@ fn cmd_analyze(c: &Common) -> ExitCode {
     }
     set.duration_us = max_ts + 1;
     set.finalize();
-
-    // Resolve against the reconstructed testbed registry.
-    let scenario = BuiltScenario::build(&ScenarioConfig { seed: 42, scale: 0.01, ..Default::default() }, 100);
-    let a = netaware::analysis::analyze_with_obs(
-        &set,
-        &scenario.registry,
-        &AnalysisConfig::default(),
-        &scenario.highbw_probe_ips,
-        &obs,
-    );
-    let outs_like = [(a.app.clone(), a.preferences.clone())];
-    println!("{}", tables::render_table4(&outs_like));
-    println!(
-        "{} packets, {} peers observed, hop threshold {}",
-        a.total_packets, a.geo.total_peers, a.hop_threshold
-    );
-    if let Some(p) = &c.json {
-        std::fs::write(p, a.to_json()).expect("write json");
-    }
-    if !write_profile_snapshot(&obs, "analyze_pcap", c) {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    Ok(set)
 }
 
 fn main() -> ExitCode {

@@ -18,7 +18,7 @@
 //! * [`testbed`] — the Table I testbed, the synthetic overlay
 //!   population, and one-call experiment orchestration;
 //! * [`obs`] — deterministic sim-time observability: structured event
-//!   log, metrics registry, and span timing for the whole pipeline;
+//!   log, metrics registry, and span profiler for the whole pipeline;
 //! * [`faults`] — deterministic fault-injection plans: link
 //!   loss/jitter/outages and peer churn, with protocol-level recovery
 //!   in [`proto`].

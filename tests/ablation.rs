@@ -2,8 +2,19 @@
 //! not by the testbed composition — under uniform-random selection, on
 //! the identical scenario, every preference collapses toward its
 //! population baseline.
+//!
+//! Ablation B: the conclusions do not hang on the paper's two fixed
+//! thresholds, the 1 ms packet-pair gap and the 19-hop split.
 
-use netaware::testbed::{run_experiment, ExperimentOptions};
+use netaware::analysis::flows::aggregate;
+use netaware::analysis::partition::Metric;
+use netaware::analysis::preference::{preference, Dir};
+use netaware::analysis::AnalysisConfig;
+use netaware::net::GeoRegistry;
+use netaware::testbed::{
+    run_experiment, run_on_scenario, BuiltScenario, ExperimentOptions, ScenarioConfig,
+};
+use netaware::trace::TraceSet;
 use netaware::AppProfile;
 
 fn opts() -> ExperimentOptions {
@@ -101,5 +112,69 @@ fn ablation_runner_pairs_up() {
     assert_eq!(pairs.len(), 3);
     for (native, uniform) in &pairs {
         assert_eq!(format!("{}-random", native.app), uniform.app);
+    }
+}
+
+/// One app's traces and registry at seed 1234, 4 % scale, 90 s.
+fn captured(profile: AppProfile) -> (TraceSet, GeoRegistry) {
+    let cfg = ScenarioConfig {
+        seed: 1234,
+        scale: 0.04,
+        ..Default::default()
+    };
+    let scenario = BuiltScenario::build(&cfg, profile.overlay_size);
+    let opts = ExperimentOptions {
+        seed: cfg.seed,
+        scale: cfg.scale,
+        duration_us: 90_000_000,
+        keep_traces: true,
+        ..Default::default()
+    };
+    let out = run_on_scenario(profile, &scenario, &opts);
+    (out.traces.expect("keep_traces is set"), scenario.registry)
+}
+
+#[test]
+fn threshold_sweeps_keep_the_conclusions() {
+    for profile in AppProfile::paper_apps() {
+        let app = profile.name.clone();
+        let (traces, registry) = captured(profile);
+        let cfg = AnalysisConfig::default();
+        let flows = aggregate(&traces, &cfg);
+        // HOP stays unbiased around the fixed 19: excluding the probe
+        // set, the byte share tracks the peer share at every threshold.
+        let w = traces.probe_set();
+        for thr in [15u8, 19, 23] {
+            let h = preference(
+                &flows,
+                &registry,
+                &cfg,
+                thr,
+                Metric::Hop,
+                Dir::Download,
+                Some(&w),
+            );
+            let gap = (h.bytes_pct - h.peers_pct).abs();
+            assert!(
+                gap < 5.0,
+                "{app}: |B'_D - P'_D| of HOP is {gap:.1} at threshold {thr}"
+            );
+        }
+        // "Traffic comes overwhelmingly from high-bandwidth peers" holds
+        // for a packet-pair threshold from 0.3 ms to 3 ms.
+        if app == "SopCast" {
+            for ipg_high_bw_us in [300, 1_000, 3_000] {
+                let cfg = AnalysisConfig {
+                    ipg_high_bw_us,
+                    ..Default::default()
+                };
+                let bw = preference(&flows, &registry, &cfg, 19, Metric::Bw, Dir::Download, None);
+                assert!(
+                    bw.bytes_pct > 75.0,
+                    "{app}: B_D of BW is {:.1}% at {ipg_high_bw_us} us",
+                    bw.bytes_pct
+                );
+            }
+        }
     }
 }

@@ -112,6 +112,7 @@ fn run_obs_log_and_metrics_roundtrip() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("event log written"));
     assert!(err.contains("metrics snapshot written"));
+    assert!(!err.contains("timing:"), "phase timings printed without --profile");
 
     // The event log is JSONL naming every instrumented layer.
     let body = std::fs::read_to_string(&log).unwrap();
@@ -191,4 +192,64 @@ fn export_then_analyze_roundtrip() {
     assert!(s.contains("TABLE IV"));
     assert!(s.contains("packets"));
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn run_profile_prints_phase_timings() {
+    let profile =
+        std::env::temp_dir().join(format!("netaware_cli_profile_{}.json", std::process::id()));
+    let out = cli()
+        .args(["run", "tvants", "--scale", "0.02", "--secs", "10", "--profile"])
+        .arg(&profile)
+        .output()
+        .expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.lines().any(|l| l.starts_with("timing: analysis.sweep")),
+        "no analysis.sweep timing in {err}"
+    );
+    let _ = std::fs::remove_file(&profile);
+}
+
+/// A hostile nesting depth in a JSON input is a parse error, not a
+/// stack overflow that kills the process.
+#[test]
+fn deeply_nested_json_is_rejected() {
+    let deep =
+        std::env::temp_dir().join(format!("netaware_cli_deep_{}.json", std::process::id()));
+    std::fs::write(&deep, "[".repeat(100_000)).unwrap();
+    let cases: [(&[&str], i32); 2] = [
+        (&["run", "pplive", "--faults"], 2),
+        (&["matrix", "--config"], 1),
+    ];
+    for (args, code) in cases {
+        let out = cli().args(args).arg(&deep).output().expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.code().is_some(), "{args:?} killed by a signal: {err}");
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
+        assert!(err.contains("nesting deeper than"), "{args:?}: unexpected stderr {err}");
+    }
+    let _ = std::fs::remove_file(&deep);
+}
+
+/// Ordinary mistakes (an unknown app, an unwritable output path, a
+/// missing capture) exit with a code and a message naming the culprit.
+#[test]
+fn ordinary_mistakes_exit_without_panicking() {
+    let dir = std::env::temp_dir().join(format!("netaware_cli_bogus_{}", std::process::id()));
+    let dir = dir.to_string_lossy().into_owned();
+    let json = "/nonexistent/dir/o.json";
+    let cases: [(&[&str], i32, &str); 3] = [
+        (&["export", "--dir", &dir, "--app", "bogus"], 2, "unknown app bogus"),
+        (&["run", "tvants", "--scale", "0.02", "--secs", "5", "--json", json], 1, json),
+        (&["analyze", "--probe", "10.0.0.1", "/missing.pcap"], 1, "/missing.pcap"),
+    ];
+    for (args, code, message) in cases {
+        let out = cli().args(args).output().expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
+        assert!(err.contains(message), "{args:?}: unexpected stderr {err}");
+        assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
+    }
 }

@@ -6,7 +6,7 @@
 //! eventually show up here as a byte diff between two same-seed runs.
 
 use netaware::analysis::AnalysisConfig;
-use netaware::obs::{Level, RingSink};
+use netaware::obs::{EventSink, Filter, Level, RingSink, WallClock};
 use netaware::testbed::{run_experiment, ExperimentOptions};
 use netaware::trace::write_trace;
 use netaware::{AppProfile, FaultPlan, Obs};
@@ -56,12 +56,18 @@ fn same_seed_runs_are_byte_identical() {
 /// Runs one full observed experiment and returns the serialized obs
 /// artifacts: the JSONL event log and the metrics snapshot JSON.
 fn observed_run(seed: u64) -> (String, String) {
-    observed_run_with(seed, FaultPlan::none())
+    observed_run_with(seed, FaultPlan::none(), Obs::new)
 }
 
-fn observed_run_with(seed: u64, faults: FaultPlan) -> (String, String) {
+/// [`observed_run`] under a fault plan, on the handle `obs_over` builds
+/// around the event sink.
+fn observed_run_with(
+    seed: u64,
+    faults: FaultPlan,
+    obs_over: fn(Arc<dyn EventSink>) -> Obs,
+) -> (String, String) {
     let sink = Arc::new(RingSink::new(1 << 20));
-    let obs = Obs::new(sink.clone() as Arc<dyn netaware::obs::EventSink>);
+    let obs = obs_over(sink.clone());
     let opts = ExperimentOptions {
         seed,
         obs: obs.clone(),
@@ -100,9 +106,12 @@ fn same_seed_obs_artifacts_are_byte_identical() {
     }
     assert_eq!(log_a, log_b, "same-seed event logs diverged");
     assert_eq!(metrics_a, metrics_b, "same-seed metrics snapshots diverged");
-    // Span timings are wall-clock and deliberately excluded from the
-    // deterministic artifacts; the metrics snapshot must not leak them.
-    assert!(!metrics_a.contains("elapsed_us"), "timings leaked into metrics");
+    // The profiler reads the wall clock, but only into its own span
+    // tree: arming it must leave the deterministic artifacts untouched.
+    let profiled = |sink| Obs::with_profiler(sink, Filter::all(), Arc::new(WallClock::new()));
+    let (log_p, metrics_p) = observed_run_with(777, FaultPlan::none(), profiled);
+    assert_eq!(log_a, log_p, "arming the profiler changed the event log");
+    assert_eq!(metrics_a, metrics_p, "arming the profiler changed the metrics");
 }
 
 #[test]
@@ -171,8 +180,8 @@ fn same_seed_fault_runs_are_byte_identical() {
 
 #[test]
 fn same_seed_fault_obs_artifacts_are_byte_identical() {
-    let (log_a, metrics_a) = observed_run_with(777, fault_plan());
-    let (log_b, metrics_b) = observed_run_with(777, fault_plan());
+    let (log_a, metrics_a) = observed_run_with(777, fault_plan(), Obs::new);
+    let (log_b, metrics_b) = observed_run_with(777, fault_plan(), Obs::new);
     assert_eq!(log_a, log_b, "same-seed fault event logs diverged");
     assert_eq!(metrics_a, metrics_b, "same-seed fault metrics diverged");
     // Churn and continuity must be visible in the artifacts.
