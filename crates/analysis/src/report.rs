@@ -110,7 +110,6 @@ pub fn analyze_with_obs(
             })
             .collect();
         psweep.add_records(outs.iter().map(|o| o.packets as u64).sum());
-        psweep.add_bytes(outs.iter().map(|o| o.bytes).sum());
         outs
     };
     assemble(
@@ -172,7 +171,6 @@ pub fn analyze_corpus_with_obs(
             .collect();
         let done: Vec<&ProbeOutput> = streamed.iter().filter_map(|r| r.as_ref().ok()).collect();
         psweep.add_records(done.iter().map(|o| o.packets as u64).sum());
-        psweep.add_bytes(done.iter().map(|o| o.bytes).sum());
         streamed
     };
     let mut outs = Vec::with_capacity(streamed.len());
@@ -265,7 +263,7 @@ fn assemble(
     highbw_probes: &BTreeSet<Ip>,
     obs: &Obs,
 ) -> ExperimentAnalysis {
-    let passemble = obs.pspan("analysis.assemble");
+    let _passemble = obs.pspan("analysis.assemble");
     let records_swept = obs.counter("analysis.records_swept");
     let probes_analyzed = obs.counter("analysis.probes_analyzed");
     let flows_per_probe = obs.histogram("analysis.flows_per_probe", 4096);
@@ -298,8 +296,6 @@ fn assemble(
     let geo = geo_breakdown(&pfs, registry);
     obs.gauge("analysis.peers_observed")
         .set(geo.total_peers as i64);
-    passemble.add_records(total_packets as u64);
-    passemble.add_bytes(total_bytes);
     ExperimentAnalysis {
         app: app.to_string(),
         summary: summarize_with_rates(app, &rates, &pfs, cfg),

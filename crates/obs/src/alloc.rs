@@ -14,8 +14,8 @@
 //! deltas just collapse to zero. The counters are process-global and
 //! deliberately *not* part of any deterministic artifact — allocation
 //! counts depend on thread scheduling (rayon workers grow their pools
-//! lazily) and on the allocator itself, so perf reports list them among
-//! the masked wall-clock-like fields (see `profile::MASKED_FIELDS`).
+//! lazily) and on the allocator itself, so the profile tree's `allocs`
+//! and `alloc_bytes` are host observations, like its `wall_ns`.
 
 #![expect(
     clippy::disallowed_types,

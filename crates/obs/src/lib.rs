@@ -15,8 +15,8 @@
 //!   `BTreeMap`-ordered JSON/CSV [`MetricsSnapshot`];
 //! * a **span profiler** — an opt-in [`Profiler`] tree of named spans
 //!   ([`Obs::pspan`]) with wall time, calls, allocations and work
-//!   tallies, read back as a [`ProfileNode`] tree or a `BENCH_*.json`
-//!   [`PerfReport`]. Wall time is read through the [`Clock`]
+//!   tallies, read back as a [`ProfileNode`] tree (what `--profile
+//!   FILE` writes). Wall time is read through the [`Clock`]
 //!   abstraction, so `sim`/`proto`/`net`/`testbed` never name `Instant`.
 //!
 //! The [`Obs`] handle bundles all three. It is a cheap `Arc` clone, and a
@@ -52,9 +52,7 @@ pub mod summary;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use event::{Event, FieldValue, Level};
 pub use metrics::{Counter, Gauge, HistogramMetric, MetricsSnapshot, Registry};
-pub use profile::{
-    masked_diff, PerfMeta, PerfReport, ProfCell, ProfSpan, ProfileNode, Profiler, MASKED_FIELDS,
-};
+pub use profile::{ProfCell, ProfSpan, ProfileNode, Profiler};
 pub use sink::{EventSink, Filter, JsonlSink, NullSink, RingSink};
 pub use summary::{LogSummary, SummaryError};
 
@@ -119,9 +117,9 @@ impl Obs {
 
     /// Like [`Obs::with_filter`] but with the span profiler armed,
     /// timing spans with `clock`: [`Obs::pspan`]/[`Obs::prof_cell`]
-    /// record into a tree read back by
-    /// [`Obs::profile_tree`]/[`Obs::perf_report`]. Profiling is opt-in
-    /// because it reads the clock around every instrumented hook call.
+    /// record into a tree read back by [`Obs::profile_tree`]. Profiling
+    /// is opt-in because it reads the clock around every instrumented
+    /// hook call.
     pub fn with_profiler(sink: Arc<dyn EventSink>, filter: Filter, clock: Arc<dyn Clock>) -> Obs {
         Obs::build(sink, filter, Some(Profiler::new(clock)))
     }
@@ -234,15 +232,6 @@ impl Obs {
             .as_ref()
             .and_then(|i| i.profiler.as_ref())
             .map(Profiler::tree)
-    }
-
-    /// Assembles the `BENCH_*.json` payload for a finished run: span
-    /// tree, derived throughput, peak heap and the metrics snapshot.
-    /// `None` when not profiling.
-    pub fn perf_report(&self, meta: PerfMeta) -> Option<PerfReport> {
-        let tree = self.profile_tree()?;
-        let metrics = self.metrics()?;
-        Some(PerfReport::new(meta, tree, metrics))
     }
 
     /// Flushes the sink (e.g. the JSONL writer's buffer).

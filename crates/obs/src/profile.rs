@@ -1,5 +1,5 @@
-//! Hierarchical span profiler and the `BENCH_*.json` perf-snapshot
-//! format.
+//! Hierarchical span profiler and its [`ProfileNode`] tree, the one
+//! profile artifact (`--profile FILE` writes it as JSON).
 //!
 //! # Span tree semantics
 //!
@@ -14,23 +14,22 @@
 //! * **call counts**,
 //! * **allocation deltas** (calls + bytes) sampled from the global
 //!   [counting allocator](crate::alloc),
-//! * **work items** — records, events, simulated-time microseconds and
-//!   bytes fed in by the instrumented code ([`ProfSpan::add_records`]
-//!   and friends) — from which per-phase throughput is derived.
+//! * **work items** — records and events, each tallied once, at the
+//!   span that owns the workload ([`ProfSpan::add_records`] at
+//!   `analysis.sweep`, [`ProfSpan::add_events`] at `swarm.run`), so a
+//!   sum over the tree counts each item once.
 //!
 //! Hot paths that cannot afford an RAII guard per call (the dispatcher's
 //! per-event behaviour hooks) use a pre-registered [`ProfCell`] instead:
-//! a leaf handle that times closures and tallies items with a couple of
+//! a leaf handle that times closures and tallies calls with a couple of
 //! atomic adds, and collapses to a no-op when profiling is off.
 //!
 //! # Deterministic vs wall-clock
 //!
-//! The tree *shape*, call counts, item tallies and sim-time coverage are
-//! deterministic: same seed, same tree. Wall times, allocation counters
-//! and everything derived from them (throughput, peak heap) are
-//! observations of the host and are declared in [`MASKED_FIELDS`];
-//! [`masked_json`] blanks exactly those so two same-seed reports can be
-//! compared byte-for-byte — the contract `tests/profiler.rs` pins.
+//! The tree *shape*, call counts and item tallies are deterministic:
+//! same seed, same tree. `wall_ns`, `allocs` and `alloc_bytes` are
+//! observations of the host; zero those three and two same-seed trees
+//! compare equal — the contract `tests/profiler.rs` pins.
 //!
 //! Spans close in `Drop`, so a panicking scope still records itself and
 //! its ancestors stay balanced (also pinned by tests).
@@ -44,9 +43,7 @@
 use crate::alloc;
 use crate::clock::Clock;
 use crate::locked;
-use crate::metrics::MetricsSnapshot;
 use serde::{Deserialize, Serialize};
-use serde_json::Value;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -59,12 +56,10 @@ use std::sync::{Arc, Mutex};
 struct NodeStats {
     calls: AtomicU64,
     wall_ns: AtomicU64,
-    sim_us: AtomicU64,
     allocs: AtomicU64,
     alloc_bytes: AtomicU64,
     records: AtomicU64,
     events: AtomicU64,
-    bytes: AtomicU64,
 }
 
 struct Node {
@@ -96,12 +91,10 @@ impl Node {
             name: self.name.clone(),
             calls: s.calls.load(Ordering::Relaxed),
             wall_ns: s.wall_ns.load(Ordering::Relaxed),
-            sim_us: s.sim_us.load(Ordering::Relaxed),
             allocs: s.allocs.load(Ordering::Relaxed),
             alloc_bytes: s.alloc_bytes.load(Ordering::Relaxed),
             records: s.records.load(Ordering::Relaxed),
             events: s.events.load(Ordering::Relaxed),
-            bytes: s.bytes.load(Ordering::Relaxed),
             children: locked(&self.children)
                 .values()
                 .map(|c| c.snapshot())
@@ -237,20 +230,6 @@ impl ProfSpan {
         }
     }
 
-    /// Credits `n` processed bytes.
-    pub fn add_bytes(&self, n: u64) {
-        if let Some(s) = &self.state {
-            s.node.stats.bytes.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Credits `us` microseconds of covered simulation time.
-    pub fn add_sim_us(&self, us: u64) {
-        if let Some(s) = &self.state {
-            s.node.stats.sim_us.fetch_add(us, Ordering::Relaxed);
-        }
-    }
-
     /// A leaf cell under this span (for handing to worker threads, which
     /// have no ambient stack entry for it).
     pub fn cell(&self, name: &str) -> ProfCell {
@@ -305,7 +284,7 @@ struct CellInner {
 }
 
 /// Pre-registered leaf handle for hot paths: times closures and tallies
-/// items into one fixed node with a couple of atomic adds. Cloneable and
+/// calls into one fixed node with a couple of atomic adds. Cloneable and
 /// `Send`, so one cell can be shared with rayon workers. Disabled cells
 /// run the closure untimed — the cost of instrumentation when nobody is
 /// profiling is one `Option` check.
@@ -355,27 +334,6 @@ impl ProfCell {
             c.node.stats.calls.fetch_add(calls, Ordering::Relaxed);
         }
     }
-
-    /// Credits processed records.
-    pub fn add_records(&self, n: u64) {
-        if let Some(c) = &self.inner {
-            c.node.stats.records.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Credits processed events.
-    pub fn add_events(&self, n: u64) {
-        if let Some(c) = &self.inner {
-            c.node.stats.events.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Credits processed bytes.
-    pub fn add_bytes(&self, n: u64) {
-        if let Some(c) = &self.inner {
-            c.node.stats.bytes.fetch_add(n, Ordering::Relaxed);
-        }
-    }
 }
 
 // Wrapping the `Arc` keeps clones of an enabled cell pointing at the
@@ -398,20 +356,17 @@ pub struct ProfileNode {
     pub name: String,
     /// Completed calls (guard drops or cell tallies).
     pub calls: u64,
-    /// Accumulated wall time, nanoseconds, children included.
+    /// Accumulated wall time, nanoseconds, children included (host
+    /// observation).
     pub wall_ns: u64,
-    /// Simulated time covered by this span, microseconds.
-    pub sim_us: u64,
-    /// Heap allocations observed during the span (masked field).
+    /// Heap allocations observed during the span (host observation).
     pub allocs: u64,
-    /// Heap bytes requested during the span (masked field).
+    /// Heap bytes requested during the span (host observation).
     pub alloc_bytes: u64,
-    /// Records processed (trace records swept, sunk, …).
+    /// Trace records swept; tallied only at `analysis.sweep`.
     pub records: u64,
-    /// Simulation events processed.
+    /// Simulation events dispatched; tallied only at `swarm.run`.
     pub events: u64,
-    /// Bytes processed.
-    pub bytes: u64,
     /// Child spans, sorted by name.
     pub children: Vec<ProfileNode>,
 }
@@ -444,14 +399,24 @@ impl ProfileNode {
             .flat_map(|top| std::iter::once(top).chain(&top.children))
     }
 
-    /// Sum of `f` over this node and every descendant.
-    pub fn total(&self, f: impl Fn(&ProfileNode) -> u64 + Copy) -> u64 {
-        f(self) + self.children.iter().map(|c| c.total(f)).sum::<u64>()
+    /// The indented flame-style table `obs profile FILE` prints: one
+    /// row per span below this node (for the root, every span) with
+    /// total and self wall time, calls, allocations and work items.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{:<38} {:>10} {:>10} {:>9} {:>10} {:>12}",
+            "span", "total ms", "self ms", "calls", "allocs", "items"
+        );
+        for c in &self.children {
+            c.render_into(&mut out, 0);
+        }
+        out
     }
 
     fn render_into(&self, out: &mut String, depth: usize) {
-        let indent = "  ".repeat(depth);
-        let label = format!("{indent}{}", if self.name.is_empty() { "(root)" } else { &self.name });
+        let label = format!("{}{}", "  ".repeat(depth), self.name);
         let _ = writeln!(
             out,
             "{label:<38} {:>10.3} {:>10.3} {:>9} {:>10} {:>12}",
@@ -472,222 +437,8 @@ fn fmt_items(n: &ProfileNode) -> String {
         format!("{} rec", n.records)
     } else if n.events > 0 {
         format!("{} ev", n.events)
-    } else if n.bytes > 0 {
-        format!("{} B", n.bytes)
     } else {
         String::from("-")
-    }
-}
-
-/// Identity of one perf-matrix cell, carried into its [`PerfReport`].
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct PerfMeta {
-    /// Scenario id (`pplive_clean`, `tvants_faulted`, …).
-    pub scenario: String,
-    /// Toolchain string (`rustc 1.87.0`…); informational.
-    pub toolchain: String,
-    /// Run seed.
-    pub seed: u64,
-    /// Swarm scale in permille of paper scale (integer so the report
-    /// never carries float formatting surprises).
-    pub scale_permille: u64,
-    /// Simulated duration, seconds.
-    pub sim_secs: u64,
-}
-
-/// The `BENCH_<scenario>.json` payload: one profiled run, serialised.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct PerfReport {
-    /// Snapshot schema version.
-    pub schema: u32,
-    /// Cell identity.
-    pub meta: PerfMeta,
-    /// The span tree.
-    pub profile: ProfileNode,
-    /// Derived per-phase throughput, items per wall-second (masked
-    /// field: wall-derived).
-    pub throughput: BTreeMap<String, f64>,
-    /// Peak live heap during the run, bytes (masked field).
-    pub peak_heap_bytes: u64,
-    /// Metrics registry at end of run.
-    pub metrics: MetricsSnapshot,
-}
-
-/// Current [`PerfReport::schema`] version.
-pub const PERF_SCHEMA: u32 = 1;
-
-/// Field names whose values are wall-clock observations of the host
-/// rather than deterministic outputs: blanked by [`masked_json`], and
-/// exactly the set allowed to differ between two same-seed reports.
-pub const MASKED_FIELDS: &[&str] = &[
-    "wall_ns",
-    "allocs",
-    "alloc_bytes",
-    "throughput",
-    "peak_heap_bytes",
-    "toolchain",
-];
-
-impl PerfReport {
-    /// Assembles a report from a finished profiled run: derives
-    /// throughput from the tree and stamps the peak-heap counter.
-    pub fn new(meta: PerfMeta, profile: ProfileNode, metrics: MetricsSnapshot) -> PerfReport {
-        let mut throughput = BTreeMap::new();
-        derive_throughput(&profile, "", &mut throughput);
-        PerfReport {
-            schema: PERF_SCHEMA,
-            meta,
-            profile,
-            throughput,
-            peak_heap_bytes: alloc::snapshot().peak_bytes,
-            metrics,
-        }
-    }
-
-    /// Pretty JSON, ready to be written as `BENCH_<scenario>.json`.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).unwrap_or_default()
-    }
-
-    /// Parses a `BENCH_*.json` file body.
-    pub fn from_json(s: &str) -> Result<PerfReport, String> {
-        serde_json::from_str(s).map_err(|e| format!("{e:?}"))
-    }
-
-    /// JSON with every [`MASKED_FIELDS`] value blanked: two same-seed
-    /// runs must produce byte-identical masked JSON.
-    pub fn masked_json(&self) -> String {
-        let mut v = serde::Serialize::to_value(self);
-        mask_value(&mut v);
-        serde_json::to_string_pretty(&v).unwrap_or_default()
-    }
-
-    /// Flat `series name → value` view used by the perf-budget gate.
-    /// Wall series carry the scenario totals; deterministic series
-    /// (events, records, sim coverage) guard the workload itself.
-    pub fn series(&self) -> BTreeMap<String, f64> {
-        let p = &self.profile;
-        let mut out = BTreeMap::new();
-        let scen = &self.meta.scenario;
-        out.insert(format!("{scen}/wall_ns"), p.total(|n| n.wall_ns).max(1) as f64);
-        out.insert(format!("{scen}/allocs"), p.total(|n| n.allocs) as f64);
-        out.insert(
-            format!("{scen}/alloc_bytes"),
-            p.total(|n| n.alloc_bytes) as f64,
-        );
-        out.insert(format!("{scen}/peak_heap_bytes"), self.peak_heap_bytes as f64);
-        out.insert(format!("{scen}/events"), p.total(|n| n.events) as f64);
-        out.insert(format!("{scen}/records"), p.total(|n| n.records) as f64);
-        for (k, v) in &self.throughput {
-            out.insert(format!("{scen}/{k}"), *v);
-        }
-        out
-    }
-
-    /// The indented flame-style table (`obs profile <FILE>`).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "scenario {} · seed {} · scale {}‰ · {} sim-s · {}",
-            self.meta.scenario,
-            self.meta.seed,
-            self.meta.scale_permille,
-            self.meta.sim_secs,
-            self.meta.toolchain,
-        );
-        let _ = writeln!(out, "peak heap: {:.2} MiB", self.peak_heap_bytes as f64 / (1 << 20) as f64);
-        let _ = writeln!(
-            out,
-            "{:<38} {:>10} {:>10} {:>9} {:>10} {:>12}",
-            "span", "total ms", "self ms", "calls", "allocs", "items"
-        );
-        for c in &self.profile.children {
-            c.render_into(&mut out, 0);
-        }
-        if !self.throughput.is_empty() {
-            let _ = writeln!(out, "throughput:");
-            for (k, v) in &self.throughput {
-                let _ = writeln!(out, "  {k:<40} {}/s", fmt_rate(*v));
-            }
-        }
-        out
-    }
-}
-
-fn fmt_rate(v: f64) -> String {
-    if v >= 1e6 {
-        format!("{:.2}M", v / 1e6)
-    } else if v >= 1e3 {
-        format!("{:.1}k", v / 1e3)
-    } else {
-        format!("{v:.1}")
-    }
-}
-
-/// Compares two report JSON bodies modulo [`MASKED_FIELDS`]. `Ok` when
-/// the masked forms match; `Err` carries the first differing line.
-pub fn masked_diff(a: &str, b: &str) -> Result<(), String> {
-    let mask = |s: &str| -> Result<String, String> {
-        let mut v = serde_json::parse_value(s).map_err(|e| format!("unparsable report: {e:?}"))?;
-        mask_value(&mut v);
-        serde_json::to_string_pretty(&v).map_err(|e| format!("{e:?}"))
-    };
-    let (ma, mb) = (mask(a)?, mask(b)?);
-    if ma == mb {
-        return Ok(());
-    }
-    for (la, lb) in ma.lines().zip(mb.lines()) {
-        if la != lb {
-            return Err(format!("first divergence:\n  left:  {la}\n  right: {lb}"));
-        }
-    }
-    Err(String::from("reports differ in length"))
-}
-
-fn mask_value(v: &mut Value) {
-    match v {
-        Value::Map(entries) => {
-            for (k, val) in entries.iter_mut() {
-                let masked = matches!(k, Value::Str(name) if MASKED_FIELDS.contains(&name.as_str()));
-                if masked {
-                    *val = Value::Null;
-                } else {
-                    mask_value(val);
-                }
-            }
-        }
-        Value::Seq(items) => {
-            for item in items {
-                mask_value(item);
-            }
-        }
-        _ => {}
-    }
-}
-
-fn derive_throughput(node: &ProfileNode, prefix: &str, out: &mut BTreeMap<String, f64>) {
-    let path = if node.name.is_empty() {
-        String::new()
-    } else if prefix.is_empty() {
-        node.name.clone()
-    } else {
-        format!("{prefix}/{}", node.name)
-    };
-    if node.wall_ns > 0 && !path.is_empty() {
-        let secs = node.wall_ns as f64 / 1e9;
-        for (kind, n) in [
-            ("records", node.records),
-            ("events", node.events),
-            ("bytes", node.bytes),
-        ] {
-            if n > 0 {
-                out.insert(format!("{path}:{kind}_per_sec"), n as f64 / secs);
-            }
-        }
-    }
-    for c in &node.children {
-        derive_throughput(c, &path, out);
     }
 }
 
@@ -716,13 +467,13 @@ mod tests {
                 sweep.add_records(100);
                 clock.advance(5);
             }
-            run.add_sim_us(1_000_000);
+            run.add_events(7);
         }
         let tree = p.tree();
         let run = tree.find("run").expect("run node");
         assert_eq!(run.calls, 1);
         assert_eq!(run.wall_ns, 20_000);
-        assert_eq!(run.sim_us, 1_000_000);
+        assert_eq!(run.events, 7);
         let sweep = tree.find("run/sweep").expect("nested sweep");
         assert_eq!(sweep.calls, 2);
         assert_eq!(sweep.wall_ns, 10_000);
@@ -740,26 +491,26 @@ mod tests {
             7
         });
         assert_eq!(out, 7);
-        cell.add_records(2);
         cell.add_calls(4);
         drop(root);
         let tree = p.tree();
         let hook = tree.find("run/hook").expect("cell node");
         assert_eq!(hook.calls, 5);
         assert_eq!(hook.wall_ns, 3_000);
-        assert_eq!(hook.records, 2);
+        let text = tree.render();
+        assert!(text.contains("  hook "), "cell row nests under its span:\n{text}");
     }
 
     #[test]
     fn disabled_guards_are_inert() {
         let span = ProfSpan::disabled();
         span.add_records(5);
-        span.add_sim_us(5);
+        span.add_events(5);
         assert!(!span.is_enabled());
         let cell = span.cell("x");
         assert!(!cell.is_enabled());
         assert_eq!(cell.time(|| 3), 3);
-        cell.add_records(1);
+        cell.add_calls(1);
         let _ = format!("{cell:?}");
     }
 
@@ -798,61 +549,5 @@ mod tests {
         assert!(p1.tree().find("a/b").is_some());
         assert!(p2.tree().find("x").is_some());
         assert!(p2.tree().find("a").is_none());
-    }
-
-    fn sample_report(wall: u64) -> PerfReport {
-        let (clock, p) = profiler();
-        {
-            let run = p.span("run");
-            run.add_records(1_000);
-            run.add_events(500);
-            clock.advance(wall);
-        }
-        PerfReport::new(
-            PerfMeta {
-                scenario: "test_clean".into(),
-                toolchain: "rustc test".into(),
-                seed: 7,
-                scale_permille: 20,
-                sim_secs: 30,
-            },
-            p.tree(),
-            MetricsSnapshot {
-                counters: BTreeMap::new(),
-                gauges: BTreeMap::new(),
-                histograms: BTreeMap::new(),
-            },
-        )
-    }
-
-    #[test]
-    fn report_round_trips_and_masks() {
-        let r = sample_report(1_000);
-        let json = r.to_json();
-        let back = PerfReport::from_json(&json).expect("round trip");
-        assert_eq!(back.meta.scenario, "test_clean");
-        assert_eq!(back.profile.find("run").map(|n| n.records), Some(1_000));
-        // Different wall time, same workload → masked-equal.
-        let slower = sample_report(2_000);
-        masked_diff(&json, &slower.to_json()).expect("wall time is masked");
-        // Different workload → masked diff trips.
-        let mut other = sample_report(1_000);
-        other.profile.children[0].records = 1;
-        assert!(masked_diff(&json, &other.to_json()).is_err());
-    }
-
-    #[test]
-    fn series_and_throughput_cover_the_tree() {
-        let r = sample_report(1_000_000); // ManualClock advances in µs: 1 s
-        let series = r.series();
-        assert_eq!(series["test_clean/records"], 1_000.0);
-        assert_eq!(series["test_clean/events"], 500.0);
-        assert!(series["test_clean/wall_ns"] >= 1e9);
-        let rate = series["test_clean/run:records_per_sec"];
-        assert!((rate - 1e3).abs() < 1e-6, "1000 records / 1s, got {rate}");
-        let text = r.render();
-        assert!(text.contains("run"));
-        assert!(text.contains("records_per_sec"));
-        assert!(text.contains("scenario test_clean"));
     }
 }

@@ -209,8 +209,6 @@ pub(crate) fn run(core: &mut SwarmCore<'_>, stack: &mut BehaviourStack, horizon:
     });
 
     core.report.events_dispatched = dispatched;
-    dspan.add_events(dispatched);
-    dspan.add_sim_us(horizon.as_us());
     let saturated = sched.saturated();
     if saturated > 0 {
         // Past-time insertions were clamped to "now" (the scheduler's

@@ -313,7 +313,6 @@ impl<'a> Swarm<'a> {
     fn execute(&mut self) {
         let horizon = SimTime::from_us(self.core.cfg.duration_us);
         let pspan = self.core.obs.pspan("swarm.run");
-        pspan.add_sim_us(self.core.cfg.duration_us);
         netaware_obs::event!(
             self.core.obs,
             Level::Info,

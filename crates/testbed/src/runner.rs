@@ -191,8 +191,7 @@ fn run_captured<S: RecordSink>(
     analyze: impl FnOnce(S::Output) -> Result<(ExperimentAnalysis, Option<TraceSet>), TraceError>,
 ) -> Result<ExperimentOutput, TraceError> {
     let app = profile.name.clone();
-    let tspan = opts.obs.pspan("testbed.run");
-    tspan.add_sim_us(opts.duration_us);
+    let _tspan = opts.obs.pspan("testbed.run");
     let env = NetworkEnv {
         registry: &scenario.registry,
         paths: scenario.paths,

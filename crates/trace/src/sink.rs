@@ -19,12 +19,6 @@ use std::fs::File;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
 
-/// Payload bytes carried by a capture (profiling only — computed when a
-/// profiler cell is armed, skipped otherwise).
-fn trace_bytes(trace: &ProbeTrace) -> u64 {
-    trace.records_unsorted().iter().map(|r| r.size as u64).sum()
-}
-
 /// Sim time of a sunk trace: its last record's timestamp (the moment
 /// the capture was complete), or zero for an empty capture. Reads the
 /// unsorted view so a [`MemorySink`] fed a not-yet-finalized trace
@@ -82,11 +76,7 @@ impl RecordSink for MemorySink {
 
     fn sink_probe(&mut self, trace: ProbeTrace) -> Result<(), TraceError> {
         self.records_sunk.add(trace.len() as u64);
-        if self.prof.is_enabled() {
-            self.prof.add_calls(1);
-            self.prof.add_records(trace.len() as u64);
-            self.prof.add_bytes(trace_bytes(&trace));
-        }
+        self.prof.add_calls(1);
         netaware_obs::event!(
             self.obs,
             Level::Info,
@@ -166,10 +156,6 @@ impl RecordSink for CorpusSink {
         self.prof.time(|| write_trace(&trace, &mut w))?;
         self.records_sunk.add(trace.len() as u64);
         self.probes_spilled.inc();
-        if self.prof.is_enabled() {
-            self.prof.add_records(trace.len() as u64);
-            self.prof.add_bytes(trace_bytes(&trace));
-        }
         netaware_obs::event!(
             self.obs,
             Level::Info,

@@ -1,19 +1,22 @@
 //! `netaware-cli` — run and analyse P2P-TV network-awareness experiments.
 //!
 //! ```text
-//! netaware-cli suite     [--scale F] [--secs N] [--seed N] [--json FILE]
-//! netaware-cli replicate APP [--runs N] [--scale F] [--secs N]
-//! netaware-cli run APP [--uniform] [--spill DIR] [--scale F] [--secs N] [--seed N] [--json FILE]
-//!                      [--obs-log FILE] [--metrics FILE] [--profile FILE]
-//!                      [--faults FILE] [--loss P] [--jitter-us N] [--churn]
-//! netaware-cli nextgen [--scale F] [--secs N] [--seed N]
+//! netaware-cli suite     [--scale F] [--secs N] [--seed N] [FAULTS]
+//!                        [--json FILE] [--csv DIR] [--markdown FILE]
+//! netaware-cli replicate APP [--runs N] [--scale F] [--secs N] [--seed N] [FAULTS]
+//! netaware-cli run APP [--uniform] [--persite] [--spill DIR] [--scale F] [--secs N] [--seed N]
+//!                      [--json FILE] [--obs-log FILE] [--metrics FILE] [--profile FILE] [FAULTS]
+//! netaware-cli nextgen [--scale F] [--secs N] [--seed N] [FAULTS]
 //! netaware-cli matrix  --config FILE [--out DIR] [--seed N] [--json FILE]
 //! netaware-cli matrix  --example
 //! netaware-cli testbed
-//! netaware-cli export  --dir DIR [--app APP] [--scale F] [--secs N]
-//! netaware-cli analyze --dir CORPUS | --probe IP FILE.pcap [--probe IP FILE.pcap …] [--profile FILE]
+//! netaware-cli export  --dir DIR [--app APP] [--scale F] [--secs N] [--seed N] [FAULTS]
+//! netaware-cli analyze --dir CORPUS | --probe IP FILE.pcap [--probe IP FILE.pcap …]
+//!                      [--json FILE] [--profile FILE]
 //! netaware-cli obs summarize FILE [--metrics FILE]
 //! netaware-cli obs profile FILE
+//!
+//! FAULTS = [--faults FILE] [--loss P] [--jitter-us N] [--churn]
 //! ```
 //!
 //! `APP` is any registered profile name or alias (`pplive`, `sopcast`,
@@ -54,11 +57,13 @@
 //! histogram percentiles) into the same report.
 //!
 //! `run --profile FILE` and `analyze --profile FILE` arm the span
-//! profiler and write the finished run's `PerfReport` (the
-//! `BENCH_*.json` format emitted by `xtask perf`) to FILE;
-//! `obs profile FILE` renders such a snapshot as an indented
-//! flame-style table with self/total wall time, calls, allocations and
-//! per-phase throughput.
+//! profiler and write the finished run's span tree (`ProfileNode`) to
+//! FILE as JSON, printing the peak heap on stderr; `obs profile FILE`
+//! renders such a tree as an indented flame-style table with
+//! total/self wall time, calls, allocations and work items.
+//!
+//! Each subcommand takes only the flags it reads (see `flags_read_by`);
+//! any other flag is a usage error (exit 2) before anything runs.
 
 use netaware::analysis::tables;
 use netaware::analysis::AnalysisConfig;
@@ -67,7 +72,7 @@ use netaware::testbed::{
     self, run_experiment, run_paper_suite, BuiltScenario, ExperimentOptions, ScenarioConfig,
 };
 use netaware::obs::{
-    EventSink, Filter, JsonlSink, LogSummary, MetricsSnapshot, NullSink, PerfMeta, PerfReport,
+    alloc, EventSink, Filter, JsonlSink, LogSummary, MetricsSnapshot, NullSink, ProfileNode,
     WallClock,
 };
 use netaware::trace::pcap::{export_pcap, import_pcap};
@@ -77,8 +82,8 @@ use std::io::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-/// Counting allocator: fills the allocation and peak-heap columns of
-/// `--profile` snapshots. Two relaxed atomic adds per allocation when
+/// Counting allocator: fills the allocation column and the peak heap of
+/// `--profile` runs. Two relaxed atomic adds per allocation when
 /// nothing reads the counters.
 #[global_allocator]
 static ALLOC: netaware::obs::alloc::CountingAlloc = netaware::obs::alloc::CountingAlloc;
@@ -113,6 +118,8 @@ struct Common {
     out: Option<String>,
     example: bool,
     seed_set: bool,
+    /// Every flag given, in order, for the per-subcommand check.
+    flags: Vec<String>,
 }
 
 fn parse_common(args: &[String]) -> Result<Common, String> {
@@ -138,6 +145,7 @@ fn parse_common(args: &[String]) -> Result<Common, String> {
         out: None,
         example: false,
         seed_set: false,
+        flags: Vec::new(),
     };
     let mut i = 0;
     let mut pending_probe: Option<Ip> = None;
@@ -152,6 +160,9 @@ fn parse_common(args: &[String]) -> Result<Common, String> {
                 .cloned()
                 .ok_or_else(|| format!("{} needs a value", args[*i - 1]))
         };
+        if args[i].starts_with("--") {
+            c.flags.push(args[i].clone());
+        }
         match args[i].as_str() {
             "--scale" => {
                 let s: f64 = take(&mut i)?.parse().map_err(|e| format!("scale: {e}"))?;
@@ -239,40 +250,51 @@ fn parse_common(args: &[String]) -> Result<Common, String> {
     Ok(c)
 }
 
-/// Writes the `--profile` snapshot, if one was requested. Returns false
-/// when requested but unwritable.
-fn write_profile_snapshot(obs: &Obs, scenario: &str, c: &Common) -> bool {
-    let Some(path) = &c.profile_out else {
-        return true;
-    };
-    let Some(report) = obs.perf_report(perf_meta(scenario.to_string(), c)) else {
-        eprintln!("profile: profiler was not armed");
-        return false;
-    };
-    if let Err(e) = std::fs::write(path, report.to_json()) {
-        eprintln!("profile: writing snapshot to {path} failed: {e}");
-        return false;
-    }
-    eprintln!("perf snapshot written to {path}");
-    true
+/// The flags each subcommand reads. `parse_common` accepts the union;
+/// `None` for an unknown subcommand.
+fn flags_read_by(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "suite" => &[
+            "--scale", "--secs", "--seed", "--faults", "--loss", "--jitter-us", "--churn",
+            "--json", "--csv", "--markdown",
+        ],
+        "run" => &[
+            "--app", "--uniform", "--persite", "--spill", "--scale", "--secs", "--seed",
+            "--faults", "--loss", "--jitter-us", "--churn", "--json", "--obs-log", "--metrics",
+            "--profile",
+        ],
+        "replicate" => &[
+            "--app", "--runs", "--scale", "--secs", "--seed", "--faults", "--loss", "--jitter-us",
+            "--churn",
+        ],
+        "nextgen" => &[
+            "--scale", "--secs", "--seed", "--faults", "--loss", "--jitter-us", "--churn",
+        ],
+        "matrix" => &["--config", "--out", "--seed", "--json", "--example"],
+        "testbed" => &[],
+        "export" => &[
+            "--app", "--dir", "--scale", "--secs", "--seed", "--faults", "--loss", "--jitter-us",
+            "--churn",
+        ],
+        "analyze" => &["--dir", "--probe", "--json", "--profile"],
+        _ => return None,
+    })
 }
 
-/// Cell identity for a `--profile` snapshot taken by this binary.
-fn perf_meta(scenario: String, c: &Common) -> PerfMeta {
-    let toolchain = std::process::Command::new("rustc")
-        .arg("--version")
-        .output()
-        .ok()
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| String::from("rustc unknown"));
-    PerfMeta {
-        scenario,
-        toolchain,
-        seed: c.seed,
-        scale_permille: (c.scale * 1000.0).round() as u64,
-        sim_secs: c.secs,
-    }
+/// Writes the `--profile` span tree as JSON, if one was requested, and
+/// reports the run's peak heap.
+fn write_profile(obs: &Obs, c: &Common) -> Result<(), String> {
+    let Some(path) = &c.profile_out else {
+        return Ok(());
+    };
+    let tree = obs.profile_tree().ok_or("the profiler was not armed")?;
+    let body = serde_json::to_string_pretty(&tree).map_err(|e| e.to_string())?;
+    write_file(path, body)?;
+    eprintln!(
+        "profile written to {path} (peak heap {:.2} MiB)",
+        alloc::snapshot().peak_bytes as f64 / (1u64 << 20) as f64
+    );
+    Ok(())
 }
 
 fn profile_by_name(name: &str) -> Option<AppProfile> {
@@ -488,12 +510,8 @@ fn cmd_run(c: &Common) -> ExitCode {
         }
         eprintln!("metrics snapshot written to {path}");
     }
-    let scenario = format!(
-        "{}_{}",
-        name.to_ascii_lowercase(),
-        if opts.faults.is_noop() { "clean" } else { "faulted" }
-    );
-    if !write_profile_snapshot(obs, &scenario, c) {
+    if let Err(e) = write_profile(obs, c) {
+        eprintln!("run: {e}");
         return ExitCode::FAILURE;
     }
     if let Some(tree) = obs.profile_tree() {
@@ -507,8 +525,8 @@ fn cmd_run(c: &Common) -> ExitCode {
 /// `obs summarize FILE [--metrics FILE]` — render an event-log summary,
 /// optionally folding a metrics snapshot into the same report. Fails
 /// (non-zero) on unreadable or malformed inputs, including truncated
-/// JSONL lines. `obs profile FILE` renders a `BENCH_*.json` perf
-/// snapshot as the flame-style span table.
+/// JSONL lines. `obs profile FILE` renders a `--profile` span tree as
+/// the flame-style table.
 fn cmd_obs(rest: &[String]) -> ExitCode {
     match rest {
         [sub, file, tail @ ..] if sub == "summarize" => {
@@ -564,13 +582,13 @@ fn cmd_obs(rest: &[String]) -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             };
-            match PerfReport::from_json(&body) {
-                Ok(r) => {
-                    print!("{}", r.render());
+            match serde_json::from_str::<ProfileNode>(&body) {
+                Ok(tree) => {
+                    print!("{}", tree.render());
                     ExitCode::SUCCESS
                 }
                 Err(e) => {
-                    eprintln!("obs profile: {file}: {e}");
+                    eprintln!("obs profile: {file} is not a --profile span tree: {e}");
                     ExitCode::FAILURE
                 }
             }
@@ -756,7 +774,7 @@ fn cmd_analyze(c: &Common) -> ExitCode {
     // Resolve against the reconstructed testbed registry.
     let scenario = BuiltScenario::build(&ScenarioConfig { seed: 42, scale: 0.01, ..Default::default() }, 100);
     let cfg = AnalysisConfig::default();
-    let (a, label) = if let Some(dir) = &c.dir {
+    let a = if let Some(dir) = &c.dir {
         // A saved corpus directory (from `export` or `run --spill`)
         // analyses in one step, streaming each probe's records straight
         // off disk.
@@ -767,7 +785,7 @@ fn cmd_analyze(c: &Common) -> ExitCode {
             &scenario.highbw_probe_ips,
             &obs,
         ) {
-            Ok(a) => (a, "analyze_corpus"),
+            Ok(a) => a,
             Err(e) => {
                 eprintln!("analyze: reading corpus {dir} failed: {e}");
                 return ExitCode::FAILURE;
@@ -781,14 +799,13 @@ fn cmd_analyze(c: &Common) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let a = netaware::analysis::analyze_with_obs(
+        netaware::analysis::analyze_with_obs(
             &set,
             &scenario.registry,
             &cfg,
             &scenario.highbw_probe_ips,
             &obs,
-        );
-        (a, "analyze_pcap")
+        )
     };
     println!("{}", tables::render_table4(&[(a.app.clone(), a.preferences.clone())]));
     println!(
@@ -801,10 +818,7 @@ fn cmd_analyze(c: &Common) -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    if !write_profile_snapshot(&obs, label, c) {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+    exit_on("analyze", write_profile(&obs, c))
 }
 
 /// Imports each `--probe IP FILE.pcap` capture into one trace set.
@@ -837,6 +851,9 @@ fn main() -> ExitCode {
     if cmd == "obs" {
         return cmd_obs(rest);
     }
+    let Some(flags) = flags_read_by(cmd) else {
+        return usage();
+    };
     let common = match parse_common(rest) {
         Ok(c) => c,
         Err(e) => {
@@ -844,6 +861,10 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    if let Some(flag) = common.flags.iter().find(|f| !flags.contains(&f.as_str())) {
+        eprintln!("{cmd} does not take {flag}");
+        return ExitCode::from(2);
+    }
     match cmd.as_str() {
         "suite" => cmd_suite(&common),
         "run" => cmd_run(&common),

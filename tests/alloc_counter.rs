@@ -1,5 +1,6 @@
 //! Counting-allocator accuracy, pinned against known allocation
-//! patterns, the allocation budgets of two hot loops, the bound on what
+//! patterns, the allocation budgets of two hot loops (the swarm loop
+//! over every golden cell and a flash crowd), the bound on what
 //! a lying trace header can make the reader allocate, and the streaming
 //! analysis's memory bound. The counters are process-wide, so every
 //! check runs in sequence inside one test: tests of one binary run on
@@ -14,7 +15,7 @@ use netaware::trace::{
     read_trace, write_trace, MemorySink, PacketRecord, PayloadKind, ProbeTrace, TraceError,
     TraceSet,
 };
-use netaware::{analyze_corpus, AnalysisConfig, AppProfile};
+use netaware::{analyze_corpus, AnalysisConfig, AppProfile, ChurnPlan, FaultPlan, SessionModel};
 use std::collections::BTreeSet;
 
 #[global_allocator]
@@ -108,41 +109,68 @@ fn swarm_loop_allocates_less_than_once_per_event() {
     // scratch buffers, so a whole run — dispatch, capture growth and
     // the finalize sort — stays under one allocation per dispatched
     // event. Per-event Vecs in a behaviour hook would cost several.
-    let profile = AppProfile::pplive();
-    let scenario = BuiltScenario::build(
-        &ScenarioConfig {
+    // The cells are the golden ones (seed 777, scale 0.02, 20 s; every
+    // profile, clean and under loss, jitter and churn) plus PPLive under
+    // a flash crowd, so churn recovery and epidemic push are covered.
+    let flashcrowd = FaultPlan {
+        churn: Some(ChurnPlan::preset()),
+        session: Some(SessionModel::flashcrowd_preset()),
+        ..FaultPlan::none()
+    };
+    let plans = [
+        ("clean", FaultPlan::none()),
+        ("faulted", FaultPlan::from_flags(Some(0.05), Some(2_000), true)),
+    ];
+    let mut cells = vec![(AppProfile::pplive(), "flash crowd", flashcrowd)];
+    for profile in [
+        AppProfile::pplive(),
+        AppProfile::sopcast(),
+        AppProfile::tvants(),
+        AppProfile::epidemic_rp(),
+        AppProfile::epidemic_ba(),
+    ] {
+        for (kind, plan) in &plans {
+            cells.push((profile.clone(), kind, plan.clone()));
+        }
+    }
+    for (profile, kind, faults) in cells {
+        let cell = format!("{} {kind}", profile.name);
+        let scenario = BuiltScenario::build(
+            &ScenarioConfig {
+                seed: 777,
+                scale: 0.02,
+                ..ScenarioConfig::default()
+            },
+            profile.overlay_size,
+        );
+        let env = NetworkEnv {
+            registry: &scenario.registry,
+            paths: scenario.paths,
+            latency: scenario.latency,
+        };
+        let cfg = SwarmConfig {
             seed: 777,
-            scale: 0.02,
-            ..ScenarioConfig::default()
-        },
-        profile.overlay_size,
-    );
-    let env = NetworkEnv {
-        registry: &scenario.registry,
-        paths: scenario.paths,
-        latency: scenario.latency,
-    };
-    let cfg = SwarmConfig {
-        seed: 777,
-        duration_us: 20_000_000,
-        stream: StreamParams::cctv1(),
-        profile,
-    };
-    let swarm = Swarm::new(cfg, env, scenario.peer_setup());
+            duration_us: 20_000_000,
+            stream: StreamParams::cctv1(),
+            profile,
+        };
+        let mut swarm = Swarm::new(cfg, env, scenario.peer_setup());
+        swarm.set_faults(&faults);
 
-    let before = snapshot();
-    let (set, report) = swarm
-        .run_into(MemorySink::new())
-        .expect("in-memory sink cannot fail");
-    let allocs = snapshot().allocs - before.allocs;
-    assert!(set.total_packets() > 0, "degenerate run");
-    let events = report.events_dispatched;
-    assert!(events > 10_000, "only {events} events dispatched");
-    assert!(
-        allocs <= events,
-        "{allocs} allocations over {events} events ({:.2} per event)",
-        allocs as f64 / events as f64
-    );
+        let before = snapshot();
+        let (set, report) = swarm
+            .run_into(MemorySink::new())
+            .expect("in-memory sink cannot fail");
+        let allocs = snapshot().allocs - before.allocs;
+        assert!(set.total_packets() > 0, "{cell}: degenerate run");
+        let events = report.events_dispatched;
+        assert!(events > 10_000, "{cell}: only {events} events dispatched");
+        assert!(
+            allocs <= events,
+            "{cell}: {allocs} allocations over {events} events ({:.2} per event)",
+            allocs as f64 / events as f64
+        );
+    }
 }
 
 fn lying_trace_header_allocates_little() {

@@ -209,7 +209,56 @@ fn run_profile_prints_phase_timings() {
         err.lines().any(|l| l.starts_with("timing: analysis.sweep")),
         "no analysis.sweep timing in {err}"
     );
+    assert!(
+        err.lines().any(|l| l.starts_with("profile written to") && l.contains("peak heap")),
+        "no profile line with the peak heap in {err}"
+    );
+
+    // `obs profile` renders what `--profile` wrote.
+    let out = cli().arg("obs").arg("profile").arg(&profile).output().expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let table = String::from_utf8_lossy(&out.stdout);
+    for span in ["swarm.dispatch", "analysis.sweep"] {
+        assert!(
+            table.lines().any(|l| l.trim_start().starts_with(span)),
+            "no {span} row in {table}"
+        );
+    }
+
+    // A file in the old report format is an error naming the file.
+    std::fs::write(&profile, r#"{"schema":1,"meta":{"scenario":"tvants_clean"}}"#).unwrap();
+    let out = cli().arg("obs").arg("profile").arg(&profile).output().expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains(&*profile.to_string_lossy()), "file not named in {err}");
+    assert!(!err.contains("panicked"), "obs profile panicked: {err}");
     let _ = std::fs::remove_file(&profile);
+}
+
+/// A flag the subcommand does not read is a usage error that names it,
+/// raised before anything runs, instead of being silently ignored.
+#[test]
+fn subcommands_reject_flags_they_do_not_read() {
+    let tmp = std::env::temp_dir().join(format!("netaware_cli_unread_{}", std::process::id()));
+    let tmp = tmp.to_string_lossy().into_owned();
+    let small = ["--scale", "0.02", "--secs", "5"];
+    let cases: [(&[&str], &str); 5] = [
+        (&["suite", "--profile", &tmp], "--profile"),
+        (&["nextgen", "--json", &tmp], "--json"),
+        (&["replicate", "tvants", "--runs", "1", "--json", &tmp], "--json"),
+        (&["suite", "--spill", &tmp], "--spill"),
+        (&["run", "tvants", "--csv", &tmp], "--csv"),
+    ];
+    for (args, flag) in cases {
+        let out = cli().args(args).args(small).output().expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        let message = format!("{} does not take {flag}", args[0]);
+        assert!(err.contains(&message), "{args:?}: unexpected stderr {err}");
+        assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting {flag}");
+    }
+    assert!(!std::path::Path::new(&tmp).exists(), "a rejected flag wrote {tmp}");
 }
 
 /// A hostile nesting depth in a JSON input is a parse error, not a
