@@ -52,7 +52,7 @@ pub mod summary;
 pub use clock::{Clock, ManualClock, WallClock};
 pub use event::{Event, FieldValue, Level};
 pub use metrics::{Counter, Gauge, HistogramMetric, MetricsSnapshot, Registry};
-pub use profile::{ProfCell, ProfSpan, ProfileNode, Profiler};
+pub use profile::{Drift, ProfCell, ProfSpan, ProfileDiff, ProfileNode, Profiler};
 pub use sink::{EventSink, Filter, JsonlSink, NullSink, RingSink};
 pub use summary::{LogSummary, SummaryError};
 

@@ -432,6 +432,156 @@ impl ProfileNode {
     }
 }
 
+/// Span-by-span comparison of two profile trees, A and B, with nodes
+/// paired by `/`-separated path ([`ProfileNode::diff`]).
+#[derive(Debug)]
+pub struct ProfileDiff<'t> {
+    /// Every path of either tree, depth-first with siblings by name.
+    rows: Vec<DiffRow<'t>>,
+}
+
+#[derive(Debug)]
+struct DiffRow<'t> {
+    path: String,
+    name: &'t str,
+    depth: usize,
+    a: Option<&'t ProfileNode>,
+    b: Option<&'t ProfileNode>,
+}
+
+/// A work tally that differs between two profile trees at one span:
+/// the runs did different work, so their timings do not compare.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Drift {
+    /// `/`-separated path of the span.
+    pub path: String,
+    /// The tally: `events` or `records`.
+    pub tally: &'static str,
+    /// Its value in tree A (0 where the span is absent).
+    pub a: u64,
+    /// Its value in tree B (0 where the span is absent).
+    pub b: u64,
+}
+
+impl std::fmt::Display for Drift {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "workload drift at {}: {} {} → {}",
+            self.path, self.tally, self.a, self.b
+        )
+    }
+}
+
+impl ProfileNode {
+    /// Pairs every span below this node (A) with the span at the same
+    /// path below `other` (B); a span found in one tree only is paired
+    /// with nothing.
+    pub fn diff<'t>(&'t self, other: &'t ProfileNode) -> ProfileDiff<'t> {
+        let mut rows = Vec::new();
+        pair_children(Some(self), Some(other), "", 0, &mut rows);
+        ProfileDiff { rows }
+    }
+}
+
+fn pair_children<'t>(
+    a: Option<&'t ProfileNode>,
+    b: Option<&'t ProfileNode>,
+    prefix: &str,
+    depth: usize,
+    rows: &mut Vec<DiffRow<'t>>,
+) {
+    let kids = |n: Option<&'t ProfileNode>| n.map_or(&[][..], |n| n.children.as_slice());
+    let names: std::collections::BTreeSet<&str> = kids(a)
+        .iter()
+        .chain(kids(b))
+        .map(|c| c.name.as_str())
+        .collect();
+    for name in names {
+        let (ca, cb) = (
+            kids(a).iter().find(|c| c.name == name),
+            kids(b).iter().find(|c| c.name == name),
+        );
+        let path = if prefix.is_empty() {
+            name.to_string()
+        } else {
+            format!("{prefix}/{name}")
+        };
+        rows.push(DiffRow {
+            path: path.clone(),
+            name,
+            depth,
+            a: ca,
+            b: cb,
+        });
+        pair_children(ca, cb, &path, depth + 1, rows);
+    }
+}
+
+impl ProfileDiff<'_> {
+    /// The first span, depth-first, whose `events` or `records` tally
+    /// differs between the trees.
+    pub fn drift(&self) -> Option<Drift> {
+        self.rows.iter().find_map(|r| {
+            [
+                (
+                    "events",
+                    r.a.map_or(0, |n| n.events),
+                    r.b.map_or(0, |n| n.events),
+                ),
+                (
+                    "records",
+                    r.a.map_or(0, |n| n.records),
+                    r.b.map_or(0, |n| n.records),
+                ),
+            ]
+            .into_iter()
+            .find(|(_, a, b)| a != b)
+            .map(|(tally, a, b)| Drift {
+                path: r.path.clone(),
+                tally,
+                a,
+                b,
+            })
+        })
+    }
+
+    /// The table `obs diff A B` prints: one row per span with self
+    /// wall time A → B and its change, calls and allocations A → B;
+    /// `-` where a tree lacks the span.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        let _ = writeln!(
+            out,
+            "{:<38} {:>10}   {:>10} {:>8} {:>9}   {:<9} {:>10}   allocs B",
+            "span", "self ms A", "self ms B", "Δ %", "calls A", "calls B", "allocs A"
+        );
+        let side = |n: Option<&ProfileNode>, f: fn(&ProfileNode) -> String| n.map_or("-".into(), f);
+        let self_ms = |n: &ProfileNode| format!("{:.3}", n.self_wall_ns() as f64 / 1e6);
+        for r in &self.rows {
+            let label = format!("{}{}", "  ".repeat(r.depth), r.name);
+            let delta = match (r.a, r.b) {
+                (Some(a), Some(b)) if a.self_wall_ns() > 0 => format!(
+                    "{:+.1}%",
+                    (b.self_wall_ns() as f64 / a.self_wall_ns() as f64 - 1.0) * 100.0
+                ),
+                _ => "-".into(),
+            };
+            let line = format!(
+                "{label:<38} {:>10} → {:>10} {delta:>8} {:>9} → {:<9} {:>10} → {}",
+                side(r.a, self_ms),
+                side(r.b, self_ms),
+                side(r.a, |n| n.calls.to_string()),
+                side(r.b, |n| n.calls.to_string()),
+                side(r.a, |n| n.allocs.to_string()),
+                side(r.b, |n| n.allocs.to_string()),
+            );
+            let _ = writeln!(out, "{}", line.trim_end());
+        }
+        out
+    }
+}
+
 fn fmt_items(n: &ProfileNode) -> String {
     if n.records > 0 {
         format!("{} rec", n.records)
@@ -450,6 +600,57 @@ mod tests {
     fn profiler() -> (Arc<ManualClock>, Profiler) {
         let clock = Arc::new(ManualClock::new());
         (clock.clone(), Profiler::new(clock))
+    }
+
+    fn node(name: &str, wall_ns: u64, events: u64, children: Vec<ProfileNode>) -> ProfileNode {
+        ProfileNode {
+            name: name.into(),
+            calls: 1,
+            wall_ns,
+            allocs: 0,
+            alloc_bytes: 0,
+            records: 0,
+            events,
+            children,
+        }
+    }
+
+    #[test]
+    fn diff_pairs_spans_by_path_and_flags_drift() {
+        let tree = |dispatch_ns: u64, events: u64, extra: bool| {
+            let mut kids = vec![node("swarm.dispatch", dispatch_ns, 0, vec![])];
+            if extra {
+                kids.push(node("trace.spill", 1_000_000, 0, vec![]));
+            }
+            node("", 0, 0, vec![node("swarm.run", 10_000_000, events, kids)])
+        };
+        let (a, b) = (tree(4_000_000, 7, false), tree(2_000_000, 7, true));
+        let diff = a.diff(&b);
+        assert_eq!(diff.drift(), None);
+        let table = diff.render();
+        let row = |span: &str| {
+            table
+                .lines()
+                .find(|l| l.trim_start().starts_with(span))
+                .unwrap_or_else(|| panic!("no {span} row in {table}"))
+                .split_whitespace()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(
+            row("swarm.dispatch")[1..5],
+            ["4.000", "→", "2.000", "-50.0%"]
+        );
+        // swarm.run's self time grows as its child shrinks: 6 → 7 ms.
+        assert_eq!(row("swarm.run")[1..5], ["6.000", "→", "7.000", "+16.7%"]);
+        assert_eq!(row("trace.spill")[1..5], ["-", "→", "1.000", "-"]);
+
+        let drifted = tree(4_000_000, 8, false);
+        let d = a.diff(&drifted).drift().expect("events differ");
+        assert_eq!(
+            (d.path.as_str(), d.tally, d.a, d.b),
+            ("swarm.run", "events", 7, 8)
+        );
+        assert_eq!(d.to_string(), "workload drift at swarm.run: events 7 → 8");
     }
 
     #[test]

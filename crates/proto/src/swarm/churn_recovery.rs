@@ -16,7 +16,8 @@
 //! Churn applies to the *external* population only: probes are
 //! persistent vantage points and the source never leaves.
 
-use super::behaviour::{Behaviour, Ctx};
+use super::behaviour::{Behaviour, BehaviourAction, Ctx};
+use super::presence::{slots_naming, PEER_SLOTS};
 use super::state::Event;
 use super::SwarmCore;
 use crate::chunk::ChunkId;
@@ -76,19 +77,25 @@ impl ChurnRecovery {
         });
     }
 
-    /// Scrubs a departed peer from every probe's protocol state and
-    /// re-queues the chunk requests that were pending on it (the
-    /// mid-transfer-crash recovery path). Returns the probes that lost a
-    /// neighbor entry.
-    fn evict_peer(core: &mut SwarmCore<'_>, id: PeerId, now: SimTime) -> Vec<usize> {
-        let mut touched = Vec::new();
-        let mut requeued_by_probe: Vec<(usize, u64)> = Vec::new();
-        for (i, s) in core.probe_states.iter_mut().enumerate() {
+    /// Scrubs a departed peer from the state of every probe that may
+    /// name it (its holder set in the presence table, in ascending probe
+    /// order) and re-queues the chunk requests that were pending on it
+    /// (the mid-transfer-crash recovery path). Calls `lost_neighbor`
+    /// with each probe that lost a neighbor entry, in ascending order.
+    /// Allocates nothing.
+    fn evict_peer(
+        core: &mut SwarmCore<'_>,
+        id: PeerId,
+        now: SimTime,
+        mut lost_neighbor: impl FnMut(usize),
+    ) {
+        for i in core.presence.take_holders(id) {
+            let s = &mut core.probe_states[i];
             s.link.ext_up.remove(&id);
             let had = s.disc.neighbors.len();
             s.disc.neighbors.retain(|n| n.id != id);
             if s.disc.neighbors.len() != had {
-                touched.push(i);
+                lost_neighbor(i);
             }
             s.sched.active_requesters.retain(|r| *r != id);
             s.link.last_rx_from.remove(&id);
@@ -98,38 +105,50 @@ impl ChurnRecovery {
             // Requests in flight to the departed peer will never be
             // answered: move them to the prompt re-request queue instead
             // of letting them ride out the full request timeout.
-            let mut requeued: Vec<ChunkId> = Vec::new();
+            let in_flight = s.sched.pending.len();
+            let requeue = &mut s.rec.requeue;
             s.sched.pending.retain(|p| {
-                if p.provider == id {
-                    requeued.push(p.chunk);
-                    false
-                } else {
-                    true
+                if p.provider != id {
+                    return true;
                 }
+                if !requeue.contains(&p.chunk) {
+                    requeue.push(p.chunk);
+                }
+                false
             });
-            if !requeued.is_empty() {
-                requeued_by_probe.push((i, requeued.len() as u64));
-            }
-            for c in requeued {
-                if !s.rec.requeue.contains(&c) {
-                    s.rec.requeue.push(c);
-                }
+            let n = (in_flight - s.sched.pending.len()) as u64;
+            if n > 0 {
+                core.report.requests_requeued += n;
+                core.m.requests_requeued.add(n);
+                netaware_obs::event!(
+                    core.obs,
+                    Level::Debug,
+                    "swarm.churn.requests_requeued",
+                    now,
+                    "probe" = i,
+                    "peer" = id.0,
+                    "requests" = n,
+                );
             }
         }
-        for (i, n) in requeued_by_probe {
-            core.report.requests_requeued += n;
-            core.m.requests_requeued.add(n);
-            netaware_obs::event!(
-                core.obs,
-                Level::Debug,
-                "swarm.churn.requests_requeued",
-                now,
-                "probe" = i,
-                "peer" = id.0,
-                "requests" = n,
-            );
+        // Cross-check: a probe outside the holder set that names the peer
+        // means some site stored a peer id without marking it.
+        if cfg!(debug_assertions) {
+            for (i, s) in core.probe_states.iter().enumerate() {
+                let named = slots_naming(s, id);
+                debug_assert!(
+                    !named.contains(&true),
+                    "probe {i} still names departed peer {} in {:?}: a site that stores \
+                     a peer id did not mark the presence table",
+                    id.0,
+                    PEER_SLOTS
+                        .iter()
+                        .zip(named)
+                        .filter(|(_, n)| *n)
+                        .collect::<Vec<_>>(),
+                );
+            }
         }
-        touched
     }
 }
 
@@ -149,7 +168,7 @@ impl Behaviour for ChurnRecovery {
                 churn.plan.initial_offline > 0.0 && churn.rng.chance(churn.plan.initial_offline);
             if begins_offline {
                 let back_at = churn.rearrive_at_us(0);
-                ctx.core.offline.insert(id);
+                ctx.core.presence.go_offline(id);
                 ctx.schedule(SimTime::from_us(back_at), Event::Arrive(id));
                 start_offline.push(id);
             } else {
@@ -160,7 +179,7 @@ impl Behaviour for ChurnRecovery {
         // Initially-offline externals may have been handed out by the
         // tracker bootstrap before the plan was attached: evict them.
         for id in start_offline {
-            Self::evict_peer(ctx.core, id, SimTime::ZERO);
+            Self::evict_peer(ctx.core, id, SimTime::ZERO, |_| {});
         }
     }
 
@@ -213,7 +232,7 @@ impl Behaviour for ChurnRecovery {
             let Some(churn) = self.churn.as_mut() else {
                 return;
             };
-            if !ctx.core.offline.insert(id) {
+            if !ctx.core.presence.go_offline(id) {
                 return; // already gone (stale event)
             }
             SimTime::from_us(churn.rearrive_at_us(now.as_us()))
@@ -228,14 +247,14 @@ impl Behaviour for ChurnRecovery {
             now,
             "peer" = id.0,
         );
-        let touched = Self::evict_peer(ctx.core, id, now);
         // Dead-peer replacement: each probe that lost this neighbor
         // immediately asks the gossip/tracker view for a substitute
         // (which fails during tracker outages — then the next tick's
         // discovery top-up retries).
-        for i in touched {
-            ctx.request_discovery(i);
-        }
+        let Ctx { core, actions, .. } = ctx;
+        Self::evict_peer(core, id, now, |probe| {
+            actions.queue.push_back(BehaviourAction::Discover { probe });
+        });
     }
 
     /// A departed external rejoins the overlay and becomes discoverable
@@ -245,7 +264,7 @@ impl Behaviour for ChurnRecovery {
         let Some(churn) = self.churn.as_mut() else {
             return;
         };
-        if !ctx.core.offline.remove(&id) {
+        if !ctx.core.presence.go_online(id) {
             return; // was never marked offline (stale event)
         }
         let gone_at = now + churn.session_us();

@@ -157,6 +157,7 @@ impl Discovery {
         };
         let entry = core.neighbor(i, cand, now_us.saturating_add(lifetime));
         core.probe_states[i].disc.neighbors.push(entry);
+        core.presence.mark(cand, i);
         let ttl = core.ttl_to(cand, pid);
         core.capture(
             i,

@@ -37,6 +37,7 @@ pub(crate) mod churn_recovery;
 pub(crate) mod discovery;
 pub(crate) mod dispatch;
 pub(crate) mod epidemic;
+mod presence;
 mod report;
 pub(crate) mod scheduling;
 mod state;
@@ -55,7 +56,6 @@ use netaware_sim::{DetRng, LinkFaults, PacketFate, SimTime};
 use netaware_trace::{MemorySink, ProbeTrace, RecordSink, TraceError, TraceSet};
 use rayon::prelude::*;
 use state::{PeerMeta, ProbeState};
-use std::collections::BTreeSet;
 
 /// Experiment-level configuration of one swarm run.
 #[derive(Clone, Debug)]
@@ -117,7 +117,7 @@ impl SwarmMetrics {
 
 /// Everything the behaviours share: peer tables, per-probe state
 /// slices, trace capture, observability, and the fault substrate (link
-/// impairment machines and the offline set — the *consequences* of
+/// impairment machines and the presence table — the *consequences* of
 /// churn; the churn *process* lives in the churn-recovery behaviour).
 pub(crate) struct SwarmCore<'a> {
     pub(crate) cfg: SwarmConfig,
@@ -139,9 +139,11 @@ pub(crate) struct SwarmCore<'a> {
     /// One impairment machine per probe access link (empty without link
     /// faults, so fault-free runs draw no link fates).
     pub(crate) links: Vec<LinkFaults>,
-    /// Externals currently offline (written by churn recovery, read by
-    /// discovery and scheduling).
-    pub(crate) offline: BTreeSet<PeerId>,
+    /// Per-peer offline flags (written by churn recovery, read by
+    /// discovery and scheduling) and the probes that may name each peer
+    /// (marked wherever a probe's state stores a peer id, read by
+    /// eviction).
+    pub(crate) presence: presence::Presence,
 }
 
 impl SwarmCore<'_> {
@@ -170,7 +172,7 @@ impl SwarmCore<'_> {
 
     /// Whether `id` is currently offline (churned away).
     pub(crate) fn is_offline(&self, id: PeerId) -> bool {
-        self.offline.contains(&id)
+        self.presence.is_offline(id)
     }
 
     /// All external peers, in id order (the churn process's population).
@@ -215,11 +217,11 @@ impl<'a> Swarm<'a> {
     /// that never heard of faults. Fault draws ride dedicated RNG
     /// streams, so attaching a plan never perturbs protocol streams.
     /// The pieces land where they are consumed: link machines and the
-    /// offline set in the core, the churn process in the churn-recovery
+    /// offline flags in the core, the churn process in the churn-recovery
     /// behaviour, tracker outages in the discovery behaviour.
     pub fn set_faults(&mut self, plan: &FaultPlan) {
         let seed = self.core.cfg.seed;
-        self.core.offline.clear();
+        self.core.presence.clear_offline();
         if plan.is_noop() {
             self.core.links = Vec::new();
             self.stack

@@ -177,6 +177,7 @@ impl Scheduling {
             provider,
             deadline_us: now_us + timeout_us,
         });
+        core.presence.mark(provider, i);
         core.m.chunks_requested.inc();
         netaware_obs::event!(
             core.obs,
@@ -365,6 +366,7 @@ impl Behaviour for Scheduling {
         }
         s.sched.est_bps.insert(from, est);
         s.sched.last_provider = Some(from);
+        core.presence.mark(from, ti);
     }
 
     /// Aggregate external demand on probe `i`: one chunk request arrives.
@@ -419,6 +421,7 @@ impl Behaviour for Scheduling {
                             s.sched.active_requesters.swap_remove(evict);
                         }
                         s.sched.active_requesters.push(r);
+                        core.presence.mark(r, i);
                     }
                     Some(r)
                 }

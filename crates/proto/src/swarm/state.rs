@@ -530,6 +530,7 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
         by_as,
     };
 
+    let n_peers = peers.len();
     let mut core = SwarmCore {
         cfg,
         env,
@@ -543,7 +544,7 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
         obs: netaware_obs::Obs::default(),
         m: super::SwarmMetrics::default(),
         links: Vec::new(),
-        offline: std::collections::BTreeSet::new(),
+        presence: super::presence::Presence::new(n_peers, n_probes),
     };
 
     // Neighbor tables: the source, then every probe-pair edge that the

@@ -316,6 +316,15 @@ fn mini_swarm(_seed: u64) -> (netaware_net::GeoRegistry, PeerSetup) {
     (mini_registry(), mini_setup(20))
 }
 
+/// The swarm's external peers, in id order.
+fn externals<'s>(swarm: &'s Swarm<'_>) -> impl Iterator<Item = PeerId> + 's {
+    swarm
+        .peers()
+        .iter()
+        .filter(|p| p.role == PeerRole::External)
+        .map(|p| p.id)
+}
+
 #[test]
 fn deliver_to_probe_paces_per_flow() {
     let (reg, setup) = mini_swarm(1);
@@ -331,8 +340,10 @@ fn deliver_to_probe_paces_per_flow() {
         profile: small_profile(AppProfile::sopcast()),
     };
     let mut swarm = Swarm::new(cfg, env, setup);
-    let a = crate::peer::PeerId(50); // some external
-    let b = crate::peer::PeerId(51); // another external
+    let (a, b) = {
+        let mut ext = externals(&swarm);
+        (ext.next().unwrap(), ext.next().unwrap())
+    };
     let t0 = netaware_sim::SimTime::from_ms(100);
 
     // Flow a: two packets arriving "simultaneously" must be spaced by
@@ -371,7 +382,7 @@ fn modem_probe_coalesces_bursts() {
     // Probe 3 is the DSL home probe (6 Mb/s down): it has a modem.
     assert!(swarm.core.probe_states[3].link.modem.is_some());
     assert!(swarm.core.probe_states[0].link.modem.is_none());
-    let a = crate::peer::PeerId(50);
+    let a = externals(&swarm).next().unwrap();
     let t0 = netaware_sim::SimTime::from_ms(100);
     // Packets paced at the 6 Mb/s drain (1.67 ms apart) mostly land in
     // the same 10 ms interleave bucket and are delivered 100 µs apart;
@@ -573,6 +584,212 @@ fn departed_provider_pending_requests_move_to_requeue() {
     assert_eq!(swarm.core.report.peers_departed, 1);
     // The departed peer's return trip is scheduled.
     assert!(!sched.is_empty());
+}
+
+/// `mini_setup` plus three more LAN probes at the first site: seven
+/// probes, one per peer slot and one spare.
+fn seven_probe_setup(n_ext: usize) -> PeerSetup {
+    let mut setup = mini_setup(n_ext);
+    for host in 12..15 {
+        setup.probes.push(ProbeSpec {
+            ip: Ip::from_octets(130, 192, 1, host),
+            access: AccessLink::lan(),
+        });
+    }
+    setup
+}
+
+/// Runs one behaviour hook on a hand-built `Ctx`; the actions it emits
+/// are dropped.
+fn run_hook(
+    swarm: &mut Swarm<'_>,
+    now: netaware_sim::SimTime,
+    hook: impl FnOnce(&mut BehaviourStack, &mut Ctx<'_, '_>),
+) {
+    let mut actions = behaviour::Actions::default();
+    let Swarm { core, stack } = swarm;
+    let mut ctx = behaviour::Ctx {
+        core,
+        actions: &mut actions,
+        now,
+    };
+    hook(stack, &mut ctx);
+}
+
+/// Eviction scrubs only the probes in the departed peer's holder set,
+/// so every site that stores a peer id in a probe's state must mark
+/// the presence table. One external is put into each of the six slots,
+/// each through its own storing site and at its own probe (and into
+/// `sched.pending` a second time, at the last probe, first). After it
+/// departs no slot names it, and the re-queue events come in ascending
+/// probe order.
+#[test]
+fn departure_scrubs_every_slot_that_names_the_peer() {
+    use netaware_obs::{FieldValue, RingSink};
+    use presence::{slots_naming, PEER_SLOTS};
+    use std::sync::Arc;
+
+    let reg = mini_registry();
+    let env = NetworkEnv {
+        registry: &reg,
+        paths: PathModel::new(7),
+        latency: LatencyModel::new(7),
+    };
+    // No tracker bootstrap: externals enter probe state only where the
+    // test puts them.
+    let cfg = SwarmConfig {
+        profile: AppProfile {
+            init_neighbors: 0,
+            ..small_profile(AppProfile::sopcast())
+        },
+        ..mini_cfg(60, 7)
+    };
+    let mut swarm = Swarm::new(cfg, env, seven_probe_setup(20));
+    let sink = Arc::new(RingSink::new(1 << 14));
+    swarm.set_obs(Obs::new(sink.clone()));
+    let x = externals(&swarm)
+        .find(|id| !swarm.core.meta[id.0 as usize].nat)
+        .unwrap();
+    let now = netaware_sim::SimTime::from_secs(30);
+    let probe = |k: usize| PeerId(1 + k as u32);
+    let churn = netaware_faults::FaultPlan::from_flags(None, None, true);
+
+    // link.ext_up at probe 4: an external serve whose every packet the
+    // probe's link drops creates the uplink entry but no flow entry.
+    swarm.set_faults(&netaware_faults::FaultPlan {
+        link: netaware_faults::LinkFaultPlan {
+            loss: 1.0,
+            ..Default::default()
+        },
+        ..churn.clone()
+    });
+    run_hook(&mut swarm, now, |st, ctx| {
+        st.scheduling.on_serve(ctx, x, probe(4), ChunkId(40))
+    });
+    swarm.set_faults(&churn);
+
+    // disc.neighbors at probe 0: a handshake with a tracker that knows x only.
+    let tables = std::mem::replace(
+        &mut swarm.stack.discovery.tables,
+        state::DiscoveryTables {
+            ext_ids: vec![x],
+            cum_weights: vec![1.0],
+            by_as: std::collections::BTreeMap::new(),
+        },
+    );
+    run_hook(&mut swarm, now, |st, ctx| {
+        assert!(
+            st.discovery.try_discover(ctx, 0, now.as_us()),
+            "handshake with x failed"
+        );
+    });
+    swarm.stack.discovery.tables = tables;
+
+    // sched.pending at probes 6 then 1, and sched.active_requesters at
+    // probe 2: x is the probe's only external neighbor for one tick (or
+    // one demand arrival), an entry the test adds and removes itself.
+    let as_sole_neighbor =
+        |swarm: &mut Swarm<'_>, k: usize, hook: &dyn Fn(&mut BehaviourStack, &mut Ctx<'_, '_>)| {
+            let entry = swarm.core.neighbor(k, x, u64::MAX);
+            let saved =
+                std::mem::replace(&mut swarm.core.probe_states[k].disc.neighbors, vec![entry]);
+            run_hook(swarm, now, |st, ctx| hook(st, ctx));
+            swarm.core.probe_states[k].disc.neighbors = saved;
+        };
+    for k in [6, 1] {
+        as_sole_neighbor(&mut swarm, k, &|st, ctx| st.scheduling.on_tick(ctx, k));
+    }
+    as_sole_neighbor(&mut swarm, 2, &|st, ctx| st.scheduling.on_demand(ctx, 2));
+
+    // sched.last_provider at probe 3: x delivers a chunk.
+    run_hook(&mut swarm, now, |st, ctx| {
+        st.scheduling
+            .on_delivered(ctx, probe(3), x, ChunkId(40), 1_000_000)
+    });
+    // link.last_rx_from at probe 5: the first packet of x's flow.
+    swarm.core.deliver_to_probe(5, x, now, 1250);
+
+    let named_at = |swarm: &Swarm<'_>, k: usize| -> Vec<&str> {
+        let named = slots_naming(&swarm.core.probe_states[k], x);
+        PEER_SLOTS
+            .iter()
+            .zip(named)
+            .filter(|(_, n)| *n)
+            .map(|(s, _)| *s)
+            .collect()
+    };
+    let placed = [
+        "disc.neighbors",
+        "sched.pending",
+        "sched.active_requesters",
+        "sched.last_provider",
+        "link.ext_up",
+        "link.last_rx_from",
+        "sched.pending",
+    ];
+    for (k, slot) in placed.into_iter().enumerate() {
+        assert_eq!(
+            named_at(&swarm, k),
+            vec![slot],
+            "probe {k} before the departure"
+        );
+    }
+    let pending_on_x = |k: usize| {
+        swarm.core.probe_states[k]
+            .sched
+            .pending
+            .iter()
+            .filter(|p| p.provider == x)
+            .count() as u64
+    };
+    let (pending_1, pending_6) = (pending_on_x(1), pending_on_x(6));
+
+    let mut sched = netaware_sim::Scheduler::new();
+    let mut actions = behaviour::Actions::default();
+    {
+        let Swarm { core, stack } = &mut swarm;
+        let mut seq = dispatch::LaneSeqs::new(core.n_probes);
+        dispatch::deliver(
+            core,
+            stack,
+            &mut sched,
+            &mut actions,
+            &mut seq,
+            now,
+            Event::Depart(x),
+            &dispatch::DispatchProf::disabled(),
+        );
+    }
+
+    for k in 0..swarm.core.n_probes {
+        assert!(
+            named_at(&swarm, k).is_empty(),
+            "probe {k} still names x: {:?}",
+            named_at(&swarm, k)
+        );
+    }
+    let field = |e: &netaware_obs::Event, key: &str| {
+        e.fields.iter().find_map(|(k, v)| match (*k == key, v) {
+            (true, FieldValue::U64(n)) => Some(*n),
+            _ => None,
+        })
+    };
+    let requeues: Vec<(Option<u64>, Option<u64>, Option<u64>)> = sink
+        .snapshot()
+        .iter()
+        .filter(|e| e.target == "swarm.churn.requests_requeued")
+        .map(|e| (field(e, "probe"), field(e, "peer"), field(e, "requests")))
+        .collect();
+    let x_id = Some(u64::from(x.0));
+    assert_eq!(
+        requeues,
+        vec![
+            (Some(1), x_id, Some(pending_1)),
+            (Some(6), x_id, Some(pending_6))
+        ],
+        "re-queue events out of probe order"
+    );
+    assert_eq!(swarm.core.report.requests_requeued, pending_1 + pending_6);
 }
 
 /// A churn-heavy run keeps streaming: peers depart and re-arrive, the

@@ -57,7 +57,10 @@ impl SwarmCore<'_> {
                 last.insert(drain);
                 drain
             }
-            Entry::Vacant(slot) => *slot.insert(reach),
+            Entry::Vacant(slot) => {
+                self.presence.mark(from, probe_idx);
+                *slot.insert(reach)
+            }
         };
         let Some(m) = &mut s.link.modem else {
             return drain;
@@ -309,6 +312,7 @@ impl SwarmCore<'_> {
         // races the refusal. The train runs on a local copy, written
         // back below.
         let up_bps = self.meta[provider.0 as usize].up_bps.max(1);
+        self.presence.mark(provider, to_idx);
         let mut up = {
             let up = self.probe_states[to_idx]
                 .link

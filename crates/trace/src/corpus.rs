@@ -11,8 +11,22 @@ use crate::set::TraceSet;
 use netaware_net::Ip;
 use serde::{Deserialize, Serialize};
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, ErrorKind, Write};
 use std::path::Path;
+
+/// Opens `path` as a new, empty file, unlinking any file already there
+/// instead of truncating it in place. Both corpus writers go through it,
+/// so writing a corpus over an older one never waits for the older
+/// files to reach the disk (ext4 starts writing a file back when it is
+/// closed after a truncation to zero, and the next truncation waits for
+/// that write), and a reader that still has an older file open keeps
+/// reading the whole of it.
+pub(crate) fn create_replacing(path: &Path) -> std::io::Result<File> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != ErrorKind::NotFound => Err(e),
+        _ => File::create(path),
+    }
+}
 
 /// The sidecar metadata of a persisted corpus.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -34,8 +48,9 @@ impl TraceSet {
         std::fs::create_dir_all(dir)?;
         for t in &self.traces {
             let path = dir.join(format!("{}.nawt", t.probe));
-            let mut w = BufWriter::new(File::create(path)?);
+            let mut w = BufWriter::new(create_replacing(&path)?);
             write_trace(t, &mut w)?;
+            w.flush()?;
         }
         let manifest = CorpusManifest {
             app: self.app.clone(),
@@ -48,7 +63,7 @@ impl TraceSet {
             reason = "value-tree serialisation of an in-memory struct cannot fail"
         )]
         let js = serde_json::to_string_pretty(&manifest).expect("manifest serialises");
-        std::fs::write(dir.join("manifest.json"), js)?;
+        create_replacing(&dir.join("manifest.json"))?.write_all(js.as_bytes())?;
         Ok(manifest)
     }
 
@@ -155,6 +170,24 @@ mod tests {
             TraceSet::read_dir(&dir),
             Err(TraceError::Truncated { .. })
         ));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rewriting_a_corpus_replaces_its_files() {
+        let dir = tmp("replace");
+        sample().write_dir(&dir).unwrap();
+        let path = dir.join("10.0.0.1.nawt");
+        let before = std::fs::read(&path).unwrap();
+        let mut reader = File::open(&path).unwrap();
+        let mut smaller = TraceSet::new("SopCast", 60_000_000);
+        smaller.add(ProbeTrace::new(Ip::from_octets(10, 0, 0, 1)));
+        smaller.write_dir(&dir).unwrap();
+        let mut seen = Vec::new();
+        std::io::Read::read_to_end(&mut reader, &mut seen).unwrap();
+        assert_eq!(seen, before, "an open reader keeps the older file whole");
+        assert_ne!(std::fs::read(&path).unwrap(), before);
+        assert_eq!(TraceSet::read_dir(&dir).unwrap().total_packets(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

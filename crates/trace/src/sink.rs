@@ -9,14 +9,13 @@
 //! than one probe's capture; the producer may still hold the rest — the
 //! swarm keeps every capture until its event loop ends).
 
-use crate::corpus::CorpusManifest;
+use crate::corpus::{create_replacing, CorpusManifest};
 use crate::format::{write_trace, TraceError};
 use crate::set::{ProbeTrace, TraceSet};
 use netaware_net::Ip;
 use netaware_obs::{Counter, Level, Obs, ProfCell};
 use netaware_sim::SimTime;
-use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Sim time of a sunk trace: its last record's timestamp (the moment
@@ -152,8 +151,11 @@ impl RecordSink for CorpusSink {
             trace.probe
         );
         let path = self.dir.join(format!("{}.nawt", trace.probe));
-        let mut w = BufWriter::new(File::create(path)?);
-        self.prof.time(|| write_trace(&trace, &mut w))?;
+        let mut w = BufWriter::new(create_replacing(&path)?);
+        self.prof.time(|| -> Result<(), TraceError> {
+            write_trace(&trace, &mut w)?;
+            Ok(w.flush()?)
+        })?;
         self.records_sunk.add(trace.len() as u64);
         self.probes_spilled.inc();
         netaware_obs::event!(
@@ -181,7 +183,7 @@ impl RecordSink for CorpusSink {
             reason = "value-tree serialisation of an in-memory struct cannot fail"
         )]
         let js = serde_json::to_string_pretty(&manifest).expect("manifest serialises");
-        std::fs::write(self.dir.join("manifest.json"), js)?;
+        create_replacing(&self.dir.join("manifest.json"))?.write_all(js.as_bytes())?;
         Ok(manifest)
     }
 }
@@ -250,5 +252,28 @@ mod tests {
         assert_eq!(via_sink, via_set);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&dir2);
+    }
+
+    #[test]
+    fn corpus_sink_replaces_an_older_spill() {
+        let dir = std::env::temp_dir()
+            .join(format!("netaware_sink_respill_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let p1 = Ip::from_octets(10, 0, 0, 1);
+        let spill = |n| {
+            let mut sink = CorpusSink::create(&dir).unwrap();
+            sink.sink_probe(trace(p1, n)).unwrap();
+            sink.finish("TVAnts", 60_000_000).unwrap()
+        };
+        spill(5);
+        let path = dir.join(format!("{p1}.nawt"));
+        let before = std::fs::read(&path).unwrap();
+        let mut reader = std::fs::File::open(&path).unwrap();
+        assert_eq!(spill(2).total_packets, 2);
+        let mut seen = Vec::new();
+        std::io::Read::read_to_end(&mut reader, &mut seen).unwrap();
+        assert_eq!(seen, before, "an open reader keeps the older file whole");
+        assert_eq!(TraceSet::read_dir(&dir).unwrap().total_packets(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -15,6 +15,7 @@
 //!                      [--json FILE] [--profile FILE]
 //! netaware-cli obs summarize FILE [--metrics FILE]
 //! netaware-cli obs profile FILE
+//! netaware-cli obs diff A.json B.json
 //!
 //! FAULTS = [--faults FILE] [--loss P] [--jitter-us N] [--churn]
 //! ```
@@ -60,7 +61,11 @@
 //! profiler and write the finished run's span tree (`ProfileNode`) to
 //! FILE as JSON, printing the peak heap on stderr; `obs profile FILE`
 //! renders such a tree as an indented flame-style table with
-//! total/self wall time, calls, allocations and work items.
+//! total/self wall time, calls, allocations and work items. `obs diff
+//! A.json B.json` pairs the spans of two such trees by path and prints
+//! each one's self time A → B with its change, calls and allocations;
+//! it exits 1 naming the first span whose `events` or `records` differ,
+//! since the two runs then did different work.
 //!
 //! Each subcommand takes only the flags it reads (see `flags_read_by`);
 //! any other flag is a usage error (exit 2) before anything runs.
@@ -526,7 +531,7 @@ fn cmd_run(c: &Common) -> ExitCode {
 /// optionally folding a metrics snapshot into the same report. Fails
 /// (non-zero) on unreadable or malformed inputs, including truncated
 /// JSONL lines. `obs profile FILE` renders a `--profile` span tree as
-/// the flame-style table.
+/// the flame-style table; `obs diff A B` compares two of them.
 fn cmd_obs(rest: &[String]) -> ExitCode {
     match rest {
         [sub, file, tail @ ..] if sub == "summarize" => {
@@ -574,33 +579,43 @@ fn cmd_obs(rest: &[String]) -> ExitCode {
             print!("{}", summary.render_with_metrics(metrics.as_ref()));
             ExitCode::SUCCESS
         }
-        [sub, file] if sub == "profile" => {
-            let body = match std::fs::read_to_string(file) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("obs profile: cannot open {file}: {e}");
-                    return ExitCode::FAILURE;
-                }
+        [sub, file] if sub == "profile" => match read_profile(file) {
+            Ok(tree) => {
+                print!("{}", tree.render());
+                ExitCode::SUCCESS
+            }
+            Err(e) => exit_on("obs profile", Err(e)),
+        },
+        [sub, a, b] if sub == "diff" => {
+            let (tree_a, tree_b) = match (read_profile(a), read_profile(b)) {
+                (Ok(ta), Ok(tb)) => (ta, tb),
+                (Err(e), _) | (_, Err(e)) => return exit_on("obs diff", Err(e)),
             };
-            match serde_json::from_str::<ProfileNode>(&body) {
-                Ok(tree) => {
-                    print!("{}", tree.render());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("obs profile: {file} is not a --profile span tree: {e}");
-                    ExitCode::FAILURE
-                }
+            let diff = tree_a.diff(&tree_b);
+            print!("{}", diff.render());
+            match diff.drift() {
+                None => ExitCode::SUCCESS,
+                Some(d) => exit_on(
+                    "obs diff",
+                    Err(format!("{d} ({a} and {b} ran different work)")),
+                ),
             }
         }
         _ => {
             eprintln!(
                 "usage: netaware-cli obs summarize FILE [--metrics FILE]\n       \
-                 netaware-cli obs profile FILE"
+                 netaware-cli obs profile FILE\n       \
+                 netaware-cli obs diff A.json B.json"
             );
             ExitCode::from(2)
         }
     }
+}
+
+/// Reads a `--profile` span tree; the error names the file.
+fn read_profile(file: &str) -> Result<ProfileNode, String> {
+    let body = std::fs::read_to_string(file).map_err(|e| format!("cannot open {file}: {e}"))?;
+    serde_json::from_str(&body).map_err(|e| format!("{file} is not a --profile span tree: {e}"))
 }
 
 fn cmd_replicate(c: &Common) -> ExitCode {

@@ -235,6 +235,59 @@ fn run_profile_prints_phase_timings() {
     let _ = std::fs::remove_file(&profile);
 }
 
+/// `obs diff` pairs the spans of two `--profile` trees by path. It
+/// exits 1 naming the first span whose work tallies differ, and exits
+/// 1 naming the file when a body is not a span tree.
+#[test]
+fn obs_diff_pairs_spans_and_flags_workload_drift() {
+    let tmp = |tag: &str| {
+        std::env::temp_dir().join(format!("netaware_cli_diff_{tag}_{}.json", std::process::id()))
+    };
+    let (a, b, c) = (tmp("a"), tmp("b"), tmp("c"));
+    for (path, secs) in [(&a, "10"), (&b, "10"), (&c, "11")] {
+        let out = cli()
+            .args(["run", "tvants", "--scale", "0.02", "--seed", "5", "--secs", secs, "--profile"])
+            .arg(path)
+            .output()
+            .expect("spawn");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    }
+    let diff = |x: &std::path::Path, y: &std::path::Path| {
+        cli().args(["obs", "diff"]).arg(x).arg(y).output().expect("spawn")
+    };
+
+    // The same seeded run twice did the same work: one row per span.
+    let out = diff(&a, &b);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let table = String::from_utf8_lossy(&out.stdout);
+    for span in ["swarm.dispatch", "behaviour.scheduling", "analysis.sweep"] {
+        assert!(
+            table.lines().any(|l| l.trim_start().starts_with(span) && l.contains('→')),
+            "no {span} row in {table}"
+        );
+    }
+
+    // A longer run swept more records and dispatched more events.
+    let out = diff(&a, &c);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(
+        err.contains("workload drift at testbed.run/analysis.sweep: records"),
+        "drifting span not named in {err}"
+    );
+
+    // A body in the old report format names the file.
+    std::fs::write(&c, r#"{"schema":1,"meta":{"scenario":"tvants_clean"}}"#).unwrap();
+    let out = diff(&a, &c);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains(&*c.to_string_lossy()), "file not named in {err}");
+    assert!(!err.contains("panicked"), "obs diff panicked: {err}");
+    for f in [a, b, c] {
+        let _ = std::fs::remove_file(f);
+    }
+}
+
 /// A flag the subcommand does not read is a usage error that names it,
 /// raised before anything runs, instead of being silently ignored.
 #[test]
