@@ -37,6 +37,10 @@ impl Announce {
 }
 
 impl Behaviour for Announce {
+    fn name(&self) -> &'static str {
+        "announce"
+    }
+
     /// Buffer-map announcements: TX to random neighbors, RX from random
     /// external neighbors.
     fn on_tick(&mut self, ctx: &mut Ctx<'_, '_>, i: usize) {

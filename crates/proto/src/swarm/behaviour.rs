@@ -17,11 +17,12 @@
 //! action queue in FIFO order after the hooks of one event ran, in
 //! fixed behaviour-stack order (discovery, announce, churn-recovery,
 //! scheduling, the optional epidemic push, then custom behaviours in
-//! push order). Because the
-//! scheduler breaks timestamp ties by insertion sequence, FIFO draining
-//! preserves the exact insertion order the monolithic handler produced —
-//! which is what keeps same-seed runs byte-identical across the
-//! decomposition (pinned by `tests/golden_behaviours.rs`).
+//! push order). Each `Schedule` action is keyed by the lane of the
+//! event being handled and that lane's next insertion number, so the
+//! emission order *is* the pop order among equal timestamps, and the
+//! key of an event depends only on its lane's history — which is what
+//! keeps same-seed runs byte-identical across the decomposition (pinned
+//! by `tests/golden_behaviours.rs`).
 
 use super::state::Event;
 use super::SwarmCore;
@@ -132,7 +133,8 @@ pub trait Behaviour {
         "custom"
     }
     /// Called once before the event loop starts (after the initial
-    /// tick/demand/halo processes are scheduled).
+    /// tick/demand/halo processes are emitted; its actions drain after
+    /// them, on the same bootstrap lane).
     fn on_start(&mut self, ctx: &mut Ctx) {}
     /// Protocol tick at probe `i`.
     fn on_tick(&mut self, ctx: &mut Ctx, i: usize) {}
@@ -189,6 +191,21 @@ impl BehaviourStack {
             epidemic,
             custom: Vec::new(),
         }
+    }
+
+    /// Every behaviour in dispatch order: the four built-ins, the
+    /// epidemic push when present, then the customs in push order.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut dyn Behaviour> {
+        let builtins: [&mut dyn Behaviour; 4] = [
+            &mut self.discovery,
+            &mut self.announce,
+            &mut self.recovery,
+            &mut self.scheduling,
+        ];
+        builtins
+            .into_iter()
+            .chain(self.epidemic.as_mut().map(|e| e as &mut dyn Behaviour))
+            .chain(self.custom.iter_mut().map(|b| &mut **b as &mut dyn Behaviour))
     }
 
     /// Appends a custom behaviour. It runs *after* the built-ins on

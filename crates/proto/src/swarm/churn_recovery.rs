@@ -119,7 +119,6 @@ impl ChurnRecovery {
             let n = (in_flight - s.sched.pending.len()) as u64;
             if n > 0 {
                 core.report.requests_requeued += n;
-                core.m.requests_requeued.add(n);
                 netaware_obs::event!(
                     core.obs,
                     Level::Debug,
@@ -153,6 +152,10 @@ impl ChurnRecovery {
 }
 
 impl Behaviour for ChurnRecovery {
+    fn name(&self) -> &'static str {
+        "churn_recovery"
+    }
+
     /// Seeds the churn process at the start of the event loop: every
     /// external either starts offline (evicted from the bootstrap
     /// neighbor tables, arriving later) or gets a departure scheduled
@@ -239,7 +242,6 @@ impl Behaviour for ChurnRecovery {
         };
         ctx.schedule(back_at, Event::Arrive(id));
         ctx.core.report.peers_departed += 1;
-        ctx.core.m.peers_departed.inc();
         netaware_obs::event!(
             ctx.core.obs,
             Level::Debug,
@@ -270,7 +272,6 @@ impl Behaviour for ChurnRecovery {
         let gone_at = now + churn.session_us();
         ctx.schedule(gone_at, Event::Depart(id));
         ctx.core.report.peers_arrived += 1;
-        ctx.core.m.peers_arrived.inc();
         netaware_obs::event!(
             ctx.core.obs,
             Level::Debug,

@@ -185,6 +185,10 @@ impl Discovery {
 }
 
 impl Behaviour for Discovery {
+    fn name(&self) -> &'static str {
+        "discovery"
+    }
+
     /// Neighbor churn: drop expired externals, top up via discovery.
     fn on_tick(&mut self, ctx: &mut Ctx<'_, '_>, i: usize) {
         let now_us = ctx.now().as_us();

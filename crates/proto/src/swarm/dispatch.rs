@@ -2,12 +2,12 @@
 //! simulation [`Event`]s or touches the scheduler (no behaviour hook
 //! receives either).
 //!
-//! For every popped event the dispatcher runs the behaviour hooks in
-//! fixed stack order — discovery, announce, churn-recovery, scheduling,
-//! the optional epidemic push, then custom behaviours in push order —
-//! and only then drains the
-//! action queue FIFO into the scheduler. Because the scheduler breaks
-//! timestamp ties by a canonical `(origin, oseq)` key assigned at
+//! For every popped event the dispatcher fans the matching hook out
+//! over the behaviour stack in fixed order — discovery, announce,
+//! churn-recovery, scheduling, the optional epidemic push, then custom
+//! behaviours in push order — and only then drains the action queue
+//! FIFO into the scheduler. Because the scheduler orders equal
+//! timestamps by a canonical `(origin, oseq)` key assigned at
 //! insertion, this two-phase scheme inserts events in exactly the order
 //! the monolithic handler did, which is what keeps same-seed runs
 //! byte-identical across the decomposition (pinned by
@@ -18,7 +18,8 @@
 //! Every insertion made while handling an event is keyed by the handled
 //! event's lane (`handler_lane`): the probe whose hooks and RNG stream
 //! the event drives, or the churn lane for departures and arrivals.
-//! Bootstrap events ride the `ORIGIN_INIT` lane. Each lane numbers its
+//! The bootstrap processes and the `on_start` hooks' actions ride the
+//! `ORIGIN_INIT` lane through the same drain. Each lane numbers its
 //! own insertions, so an event's key depends only on the history of
 //! the lane that emitted it. Obs events go straight to the sink as the
 //! hooks emit them, so the event log follows dispatch order.
@@ -32,34 +33,23 @@ use netaware_sim::{PacketFate, Scheduler, SimTime, ORIGIN_CHURN, ORIGIN_INIT};
 use netaware_trace::PayloadKind;
 
 /// Pre-registered profiler cells for the dispatch hot path: one per
-/// built-in behaviour, one per custom behaviour (labelled by
-/// [`Behaviour::name`]), one for the receiver-side transfer work, one
-/// for the action drain. When the obs handle is not profiling every
-/// cell is disabled and [`ProfCell::time`] reduces to a bare closure
-/// call, keeping the disabled path within the `obs_overhead` bench
-/// budget.
+/// behaviour in the stack, labelled `behaviour.<`[`Behaviour::name`]`>`,
+/// one for the receiver-side transfer work, one for the action drain.
+/// When the obs handle is not profiling every cell is disabled and
+/// [`ProfCell::time`] reduces to a bare closure call, keeping the
+/// disabled path within the `obs_overhead` bench budget.
 pub(crate) struct DispatchProf {
-    discovery: ProfCell,
-    announce: ProfCell,
-    recovery: ProfCell,
-    scheduling: ProfCell,
-    epidemic: ProfCell,
-    custom: Vec<ProfCell>,
+    /// Parallel to [`BehaviourStack::iter_mut`].
+    behaviours: Vec<ProfCell>,
     transfer: ProfCell,
     drain: ProfCell,
 }
 
 impl DispatchProf {
-    fn new(span: &ProfSpan, stack: &BehaviourStack) -> DispatchProf {
+    fn new(span: &ProfSpan, stack: &mut BehaviourStack) -> DispatchProf {
         DispatchProf {
-            discovery: span.cell("behaviour.discovery"),
-            announce: span.cell("behaviour.announce"),
-            recovery: span.cell("behaviour.churn_recovery"),
-            scheduling: span.cell("behaviour.scheduling"),
-            epidemic: span.cell("behaviour.epidemic"),
-            custom: stack
-                .custom
-                .iter()
+            behaviours: stack
+                .iter_mut()
                 .map(|b| span.cell(&format!("behaviour.{}", b.name())))
                 .collect(),
             transfer: span.cell("transfer.rx"),
@@ -67,16 +57,11 @@ impl DispatchProf {
         }
     }
 
-    /// All-disabled cells (unit tests drive `deliver` directly).
+    /// No cells (unit tests drive `deliver` directly).
     #[cfg(test)]
     pub(crate) fn disabled() -> DispatchProf {
         DispatchProf {
-            discovery: ProfCell::disabled(),
-            announce: ProfCell::disabled(),
-            recovery: ProfCell::disabled(),
-            scheduling: ProfCell::disabled(),
-            epidemic: ProfCell::disabled(),
-            custom: Vec::new(),
+            behaviours: Vec::new(),
             transfer: ProfCell::disabled(),
             drain: ProfCell::disabled(),
         }
@@ -84,11 +69,12 @@ impl DispatchProf {
 }
 
 /// Per-lane insertion counters. A probe lane (`1 + probe_idx`) advances
-/// only while handling that probe's events, and the churn lane only
-/// while handling departures and arrivals, so the produced
-/// `(origin, oseq)` keys are unique.
+/// only while handling that probe's events, the churn lane only while
+/// handling departures and arrivals, and the init lane only during
+/// bootstrap, so the produced `(origin, oseq)` keys are unique.
 pub(crate) struct LaneSeqs {
     probe: Vec<u32>,
+    init: u32,
     churn: u32,
 }
 
@@ -96,15 +82,16 @@ impl LaneSeqs {
     pub(crate) fn new(n_probes: usize) -> LaneSeqs {
         LaneSeqs {
             probe: vec![0; n_probes],
+            init: 0,
             churn: 0,
         }
     }
 
     fn next(&mut self, lane: u32) -> u32 {
-        let slot = if lane == ORIGIN_CHURN {
-            &mut self.churn
-        } else {
-            &mut self.probe[lane as usize - 1]
+        let slot = match lane {
+            ORIGIN_CHURN => &mut self.churn,
+            ORIGIN_INIT => &mut self.init,
+            _ => &mut self.probe[lane as usize - 1],
         };
         let s = *slot;
         *slot = slot.wrapping_add(1);
@@ -135,75 +122,56 @@ fn handler_lane(core: &SwarmCore<'_>, ev: &Event) -> u32 {
     }
 }
 
-/// Runs the event loop from time zero to `horizon`: schedules the
-/// initial per-probe processes, fires the `on_start` hooks, and
-/// dispatches until the queue runs dry or passes the horizon.
+/// Runs the event loop from time zero to `horizon`: emits the initial
+/// per-probe processes, fires the `on_start` hooks, drains both into
+/// the `ORIGIN_INIT` lane, and dispatches until the queue runs dry or
+/// passes the horizon.
 pub(crate) fn run(core: &mut SwarmCore<'_>, stack: &mut BehaviourStack, horizon: SimTime) {
     let dspan = core.obs.pspan("swarm.dispatch");
     let prof = DispatchProf::new(&dspan, stack);
     let mut sched: Scheduler<Event> = Scheduler::new();
+    let mut seq = LaneSeqs::new(core.n_probes);
+    let mut actions = Actions::default();
 
     // ---- Bootstrap. ----------------------------------------------------
-    // Stagger initial ticks across one tick interval so probes do not
-    // act in lockstep. All bootstrap events ride the ORIGIN_INIT lane,
-    // numbered in emission order.
-    let mut boot_seq = 0u32;
-    let mut boot = |sched: &mut Scheduler<Event>, at: SimTime, ev: Event| {
-        sched.push_keyed(at, ORIGIN_INIT, boot_seq, ev);
-        boot_seq = boot_seq.wrapping_add(1);
-    };
     let tick = core.cfg.profile.tick_us;
-    for p in 0..core.n_probes {
-        let offset = core.rng.range(0..tick.max(1));
-        boot(&mut sched, SimTime::from_us(offset), Event::Tick(p as u32));
-        // Demand and halo processes start once the stream exists.
-        let warmup = core.cfg.stream.chunk_interval_us()
-            * (core.cfg.profile.buffer_delay_chunks as u64 + 2);
-        let d0 = warmup + core.rng.range(0..1_000_000);
-        boot(&mut sched, SimTime::from_us(d0), Event::Demand(p as u32));
-        if core.cfg.profile.halo_contacts_per_sec > 0.0 {
-            let h0 = core.rng.range(0..2_000_000);
-            boot(&mut sched, SimTime::from_us(h0), Event::Halo(p as u32));
-        }
-    }
-
-    // Start-of-run hooks (churn seeding lives here), then drain their
-    // actions so the seeded departures/arrivals enter the queue in
-    // emission order. Discover actions re-enter discovery immediately.
-    let mut actions = Actions::default();
+    // Demand and halo processes start once the stream exists.
+    let warmup =
+        core.cfg.stream.chunk_interval_us() * (core.cfg.profile.buffer_delay_chunks as u64 + 2);
+    let halo = core.cfg.profile.halo_contacts_per_sec > 0.0;
     {
         let mut ctx = Ctx {
             core: &mut *core,
             actions: &mut actions,
             now: SimTime::ZERO,
         };
-        stack.discovery.on_start(&mut ctx);
-        stack.announce.on_start(&mut ctx);
-        stack.recovery.on_start(&mut ctx);
-        stack.scheduling.on_start(&mut ctx);
-        if let Some(e) = stack.epidemic.as_mut() {
-            e.on_start(&mut ctx);
-        }
-        for b in &mut stack.custom {
-            b.on_start(&mut ctx);
-        }
-    }
-    while let Some(action) = actions.queue.pop_front() {
-        match action {
-            BehaviourAction::Schedule { at, ev } => boot(&mut sched, at, ev),
-            BehaviourAction::Discover { probe } => {
-                let mut ctx = Ctx {
-                    core: &mut *core,
-                    actions: &mut actions,
-                    now: SimTime::ZERO,
-                };
-                stack.discovery.try_discover(&mut ctx, probe, 0);
+        // Stagger initial ticks across one tick interval so probes do
+        // not act in lockstep.
+        for p in 0..ctx.core.n_probes as u32 {
+            let offset = ctx.core.rng.range(0..tick.max(1));
+            ctx.schedule(SimTime::from_us(offset), Event::Tick(p));
+            let d0 = warmup + ctx.core.rng.range(0..1_000_000);
+            ctx.schedule(SimTime::from_us(d0), Event::Demand(p));
+            if halo {
+                let h0 = ctx.core.rng.range(0..2_000_000);
+                ctx.schedule(SimTime::from_us(h0), Event::Halo(p));
             }
         }
+        // Start-of-run hooks (churn seeding lives here) run outside the
+        // profile cells, which count dispatched events.
+        fan_out(stack, &[], &mut ctx, |b, ctx| b.on_start(ctx));
     }
+    drain(
+        core,
+        stack,
+        &mut sched,
+        &mut actions,
+        &mut seq,
+        SimTime::ZERO,
+        ORIGIN_INIT,
+    );
 
     // ---- The event loop. -----------------------------------------------
-    let mut seq = LaneSeqs::new(core.n_probes);
     let dispatched = sched.run_until(horizon, |sched, now, ev| {
         deliver(core, stack, sched, &mut actions, &mut seq, now, ev, &prof);
     });
@@ -211,9 +179,8 @@ pub(crate) fn run(core: &mut SwarmCore<'_>, stack: &mut BehaviourStack, horizon:
     core.report.events_dispatched = dispatched;
     let saturated = sched.saturated();
     if saturated > 0 {
-        // Past-time insertions were clamped to "now" (the scheduler's
-        // saturating path; `Scheduler::try_push` is the typed-error
-        // alternative). Zero on healthy runs — worth a warning when not.
+        // Past-time insertions were clamped to "now". Zero on healthy
+        // runs — worth a warning when not.
         netaware_obs::event!(
             core.obs,
             Level::Warn,
@@ -221,6 +188,23 @@ pub(crate) fn run(core: &mut SwarmCore<'_>, stack: &mut BehaviourStack, horizon:
             horizon,
             "events" = saturated,
         );
+    }
+}
+
+/// Runs `hook` on every behaviour in dispatch order, each under its
+/// cell in `cells` (parallel to [`BehaviourStack::iter_mut`]); a
+/// behaviour without a cell runs untimed.
+fn fan_out<'c, 'a>(
+    stack: &mut BehaviourStack,
+    cells: &[ProfCell],
+    ctx: &mut Ctx<'c, 'a>,
+    mut hook: impl FnMut(&mut dyn Behaviour, &mut Ctx<'c, 'a>),
+) {
+    for (idx, b) in stack.iter_mut().enumerate() {
+        match cells.get(idx) {
+            Some(cell) => cell.time(|| hook(b, ctx)),
+            None => hook(b, ctx),
+        }
     }
 }
 
@@ -247,78 +231,26 @@ pub(crate) fn deliver(
             actions: &mut *actions,
             now,
         };
+        let cells = &prof.behaviours[..];
         match &ev {
-            Event::Tick(i) => {
-                let i = *i as usize;
-                prof.discovery.time(|| stack.discovery.on_tick(&mut ctx, i));
-                prof.announce.time(|| stack.announce.on_tick(&mut ctx, i));
-                prof.recovery.time(|| stack.recovery.on_tick(&mut ctx, i));
-                prof.scheduling.time(|| stack.scheduling.on_tick(&mut ctx, i));
-                if let Some(e) = stack.epidemic.as_mut() {
-                    prof.epidemic.time(|| e.on_tick(&mut ctx, i));
-                }
-                for (idx, b) in stack.custom.iter_mut().enumerate() {
-                    match prof.custom.get(idx) {
-                        Some(c) => c.time(|| b.on_tick(&mut ctx, i)),
-                        None => b.on_tick(&mut ctx, i),
-                    }
-                }
-            }
-            Event::Demand(i) => {
-                let i = *i as usize;
-                prof.discovery.time(|| stack.discovery.on_demand(&mut ctx, i));
-                prof.announce.time(|| stack.announce.on_demand(&mut ctx, i));
-                prof.recovery.time(|| stack.recovery.on_demand(&mut ctx, i));
-                prof.scheduling.time(|| stack.scheduling.on_demand(&mut ctx, i));
-                if let Some(e) = stack.epidemic.as_mut() {
-                    prof.epidemic.time(|| e.on_demand(&mut ctx, i));
-                }
-                for (idx, b) in stack.custom.iter_mut().enumerate() {
-                    match prof.custom.get(idx) {
-                        Some(c) => c.time(|| b.on_demand(&mut ctx, i)),
-                        None => b.on_demand(&mut ctx, i),
-                    }
-                }
-            }
-            Event::Halo(i) => {
-                let i = *i as usize;
-                prof.discovery.time(|| stack.discovery.on_halo(&mut ctx, i));
-                prof.announce.time(|| stack.announce.on_halo(&mut ctx, i));
-                prof.recovery.time(|| stack.recovery.on_halo(&mut ctx, i));
-                prof.scheduling.time(|| stack.scheduling.on_halo(&mut ctx, i));
-                if let Some(e) = stack.epidemic.as_mut() {
-                    prof.epidemic.time(|| e.on_halo(&mut ctx, i));
-                }
-                for (idx, b) in stack.custom.iter_mut().enumerate() {
-                    match prof.custom.get(idx) {
-                        Some(c) => c.time(|| b.on_halo(&mut ctx, i)),
-                        None => b.on_halo(&mut ctx, i),
-                    }
-                }
-            }
+            Event::Tick(i) => fan_out(stack, cells, &mut ctx, |b, ctx| b.on_tick(ctx, *i as usize)),
+            Event::Demand(i) => fan_out(stack, cells, &mut ctx, |b, ctx| {
+                b.on_demand(ctx, *i as usize)
+            }),
+            Event::Halo(i) => fan_out(stack, cells, &mut ctx, |b, ctx| b.on_halo(ctx, *i as usize)),
             Event::Serve {
                 provider,
                 to,
                 chunk,
                 deferred,
             } => {
-                let (provider, to, chunk, deferred) = (*provider, *to, *chunk, *deferred);
-                if !deferred && serve_preamble(&mut ctx, provider, to, chunk) {
-                    return_drain(core, stack, sched, actions, seq, now, lane, prof);
-                    return;
-                }
-                prof.discovery.time(|| stack.discovery.on_serve(&mut ctx, provider, to, chunk));
-                prof.announce.time(|| stack.announce.on_serve(&mut ctx, provider, to, chunk));
-                prof.recovery.time(|| stack.recovery.on_serve(&mut ctx, provider, to, chunk));
-                prof.scheduling.time(|| stack.scheduling.on_serve(&mut ctx, provider, to, chunk));
-                if let Some(e) = stack.epidemic.as_mut() {
-                    prof.epidemic.time(|| e.on_serve(&mut ctx, provider, to, chunk));
-                }
-                for (idx, b) in stack.custom.iter_mut().enumerate() {
-                    match prof.custom.get(idx) {
-                        Some(c) => c.time(|| b.on_serve(&mut ctx, provider, to, chunk)),
-                        None => b.on_serve(&mut ctx, provider, to, chunk),
-                    }
+                let (provider, to, chunk) = (*provider, *to, *chunk);
+                // A dropped or fault-delayed request skips the hooks; its
+                // actions (a deferred re-serve) still drain below.
+                if *deferred || !serve_preamble(&mut ctx, provider, to, chunk) {
+                    fan_out(stack, cells, &mut ctx, |b, ctx| {
+                        b.on_serve(ctx, provider, to, chunk)
+                    });
                 }
             }
             Event::ChunkRx {
@@ -330,7 +262,8 @@ pub(crate) fn deliver(
                 let (to, from, chunk) = (*to, *from, *chunk);
                 prof.transfer.time(|| {
                     if let Some(ti) = ctx.core.probe_index(to) {
-                        ctx.core.receive_chunk_train(ctx.actions, ti, from, chunk, train);
+                        ctx.core
+                            .receive_chunk_train(ctx.actions, ti, from, chunk, train);
                     }
                 });
             }
@@ -349,55 +282,16 @@ pub(crate) fn deliver(
                 est_bps,
             } => {
                 let (to, from, chunk, est_bps) = (*to, *from, *chunk, *est_bps);
-                prof.discovery.time(|| stack.discovery.on_delivered(&mut ctx, to, from, chunk, est_bps));
-                prof.announce.time(|| stack.announce.on_delivered(&mut ctx, to, from, chunk, est_bps));
-                prof.recovery.time(|| stack.recovery.on_delivered(&mut ctx, to, from, chunk, est_bps));
-                prof.scheduling.time(|| stack.scheduling.on_delivered(&mut ctx, to, from, chunk, est_bps));
-                if let Some(e) = stack.epidemic.as_mut() {
-                    prof.epidemic.time(|| e.on_delivered(&mut ctx, to, from, chunk, est_bps));
-                }
-                for (idx, b) in stack.custom.iter_mut().enumerate() {
-                    match prof.custom.get(idx) {
-                        Some(c) => c.time(|| b.on_delivered(&mut ctx, to, from, chunk, est_bps)),
-                        None => b.on_delivered(&mut ctx, to, from, chunk, est_bps),
-                    }
-                }
+                fan_out(stack, cells, &mut ctx, |b, ctx| {
+                    b.on_delivered(ctx, to, from, chunk, est_bps)
+                });
             }
-            Event::Depart(id) => {
-                let id = *id;
-                prof.discovery.time(|| stack.discovery.on_depart(&mut ctx, id));
-                prof.announce.time(|| stack.announce.on_depart(&mut ctx, id));
-                prof.recovery.time(|| stack.recovery.on_depart(&mut ctx, id));
-                prof.scheduling.time(|| stack.scheduling.on_depart(&mut ctx, id));
-                if let Some(e) = stack.epidemic.as_mut() {
-                    prof.epidemic.time(|| e.on_depart(&mut ctx, id));
-                }
-                for (idx, b) in stack.custom.iter_mut().enumerate() {
-                    match prof.custom.get(idx) {
-                        Some(c) => c.time(|| b.on_depart(&mut ctx, id)),
-                        None => b.on_depart(&mut ctx, id),
-                    }
-                }
-            }
-            Event::Arrive(id) => {
-                let id = *id;
-                prof.discovery.time(|| stack.discovery.on_arrive(&mut ctx, id));
-                prof.announce.time(|| stack.announce.on_arrive(&mut ctx, id));
-                prof.recovery.time(|| stack.recovery.on_arrive(&mut ctx, id));
-                prof.scheduling.time(|| stack.scheduling.on_arrive(&mut ctx, id));
-                if let Some(e) = stack.epidemic.as_mut() {
-                    prof.epidemic.time(|| e.on_arrive(&mut ctx, id));
-                }
-                for (idx, b) in stack.custom.iter_mut().enumerate() {
-                    match prof.custom.get(idx) {
-                        Some(c) => c.time(|| b.on_arrive(&mut ctx, id)),
-                        None => b.on_arrive(&mut ctx, id),
-                    }
-                }
-            }
+            Event::Depart(id) => fan_out(stack, cells, &mut ctx, |b, ctx| b.on_depart(ctx, *id)),
+            Event::Arrive(id) => fan_out(stack, cells, &mut ctx, |b, ctx| b.on_arrive(ctx, *id)),
         }
     }
-    prof.drain.time(|| drain(core, stack, sched, actions, seq, now, lane));
+    prof.drain
+        .time(|| drain(core, stack, sched, actions, seq, now, lane));
     // The dispatcher owns the protocol clock: one tick reschedules the
     // next, inserted after the drained actions (the monolithic handler
     // pushed the chunk serves first, then the tick).
@@ -447,22 +341,6 @@ fn serve_preamble(
             }
         }
     }
-}
-
-/// Drain wrapper for the early-out serve path (profiled like the normal
-/// tail drain).
-#[allow(clippy::too_many_arguments)]
-fn return_drain(
-    core: &mut SwarmCore<'_>,
-    stack: &mut BehaviourStack,
-    sched: &mut Scheduler<Event>,
-    actions: &mut Actions,
-    seq: &mut LaneSeqs,
-    now: SimTime,
-    lane: u32,
-    prof: &DispatchProf,
-) {
-    prof.drain.time(|| drain(core, stack, sched, actions, seq, now, lane));
 }
 
 /// Drains the action queue FIFO. `Schedule` actions become keyed

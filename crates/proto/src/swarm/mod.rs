@@ -80,15 +80,10 @@ pub(crate) struct SwarmMetrics {
     pub(crate) chunks_duplicate: Counter,
     pub(crate) chunks_expired: Counter,
     pub(crate) requests_timed_out: Counter,
-    pub(crate) chunks_refused: Counter,
     pub(crate) handshakes_ok: Counter,
     pub(crate) handshakes_refused: Counter,
     pub(crate) gossip_announcements: Counter,
     pub(crate) gossip_fanout: HistogramMetric,
-    pub(crate) packets_dropped: Counter,
-    pub(crate) requests_requeued: Counter,
-    pub(crate) peers_departed: Counter,
-    pub(crate) peers_arrived: Counter,
     pub(crate) continuity_permille: HistogramMetric,
     pub(crate) continuity_min_permille: Gauge,
 }
@@ -100,15 +95,10 @@ impl SwarmMetrics {
             chunks_duplicate: obs.counter("proto.chunks_duplicate"),
             chunks_expired: obs.counter("proto.chunks_expired"),
             requests_timed_out: obs.counter("proto.requests_timed_out"),
-            chunks_refused: obs.counter("proto.chunks_refused"),
             handshakes_ok: obs.counter("proto.handshakes_ok"),
             handshakes_refused: obs.counter("proto.handshakes_refused"),
             gossip_announcements: obs.counter("proto.gossip_announcements"),
             gossip_fanout: obs.histogram("proto.gossip_fanout", 128),
-            packets_dropped: obs.counter("proto.packets_dropped"),
-            requests_requeued: obs.counter("proto.requests_requeued"),
-            peers_departed: obs.counter("proto.peers_departed"),
-            peers_arrived: obs.counter("proto.peers_arrived"),
             continuity_permille: obs.histogram("proto.continuity_permille", 1001),
             continuity_min_permille: obs.gauge("proto.continuity_min_permille"),
         }
@@ -165,7 +155,6 @@ impl SwarmCore<'_> {
         let fate = self.links[idx].packet_fate(at_us);
         if fate.is_dropped() {
             self.report.packets_dropped += 1;
-            self.m.packets_dropped.inc();
         }
         fate
     }
@@ -363,6 +352,18 @@ impl<'a> Swarm<'a> {
             });
         }
         core.m.continuity_min_permille.set(min_permille);
+        // The report is the one count of these facts; the registry gets
+        // their final values once.
+        let r = &core.report;
+        for (name, value) in [
+            ("proto.chunks_refused", r.chunks_refused),
+            ("proto.packets_dropped", r.packets_dropped),
+            ("proto.requests_requeued", r.requests_requeued),
+            ("proto.peers_departed", r.peers_departed),
+            ("proto.peers_arrived", r.peers_arrived),
+        ] {
+            core.obs.counter(name).add(value);
+        }
         pspan.add_events(core.report.events_dispatched);
         netaware_obs::event!(
             core.obs,

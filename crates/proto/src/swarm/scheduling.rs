@@ -209,6 +209,10 @@ impl Scheduling {
 }
 
 impl Behaviour for Scheduling {
+    fn name(&self) -> &'static str {
+        "scheduling"
+    }
+
     /// Playout bookkeeping and chunk requests.
     fn on_tick(&mut self, ctx: &mut Ctx<'_, '_>, i: usize) {
         let now = ctx.now();
@@ -306,7 +310,6 @@ impl Behaviour for Scheduling {
         // seen) or its request timeout.
         if core.is_offline(provider) {
             core.report.chunks_refused += 1;
-            core.m.chunks_refused.inc();
             return;
         }
         match core.peers[provider.0 as usize].role {
@@ -319,7 +322,6 @@ impl Behaviour for Scheduling {
                     core.probe_serve_chunk(actions, now, provider, to, chunk);
                 } else {
                     core.report.chunks_refused += 1;
-                    core.m.chunks_refused.inc();
                     netaware_obs::event!(
                         core.obs,
                         Level::Debug,

@@ -8,7 +8,7 @@ use netaware_net::{
     AccessClass, AccessLink, AsId, AsInfo, AsKind, CountryCode, GeoRegistry, GeoRegistryBuilder,
     Ip, LatencyModel, PathModel, Prefix,
 };
-use netaware_trace::{Direction, PayloadKind, TraceView};
+use netaware_trace::PayloadKind;
 
 fn mini_registry() -> GeoRegistry {
     let mut b = GeoRegistryBuilder::new();
@@ -120,11 +120,14 @@ fn probes_receive_roughly_the_stream_rate() {
     let (set, report) = run_mini(small_profile(AppProfile::sopcast()), 60, 3);
     // Skip the warmup; measure RX video rate over the steady tail.
     for t in &set.traces {
-        let v = TraceView::of(t)
-            .direction(Direction::Rx)
-            .window(20_000_000, 60_000_000)
-            .min_size(1000);
-        let kbps = v.bytes() as f64 * 8.0 / 40.0 / 1000.0;
+        let bytes: u64 = t
+            .records()
+            .iter()
+            .filter(|r| r.is_rx_at(t.probe) && r.size >= 1000)
+            .filter(|r| (20_000_000..60_000_000).contains(&r.ts_us))
+            .map(|r| r.size as u64)
+            .sum();
+        let kbps = bytes as f64 * 8.0 / 40.0 / 1000.0;
         assert!(
             (250.0..700.0).contains(&kbps),
             "probe {} RX video rate {kbps} kb/s",
@@ -272,7 +275,8 @@ fn upload_factor_orders_tx_volume() {
     let tx_bytes = |set: &netaware_trace::TraceSet| -> u64 {
         set.traces
             .iter()
-            .map(|t| TraceView::of(t).direction(Direction::Tx).min_size(1000).bytes())
+            .flat_map(|t| t.records().iter().filter(|r| r.is_tx_at(t.probe) && r.size >= 1000))
+            .map(|r| r.size as u64)
             .sum()
     };
     let (pp, sc) = (tx_bytes(&set_pp), tx_bytes(&set_sc));

@@ -321,7 +321,6 @@ impl SwarmCore<'_> {
                 .or_insert_with(|| AccessSerializer::new(up_bps));
             if up.backlog_us(now) > EXT_BACKLOG_CAP_US {
                 self.report.chunks_refused += 1;
-                self.m.chunks_refused.inc();
                 return;
             }
             up.clone()
@@ -402,7 +401,6 @@ impl SwarmCore<'_> {
             > self.cfg.profile.upload_backlog_cap_us
         {
             self.report.chunks_refused += 1;
-            self.m.chunks_refused.inc();
             return false;
         }
         let Some(chunk) = ({
@@ -411,7 +409,6 @@ impl SwarmCore<'_> {
             sample_held(&s.sched.bufmap, pick)
         }) else {
             self.report.chunks_refused += 1;
-            self.m.chunks_refused.inc();
             return false;
         };
         let _ = chunk;

@@ -4,21 +4,15 @@
 //! simulation relies on:
 //!
 //! 1. **Monotonic time** — events pop in non-decreasing timestamp
-//!    order. Scheduling in the past is refused by [`Scheduler::try_push`]
-//!    with [`SimError::SchedulePast`]; the infallible [`Scheduler::push`]
-//!    saturates the timestamp to "now" and counts the correction in
-//!    [`Scheduler::saturated`] so callers can surface the drift.
-//! 2. **Canonical keys** — every entry carries an `(origin, oseq)`
-//!    pair and pops in `(time, origin, oseq)` order. Origins are entity
-//!    ids (probe index, or the reserved [`ORIGIN_INIT`]/[`ORIGIN_CHURN`]
-//!    lanes) and `oseq` is the origin's own monotone emission counter,
-//!    so the key of an event is a pure function of the *emitting
-//!    entity's* history, not of when other entities happened to push
-//!    (see DESIGN.md, "Event order").
-//! 3. **Stable ties** — entries pushed through the legacy
-//!    [`Scheduler::push`] (origin [`ORIGIN_NONE`]) tie-break in
-//!    insertion order, preserving the historical FIFO behaviour for
-//!    callers that don't attribute events to entities.
+//!    order. A push before "now" saturates to "now" and is counted in
+//!    [`Scheduler::saturated`], so callers can surface the drift.
+//! 2. **Lane keys** — every entry carries an `(origin, oseq)` pair and
+//!    pops in `(time, origin, oseq)` order. Origins are lanes (probe
+//!    index, or the reserved [`ORIGIN_INIT`]/[`ORIGIN_CHURN`] lanes)
+//!    and `oseq` is the lane's own insertion counter, so keys are
+//!    unique and the key of an event is a pure function of the
+//!    *emitting lane's* history, not of when other lanes happened to
+//!    push (see DESIGN.md, "Event order").
 //!
 //! Internally the queue is a ring of time buckets (a calendar queue):
 //! pushes append to their bucket unsorted, the bucket under the cursor
@@ -28,7 +22,6 @@
 //! wraps, so steady-state push/pop traffic allocates nothing once
 //! capacities have warmed up (pinned by the `CountingAlloc` tests).
 
-use crate::error::SimError;
 use crate::time::SimTime;
 use std::collections::BTreeMap;
 
@@ -41,10 +34,6 @@ const SLOTS: usize = 512;
 /// finer than the tick/retry cadences that dominate the swarm workload,
 /// so a busy bucket holds a handful of events.
 const DEFAULT_WIDTH_US: u64 = 4_096;
-
-/// Origin id for unattributed pushes (the legacy [`Scheduler::push`]
-/// API). Entity origins used by the swarm dispatcher start at 1.
-pub const ORIGIN_NONE: u32 = 0;
 
 /// Reserved origin for events pushed during bootstrap, before the
 /// first event is handled.
@@ -59,14 +48,13 @@ struct Entry<E> {
     at: u64,
     origin: u32,
     oseq: u32,
-    seq: u64,
     event: E,
 }
 
 impl<E> Entry<E> {
     #[inline]
-    fn key(&self) -> (u64, u32, u32, u64) {
-        (self.at, self.origin, self.oseq, self.seq)
+    fn key(&self) -> (u64, u32, u32) {
+        (self.at, self.origin, self.oseq)
     }
 }
 
@@ -76,8 +64,8 @@ impl<E> Entry<E> {
 /// use netaware_sim::{Scheduler, SimTime};
 ///
 /// let mut s = Scheduler::new();
-/// s.push(SimTime::from_ms(2), "later");
-/// s.push(SimTime::from_ms(1), "sooner");
+/// s.push_keyed(SimTime::from_ms(2), 1, 0, "later");
+/// s.push_keyed(SimTime::from_ms(1), 1, 1, "sooner");
 /// let (t, ev) = s.pop().unwrap();
 /// assert_eq!((t, ev), (SimTime::from_ms(1), "sooner"));
 /// assert_eq!(s.now(), SimTime::from_ms(1));
@@ -86,7 +74,6 @@ pub struct Scheduler<E> {
     now: SimTime,
     popped: u64,
     saturated: u64,
-    seq: u64,
     len: usize,
     width: u64,
     /// Absolute index of the bucket under the cursor.
@@ -123,7 +110,6 @@ impl<E> Scheduler<E> {
             now: SimTime::ZERO,
             popped: 0,
             saturated: 0,
-            seq: 0,
             len: 0,
             width,
             cur: 0,
@@ -155,42 +141,16 @@ impl<E> Scheduler<E> {
     }
 
     /// How many pushes asked for a past timestamp and were saturated
-    /// to "now" (see [`Scheduler::push`]).
+    /// to "now" (see [`Scheduler::push_keyed`]).
     pub fn saturated(&self) -> u64 {
         self.saturated
     }
 
-    /// Schedules `event` at absolute time `at`.
-    ///
-    /// A past `at` is corrected to "now" (time stays monotonic) and the
-    /// correction is counted in [`Scheduler::saturated`]; callers that
-    /// consider past scheduling a hard error use
-    /// [`Scheduler::try_push`] instead.
-    pub fn push(&mut self, at: SimTime, event: E) {
-        let at = if at < self.now {
-            self.saturated += 1;
-            self.now
-        } else {
-            at
-        };
-        self.insert(at, ORIGIN_NONE, 0, event);
-    }
-
-    /// Fallible [`Scheduler::push`]: refuses a past timestamp with
-    /// [`SimError::SchedulePast`] instead of saturating.
-    pub fn try_push(&mut self, at: SimTime, event: E) -> Result<(), SimError> {
-        if at < self.now {
-            return Err(SimError::SchedulePast { at, now: self.now });
-        }
-        self.insert(at, ORIGIN_NONE, 0, event);
-        Ok(())
-    }
-
-    /// Schedules `event` at `at` under the canonical `(origin, oseq)`
-    /// key. The pop order among keyed entries is `(time, origin,
-    /// oseq)`; callers keep one monotone `oseq` counter per origin so
-    /// keys are globally unique. Past timestamps saturate to "now"
-    /// exactly like [`Scheduler::push`].
+    /// Schedules `event` at `at` under the lane key `(origin, oseq)`.
+    /// Entries pop in `(time, origin, oseq)` order; callers keep one
+    /// monotone `oseq` counter per origin, so keys are unique. A past
+    /// `at` is corrected to "now" (time stays monotonic) and the
+    /// correction is counted in [`Scheduler::saturated`].
     pub fn push_keyed(&mut self, at: SimTime, origin: u32, oseq: u32, event: E) {
         let at = if at < self.now {
             self.saturated += 1;
@@ -201,22 +161,14 @@ impl<E> Scheduler<E> {
         self.insert(at, origin, oseq, event);
     }
 
-    /// Schedules `event` after a relative delay in microseconds.
-    pub fn push_after(&mut self, delay_us: u64, event: E) {
-        let at = self.now + delay_us;
-        self.push(at, event);
-    }
-
     fn insert(&mut self, at: SimTime, origin: u32, oseq: u32, event: E) {
         let at_us = at.as_us();
         let e = Entry {
             at: at_us,
             origin,
             oseq,
-            seq: self.seq,
             event,
         };
-        self.seq += 1;
         self.len += 1;
         // The cursor can sit ahead of `now / width` after a far jump
         // (settle skips empty regions wholesale), so a perfectly legal
@@ -320,52 +272,35 @@ impl<E> Scheduler<E> {
         Some((self.now, e.event))
     }
 
-    /// Drains and handles events with timestamps strictly below
-    /// `end_us`, in key order; later events stay queued and the clock
-    /// is left at the last dispatched timestamp. Returns the number of
-    /// events dispatched.
-    pub fn run_window<F: FnMut(&mut Self, SimTime, E)>(
+    /// Drains and handles events until the queue empties or the next
+    /// event is past `horizon`; events beyond the horizon stay queued,
+    /// and the clock ends at the horizon. Returns the number of events
+    /// dispatched.
+    pub fn run_until<F: FnMut(&mut Self, SimTime, E)>(
         &mut self,
-        end_us: u64,
+        horizon: SimTime,
         mut handler: F,
     ) -> u64 {
         let start = self.popped;
-        loop {
-            if self.len == 0 {
-                break;
-            }
+        let end = horizon.as_us();
+        while self.len > 0 {
             self.settle();
             self.sort_current();
             // After `settle` the cursor bucket holds the queue minimum.
             let slot = (self.cur % SLOTS as u64) as usize;
-            let next_at = match self.buckets[slot].last() {
-                Some(e) => e.at,
-                None => break, // unreachable: settle leaves a non-empty cursor
-            };
-            if next_at >= end_us {
-                break;
+            match self.buckets[slot].last() {
+                Some(e) if e.at <= end => {}
+                _ => break,
             }
             let Some((at, ev)) = self.pop() else { break };
             handler(self, at, ev);
         }
-        self.popped - start
-    }
-
-    /// Drains and handles events until the queue empties or the next
-    /// event is past `horizon`; events beyond the horizon stay queued.
-    /// Returns the number of events dispatched.
-    pub fn run_until<F: FnMut(&mut Self, SimTime, E)>(
-        &mut self,
-        horizon: SimTime,
-        handler: F,
-    ) -> u64 {
-        let n = self.run_window(horizon.as_us().saturating_add(1), handler);
         // The experiment formally ends at the horizon even if the queue
         // drained early.
         if self.now < horizon {
             self.now = horizon;
         }
-        n
+        self.popped - start
     }
 }
 
@@ -377,21 +312,11 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut s = Scheduler::new();
-        s.push(SimTime::from_us(30), "c");
-        s.push(SimTime::from_us(10), "a");
-        s.push(SimTime::from_us(20), "b");
+        s.push_keyed(SimTime::from_us(30), 1, 0, "c");
+        s.push_keyed(SimTime::from_us(10), 1, 1, "a");
+        s.push_keyed(SimTime::from_us(20), 1, 2, "b");
         let order: Vec<&str> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["a", "b", "c"]);
-    }
-
-    #[test]
-    fn ties_pop_fifo() {
-        let mut s = Scheduler::new();
-        for i in 0..100 {
-            s.push(SimTime::from_us(5), i);
-        }
-        let order: Vec<i32> = std::iter::from_fn(|| s.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -410,27 +335,17 @@ mod tests {
     #[test]
     fn clock_advances_with_pops() {
         let mut s = Scheduler::new();
-        s.push(SimTime::from_ms(2), ());
+        s.push_keyed(SimTime::from_ms(2), 1, 0, ());
         assert_eq!(s.now(), SimTime::ZERO);
         s.pop();
         assert_eq!(s.now(), SimTime::from_ms(2));
     }
 
     #[test]
-    fn push_after_is_relative_to_now() {
-        let mut s = Scheduler::new();
-        s.push(SimTime::from_ms(5), 1);
-        s.pop();
-        s.push_after(1_000, 2);
-        let (t, _) = s.pop().unwrap();
-        assert_eq!(t, SimTime::from_ms(6));
-    }
-
-    #[test]
     fn run_until_respects_horizon() {
         let mut s = Scheduler::new();
         for i in 1..=10u64 {
-            s.push(SimTime::from_ms(i), i);
+            s.push_keyed(SimTime::from_ms(i), 1, i as u32, i);
         }
         let mut seen = Vec::new();
         let n = s.run_until(SimTime::from_ms(5), |_, _, e| seen.push(e));
@@ -443,12 +358,12 @@ mod tests {
     #[test]
     fn run_until_lets_handler_reschedule() {
         let mut s: Scheduler<u32> = Scheduler::new();
-        s.push(SimTime::from_ms(1), 0);
+        s.push_keyed(SimTime::from_ms(1), 1, 0, 0);
         let mut count = 0;
-        s.run_until(SimTime::from_ms(10), |sched, _, gen| {
+        s.run_until(SimTime::from_ms(10), |sched, now, gen| {
             count += 1;
             if gen < 100 {
-                sched.push_after(1_000, gen + 1);
+                sched.push_keyed(now + 1_000, 1, gen + 1, gen + 1);
             }
         });
         assert_eq!(count, 10); // 1ms..10ms inclusive
@@ -458,67 +373,51 @@ mod tests {
     #[test]
     fn run_until_advances_clock_to_horizon_when_drained() {
         let mut s: Scheduler<()> = Scheduler::new();
-        s.push(SimTime::from_ms(1), ());
+        s.push_keyed(SimTime::from_ms(1), 1, 0, ());
         s.run_until(SimTime::from_secs(60), |_, _, _| {});
         assert_eq!(s.now(), SimTime::from_secs(60));
         assert!(s.is_empty());
     }
 
     #[test]
-    fn run_window_is_strictly_exclusive() {
+    fn run_until_includes_the_horizon_and_resumes() {
         let mut s = Scheduler::new();
-        s.push(SimTime::from_us(999), 1);
-        s.push(SimTime::from_us(1_000), 2);
-        s.push(SimTime::from_us(1_001), 3);
+        s.push_keyed(SimTime::from_us(999), 1, 0, 1);
+        s.push_keyed(SimTime::from_us(1_000), 1, 1, 2);
+        s.push_keyed(SimTime::from_us(1_001), 1, 2, 3);
         let mut seen = Vec::new();
-        let n = s.run_window(1_000, |_, _, e| seen.push(e));
+        let n = s.run_until(SimTime::from_us(999), |_, _, e| seen.push(e));
         assert_eq!(n, 1);
         assert_eq!(seen, vec![1]);
         assert_eq!(s.len(), 2);
-        // A later window picks up exactly where the first stopped.
-        s.run_window(2_000, |_, _, e| seen.push(e));
+        // A later call picks up exactly where the first stopped.
+        s.run_until(SimTime::from_us(2_000), |_, _, e| seen.push(e));
         assert_eq!(seen, vec![1, 2, 3]);
     }
 
     #[test]
     fn dispatched_counter() {
         let mut s = Scheduler::new();
-        s.push(SimTime::from_us(1), ());
-        s.push(SimTime::from_us(2), ());
+        s.push_keyed(SimTime::from_us(1), 1, 0, ());
+        s.push_keyed(SimTime::from_us(2), 1, 1, ());
         s.pop();
         s.pop();
         assert_eq!(s.dispatched(), 2);
     }
 
     #[test]
-    fn try_push_refuses_past_times() {
-        let mut s = Scheduler::new();
-        s.push(SimTime::from_ms(10), 1);
-        s.pop();
-        let err = s.try_push(SimTime::from_ms(5), 2).unwrap_err();
-        assert_eq!(
-            err,
-            SimError::SchedulePast {
-                at: SimTime::from_ms(5),
-                now: SimTime::from_ms(10),
-            }
-        );
-        assert!(s.is_empty(), "refused event must not be queued");
-        assert_eq!(s.saturated(), 0, "try_push never saturates");
-        // At or after "now" is fine.
-        assert!(s.try_push(SimTime::from_ms(10), 3).is_ok());
-        assert_eq!(s.len(), 1);
-    }
-
-    #[test]
     fn push_saturates_past_times_and_counts() {
         let mut s = Scheduler::new();
-        s.push(SimTime::from_ms(10), 1);
+        s.push_keyed(SimTime::from_ms(10), 1, 0, 1);
         s.pop();
-        s.push(SimTime::from_ms(5), 2);
+        s.push_keyed(SimTime::from_ms(5), 1, 1, 2);
         assert_eq!(s.saturated(), 1);
         let (t, ev) = s.pop().unwrap();
-        assert_eq!((t, ev), (SimTime::from_ms(10), 2), "fires at now, not in the past");
+        assert_eq!(
+            (t, ev),
+            (SimTime::from_ms(10), 2),
+            "fires at now, not in the past"
+        );
         s.push_keyed(SimTime::from_ms(3), 4, 0, 3);
         assert_eq!(s.saturated(), 2);
         assert_eq!(s.pop().unwrap().0, SimTime::from_ms(10));
@@ -528,9 +427,9 @@ mod tests {
     fn far_future_events_cross_the_ring_window() {
         // Narrow buckets so the ring spans only SLOTS µs.
         let mut s = Scheduler::with_granularity(1);
-        s.push(SimTime::from_us(3), "near");
-        s.push(SimTime::from_secs(600), "halo"); // far beyond the ring
-        s.push(SimTime::from_us(700), "mid");
+        s.push_keyed(SimTime::from_us(3), 1, 0, "near");
+        s.push_keyed(SimTime::from_secs(600), 1, 1, "halo"); // far beyond the ring
+        s.push_keyed(SimTime::from_us(700), 1, 2, "mid");
         assert_eq!(s.pop().unwrap().1, "near");
         assert_eq!(s.pop().unwrap().1, "mid");
         assert_eq!(s.pop().unwrap().1, "halo");
@@ -547,7 +446,7 @@ mod tests {
         for &width in &[1u64, 7, 64, 4_096] {
             let mut rng = DetRng::stream(0xCA1E, "calendar");
             let mut s: Scheduler<u64> = Scheduler::with_granularity(width);
-            let mut reference: Vec<(u64, u32, u32, u64, u64)> = Vec::new();
+            let mut reference: Vec<(u64, u32, u32, u64)> = Vec::new();
             let mut now = 0u64;
             let mut popped = Vec::new();
             let mut expected = Vec::new();
@@ -563,10 +462,10 @@ mod tests {
                     let origin = rng.range(1u32..6);
                     let oseq = step as u32; // unique per push
                     s.push_keyed(SimTime::from_us(at), origin, oseq, step);
-                    reference.push((at, origin, oseq, u64::MAX, step));
+                    reference.push((at, origin, oseq, step));
                 } else {
                     reference.sort_unstable();
-                    let (at, _, _, _, v) = reference.remove(0);
+                    let (at, _, _, v) = reference.remove(0);
                     now = at;
                     expected.push((at, v));
                     let (t, got) = s.pop().expect("oracle has entries");
@@ -574,7 +473,7 @@ mod tests {
                 }
             }
             reference.sort_unstable();
-            for (at, _, _, _, v) in reference {
+            for (at, _, _, v) in reference {
                 expected.push((at, v));
                 let (t, got) = s.pop().expect("oracle has entries");
                 popped.push((t.as_us(), got));

@@ -3,8 +3,8 @@
 //! A minimal, fast DES core used to drive the P2P-TV protocol models:
 //!
 //! * [`SimTime`] — microsecond-resolution simulated clock;
-//! * [`Scheduler`] — a stable-priority event queue (ties break in
-//!   insertion order, so runs are reproducible);
+//! * [`Scheduler`] — a calendar event queue that pops in `(time,
+//!   origin, oseq)` lane-key order, so runs are reproducible;
 //! * [`DetRng`] — named, independently-seeded RNG streams so adding a
 //!   random draw in one component never perturbs another;
 //! * [`AccessSerializer`] — FIFO transmission-queue model of an access
@@ -23,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod error;
 pub mod event;
 pub mod fault;
 pub mod link;
@@ -31,8 +30,7 @@ pub mod rng;
 pub mod stats;
 pub mod time;
 
-pub use error::SimError;
-pub use event::{Scheduler, ORIGIN_CHURN, ORIGIN_INIT, ORIGIN_NONE};
+pub use event::{Scheduler, ORIGIN_CHURN, ORIGIN_INIT};
 pub use fault::{LinkFaultParams, LinkFaults, PacketFate};
 pub use link::{AccessSerializer, DownlinkQueue};
 pub use rng::DetRng;

@@ -12,24 +12,28 @@ fn vec_of<T>(rng: &mut DetRng, max_len: usize, mut f: impl FnMut(&mut DetRng) ->
     (0..n).map(|_| f(rng)).collect()
 }
 
-/// The scheduler pops every event exactly once, in (time, insertion)
-/// order — equivalent to a stable sort.
+/// The scheduler pops every event exactly once, in `(time, origin,
+/// oseq)` order, with each origin numbering its own pushes.
 #[test]
-fn scheduler_is_a_stable_sort() {
-    let mut rng = DetRng::stream(0xD15EA5E, "sim/scheduler_stable_sort");
+fn scheduler_pops_in_lane_key_order() {
+    let mut rng = DetRng::stream(0xD15EA5E, "sim/scheduler_lane_key_order");
     for _ in 0..CASES {
-        let times = vec_of(&mut rng, 200, |r| r.range(0..10_000u64));
+        let pushes = vec_of(&mut rng, 200, |r| (r.range(0..10_000u64), r.range(1..5u32)));
         let mut s = Scheduler::new();
-        for (i, &t) in times.iter().enumerate() {
-            s.push(SimTime::from_us(t), i);
+        let mut next = [0u32; 5];
+        let mut expected = Vec::new();
+        for (i, &(t, origin)) in pushes.iter().enumerate() {
+            let oseq = next[origin as usize];
+            next[origin as usize] += 1;
+            s.push_keyed(SimTime::from_us(t), origin, oseq, i);
+            expected.push((t, origin, oseq, i));
         }
         let mut popped = Vec::new();
-        while let Some((t, idx)) = s.pop() {
-            popped.push((t.as_us(), idx));
+        while let Some((t, i)) = s.pop() {
+            popped.push((t.as_us(), i));
         }
-        let mut expected: Vec<(u64, usize)> =
-            times.iter().enumerate().map(|(i, &t)| (t, i)).collect();
-        expected.sort_by_key(|&(t, i)| (t, i));
+        expected.sort_unstable();
+        let expected: Vec<(u64, usize)> = expected.iter().map(|&(t, _, _, i)| (t, i)).collect();
         assert_eq!(popped, expected);
     }
 }
@@ -43,7 +47,7 @@ fn run_until_partitions_by_horizon() {
         let horizon: u64 = rng.range(0..10_000u64);
         let mut s = Scheduler::new();
         for (i, &t) in times.iter().enumerate() {
-            s.push(SimTime::from_us(t), i);
+            s.push_keyed(SimTime::from_us(t), 1, i as u32, i);
         }
         let mut seen = Vec::new();
         s.run_until(SimTime::from_us(horizon), |_, t, _| seen.push(t.as_us()));

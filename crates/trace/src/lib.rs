@@ -19,8 +19,7 @@
 //!   can run without materialising a [`TraceSet`];
 //! * [`sink`] — [`RecordSink`] consumers for captures as they are
 //!   produced: in-memory ([`MemorySink`]) or spill-to-disk
-//!   ([`CorpusSink`]);
-//! * [`filter`] — direction/time/size windowing used by the analysis.
+//!   ([`CorpusSink`]).
 //!
 //! The analysis crate never looks at [`PayloadKind`] ground truth — it
 //! classifies video vs. signalling from packet sizes exactly like the
@@ -29,16 +28,13 @@
 #![warn(missing_docs)]
 
 pub mod corpus;
-pub mod filter;
 pub mod format;
-pub mod merge;
 pub mod pcap;
 pub mod record;
 pub mod set;
 pub mod sink;
 pub mod stream;
 
-pub use filter::{Direction, TraceView};
 pub use format::{read_trace, write_trace, TraceError};
 pub use record::{PacketRecord, PayloadKind};
 pub use set::{ProbeTrace, TraceSet};

@@ -1,12 +1,10 @@
-//! Randomized property tests for trace formats and views, driven by a
+//! Randomized property tests for trace formats, driven by a
 //! seeded [`DetRng`] so every run explores the same cases.
 
 use netaware_net::Ip;
 use netaware_sim::DetRng;
 use netaware_trace::pcap::{export_pcap, import_pcap};
-use netaware_trace::{
-    read_trace, write_trace, Direction, PacketRecord, PayloadKind, ProbeTrace, TraceView,
-};
+use netaware_trace::{read_trace, write_trace, PacketRecord, PayloadKind, ProbeTrace};
 
 const PROBE: Ip = Ip(0x0A00_0001);
 const CASES: usize = 128;
@@ -112,30 +110,5 @@ fn pcap_roundtrip() {
             assert_eq!(a.ttl, b.ttl);
             assert_eq!(a.size, b.size.max(28));
         }
-    }
-}
-
-/// Rx and Tx views partition the trace; window views partition time.
-#[test]
-fn views_partition() {
-    let mut rng = DetRng::stream(0x7ACE, "trace/views_partition");
-    for _ in 0..CASES {
-        let trace = ProbeTrace::from_records(PROBE, arb_records(&mut rng, 300));
-        let split = rng.next_u64();
-        let all = TraceView::of(&trace);
-        let rx = all.direction(Direction::Rx);
-        let tx = all.direction(Direction::Tx);
-        assert_eq!(rx.count() + tx.count(), all.count());
-        assert_eq!(rx.bytes() + tx.bytes(), all.bytes());
-        let early = all.window(0, split);
-        let late = all.window(split, u64::MAX);
-        // Records exactly at u64::MAX fall out of the half-open window;
-        // exclude them from the partition check.
-        let at_max = trace
-            .records_unsorted()
-            .iter()
-            .filter(|r| r.ts_us == u64::MAX)
-            .count();
-        assert_eq!(early.count() + late.count() + at_max, all.count());
     }
 }

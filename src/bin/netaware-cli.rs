@@ -181,6 +181,9 @@ fn parse_common(args: &[String]) -> Result<Common, String> {
                 if c.secs == 0 {
                     return Err(String::from("secs 0 must be > 0"));
                 }
+                if c.secs.checked_mul(1_000_000).is_none() {
+                    return Err(format!("secs {} overflows the microsecond clock", c.secs));
+                }
             }
             "--seed" => {
                 c.seed = take(&mut i)?.parse().map_err(|e| format!("seed: {e}"))?;
@@ -627,7 +630,7 @@ fn cmd_replicate(c: &Common) -> ExitCode {
         eprintln!("unknown app {name}");
         return ExitCode::from(2);
     };
-    let seeds: Vec<u64> = (0..c.runs).map(|i| c.seed + i * 37).collect();
+    let seeds: Vec<u64> = (0..c.runs).map(|i| c.seed.wrapping_add(i.wrapping_mul(37))).collect();
     let (summary, _) = netaware::testbed::run_replicated(&profile, &opts_of(c), &seeds);
     println!("{}", summary.render());
     ExitCode::SUCCESS

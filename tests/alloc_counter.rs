@@ -76,7 +76,7 @@ fn scheduler_steady_state_allocates_nothing() {
         let mut x = 0x9e3779b97f4a7c15u64;
         for i in 0..20_000u64 {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            s.push(SimTime::from_us(s.now().as_us() + (x >> 40) % 5_000), i);
+            s.push_keyed(SimTime::from_us(s.now().as_us() + (x >> 40) % 5_000), 1, i as u32, i);
             if i % 2 == 0 {
                 s.pop();
             }
@@ -85,7 +85,7 @@ fn scheduler_steady_state_allocates_nothing() {
         // Re-align the clock to a wheel boundary so the next phase maps
         // onto the same ring slots.
         let aligned = s.now().as_us().div_ceil(WINDOW) * WINDOW;
-        s.push(SimTime::from_us(aligned), u64::MAX);
+        s.push_keyed(SimTime::from_us(aligned), 2, 0, u64::MAX);
         s.pop();
     };
     // Warm-up: grow the wheel and slab to the phase's exact footprint.

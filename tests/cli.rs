@@ -342,10 +342,12 @@ fn ordinary_mistakes_exit_without_panicking() {
     let dir = std::env::temp_dir().join(format!("netaware_cli_bogus_{}", std::process::id()));
     let dir = dir.to_string_lossy().into_owned();
     let json = "/nonexistent/dir/o.json";
-    let cases: [(&[&str], i32, &str); 3] = [
+    let cases: [(&[&str], i32, &str); 4] = [
         (&["export", "--dir", &dir, "--app", "bogus"], 2, "unknown app bogus"),
         (&["run", "tvants", "--scale", "0.02", "--secs", "5", "--json", json], 1, json),
         (&["analyze", "--probe", "10.0.0.1", "/missing.pcap"], 1, "/missing.pcap"),
+        // The first whole second past what u64 microseconds hold.
+        (&["run", "tvants", "--scale", "0.02", "--secs", "18446744073710"], 2, "secs"),
     ];
     for (args, code, message) in cases {
         let out = cli().args(args).output().expect("spawn");
@@ -354,4 +356,13 @@ fn ordinary_mistakes_exit_without_panicking() {
         assert!(err.contains(message), "{args:?}: unexpected stderr {err}");
         assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
     }
+    // Replicate seeds step by 37 and wrap past u64::MAX.
+    let args = [
+        "replicate", "tvants", "--seed", "18446744073709551615", "--runs", "2", "--scale", "0.02",
+        "--secs", "5",
+    ];
+    let out = cli().args(args).output().expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("over 2 seeds"), "{args:?}");
 }

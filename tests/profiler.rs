@@ -1,13 +1,18 @@
 //! Integration tests for the performance-observability subsystem: the
 //! determinism contract of the profile tree (byte-identical modulo its
-//! host observations), the single owner of each workload tally, and
-//! RAII span closure under panics at the full-stack level.
+//! host observations), the single owner of each workload tally, one
+//! dispatch cell per stacked behaviour, and RAII span closure under
+//! panics at the full-stack level.
 
 use netaware::obs::ProfileNode;
 use netaware::testbed::{run_experiment, ExperimentOptions, ExperimentOutput};
 use netaware::{AppProfile, FaultPlan, Obs};
 
 fn profiled_run(seed: u64) -> (ProfileNode, ExperimentOutput) {
+    profiled_run_of(AppProfile::tvants(), seed)
+}
+
+fn profiled_run_of(profile: AppProfile, seed: u64) -> (ProfileNode, ExperimentOutput) {
     let obs = Obs::profiled();
     let opts = ExperimentOptions {
         seed,
@@ -17,7 +22,7 @@ fn profiled_run(seed: u64) -> (ProfileNode, ExperimentOutput) {
         faults: FaultPlan::none(),
         ..Default::default()
     };
-    let out = run_experiment(AppProfile::tvants(), &opts);
+    let out = run_experiment(profile, &opts);
     (obs.profile_tree().expect("profiled handle"), out)
 }
 
@@ -90,6 +95,18 @@ fn each_workload_is_counted_once_at_its_owner() {
     assert!(records > 0, "no records swept");
     assert_eq!(tree.find("testbed.run/analysis.sweep").map(|n| n.records), Some(records));
     assert_eq!(sum(&tree, |n| n.records), records, "records tallied off their owner");
+}
+
+/// The dispatch profile holds one cell per behaviour in the stack: the
+/// pull-only TVAnts has no epidemic row, and Epidemic-RP's counts calls.
+#[test]
+fn dispatch_profile_has_a_cell_per_stacked_behaviour() {
+    const EPIDEMIC: &str = "testbed.run/swarm.run/swarm.dispatch/behaviour.epidemic";
+    let (tvants, _) = profiled_run(321);
+    assert!(tvants.find(EPIDEMIC).is_none(), "pull-only TVAnts carries an epidemic row");
+    let (push, _) = profiled_run_of(AppProfile::epidemic_rp(), 321);
+    let calls = push.find(EPIDEMIC).map(|n| n.calls);
+    assert!(calls.is_some_and(|c| c > 0), "Epidemic-RP epidemic calls: {calls:?}");
 }
 
 #[test]
