@@ -6,9 +6,9 @@
 //!
 //! The `obs_overhead` group runs the same single-pass analysis four
 //! ways: with the default disabled handle (instrumentation compiles to
-//! an `enabled()` check on a `None` handle and nothing else), with a
-//! counting null sink (filters pass, fields are evaluated, the event is
-//! dropped at the sink), with a live ring sink (events are built and
+//! an `is_enabled()` check on a `None` handle and nothing else), with a
+//! counting null sink (fields are evaluated, the event is dropped at
+//! the sink), with a live ring sink (events are built and
 //! retained), and with the span profiler armed. The deltas bound what
 //! instrumentation costs the hot analysis path. The `obs_profile` and
 //! `obs_event` groups time the profiler and event-macro primitives on
@@ -18,7 +18,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use netaware::analysis::{analyze_with_obs, AnalysisConfig};
 use netaware::net::{GeoRegistry, Ip};
-use netaware::obs::{Filter, Level, NullSink, RingSink};
+use netaware::obs::{Level, NullSink, RingSink};
 use netaware::sim::SimTime;
 use netaware::testbed::{run_on_scenario, BuiltScenario, ExperimentOptions, ScenarioConfig};
 use netaware::trace::TraceSet;
@@ -112,16 +112,13 @@ fn profiler_primitives(c: &mut Criterion) {
     g.finish();
 }
 
-/// Micro-benches of the event macro itself: the filtered-out case is
-/// the cost every silenced call site pays, the recorded case is the
-/// full build-and-store path.
+/// Micro-benches of the event macro itself: the disabled case is the
+/// cost every call site pays when nobody is watching, the recorded case
+/// is the full build-and-store path.
 fn event_macro(c: &mut Criterion) {
     let mut g = c.benchmark_group("obs_event");
     let handles = [
-        (
-            "filtered_out",
-            Obs::with_filter(Arc::new(RingSink::new(64)), Filter::min(Level::Error)),
-        ),
+        ("disabled", Obs::disabled()),
         ("ring_recorded", Obs::new(Arc::new(RingSink::new(64)))),
     ];
     for (name, obs) in handles {

@@ -56,35 +56,6 @@ pub fn tx_contributor_count(pf: &ProbeFlows, cfg: &AnalysisConfig) -> usize {
     tx_contributors(pf, cfg).count()
 }
 
-/// Jaccard overlap of the upload and download contributor sets,
-/// `|U(p) ∩ D(p)| / |U(p) ∪ D(p)|`, aggregated over all probes.
-///
-/// §III-C observes that "in our experiments, the U(p) and D(p) sets are
-/// typically disjoint, which significantly limits the set of peers of
-/// which we are able to assess the access capacity" — this function
-/// measures that claim on our traces.
-pub fn direction_overlap(pfs: &[ProbeFlows], cfg: &AnalysisConfig) -> f64 {
-    let mut intersection = 0u64;
-    let mut union = 0u64;
-    for pf in pfs {
-        for f in pf.flows.values() {
-            let u = is_tx_contributor(f, cfg);
-            let d = is_rx_contributor(f, cfg);
-            if u || d {
-                union += 1;
-            }
-            if u && d {
-                intersection += 1;
-            }
-        }
-    }
-    if union == 0 {
-        0.0
-    } else {
-        intersection as f64 / union as f64
-    }
-}
-
 /// Scores the heuristic against simulator ground truth: fraction of
 /// video bytes (by the trace's ground-truth kind tags) that flows
 /// classified as contributors account for. Used only by validation
@@ -177,18 +148,6 @@ mod tests {
         truth.insert(b, 10_000u64); // heuristic misses this one
         let cov = heuristic_video_coverage(&pf, &cfg, &truth);
         assert!((cov - 0.75).abs() < 1e-9);
-    }
-
-    #[test]
-    fn direction_overlap_jaccard() {
-        let cfg = AnalysisConfig::default();
-        let mut pf = ProbeFlows::default();
-        pf.flows.insert(Ip::from_octets(1, 0, 0, 1), flow(30_000, 24, 0, 0)); // D only
-        pf.flows.insert(Ip::from_octets(1, 0, 0, 2), flow(0, 0, 30_000, 24)); // U only
-        pf.flows.insert(Ip::from_octets(1, 0, 0, 3), flow(30_000, 24, 30_000, 24)); // both
-        pf.flows.insert(Ip::from_octets(1, 0, 0, 4), flow(0, 0, 0, 0)); // neither
-        assert!((direction_overlap(&[pf], &cfg) - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(direction_overlap(&[], &cfg), 0.0);
     }
 
     #[test]

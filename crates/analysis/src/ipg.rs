@@ -31,15 +31,6 @@ pub fn bw_class(f: &FlowStats, cfg: &AnalysisConfig) -> BwClass {
     }
 }
 
-/// The bottleneck capacity (b/s) a given minimum IPG implies for
-/// 1250-byte packets — diagnostic helper for the sensitivity ablation.
-pub fn implied_capacity_bps(min_ipg_us: u64) -> u64 {
-    if min_ipg_us == 0 {
-        return u64::MAX;
-    }
-    1250 * 8 * 1_000_000 / min_ipg_us
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,13 +65,5 @@ mod tests {
     fn no_train_is_unknown() {
         let cfg = AnalysisConfig::default();
         assert_eq!(bw_class(&flow_with_ipg(None), &cfg), BwClass::Unknown);
-    }
-
-    #[test]
-    fn implied_capacity_constants() {
-        // 1 ms ⇒ exactly 10 Mb/s; 100 µs ⇒ 100 Mb/s.
-        assert_eq!(implied_capacity_bps(1_000), 10_000_000);
-        assert_eq!(implied_capacity_bps(100), 100_000_000);
-        assert_eq!(implied_capacity_bps(0), u64::MAX);
     }
 }

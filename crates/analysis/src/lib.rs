@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 pub mod asmatrix;
-pub mod compare;
 pub mod confidence;
 pub mod contributors;
 pub mod csv;

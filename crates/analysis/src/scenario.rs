@@ -7,9 +7,9 @@
 //! (application profile × swarm scale × session model × fault plan)
 //! cells and asks, per cell, the paper's own question: how
 //! network-aware does the traffic look? This module owns the output
-//! side — [`CellSummary`] condenses one cell's analysis (plus the few
-//! ground-truth health counters that validate it) into a flat row, and
-//! [`MatrixReport`] serialises the whole grid to JSON and a paper-style
+//! side — [`CellSummary`] is one cell's analysis (plus the few
+//! ground-truth health counters that validate it) as a flat row, which
+//! the runner fills in, and [`MatrixReport`] serialises the whole grid to JSON and a paper-style
 //! markdown table.
 //!
 //! ## Determinism contract
@@ -19,7 +19,6 @@
 //! must yield a **byte-identical** report across runs and toolchains
 //! (the CI `scenario-matrix` job diffs exactly this).
 
-use crate::report::ExperimentAnalysis;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -40,6 +39,8 @@ pub struct CellSummary {
     pub faults: String,
     /// Ground-truth stream continuity (delivered / scheduled).
     pub continuity: f64,
+    /// Continuity of the worst-served probe.
+    pub worst_continuity: f64,
     /// Chunks delivered to probes before their deadline.
     pub chunks_delivered: u64,
     /// Chunks moved by the epidemic push behaviour (0 for pull-only).
@@ -48,6 +49,10 @@ pub struct CellSummary {
     pub peers_departed: u64,
     /// External-peer re-arrivals.
     pub peers_arrived: u64,
+    /// Packets the link-fault layer dropped.
+    pub packets_dropped: u64,
+    /// Requests re-queued after their provider departed.
+    pub requests_requeued: u64,
     /// Traffic share exchanged inside the probe's own subnet, %.
     pub subnet_pct: f64,
     /// Traffic share that never left the origin AS, %.
@@ -65,51 +70,6 @@ pub struct CellSummary {
     /// Byte-wise download preference for same-AS peers, %; `None` when
     /// not measurable.
     pub as_bytes_pct: Option<f64>,
-}
-
-impl CellSummary {
-    /// Builds a row from one cell's passive analysis plus the handful
-    /// of ground-truth counters that contextualise it. `health` is
-    /// `(continuity, chunks_delivered, chunks_pushed, peers_departed,
-    /// peers_arrived)` — passed as plain numbers because this crate
-    /// never sees simulator types.
-    pub fn from_analysis(
-        cell: String,
-        profile: String,
-        scale: f64,
-        session: String,
-        faults: String,
-        analysis: &ExperimentAnalysis,
-        health: (f64, u64, u64, u64, u64),
-    ) -> Self {
-        let f = &analysis.friendliness;
-        let pref_bytes = |metric: &str| {
-            analysis.preference(metric).and_then(|p| {
-                p.download_all
-                    .is_measurable()
-                    .then_some(p.download_all.bytes_pct)
-            })
-        };
-        CellSummary {
-            cell,
-            profile,
-            scale,
-            session,
-            faults,
-            continuity: health.0,
-            chunks_delivered: health.1,
-            chunks_pushed: health.2,
-            peers_departed: health.3,
-            peers_arrived: health.4,
-            subnet_pct: f.subnet_pct,
-            intra_as_pct: f.intra_as_pct,
-            intra_cc_pct: f.intra_cc_pct,
-            transit_pct: f.transit_pct,
-            mean_hops_per_byte: f.mean_hops_per_byte,
-            bw_bytes_pct: pref_bytes("BW"),
-            as_bytes_pct: pref_bytes("AS"),
-        }
-    }
 }
 
 /// The whole scenario grid: run coordinates that *are* part of the
@@ -158,13 +118,13 @@ impl MatrixReport {
         );
         let _ = writeln!(
             s,
-            "| cell | cont. | pushed | churn (−/+) | subnet % | intra-AS % | transit % | hops/byte | BW pref B% | AS pref B% |"
+            "| cell | cont. | pushed | churn (−/+) | subnet % | intra-AS % | transit % | hops/byte | BW pref B% | AS pref B% | worst | dropped | requeued |"
         );
-        let _ = writeln!(s, "|---|---|---|---|---|---|---|---|---|---|");
+        let _ = writeln!(s, "|---|---|---|---|---|---|---|---|---|---|---|---|---|");
         for c in &self.cells {
             let _ = writeln!(
                 s,
-                "| {} | {:.3} | {} | {}/{} | {:.2} | {:.2} | {:.2} | {:.2} | {} | {} |",
+                "| {} | {:.3} | {} | {}/{} | {:.2} | {:.2} | {:.2} | {:.2} | {} | {} | {:.3} | {} | {} |",
                 c.cell,
                 c.continuity,
                 c.chunks_pushed,
@@ -176,6 +136,9 @@ impl MatrixReport {
                 c.mean_hops_per_byte,
                 opt_pct(c.bw_bytes_pct),
                 opt_pct(c.as_bytes_pct),
+                c.worst_continuity,
+                c.packets_dropped,
+                c.requests_requeued,
             );
         }
         s
@@ -194,10 +157,13 @@ mod tests {
             session: "baseline".into(),
             faults: "clean".into(),
             continuity: 0.987,
+            worst_continuity: 0.9,
             chunks_delivered: 1234,
             chunks_pushed: pushed,
             peers_departed: 3,
             peers_arrived: 2,
+            packets_dropped: 17,
+            requests_requeued: 5,
             subnet_pct: 0.5,
             intra_as_pct: 12.25,
             intra_cc_pct: 40.0,
@@ -219,7 +185,7 @@ mod tests {
         assert_eq!(report, back);
         let md = report.to_markdown();
         assert!(md.contains("| pplive/x0.02/baseline/clean | 0.987 | 0 | 3/2 |"));
-        assert!(md.contains("| 61.20 | – |"));
+        assert!(md.contains("| 61.20 | – | 0.900 | 17 | 5 |"));
         assert!(md.contains("2 cells, seed 777, 20 s simulated per cell."));
     }
 

@@ -125,18 +125,6 @@ impl AccessLink {
         self.nat = true;
         self
     }
-
-    /// Marks the link as firewalled.
-    pub const fn with_firewall(mut self) -> Self {
-        self.firewall = true;
-        self
-    }
-
-    /// Whether a fresh *inbound* session from an unknown remote can reach
-    /// this host.
-    pub const fn accepts_unsolicited(self) -> bool {
-        !self.nat && !self.firewall
-    }
 }
 
 #[cfg(test)]
@@ -182,14 +170,9 @@ mod tests {
 
     #[test]
     fn middlebox_flags() {
-        let l = AccessLink::lan();
-        assert!(l.accepts_unsolicited());
-        assert!(!l.with_nat().accepts_unsolicited());
-        assert!(!l.with_firewall().accepts_unsolicited());
-        let both = AccessLink::open(AccessClass::Dsl(2500, 384))
-            .with_nat()
-            .with_firewall();
-        assert!(both.nat && both.firewall);
-        assert!(!both.accepts_unsolicited());
+        let l = AccessLink::open(AccessClass::Dsl(2500, 384));
+        assert!(!l.nat && !l.firewall);
+        let natted = l.with_nat();
+        assert!(natted.nat && !natted.firewall);
     }
 }

@@ -86,14 +86,6 @@ impl CountryCode {
             _ => Region::Europe,
         }
     }
-
-    /// `true` for the four countries hosting NAPA-WINE probe sites.
-    pub const fn is_probe_country(self) -> bool {
-        matches!(
-            self,
-            CountryCode::HU | CountryCode::IT | CountryCode::FR | CountryCode::PL
-        )
-    }
 }
 
 impl fmt::Display for CountryCode {
@@ -133,16 +125,6 @@ mod tests {
             let l = cc.label();
             assert!(l == "*" || l.len() == 2, "bad label {l}");
         }
-    }
-
-    #[test]
-    fn probe_countries() {
-        assert!(CountryCode::IT.is_probe_country());
-        assert!(CountryCode::HU.is_probe_country());
-        assert!(CountryCode::FR.is_probe_country());
-        assert!(CountryCode::PL.is_probe_country());
-        assert!(!CountryCode::CN.is_probe_country());
-        assert!(!CountryCode::Other.is_probe_country());
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //!   [`SimTime`](netaware_sim::SimTime) with a static `<layer>.<aspect>`
 //!   target (`swarm.discovery.handshake`, `swarm.scheduling.chunk_sched`, `stream.error`,
 //!   `pass.flow`, …), collected by a pluggable [`EventSink`] (ring
-//!   buffer, JSONL writer, counting null sink) behind a per-target
-//!   [`Filter`]. Timestamps are simulation time, so two runs with the
-//!   same seed emit *byte-identical* logs — observability rides the same
-//!   determinism contract as the traces themselves;
+//!   buffer, JSONL writer, counting null sink). Timestamps are
+//!   simulation time, so two runs with the same seed emit
+//!   *byte-identical* logs — observability rides the same determinism
+//!   contract as the traces themselves;
 //! * a **metrics registry** — named [`Counter`]s/[`Gauge`]s and
 //!   [`netaware_sim::stats::Histogram`]-backed histograms with a
 //!   `BTreeMap`-ordered JSON/CSV [`MetricsSnapshot`];
@@ -53,7 +53,7 @@ pub use clock::{Clock, ManualClock, WallClock};
 pub use event::{Event, FieldValue, Level};
 pub use metrics::{Counter, Gauge, HistogramMetric, MetricsSnapshot, Registry};
 pub use profile::{Drift, ProfCell, ProfSpan, ProfileDiff, ProfileNode, Profiler};
-pub use sink::{EventSink, Filter, JsonlSink, NullSink, RingSink};
+pub use sink::{EventSink, JsonlSink, NullSink, RingSink};
 pub use summary::{LogSummary, SummaryError};
 
 use std::sync::{Arc, MutexGuard};
@@ -73,7 +73,6 @@ pub(crate) fn locked<T>(m: &std::sync::Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 struct Inner {
-    filter: Filter,
     sink: Arc<dyn EventSink>,
     registry: Registry,
     profiler: Option<Profiler>,
@@ -82,7 +81,7 @@ struct Inner {
 /// The observability handle threaded through the pipeline.
 ///
 /// Cloning shares the sink, registry and profiler. The default handle
-/// is *disabled*: [`Obs::enabled`] is `false` for everything, metric
+/// is *disabled*: [`Obs::is_enabled`] is `false`, metric
 /// handles are no-ops, and spans record nothing.
 #[derive(Clone, Default)]
 pub struct Obs {
@@ -107,38 +106,27 @@ impl Obs {
     /// events and metrics but does *not* profile; see
     /// [`Obs::with_profiler`].
     pub fn new(sink: Arc<dyn EventSink>) -> Obs {
-        Obs::build(sink, Filter::all(), None)
+        Obs::build(sink, None)
     }
 
-    /// An enabled handle with an explicit [`Filter`].
-    pub fn with_filter(sink: Arc<dyn EventSink>, filter: Filter) -> Obs {
-        Obs::build(sink, filter, None)
-    }
-
-    /// Like [`Obs::with_filter`] but with the span profiler armed,
-    /// timing spans with `clock`: [`Obs::pspan`]/[`Obs::prof_cell`]
-    /// record into a tree read back by [`Obs::profile_tree`]. Profiling
-    /// is opt-in because it reads the clock around every instrumented
-    /// hook call.
-    pub fn with_profiler(sink: Arc<dyn EventSink>, filter: Filter, clock: Arc<dyn Clock>) -> Obs {
-        Obs::build(sink, filter, Some(Profiler::new(clock)))
+    /// Like [`Obs::new`] but with the span profiler armed, timing spans
+    /// with `clock`: [`Obs::pspan`]/[`Obs::prof_cell`] record into a
+    /// tree read back by [`Obs::profile_tree`]. Profiling is opt-in
+    /// because it reads the clock around every instrumented hook call.
+    pub fn with_profiler(sink: Arc<dyn EventSink>, clock: Arc<dyn Clock>) -> Obs {
+        Obs::build(sink, Some(Profiler::new(clock)))
     }
 
     /// A profiling handle with no event collection (null sink, wall
     /// clock) — what `--profile FILE` uses when no `--obs-log` is asked
     /// for.
     pub fn profiled() -> Obs {
-        Obs::with_profiler(
-            Arc::new(NullSink::new()),
-            Filter::all(),
-            Arc::new(WallClock::new()),
-        )
+        Obs::with_profiler(Arc::new(NullSink::new()), Arc::new(WallClock::new()))
     }
 
-    fn build(sink: Arc<dyn EventSink>, filter: Filter, profiler: Option<Profiler>) -> Obs {
+    fn build(sink: Arc<dyn EventSink>, profiler: Option<Profiler>) -> Obs {
         Obs {
             inner: Some(Arc::new(Inner {
-                filter,
                 sink,
                 registry: Registry::new(),
                 profiler,
@@ -146,25 +134,14 @@ impl Obs {
         }
     }
 
-    /// Whether this handle collects anything at all.
+    /// Whether this handle collects anything at all. The [`event!`]
+    /// macro consults this *before* evaluating any field expressions.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
-    /// Whether an event for `target` at `level` would be collected. The
-    /// [`event!`] macro consults this *before* evaluating any field
-    /// expressions.
-    pub fn enabled(&self, target: &'static str, level: Level) -> bool {
-        match &self.inner {
-            None => false,
-            Some(inner) => {
-                inner.filter.allows(target, level) && inner.sink.accepts(target, level)
-            }
-        }
-    }
-
     /// Hands one event to the sink. Callers normally go through
-    /// [`event!`], which performs the [`Obs::enabled`] check first.
+    /// [`event!`], which performs the [`Obs::is_enabled`] check first.
     pub fn emit(&self, event: Event) {
         if let Some(inner) = &self.inner {
             inner.sink.record(&event);
@@ -243,10 +220,10 @@ impl Obs {
     }
 }
 
-/// Emits a structured event if (and only if) the handle collects this
-/// target at this level. Field expressions are **not evaluated** when the
-/// event is filtered out, so instrumentation may compute derived values
-/// in the field position without taxing the disabled path:
+/// Emits a structured event if (and only if) the handle is enabled.
+/// Field expressions are **not evaluated** on a disabled handle, so
+/// instrumentation may compute derived values in the field position
+/// without taxing the disabled path:
 ///
 /// ```
 /// use netaware_obs::{event, Level, Obs};
@@ -262,7 +239,7 @@ impl Obs {
 macro_rules! event {
     ($obs:expr, $level:expr, $target:expr, $time:expr $(,)?) => {{
         let obs = &$obs;
-        if obs.enabled($target, $level) {
+        if obs.is_enabled() {
             obs.emit($crate::Event {
                 time: $time,
                 target: $target,
@@ -273,7 +250,7 @@ macro_rules! event {
     }};
     ($obs:expr, $level:expr, $target:expr, $time:expr, $($key:literal = $val:expr),+ $(,)?) => {{
         let obs = &$obs;
-        if obs.enabled($target, $level) {
+        if obs.is_enabled() {
             obs.emit($crate::Event {
                 time: $time,
                 target: $target,
@@ -293,7 +270,6 @@ mod tests {
     fn disabled_handle_is_inert() {
         let obs = Obs::disabled();
         assert!(!obs.is_enabled());
-        assert!(!obs.enabled("swarm.handshake", Level::Error));
         obs.counter("x").inc();
         obs.gauge("y").set(3);
         obs.histogram("z", 8).record(1);
@@ -304,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn macro_skips_field_evaluation_when_filtered() {
+    fn macro_skips_field_evaluation_when_disabled() {
         // Disabled handle: nothing runs.
         let obs = Obs::disabled();
         let mut hits = 0u32;
@@ -312,17 +288,10 @@ mod tests {
                "n" = { hits += 1; hits });
         assert_eq!(hits, 0, "field expression ran on a disabled handle");
 
-        // Enabled handle, but the target is filtered below threshold:
-        // still nothing runs.
+        // An enabled handle evaluates the fields at any level.
         let sink = Arc::new(NullSink::new());
-        let obs = Obs::with_filter(sink.clone(), Filter::min(Level::Warn));
-        event!(obs, Level::Debug, "swarm.chunk_sched", SimTime::ZERO,
-               "n" = { hits += 1; hits });
-        assert_eq!(hits, 0, "field expression ran for a filtered event");
-        assert_eq!(sink.events_seen(), 0);
-
-        // At or above threshold the fields evaluate and the sink sees it.
-        event!(obs, Level::Warn, "swarm.chunk_sched", SimTime::ZERO,
+        let obs = Obs::new(sink.clone());
+        event!(obs, Level::Trace, "swarm.chunk_sched", SimTime::ZERO,
                "n" = { hits += 1; hits });
         assert_eq!(hits, 1);
         assert_eq!(sink.events_seen(), 1);

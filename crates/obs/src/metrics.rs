@@ -80,13 +80,6 @@ impl HistogramMetric {
             locked(cell).push(v);
         }
     }
-
-    /// Records an observation with a weight (e.g. bytes).
-    pub fn record_weighted(&self, v: usize, w: u64) {
-        if let Some(cell) = &self.0 {
-            locked(cell).push_weighted(v, w);
-        }
-    }
 }
 
 /// The metrics registry: name → cell. Handles are cheap Arc clones, so

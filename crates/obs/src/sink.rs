@@ -1,7 +1,7 @@
-//! Pluggable event sinks and per-target level filtering.
+//! Pluggable event sinks.
 //!
-//! A sink receives already-filtered [`Event`]s through `&self`, so one
-//! sink can be shared between the emitting layer and the caller that
+//! A sink receives every [`Event`] an enabled handle emits through
+//! `&self`, so one sink can be shared between the emitting layer and the caller that
 //! later inspects what was collected (keep an `Arc` clone).
 
 #![expect(
@@ -9,7 +9,7 @@
     reason = "audited: each sink's one Mutex is never held while taking another"
 )]
 
-use crate::event::{Event, Level};
+use crate::event::Event;
 use crate::locked;
 use std::collections::VecDeque;
 use std::fs::File;
@@ -20,15 +20,7 @@ use std::sync::Mutex;
 
 /// Destination for structured events.
 pub trait EventSink: Send + Sync {
-    /// Whether the sink wants events for `target` at `level` at all.
-    /// Used by the `event!` macro to skip field construction entirely;
-    /// defaults to accepting everything.
-    fn accepts(&self, target: &'static str, level: Level) -> bool {
-        let _ = (target, level);
-        true
-    }
-
-    /// Receives one event that passed filtering.
+    /// Receives one event.
     fn record(&self, event: &Event);
 
     /// Flushes buffered output; a no-op for in-memory sinks.
@@ -134,60 +126,10 @@ impl EventSink for JsonlSink {
     }
 }
 
-/// Per-target minimum-level filter: the longest matching target prefix
-/// wins, falling back to the default level.
-#[derive(Clone, Debug)]
-pub struct Filter {
-    default: Level,
-    rules: Vec<(String, Level)>,
-}
-
-impl Filter {
-    /// Passes everything (default: the observability artifacts are for
-    /// offline analysis, so completeness beats volume).
-    pub fn all() -> Filter {
-        Filter::min(Level::Trace)
-    }
-
-    /// Passes events at `level` or above for every target.
-    pub fn min(level: Level) -> Filter {
-        Filter {
-            default: level,
-            rules: Vec::new(),
-        }
-    }
-
-    /// Adds a per-target override: events whose target starts with
-    /// `prefix` pass at `level` or above. Longest prefix wins.
-    pub fn with_target(mut self, prefix: &str, level: Level) -> Filter {
-        self.rules.push((prefix.to_string(), level));
-        // Longest prefix first, ties broken lexicographically, so the
-        // match below is order-independent of insertion.
-        self.rules
-            .sort_by(|a, b| b.0.len().cmp(&a.0.len()).then(a.0.cmp(&b.0)));
-        self
-    }
-
-    /// Whether an event for `target` at `level` passes.
-    pub fn allows(&self, target: &str, level: Level) -> bool {
-        for (prefix, min) in &self.rules {
-            if target.starts_with(prefix.as_str()) {
-                return level >= *min;
-            }
-        }
-        level >= self.default
-    }
-}
-
-impl Default for Filter {
-    fn default() -> Self {
-        Filter::all()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Level;
     use netaware_sim::SimTime;
 
     fn ev(target: &'static str, level: Level, n: u64) -> Event {
@@ -238,23 +180,5 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains(r#""target":"swarm.tick""#));
         assert!(lines[1].contains(r#""target":"pass.flow""#));
-    }
-
-    #[test]
-    fn filter_longest_prefix_wins() {
-        let f = Filter::min(Level::Info)
-            .with_target("swarm", Level::Warn)
-            .with_target("swarm.chunk_sched", Level::Trace);
-        assert!(f.allows("swarm.chunk_sched", Level::Debug));
-        assert!(!f.allows("swarm.handshake", Level::Info));
-        assert!(f.allows("swarm.handshake", Level::Error));
-        assert!(f.allows("pass.flow", Level::Info));
-        assert!(!f.allows("pass.flow", Level::Debug));
-    }
-
-    #[test]
-    fn default_filter_accepts_everything() {
-        let f = Filter::default();
-        assert!(f.allows("anything.at", Level::Trace));
     }
 }

@@ -103,14 +103,6 @@ impl BufferMap {
         Self::default()
     }
 
-    /// An empty map based at `base` (joining mid-stream).
-    pub fn based_at(base: ChunkId) -> Self {
-        BufferMap {
-            base: base.0,
-            bits: 0,
-        }
-    }
-
     /// Oldest tracked chunk.
     pub fn base(&self) -> ChunkId {
         ChunkId(self.base)
@@ -239,7 +231,8 @@ mod tests {
 
     #[test]
     fn bufmap_ignores_stale_inserts() {
-        let mut b = BufferMap::based_at(ChunkId(100));
+        let mut b = BufferMap::new();
+        b.advance_base(ChunkId(100));
         b.insert(ChunkId(50));
         assert_eq!(b.held(), 0);
         assert!(!b.contains(ChunkId(50)));

@@ -52,9 +52,10 @@ pub struct SelectionPolicy {
     /// Multiplicative weight for the most recent provider (1 = none);
     /// high values mean few, stable contributors.
     pub stickiness: f64,
-    /// Prior upstream estimate (b/s) for candidates never exchanged with.
-    pub unknown_bw_prior_bps: u64,
 }
+
+/// Prior upstream estimate (b/s) for candidates never exchanged with.
+pub const UNKNOWN_BW_PRIOR_BPS: u64 = 4_000_000;
 
 impl SelectionPolicy {
     /// Uniform-random selection: every candidate weighs 1.
@@ -65,7 +66,6 @@ impl SelectionPolicy {
             subnet_boost: 1.0,
             same_cc_boost: 1.0,
             stickiness: 1.0,
-            unknown_bw_prior_bps: 4_000_000,
         }
     }
 
@@ -79,7 +79,7 @@ impl SelectionPolicy {
     /// It depends on nothing else, so a caller pricing many unmeasured
     /// candidates can compute `bw_term(None)` once.
     pub(crate) fn bw_term(&self, est_up_bps: Option<u64>) -> f64 {
-        let bw = est_up_bps.unwrap_or(self.unknown_bw_prior_bps) as f64 / 1e6;
+        let bw = est_up_bps.unwrap_or(UNKNOWN_BW_PRIOR_BPS) as f64 / 1e6;
         bw.max(0.01).powf(self.bw_exponent)
     }
 

@@ -27,12 +27,10 @@ use serde::{Deserialize, Serialize};
 
 /// Sender-driven epidemic push policy (Mathieu & Perino): when present,
 /// the profile's behaviour stack includes the epidemic push built-in,
-/// which pushes the latest useful buffered chunk to a neighbor every
+/// which pushes the latest useful buffered chunk to one neighbor every
 /// tick instead of waiting to be asked.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct PushPolicy {
-    /// Push attempts per protocol tick.
-    pub pushes_per_tick: u32,
     /// Exponent biasing target choice toward high-upstream neighbors.
     /// `0.0` is the random-peer policy; positive values are the
     /// bandwidth-aware variant (capacity-proportional at `1.0`).
@@ -123,7 +121,6 @@ impl AppProfile {
                 subnet_boost: 4.0,
                 same_cc_boost: 1.1,
                 stickiness: 6.0,
-                unknown_bw_prior_bps: 4_000_000,
             },
             upload_policy: SelectionPolicy {
                 bw_exponent: 0.0,
@@ -131,7 +128,6 @@ impl AppProfile {
                 subnet_boost: 3.0,
                 same_cc_boost: 1.2,
                 stickiness: 1.0,
-                unknown_bw_prior_bps: 4_000_000,
             },
             exploration: 0.055,
             discovery_bw_exponent: 0.75,
@@ -167,7 +163,6 @@ impl AppProfile {
                 subnet_boost: 1.0,
                 same_cc_boost: 1.0,
                 stickiness: 4.0,
-                unknown_bw_prior_bps: 4_000_000,
             },
             upload_policy: SelectionPolicy::uniform(),
             exploration: 0.02,
@@ -204,7 +199,6 @@ impl AppProfile {
                 subnet_boost: 3.2,
                 same_cc_boost: 1.3,
                 stickiness: 10.0,
-                unknown_bw_prior_bps: 4_000_000,
             },
             upload_policy: SelectionPolicy {
                 bw_exponent: 0.0,
@@ -212,7 +206,6 @@ impl AppProfile {
                 subnet_boost: 5.0,
                 same_cc_boost: 1.15,
                 stickiness: 1.0,
-                unknown_bw_prior_bps: 4_000_000,
             },
             exploration: 0.013,
             discovery_bw_exponent: 0.7,
@@ -315,7 +308,6 @@ impl AppProfile {
                 subnet_boost: 20.0,
                 same_cc_boost: 6.0,
                 stickiness: 4.0,
-                unknown_bw_prior_bps: 4_000_000,
             },
             upload_policy: SelectionPolicy {
                 bw_exponent: 0.0,
@@ -323,7 +315,6 @@ impl AppProfile {
                 subnet_boost: 20.0,
                 same_cc_boost: 6.0,
                 stickiness: 1.0,
-                unknown_bw_prior_bps: 4_000_000,
             },
             discovery_as_boost: 12.0,
             ..Self::sopcast()
@@ -345,10 +336,7 @@ impl AppProfile {
             exploration: 0.04,
             discovery_bw_exponent: 0.0,
             discovery_as_boost: 1.0,
-            push: Some(PushPolicy {
-                pushes_per_tick: 1,
-                bw_exponent: 0.0,
-            }),
+            push: Some(PushPolicy { bw_exponent: 0.0 }),
             ..Self::sopcast()
         }
     }
@@ -363,10 +351,7 @@ impl AppProfile {
     pub fn epidemic_ba() -> Self {
         AppProfile {
             name: "Epidemic-BA".into(),
-            push: Some(PushPolicy {
-                pushes_per_tick: 1,
-                bw_exponent: 1.0,
-            }),
+            push: Some(PushPolicy { bw_exponent: 1.0 }),
             discovery_bw_exponent: 0.7,
             ..Self::epidemic_rp()
         }
@@ -384,14 +369,6 @@ impl AppProfile {
         self.discovery_as_boost = 1.0;
         self.exploration = self.exploration.max(0.02);
         self
-    }
-
-    /// Expected steady-state distinct external neighbors over a run of
-    /// `duration_us` (capacity plus churn turnover) — used by tests to
-    /// sanity-check contributor-count calibration.
-    pub fn expected_distinct_neighbors(&self, duration_us: u64) -> f64 {
-        let turnover = duration_us as f64 / self.neighbor_lifetime_us as f64;
-        self.max_neighbors as f64 * (1.0 + turnover)
     }
 
     /// Builds the behaviour stack this profile composes: the profile is
@@ -492,15 +469,6 @@ mod tests {
     }
 
     #[test]
-    fn distinct_neighbor_estimate() {
-        let t = AppProfile::tvants();
-        // One hour at ~40 min lifetime: capacity * (1 + 1.5).
-        let d = t.expected_distinct_neighbors(3_600_000_000);
-        assert!(d > t.max_neighbors as f64);
-        assert!(d < 3.0 * t.max_neighbors as f64);
-    }
-
-    #[test]
     fn all_contains_every_registered_profile_once() {
         let names: Vec<String> = AppProfile::all().iter().map(|p| p.name.clone()).collect();
         assert_eq!(
@@ -546,7 +514,6 @@ mod tests {
         let (rp_push, ba_push) = (rp.push.unwrap(), ba.push.unwrap());
         assert_eq!(rp_push.bw_exponent, 0.0, "RP pushes blind");
         assert!(ba_push.bw_exponent > 0.0, "BA pushes by capacity");
-        assert_eq!(rp_push.pushes_per_tick, ba_push.pushes_per_tick);
         // Both are location-blind: locality fingerprints must come out
         // flat, unlike TVAnts/NAPA-NG.
         for p in [&rp, &ba] {

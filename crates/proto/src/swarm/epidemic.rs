@@ -32,8 +32,6 @@ use netaware_obs::Level;
 /// configuration plus scratch lists that every push round clears.
 #[derive(Debug)]
 pub(crate) struct EpidemicPush {
-    /// Push attempts per protocol tick.
-    pushes_per_tick: u32,
     /// Exponent biasing target choice toward high-upstream neighbors;
     /// `0.0` is the uniform random-peer policy.
     bw_exponent: f64,
@@ -49,7 +47,6 @@ impl EpidemicPush {
     /// Builds the behaviour from a profile's push policy.
     pub(crate) fn from_policy(policy: &PushPolicy, backlog_cap_us: u64) -> Self {
         EpidemicPush {
-            pushes_per_tick: policy.pushes_per_tick,
             bw_exponent: policy.bw_exponent,
             backlog_cap_us,
             cand: Vec::new(),
@@ -75,93 +72,91 @@ impl Behaviour for EpidemicPush {
         if core.probe_states[i].sched.bufmap.held() == 0 {
             return; // nothing buffered yet (startup)
         }
-        for _ in 0..self.pushes_per_tick {
-            // A saturated uplink sits the round out, like the pull
-            // serve path refusing requests past the backlog cap.
-            if core.probe_states[i].link.uplink.backlog_us(now) > self.backlog_cap_us {
-                return;
-            }
-            // Candidate targets: live neighbors (the source never needs
-            // a push). Weights only matter for the bandwidth-aware
-            // variant.
-            let cand = &mut self.cand;
-            cand.clear();
-            cand.extend(
-                core.probe_states[i]
-                    .disc
-                    .neighbors
-                    .iter()
-                    .filter(|n| n.role != PeerRole::Source && !core.is_offline(n.id)),
-            );
-            if cand.is_empty() {
-                return;
-            }
-            let target = if self.bw_exponent == 0.0 {
-                let k = core.probe_states[i].rng.range(0..cand.len());
-                cand[k]
-            } else {
-                let weights = &mut self.weights;
-                weights.clear();
-                for n in cand.iter() {
-                    let up_bps = core.meta[n.id.0 as usize].up_bps.max(1);
-                    weights.push((up_bps as f64).powf(self.bw_exponent));
-                }
-                match core.probe_states[i].rng.pick_weighted(weights) {
-                    Some(k) => cand[k],
-                    None => return,
-                }
-            };
-            // Latest useful chunk: newest held chunk the target
-            // plausibly lacks. Probes are priced by the same static
-            // playout-lag heuristic the pull scheduler uses (never the
-            // remote's live state); externals by their configured
-            // playout lag.
-            let chunk = {
-                let map = &core.probe_states[i].sched.bufmap;
-                let base = map.base();
-                let stream = core.cfg.stream;
-                let mut found = None;
-                for off in (0..BUFFER_WINDOW).rev() {
-                    let c = ChunkId(base.0 + off);
-                    if !map.contains(c) {
-                        continue;
-                    }
-                    let useful = match target.role {
-                        PeerRole::Probe => {
-                            stream.chunk_time_us(ChunkId(c.0 + 2 + target.fetch_lag_chunks))
-                                > now_us
-                        }
-                        PeerRole::External => stream.chunk_time_us(c) + target.lag_us > now_us,
-                        PeerRole::Source => false,
-                    };
-                    if useful {
-                        found = Some(c);
-                    }
-                    // Held chunks older than the newest useful one are
-                    // plausibly held by the target too — stop at the
-                    // first (newest) useful hit.
-                    if found.is_some() {
-                        break;
-                    }
-                }
-                found
-            };
-            let Some(chunk) = chunk else {
-                continue; // target plausibly holds everything we do
-            };
-            core.report.chunks_pushed += 1;
-            netaware_obs::event!(
-                core.obs,
-                Level::Debug,
-                "swarm.epidemic.push",
-                now,
-                "probe" = i,
-                "target" = target.id.0,
-                "chunk" = chunk.0,
-            );
-            // Receiver-side dedup (`chunks_duplicate`) absorbs pushes
-            // the heuristic mispriced, exactly like stale pull serves.
-            core.probe_serve_chunk(actions, now, pusher, target.id, chunk);
+        // A saturated uplink sits the round out, like the pull
+        // serve path refusing requests past the backlog cap.
+        if core.probe_states[i].link.uplink.backlog_us(now) > self.backlog_cap_us {
+            return;
         }
+        // Candidate targets: live neighbors (the source never needs
+        // a push). Weights only matter for the bandwidth-aware
+        // variant.
+        let cand = &mut self.cand;
+        cand.clear();
+        cand.extend(
+            core.probe_states[i]
+                .disc
+                .neighbors
+                .iter()
+                .filter(|n| n.role != PeerRole::Source && !core.is_offline(n.id)),
+        );
+        if cand.is_empty() {
+            return;
+        }
+        let target = if self.bw_exponent == 0.0 {
+            let k = core.probe_states[i].rng.range(0..cand.len());
+            cand[k]
+        } else {
+            let weights = &mut self.weights;
+            weights.clear();
+            for n in cand.iter() {
+                let up_bps = core.meta[n.id.0 as usize].up_bps.max(1);
+                weights.push((up_bps as f64).powf(self.bw_exponent));
+            }
+            match core.probe_states[i].rng.pick_weighted(weights) {
+                Some(k) => cand[k],
+                None => return,
+            }
+        };
+        // Latest useful chunk: newest held chunk the target
+        // plausibly lacks. Probes are priced by the same static
+        // playout-lag heuristic the pull scheduler uses (never the
+        // remote's live state); externals by their configured
+        // playout lag.
+        let chunk = {
+            let map = &core.probe_states[i].sched.bufmap;
+            let base = map.base();
+            let stream = core.cfg.stream;
+            let mut found = None;
+            for off in (0..BUFFER_WINDOW).rev() {
+                let c = ChunkId(base.0 + off);
+                if !map.contains(c) {
+                    continue;
+                }
+                let useful = match target.role {
+                    PeerRole::Probe => {
+                        stream.chunk_time_us(ChunkId(c.0 + 2 + target.fetch_lag_chunks))
+                            > now_us
+                    }
+                    PeerRole::External => stream.chunk_time_us(c) + target.lag_us > now_us,
+                    PeerRole::Source => false,
+                };
+                if useful {
+                    found = Some(c);
+                }
+                // Held chunks older than the newest useful one are
+                // plausibly held by the target too — stop at the
+                // first (newest) useful hit.
+                if found.is_some() {
+                    break;
+                }
+            }
+            found
+        };
+        let Some(chunk) = chunk else {
+            return; // target plausibly holds everything we do
+        };
+        core.report.chunks_pushed += 1;
+        netaware_obs::event!(
+            core.obs,
+            Level::Debug,
+            "swarm.epidemic.push",
+            now,
+            "probe" = i,
+            "target" = target.id.0,
+            "chunk" = chunk.0,
+        );
+        // Receiver-side dedup (`chunks_duplicate`) absorbs pushes
+        // the heuristic mispriced, exactly like stale pull serves.
+        core.probe_serve_chunk(actions, now, pusher, target.id, chunk);
     }
 }

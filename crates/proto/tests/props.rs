@@ -149,7 +149,6 @@ fn policy_weight_monotone() {
             subnet_boost: rng.range(1.0..10.0),
             same_cc_boost: rng.range(1.0..4.0),
             stickiness: rng.range(1.0..12.0),
-            unknown_bw_prior_bps: 4_000_000,
         };
         let est = if rng.chance(0.5) {
             Some(rng.range(1_000..1_000_000_000u64))

@@ -144,11 +144,6 @@ impl LinkFaults {
         PacketFate::Pass { extra_delay_us }
     }
 
-    /// Whether the link is up at `now_us` (advances the outage machine).
-    pub fn is_up(&mut self, now_us: u64) -> bool {
-        self.advance(now_us)
-    }
-
     /// Advances the outage renewal process to `max(clock, now_us)` and
     /// returns whether the link is up there.
     fn advance(&mut self, now_us: u64) -> bool {

@@ -123,11 +123,6 @@ impl DownlinkQueue {
     pub fn deliver(&mut self, now: SimTime, bytes: u32) -> SimTime {
         self.inner.enqueue(now, bytes)
     }
-
-    /// Underlying serialiser (read-only accounting).
-    pub fn as_serializer(&self) -> &AccessSerializer {
-        &self.inner
-    }
 }
 
 #[cfg(test)]
@@ -232,7 +227,6 @@ mod tests {
         let mut d = DownlinkQueue::new(4_000_000);
         let t = d.deliver(SimTime::ZERO, 500);
         assert_eq!(t, SimTime::from_us(1_000));
-        assert_eq!(d.as_serializer().total_packets(), 1);
     }
 
     #[test]

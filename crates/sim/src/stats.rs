@@ -221,13 +221,6 @@ impl Histogram {
         self.total += 1;
     }
 
-    /// Adds `v` with a weight (e.g. bytes).
-    pub fn push_weighted(&mut self, v: usize, w: u64) {
-        let idx = v.min(self.counts.len() - 1);
-        self.counts[idx] += w;
-        self.total += w;
-    }
-
     /// Total weight.
     pub fn total(&self) -> u64 {
         self.total
@@ -393,13 +386,13 @@ mod tests {
     }
 
     #[test]
-    fn histogram_weighted_and_clamped() {
+    fn histogram_clamps_into_last_bucket() {
         let mut h = Histogram::new(8);
-        h.push_weighted(3, 10);
-        h.push(100); // clamps into last bucket
-        assert_eq!(h.count(3), 10);
+        h.push(3);
+        h.push(100);
+        assert_eq!(h.count(3), 1);
         assert_eq!(h.count(7), 1);
-        assert_eq!(h.total(), 11);
+        assert_eq!(h.total(), 2);
     }
 
     #[test]

@@ -226,21 +226,36 @@ pub fn run_matrix(cfg: &MatrixConfig, out_dir: Option<&Path>) -> Result<MatrixRe
                     .map_err(|e| format!("cell {label}: {e:?}"))?,
                 None => run_experiment(profile.clone(), &opts),
             };
-            Ok(CellSummary::from_analysis(
-                label,
-                profile.name.clone(),
+            let (report, f) = (&out.report, &out.analysis.friendliness);
+            // Byte-wise download preference over all contributors;
+            // `None` where the cell leaves it unmeasurable.
+            let pref_bytes = |metric: &str| {
+                out.analysis.preference(metric).and_then(|p| {
+                    p.download_all.is_measurable().then_some(p.download_all.bytes_pct)
+                })
+            };
+            Ok(CellSummary {
+                cell: label,
+                profile: profile.name.clone(),
                 scale,
-                sess.name.clone(),
-                fs.name.clone(),
-                &out.analysis,
-                (
-                    out.report.continuity(),
-                    out.report.chunks_delivered,
-                    out.report.chunks_pushed,
-                    out.report.peers_departed,
-                    out.report.peers_arrived,
-                ),
-            ))
+                session: sess.name.clone(),
+                faults: fs.name.clone(),
+                continuity: report.continuity(),
+                worst_continuity: report.worst_probe().map_or(1.0, |p| p.continuity),
+                chunks_delivered: report.chunks_delivered,
+                chunks_pushed: report.chunks_pushed,
+                peers_departed: report.peers_departed,
+                peers_arrived: report.peers_arrived,
+                packets_dropped: report.packets_dropped,
+                requests_requeued: report.requests_requeued,
+                subnet_pct: f.subnet_pct,
+                intra_as_pct: f.intra_as_pct,
+                intra_cc_pct: f.intra_cc_pct,
+                transit_pct: f.transit_pct,
+                mean_hops_per_byte: f.mean_hops_per_byte,
+                bw_bytes_pct: pref_bytes("BW"),
+                as_bytes_pct: pref_bytes("AS"),
+            })
         })
         .collect();
     let cells = cells.into_iter().collect::<Result<Vec<_>, _>>()?;

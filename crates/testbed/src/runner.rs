@@ -63,17 +63,6 @@ impl Default for ExperimentOptions {
 }
 
 impl ExperimentOptions {
-    /// Paper-scale options: full overlays, one hour. Heavy — minutes of
-    /// CPU and GBs of trace per application.
-    pub fn paper_scale(seed: u64) -> Self {
-        ExperimentOptions {
-            seed,
-            scale: 1.0,
-            duration_us: 3_600_000_000,
-            ..Default::default()
-        }
-    }
-
     /// CI-scale options: a few percent of the population, two minutes.
     pub fn ci_scale(seed: u64) -> Self {
         ExperimentOptions {

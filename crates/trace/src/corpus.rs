@@ -6,27 +6,13 @@
 //! [`TraceSet::read_dir`] — the unit of exchange for sharing simulated
 //! corpora, exactly as NAPA-WINE shared its pcap corpus "upon request".
 
-use crate::format::{read_trace, write_trace, TraceError};
+use crate::format::TraceError;
 use crate::set::TraceSet;
+use crate::sink::{CorpusSink, RecordSink};
+use crate::stream::CorpusStream;
 use netaware_net::Ip;
 use serde::{Deserialize, Serialize};
-use std::fs::File;
-use std::io::{BufReader, BufWriter, ErrorKind, Write};
 use std::path::Path;
-
-/// Opens `path` as a new, empty file, unlinking any file already there
-/// instead of truncating it in place. Both corpus writers go through it,
-/// so writing a corpus over an older one never waits for the older
-/// files to reach the disk (ext4 starts writing a file back when it is
-/// closed after a truncation to zero, and the next truncation waits for
-/// that write), and a reader that still has an older file open keeps
-/// reading the whole of it.
-pub(crate) fn create_replacing(path: &Path) -> std::io::Result<File> {
-    match std::fs::remove_file(path) {
-        Err(e) if e.kind() != ErrorKind::NotFound => Err(e),
-        _ => File::create(path),
-    }
-}
 
 /// The sidecar metadata of a persisted corpus.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -43,53 +29,29 @@ pub struct CorpusManifest {
 
 impl TraceSet {
     /// Persists the set as `<dir>/manifest.json` plus one
-    /// `<dir>/<probe-ip>.nawt` per probe. The directory is created.
+    /// `<dir>/<probe-ip>.nawt` per probe, through the same writer as
+    /// [`CorpusSink`]. The directory is created.
     pub fn write_dir(&self, dir: &Path) -> Result<CorpusManifest, TraceError> {
-        std::fs::create_dir_all(dir)?;
+        let mut sink = CorpusSink::create(dir)?;
         for t in &self.traces {
-            let path = dir.join(format!("{}.nawt", t.probe));
-            let mut w = BufWriter::new(create_replacing(&path)?);
-            write_trace(t, &mut w)?;
-            w.flush()?;
+            sink.spill(t)?;
         }
-        let manifest = CorpusManifest {
-            app: self.app.clone(),
-            duration_us: self.duration_us,
-            probes: self.traces.iter().map(|t| t.probe).collect(),
-            total_packets: self.total_packets(),
-        };
-        #[expect(
-            clippy::expect_used,
-            reason = "value-tree serialisation of an in-memory struct cannot fail"
-        )]
-        let js = serde_json::to_string_pretty(&manifest).expect("manifest serialises");
-        create_replacing(&dir.join("manifest.json"))?.write_all(js.as_bytes())?;
-        Ok(manifest)
+        sink.finish(&self.app, self.duration_us)
     }
 
-    /// Loads a corpus saved by [`TraceSet::write_dir`]. Fails if the
-    /// manifest is missing/corrupt, a probe file is missing, or the
-    /// packet count disagrees with the manifest.
+    /// Loads a corpus saved by [`TraceSet::write_dir`], reading each
+    /// probe through [`CorpusStream`]. Fails if the manifest is
+    /// missing/corrupt, a probe file is missing, unsorted or captured by
+    /// another probe, or the packet count disagrees with the manifest.
     pub fn read_dir(dir: &Path) -> Result<TraceSet, TraceError> {
-        let manifest_raw = std::fs::read_to_string(dir.join("manifest.json"))?;
-        let manifest: CorpusManifest = serde_json::from_str(&manifest_raw)
-            .map_err(|e| TraceError::BadManifest(e.to_string()))?;
-        let mut set = TraceSet::new(manifest.app.clone(), manifest.duration_us);
-        for probe in &manifest.probes {
-            let path = dir.join(format!("{probe}.nawt"));
-            let mut r = BufReader::new(File::open(path)?);
-            let trace = read_trace(&mut r)?;
-            if trace.probe != *probe {
-                return Err(TraceError::BadManifest(format!(
-                    "{probe}.nawt contains capture for {}",
-                    trace.probe
-                )));
-            }
-            set.add(trace);
+        let corpus = CorpusStream::open(dir)?;
+        let mut set = TraceSet::new(corpus.app(), corpus.duration_us());
+        for &probe in corpus.probes() {
+            set.add(corpus.open_probe(probe)?.collect_trace()?);
         }
-        if set.total_packets() != manifest.total_packets {
+        if set.total_packets() != corpus.total_packets() {
             return Err(TraceError::Truncated {
-                expected: manifest.total_packets as u64,
+                expected: corpus.total_packets() as u64,
                 got: set.total_packets() as u64,
             });
         }
@@ -100,8 +62,11 @@ impl TraceSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::write_trace;
     use crate::record::{PacketRecord, PayloadKind};
     use crate::set::ProbeTrace;
+    use std::fs::File;
+    use std::io::BufWriter;
 
     fn sample() -> TraceSet {
         let mut set = TraceSet::new("SopCast", 60_000_000);

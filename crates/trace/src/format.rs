@@ -16,6 +16,7 @@
 
 use crate::record::PacketRecord;
 use crate::set::ProbeTrace;
+use crate::stream::RecordStream;
 use netaware_net::Ip;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -121,8 +122,7 @@ pub fn write_trace<W: Write>(trace: &ProbeTrace, out: &mut W) -> Result<(), Trac
 }
 
 /// Parses the fixed 18-byte header, returning `(probe, record count)`.
-/// Shared by the eager [`read_trace`] and the streaming
-/// [`crate::stream::RecordStream`] readers.
+/// The count is untrusted input: a short file may claim 2^64 records.
 pub(crate) fn read_header<R: Read>(input: &mut R) -> Result<(Ip, u64), TraceError> {
     let mut head = [0u8; 18];
     input.read_exact(&mut head)?;
@@ -140,31 +140,12 @@ pub(crate) fn read_header<R: Read>(input: &mut R) -> Result<(Ip, u64), TraceErro
     Ok((probe, count))
 }
 
-/// Records [`read_trace`] reserves up front (384 KiB). The header's
-/// count is untrusted input: a short file may claim 2^64 records, so
-/// beyond this the buffer grows only as records actually decode.
-const PREALLOC_RECORDS: u64 = 1 << 14;
-
-/// Deserialises a probe trace from `input`.
+/// Deserialises a probe trace from `input`: a [`RecordStream`] collected
+/// into memory, so it fails with the stream's typed errors (including
+/// [`TraceError::OutOfOrder`] for a file written before finalize) and
+/// its buffer grows only as records actually decode.
 pub fn read_trace<R: Read>(input: &mut R) -> Result<ProbeTrace, TraceError> {
-    let (probe, count) = read_header(input)?;
-    let mut records = Vec::with_capacity(count.min(PREALLOC_RECORDS) as usize);
-    let mut rec_buf = [0u8; PacketRecord::WIRE_SIZE];
-    for i in 0..count {
-        match input.read_exact(&mut rec_buf) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Err(TraceError::Truncated {
-                    expected: count,
-                    got: i,
-                });
-            }
-            Err(e) => return Err(e.into()),
-        }
-        let rec = PacketRecord::decode(&rec_buf).ok_or(TraceError::CorruptRecord(i))?;
-        records.push(rec);
-    }
-    Ok(ProbeTrace::from_records(probe, records))
+    RecordStream::new(input)?.collect_trace()
 }
 
 #[cfg(test)]

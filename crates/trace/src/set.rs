@@ -96,12 +96,6 @@ impl ProbeTrace {
         }
     }
 
-    /// Consumes into the raw record vector (sorted).
-    pub fn into_records(mut self) -> Vec<PacketRecord> {
-        self.finalize();
-        self.records
-    }
-
     /// Builds from pre-collected records (sorts them).
     pub fn from_records(probe: Ip, mut records: Vec<PacketRecord>) -> Self {
         records.sort_by_key(|r| r.ts_us);

@@ -9,14 +9,29 @@
 //! than one probe's capture; the producer may still hold the rest — the
 //! swarm keeps every capture until its event loop ends).
 
-use crate::corpus::{create_replacing, CorpusManifest};
+use crate::corpus::CorpusManifest;
 use crate::format::{write_trace, TraceError};
 use crate::set::{ProbeTrace, TraceSet};
 use netaware_net::Ip;
 use netaware_obs::{Counter, Level, Obs, ProfCell};
 use netaware_sim::SimTime;
-use std::io::{BufWriter, Write};
+use std::fs::File;
+use std::io::{BufWriter, ErrorKind, Write};
 use std::path::{Path, PathBuf};
+
+/// Opens `path` as a new, empty file, unlinking any file already there
+/// instead of truncating it in place. Every corpus file is written
+/// through it, so writing a corpus over an older one never waits for
+/// the older files to reach the disk (ext4 starts writing a file back
+/// when it is closed after a truncation to zero, and the next
+/// truncation waits for that write), and a reader that still has an
+/// older file open keeps reading the whole of it.
+fn create_replacing(path: &Path) -> std::io::Result<File> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != ErrorKind::NotFound => Err(e),
+        _ => File::create(path),
+    }
+}
 
 /// Sim time of a sunk trace: its last record's timestamp (the moment
 /// the capture was complete), or zero for an empty capture. Reads the
@@ -98,10 +113,10 @@ impl RecordSink for MemorySink {
 }
 
 /// Spills each probe trace to `<dir>/<probe>.nawt` the moment it
-/// arrives, then writes `manifest.json` at [`RecordSink::finish`]. The
-/// resulting directory is identical to one saved by
-/// [`TraceSet::write_dir`], so it loads with `TraceSet::read_dir` or
-/// streams with [`crate::stream::CorpusStream`].
+/// arrives, then writes `manifest.json` at [`RecordSink::finish`]. It is
+/// the one corpus writer: [`TraceSet::write_dir`] spills through it too,
+/// and the directory loads with `TraceSet::read_dir` or streams with
+/// [`crate::stream::CorpusStream`].
 pub struct CorpusSink {
     dir: PathBuf,
     probes: Vec<Ip>,
@@ -139,12 +154,9 @@ impl CorpusSink {
     pub fn dir(&self) -> &Path {
         &self.dir
     }
-}
 
-impl RecordSink for CorpusSink {
-    type Output = CorpusManifest;
-
-    fn sink_probe(&mut self, trace: ProbeTrace) -> Result<(), TraceError> {
+    /// Writes one probe's finalized capture to `<dir>/<probe>.nawt`.
+    pub(crate) fn spill(&mut self, trace: &ProbeTrace) -> Result<(), TraceError> {
         debug_assert!(
             trace.is_sorted(),
             "probe {} sunk before finalize(); corpus files must be time-sorted",
@@ -153,7 +165,7 @@ impl RecordSink for CorpusSink {
         let path = self.dir.join(format!("{}.nawt", trace.probe));
         let mut w = BufWriter::new(create_replacing(&path)?);
         self.prof.time(|| -> Result<(), TraceError> {
-            write_trace(&trace, &mut w)?;
+            write_trace(trace, &mut w)?;
             Ok(w.flush()?)
         })?;
         self.records_sunk.add(trace.len() as u64);
@@ -162,13 +174,21 @@ impl RecordSink for CorpusSink {
             self.obs,
             Level::Info,
             "stream.spill",
-            sink_time(&trace),
+            sink_time(trace),
             "probe" = trace.probe.to_string(),
             "records" = trace.len(),
         );
         self.probes.push(trace.probe);
         self.total_packets += trace.len();
         Ok(())
+    }
+}
+
+impl RecordSink for CorpusSink {
+    type Output = CorpusManifest;
+
+    fn sink_probe(&mut self, trace: ProbeTrace) -> Result<(), TraceError> {
+        self.spill(&trace)
     }
 
     fn finish(self, app: &str, duration_us: u64) -> Result<CorpusManifest, TraceError> {

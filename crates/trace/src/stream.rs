@@ -21,6 +21,7 @@
 use crate::corpus::CorpusManifest;
 use crate::format::{read_header, TraceError};
 use crate::record::PacketRecord;
+use crate::set::ProbeTrace;
 use netaware_net::Ip;
 use netaware_obs::{Level, Obs};
 use netaware_sim::SimTime;
@@ -94,6 +95,14 @@ impl<R: Read> RecordStream<R> {
     /// Records yielded successfully so far.
     pub fn yielded(&self) -> u64 {
         self.yielded
+    }
+
+    /// Collects the whole stream into a [`ProbeTrace`], failing with the
+    /// first record error.
+    pub(crate) fn collect_trace(self) -> Result<ProbeTrace, TraceError> {
+        let probe = self.probe;
+        let records = self.collect::<Result<Vec<_>, _>>()?;
+        Ok(ProbeTrace::from_records(probe, records))
     }
 
     fn read_record(&mut self) -> Result<PacketRecord, TraceError> {
@@ -251,7 +260,7 @@ mod tests {
     use super::*;
     use crate::format::write_trace;
     use crate::record::PayloadKind;
-    use crate::set::{ProbeTrace, TraceSet};
+    use crate::set::TraceSet;
 
     fn rec(ts: u64, src: Ip, dst: Ip) -> PacketRecord {
         PacketRecord {

@@ -9,7 +9,7 @@
 //! netaware-cli nextgen [--scale F] [--secs N] [--seed N] [FAULTS]
 //! netaware-cli matrix  --config FILE [--out DIR] [--seed N] [--json FILE]
 //! netaware-cli matrix  --example
-//! netaware-cli testbed
+//! netaware-cli testbed [--scale F]
 //! netaware-cli export  --dir DIR [--app APP] [--scale F] [--secs N] [--seed N] [FAULTS]
 //! netaware-cli analyze --dir CORPUS | --probe IP FILE.pcap [--probe IP FILE.pcap …]
 //!                      [--json FILE] [--profile FILE]
@@ -23,6 +23,13 @@
 //! `APP` is any registered profile name or alias (`pplive`, `sopcast`,
 //! `tvants`, `nextgen`, `pplive-unpop`, `epidemic-rp`, `epidemic-ba` —
 //! see `AppProfile::all`).
+//!
+//! `suite` prints Table I, Tables II–IV and Figs. 1–2, then the hop
+//! distributions, the network-friendliness table and one `[truth]`
+//! ground-truth line per application. `nextgen` sets the three paper
+//! applications beside the locality-aware NAPA-NG profile and states
+//! the transit share it saves. `testbed` prints Table I, the AS/prefix
+//! plan and a census of the external population at `--scale`.
 //!
 //! `matrix --config FILE` sweeps a scenario grid (profiles × scales ×
 //! session models × fault plans, JSON `MatrixConfig`; start from
@@ -72,12 +79,12 @@
 
 use netaware::analysis::tables;
 use netaware::analysis::AnalysisConfig;
-use netaware::net::Ip;
+use netaware::net::{CountryCode, Ip};
 use netaware::testbed::{
     self, run_experiment, run_paper_suite, BuiltScenario, ExperimentOptions, ScenarioConfig,
 };
 use netaware::obs::{
-    alloc, EventSink, Filter, JsonlSink, LogSummary, MetricsSnapshot, NullSink, ProfileNode,
+    alloc, EventSink, JsonlSink, LogSummary, MetricsSnapshot, NullSink, ProfileNode,
     WallClock,
 };
 use netaware::trace::pcap::{export_pcap, import_pcap};
@@ -279,7 +286,7 @@ fn flags_read_by(cmd: &str) -> Option<&'static [&'static str]> {
             "--scale", "--secs", "--seed", "--faults", "--loss", "--jitter-us", "--churn",
         ],
         "matrix" => &["--config", "--out", "--seed", "--json", "--example"],
-        "testbed" => &[],
+        "testbed" => &["--scale"],
         "export" => &[
             "--app", "--dir", "--scale", "--secs", "--seed", "--faults", "--loss", "--jitter-us",
             "--churn",
@@ -372,6 +379,36 @@ fn cmd_suite(c: &Common) -> ExitCode {
     println!("{}", testbed::hosts::render_table1());
     let outs = run_paper_suite(&opts_of(c));
     print_all_tables(&outs);
+
+    println!("HOP DISTRIBUTIONS (§III-B: medians should sit near the fixed threshold 19)");
+    for o in &outs {
+        print!("{}", o.analysis.hop_distribution.render(&o.app));
+    }
+    println!();
+
+    println!("NETWORK FRIENDLINESS (extension metrics)");
+    println!(
+        "  {:<8} {:>9} {:>9} {:>9} {:>10} {:>10}",
+        "app", "subnet%", "intraAS%", "intraCC%", "transit%", "hops/byte"
+    );
+    for o in &outs {
+        let f = &o.analysis.friendliness;
+        println!(
+            "  {:<8} {:>9.1} {:>9.1} {:>9.1} {:>10.1} {:>10.1}",
+            o.app, f.subnet_pct, f.intra_as_pct, f.intra_cc_pct, f.transit_pct, f.mean_hops_per_byte
+        );
+    }
+    println!();
+
+    for o in &outs {
+        println!(
+            "[truth] {:<8} continuity {:.3}, {} pkts captured, {} events",
+            o.app,
+            o.report.continuity(),
+            o.analysis.total_packets,
+            o.report.events_dispatched
+        );
+    }
     exit_on("suite", write_suite_artifacts(c, &outs))
 }
 
@@ -430,7 +467,7 @@ fn cmd_run(c: &Common) -> ExitCode {
             None => Arc::new(NullSink::new()),
         };
         opts.obs = if c.profile_out.is_some() {
-            Obs::with_profiler(sink, Filter::all(), Arc::new(WallClock::new()))
+            Obs::with_profiler(sink, Arc::new(WallClock::new()))
         } else {
             Obs::new(sink)
         };
@@ -636,26 +673,44 @@ fn cmd_replicate(c: &Common) -> ExitCode {
     ExitCode::SUCCESS
 }
 
+/// The three paper applications next to the locality-aware `NAPA-NG`
+/// profile on the same testbed: how much transit traffic a
+/// network-aware client could save, and at what continuity.
 fn cmd_nextgen(c: &Common) -> ExitCode {
     let opts = opts_of(c);
-    let mut profiles = AppProfile::paper_apps();
-    profiles.push(AppProfile::nextgen());
+    let incumbents: Vec<_> = AppProfile::paper_apps()
+        .into_iter()
+        .map(|p| run_experiment(p, &opts))
+        .collect();
+    let ng = run_experiment(AppProfile::nextgen(), &opts);
     println!(
-        "{:<10} {:>10} {:>10} {:>11} {:>11}",
-        "app", "intraAS%", "transit%", "hops/byte", "continuity"
+        "{:<10} {:>9} {:>9} {:>9} {:>10} {:>11} {:>11}",
+        "app", "subnet%", "intraAS%", "intraCC%", "transit%", "hops/byte", "continuity"
     );
-    for p in profiles {
-        let out = run_experiment(p, &opts);
-        let f = &out.analysis.friendliness;
+    for o in incumbents.iter().chain([&ng]) {
+        let f = &o.analysis.friendliness;
         println!(
-            "{:<10} {:>10.1} {:>10.1} {:>11.1} {:>11.3}",
-            out.app,
+            "{:<10} {:>9.1} {:>9.1} {:>9.1} {:>10.1} {:>11.1} {:>11.3}",
+            o.app,
+            f.subnet_pct,
             f.intra_as_pct,
+            f.intra_cc_pct,
             f.transit_pct,
             f.mean_hops_per_byte,
-            out.report.continuity()
+            o.report.continuity()
         );
     }
+    let incumbent_best = incumbents
+        .iter()
+        .map(|o| o.analysis.friendliness.transit_pct)
+        .fold(f64::MAX, f64::min);
+    let ng_transit = ng.analysis.friendliness.transit_pct;
+    println!(
+        "\nNAPA-NG transit share {ng_transit:.1}% vs best incumbent {incumbent_best:.1}% — {:.1} points of \
+         inter-AS traffic removed, at continuity {:.3}.",
+        incumbent_best - ng_transit,
+        ng.report.continuity()
+    );
     ExitCode::SUCCESS
 }
 
@@ -726,8 +781,61 @@ fn cmd_matrix(c: &Common) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_testbed() -> ExitCode {
+/// Table I, then the AS/prefix plan and a census of the external
+/// population (seed 42, a 20 000-peer overlay) at `--scale`.
+fn cmd_testbed(c: &Common) -> ExitCode {
     println!("{}", testbed::hosts::render_table1());
+
+    let scale = c.scale;
+    let scenario =
+        BuiltScenario::build(&ScenarioConfig { seed: 42, scale, ..Default::default() }, 20_000);
+    let registry = &scenario.registry;
+    println!("registered ASes ({}):", registry.ases().len());
+    for info in registry.ases() {
+        let prefixes: Vec<String> = registry
+            .prefixes()
+            .iter()
+            .filter(|(_, a)| *a == info.id)
+            .map(|(p, _)| p.to_string())
+            .collect();
+        println!(
+            "  {:<6} {:<10} {:<3} {:?}  {}",
+            info.id.to_string(),
+            info.name,
+            info.country.label(),
+            info.kind,
+            prefixes.join(", ")
+        );
+    }
+
+    let externals = &scenario.externals;
+    println!("\nexternal population at scale {scale}: {} peers", externals.len());
+    let mut by_cc: std::collections::BTreeMap<&str, (usize, usize)> = Default::default();
+    for e in externals {
+        let cc = registry.country_of(e.ip).unwrap_or(CountryCode::Other);
+        let entry = by_cc.entry(cc.label()).or_default();
+        entry.0 += 1;
+        if e.access.class.is_high_bw() {
+            entry.1 += 1;
+        }
+    }
+    println!("  {:<4} {:>8} {:>10} {:>10}", "CC", "peers", "high-bw", "share");
+    for (cc, (n, high)) in &by_cc {
+        println!(
+            "  {:<4} {:>8} {:>10} {:>9.1}%",
+            cc,
+            n,
+            high,
+            100.0 * *n as f64 / externals.len() as f64
+        );
+    }
+
+    let probes = scenario.probes.len();
+    let highbw = scenario.highbw_probe_ips.len();
+    println!(
+        "\nprobes: {probes} total, {highbw} high-bandwidth (institution LANs), {} home DSL/CATV",
+        probes - highbw
+    );
     ExitCode::SUCCESS
 }
 
@@ -889,7 +997,7 @@ fn main() -> ExitCode {
         "replicate" => cmd_replicate(&common),
         "nextgen" => cmd_nextgen(&common),
         "matrix" => cmd_matrix(&common),
-        "testbed" => cmd_testbed(),
+        "testbed" => cmd_testbed(&common),
         "export" => cmd_export(&common),
         "analyze" => cmd_analyze(&common),
         _ => usage(),

@@ -28,6 +28,49 @@ fn testbed_prints_table1() {
     assert!(s.contains("TABLE I"));
     assert!(s.contains("PoliTO"));
     assert!(s.contains("DSL 22/1.8"));
+
+    // After Table I: the AS/prefix plan and the external census at the
+    // requested scale.
+    let out = cli().args(["testbed", "--scale", "0.02"]).output().expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let s = String::from_utf8_lossy(&out.stdout);
+    assert!(s.contains("TABLE I"));
+    assert!(s.contains("registered ASes ("), "no AS plan in {s}");
+    assert!(s.contains("external population at scale 0.02: "), "no census in {s}");
+    assert!(s.lines().any(|l| l.split_whitespace().next() == Some("CN")), "no CN row in {s}");
+    assert!(s.contains("high-bandwidth (institution LANs)"));
+}
+
+/// `suite` follows the paper tables with the hop distributions, the
+/// friendliness table and one ground-truth line per paper application.
+#[test]
+fn suite_prints_hops_friendliness_and_truth() {
+    let out = cli().args(["suite", "--scale", "0.02", "--secs", "5"]).output().expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let s = String::from_utf8_lossy(&out.stdout);
+    for block in ["TABLE IV", "HOP DISTRIBUTIONS", "NETWORK FRIENDLINESS (extension metrics)"] {
+        assert!(s.contains(block), "no {block} block in {s}");
+    }
+    let truth: Vec<&str> = s.lines().filter(|l| l.starts_with("[truth] ")).collect();
+    assert_eq!(truth.len(), 3, "{truth:?}");
+    for (line, app) in truth.iter().zip(["PPLive", "SopCast", "TVAnts"]) {
+        assert!(line.contains(app) && line.contains("continuity"), "{line}");
+    }
+}
+
+/// `nextgen` puts the three incumbents next to NAPA-NG with the subnet
+/// and in-country columns, then states the transit saving.
+#[test]
+fn nextgen_prints_locality_columns_and_transit_saving() {
+    let out = cli().args(["nextgen", "--scale", "0.02", "--secs", "5"]).output().expect("spawn");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let s = String::from_utf8_lossy(&out.stdout);
+    let header = s.lines().next().unwrap_or_default();
+    for column in ["subnet%", "intraAS%", "intraCC%", "transit%", "continuity"] {
+        assert!(header.contains(column), "no {column} in {header}");
+    }
+    assert!(s.lines().any(|l| l.starts_with("NAPA-NG ")), "no NAPA-NG row in {s}");
+    assert!(s.contains("NAPA-NG transit share "), "no transit saving in {s}");
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! eventually show up here as a byte diff between two same-seed runs.
 
 use netaware::analysis::AnalysisConfig;
-use netaware::obs::{EventSink, Filter, Level, RingSink, WallClock};
+use netaware::obs::{EventSink, Level, RingSink, WallClock};
 use netaware::testbed::{run_experiment, ExperimentOptions};
 use netaware::trace::write_trace;
 use netaware::{AppProfile, FaultPlan, Obs};
@@ -108,7 +108,7 @@ fn same_seed_obs_artifacts_are_byte_identical() {
     assert_eq!(metrics_a, metrics_b, "same-seed metrics snapshots diverged");
     // The profiler reads the wall clock, but only into its own span
     // tree: arming it must leave the deterministic artifacts untouched.
-    let profiled = |sink| Obs::with_profiler(sink, Filter::all(), Arc::new(WallClock::new()));
+    let profiled = |sink| Obs::with_profiler(sink, Arc::new(WallClock::new()));
     let (log_p, metrics_p) = observed_run_with(777, FaultPlan::none(), profiled);
     assert_eq!(log_a, log_p, "arming the profiler changed the event log");
     assert_eq!(metrics_a, metrics_p, "arming the profiler changed the metrics");

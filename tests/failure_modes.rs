@@ -266,6 +266,19 @@ fn streaming_rejects_out_of_order_records() {
         other => panic!("unexpected {other:?}"),
     }
     assert_eq!(results.len(), 2, "stream must fuse after the ordering error");
+
+    // The eager readers collect the same stream, so they refuse the
+    // unsorted file too instead of sorting it behind the caller's back.
+    assert!(matches!(read_trace(&mut &buf[..]), Err(TraceError::OutOfOrder(1))));
+    let dir = std::env::temp_dir().join(format!("netaware_failure_unsorted_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    t.finalize();
+    let mut set = TraceSet::new("X", 1_000_000);
+    set.add(t);
+    set.write_dir(&dir).unwrap();
+    std::fs::write(dir.join(format!("{probe}.nawt")), &buf).unwrap();
+    assert!(matches!(TraceSet::read_dir(&dir), Err(TraceError::OutOfOrder(1))));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -97,11 +97,52 @@ fn streamed_matrix_leaves_corpora_and_matches_in_memory() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A lossy cell under churn reports what the faults cost: dropped
+/// packets, re-queued requests and a worst probe no better than the
+/// swarm-wide continuity.
+#[test]
+fn lossy_churned_cell_reports_drops_requeues_and_worst_probe() {
+    let mut cfg = tiny_config();
+    cfg.profiles = vec!["sopcast".into()];
+    cfg.sessions.truncate(1);
+    cfg.faults = vec![FaultSpec {
+        name: "loss-5".into(),
+        link: LinkFaultPlan {
+            loss: 0.05,
+            ..LinkFaultPlan::default()
+        },
+    }];
+    let report = run_matrix(&cfg, None).expect("matrix runs");
+    let c = &report.cells[0];
+    assert_eq!(c.cell, "sopcast/x0.02/baseline/loss-5");
+    assert!(c.packets_dropped > 0, "{}: no packet dropped", c.cell);
+    assert!(c.requests_requeued > 0, "{}: no request re-queued", c.cell);
+    assert!(
+        c.worst_continuity <= c.continuity,
+        "{}: worst probe {} above the swarm's {}",
+        c.cell,
+        c.worst_continuity,
+        c.continuity
+    );
+    let md = report.to_markdown();
+    let row = md.lines().find(|l| l.starts_with("| sopcast/")).expect("row");
+    assert!(
+        row.ends_with(&format!(
+            "| {:.3} | {} | {} |",
+            c.worst_continuity, c.packets_dropped, c.requests_requeued
+        )),
+        "{row}"
+    );
+}
+
 #[test]
 fn committed_ci_config_is_valid() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/ci/matrix-small.json");
-    let body = std::fs::read_to_string(path).expect("ci/matrix-small.json readable");
-    let cfg = MatrixConfig::from_json(&body).expect("ci/matrix-small.json parses and validates");
+    let read = |name: &str| {
+        let path = format!("{}/ci/{name}", env!("CARGO_MANIFEST_DIR"));
+        let body = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"));
+        MatrixConfig::from_json(&body).unwrap_or_else(|e| panic!("{path}: {e}"))
+    };
+    let cfg = read("matrix-small.json");
     assert_eq!(cfg.profiles.len(), 2, "CI matrix should stay small");
     assert_eq!(cfg.sessions.len(), 2);
     assert!(
@@ -109,4 +150,16 @@ fn committed_ci_config_is_valid() {
         "CI matrix must stay scaled down"
     );
     assert!(cfg.duration_us <= 20_000_000);
+
+    // Ext. H's fault sweep: every registered profile, static and
+    // churned, clean and at four loss rates.
+    let sweep = read("fault-sweep.json");
+    let every: Vec<String> = netaware::AppProfile::all().into_iter().map(|p| p.name).collect();
+    let named: Vec<String> = sweep
+        .profiles
+        .iter()
+        .filter_map(|p| netaware::AppProfile::by_name(p).map(|p| p.name))
+        .collect();
+    assert_eq!(named, every);
+    assert_eq!((sweep.sessions.len(), sweep.faults.len()), (2, 5));
 }
