@@ -43,13 +43,6 @@ impl Default for AnalysisConfig {
     }
 }
 
-impl AnalysisConfig {
-    /// Paper defaults.
-    pub fn paper() -> Self {
-        Self::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

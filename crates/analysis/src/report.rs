@@ -69,7 +69,7 @@ pub struct ExperimentAnalysis {
 /// # fn load_registry() -> netaware_net::GeoRegistry { unimplemented!() }
 /// let traces = load_traces();
 /// let registry = load_registry();
-/// let analysis = analyze(&traces, &registry, &AnalysisConfig::paper(),
+/// let analysis = analyze(&traces, &registry, &AnalysisConfig::default(),
 ///                        &traces.probe_set());
 /// let bw = analysis.preference("BW").unwrap();
 /// println!("{:.1}% of received bytes come from high-bandwidth peers",

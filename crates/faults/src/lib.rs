@@ -111,11 +111,6 @@ impl ChurnPlan {
             tracker_outages: Vec::new(),
         }
     }
-
-    /// `true` while some configured tracker outage covers `now_us`.
-    pub fn tracker_down(&self, now_us: u64) -> bool {
-        self.tracker_outages.iter().any(|w| w.covers(now_us))
-    }
 }
 
 /// A complete fault-injection plan for one experiment.
@@ -160,18 +155,22 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Builds a plan from CLI-style shorthand flags. `None`/`false`
-    /// leave the corresponding dimension untouched.
-    pub fn from_flags(loss: Option<f64>, jitter_us: Option<u64>, churn: bool) -> Self {
-        FaultPlan {
-            link: LinkFaultPlan {
-                loss: loss.unwrap_or(0.0),
-                jitter_us: jitter_us.unwrap_or(0),
-                ..LinkFaultPlan::default()
-            },
-            churn: churn.then(ChurnPlan::preset),
-            session: None,
+    /// Layers the CLI shorthand flags over this plan (the `--faults`
+    /// file, or [`FaultPlan::none`]): `loss` and `jitter_us` override the
+    /// plan's link values, and `churn` adds the [`ChurnPlan::preset`]
+    /// only when the plan has no churn of its own. `None`/`false` leave
+    /// the corresponding dimension as it is.
+    pub fn with_flags(mut self, loss: Option<f64>, jitter_us: Option<u64>, churn: bool) -> Self {
+        if let Some(loss) = loss {
+            self.link.loss = loss;
         }
+        if let Some(jitter_us) = jitter_us {
+            self.link.jitter_us = jitter_us;
+        }
+        if churn && self.churn.is_none() {
+            self.churn = Some(ChurnPlan::preset());
+        }
+        self
     }
 
     /// `true` when the plan injects nothing (fault machinery must then
@@ -265,12 +264,21 @@ mod tests {
 
     #[test]
     fn flags_build_the_expected_plan() {
-        let p = FaultPlan::from_flags(Some(0.05), None, true);
+        let p = FaultPlan::none().with_flags(Some(0.05), None, true);
         assert!(!p.is_noop());
         assert_eq!(p.link.loss, 0.05);
         assert_eq!(p.link.jitter_us, 0);
         assert_eq!(p.churn, Some(ChurnPlan::preset()));
-        assert!(FaultPlan::from_flags(None, None, false).is_noop());
+        assert!(FaultPlan::none().with_flags(None, None, false).is_noop());
+
+        // Over a file plan: the flags override its link values, and
+        // `churn` keeps the plan's own churn.
+        let file = FaultPlan::from_json(&FaultPlan::example_json()).expect("example parses");
+        let p = file.clone().with_flags(Some(0.2), Some(7), true);
+        assert_eq!((p.link.loss, p.link.jitter_us), (0.2, 7));
+        assert_eq!(p.link.outage_rate_hz, file.link.outage_rate_hz);
+        assert_eq!(p.churn, file.churn);
+        assert_eq!(file.clone().with_flags(None, None, false), file);
     }
 
     #[test]
@@ -282,8 +290,8 @@ mod tests {
         assert_eq!(plan.link.loss, 0.05);
         let churn = plan.churn.expect("example has churn");
         assert_eq!(churn.tracker_outages.len(), 1);
-        assert!(churn.tracker_down(12_000_000));
-        assert!(!churn.tracker_down(16_000_000));
+        assert!(churn.tracker_outages[0].covers(12_000_000));
+        assert!(!churn.tracker_outages[0].covers(16_000_000));
     }
 
     #[test]

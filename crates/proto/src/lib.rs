@@ -29,7 +29,4 @@ pub use message::{Signal, MAX_SIGNAL_SIZE};
 pub use peer::{PeerId, PeerInfo, PeerRole};
 pub use policy::{Candidate, SelectionPolicy};
 pub use profiles::AppProfile;
-pub use swarm::{
-    Behaviour, BehaviourAction, BehaviourStack, Ctx, Event, ExternalSpec, NetworkEnv, PeerSetup,
-    ProbeSpec, Swarm, SwarmConfig, SwarmReport,
-};
+pub use swarm::{ExternalSpec, NetworkEnv, PeerSetup, ProbeSpec, Swarm, SwarmConfig, SwarmReport};

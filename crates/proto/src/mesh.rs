@@ -15,8 +15,8 @@
 //! If the substitution is sound, the lag distribution that *emerges*
 //! here must match the one the swarm *assumes* (mass concentrated in
 //! the 1–10 chunk band, i.e. 0.5–5 s at the CCTV-1 chunk rate), and
-//! high-upload peers must sit at the early edge of it. The
-//! `mesh_validation` example and `tests/` assert exactly that.
+//! high-upload peers must sit at the early edge of it. `netaware-cli
+//! mesh` reports exactly that, and the unit tests below assert it.
 
 use crate::chunk::{BufferMap, ChunkId, StreamParams};
 use netaware_sim::{DetRng, Histogram};

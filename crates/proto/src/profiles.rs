@@ -371,19 +371,22 @@ impl AppProfile {
         self
     }
 
-    /// Builds the behaviour stack this profile composes: the profile is
-    /// a *behaviour-stack constructor* — each concern module reads its
-    /// own parameter slice and the swarm wires them to one dispatcher.
-    pub fn stack(&self) -> crate::swarm::BehaviourStack {
-        crate::swarm::BehaviourStack::new(
-            crate::swarm::discovery::Discovery::from_profile(self),
-            crate::swarm::announce::Announce::from_profile(self),
-            crate::swarm::churn_recovery::ChurnRecovery::default(),
-            crate::swarm::scheduling::Scheduling::from_profile(self),
-            self.push.as_ref().map(|p| {
-                crate::swarm::epidemic::EpidemicPush::from_policy(p, self.upload_backlog_cap_us)
-            }),
-        )
+    /// Builds the behaviour stack this profile composes from the
+    /// built-ins: the profile is a *behaviour-stack constructor* — each
+    /// concern module reads its own parameter slice and the swarm wires
+    /// them to one dispatcher.
+    pub(crate) fn stack(&self) -> crate::swarm::BehaviourStack {
+        use crate::swarm::{announce, churn_recovery, discovery, epidemic, scheduling};
+        crate::swarm::BehaviourStack {
+            discovery: discovery::Discovery::from_profile(self),
+            announce: announce::Announce::from_profile(self),
+            recovery: churn_recovery::ChurnRecovery::default(),
+            scheduling: scheduling::Scheduling::from_profile(self),
+            epidemic: self
+                .push
+                .as_ref()
+                .map(|p| epidemic::EpidemicPush::from_policy(p, self.upload_backlog_cap_us)),
+        }
     }
 }
 

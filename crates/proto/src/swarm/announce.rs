@@ -11,8 +11,6 @@ use super::state::Event;
 use crate::message::Signal;
 use crate::peer::{PeerId, PeerRole};
 use crate::profiles::AppProfile;
-use netaware_sim::PacketFate;
-use netaware_trace::PayloadKind;
 
 /// The announce behaviour and its profile-derived parameters.
 pub(crate) struct Announce {
@@ -97,21 +95,12 @@ impl Behaviour for Announce {
             let at = now + (k as u64 * tick) / (rx_n.max(1) as u64);
             // Incoming announces cross this probe's access link; a
             // faulty link silently eats some of them.
-            let at = match core.link_fate(i, at.as_us()) {
-                PacketFate::Dropped => continue,
-                PacketFate::Pass { extra_delay_us } => at + extra_delay_us,
-            };
-            let ttl = core.ttl_to(from, pid);
-            core.capture(
-                i,
-                at,
-                from,
-                pid,
-                Signal::BufferMap.wire_size(),
-                ttl,
-                PayloadKind::Signaling,
-            );
-            core.report.signal_packets += 1;
+            if core
+                .receive_signal(i, from, at, Signal::BufferMap.wire_size())
+                .is_some()
+            {
+                core.report.signal_packets += 1;
+            }
         }
     }
 }

@@ -15,8 +15,7 @@ use crate::peer::PeerId;
 use crate::profiles::AppProfile;
 use netaware_faults::TrackerOutage;
 use netaware_obs::Level;
-use netaware_sim::{PacketFate, SimTime};
-use netaware_trace::PayloadKind;
+use netaware_sim::SimTime;
 
 /// The discovery behaviour and its profile-derived parameters.
 pub(crate) struct Discovery {
@@ -149,25 +148,16 @@ impl Discovery {
         let Some(arrival) = core.signal_tx(now, pid, cand, Signal::Hello) else {
             return false;
         };
-        let lat = core.delay_us(cand, pid);
-        let reply_at = arrival + lat;
-        let reply_at = match core.link_fate(i, reply_at.as_us()) {
-            PacketFate::Dropped => return false,
-            PacketFate::Pass { extra_delay_us } => reply_at + extra_delay_us,
-        };
+        let reply_at = arrival + core.delay_us(cand, pid);
+        if core
+            .receive_signal(i, cand, reply_at, Signal::Hello.wire_size())
+            .is_none()
+        {
+            return false;
+        }
         let entry = core.neighbor(i, cand, now_us.saturating_add(lifetime));
         core.probe_states[i].disc.neighbors.push(entry);
         core.presence.mark(cand, i);
-        let ttl = core.ttl_to(cand, pid);
-        core.capture(
-            i,
-            reply_at,
-            cand,
-            pid,
-            Signal::Hello.wire_size(),
-            ttl,
-            PayloadKind::Signaling,
-        );
         core.report.signal_packets += 1;
         core.m.handshakes_ok.inc();
         netaware_obs::event!(
@@ -237,24 +227,12 @@ impl Behaviour for Discovery {
             online && (!nat || s.rng.chance(0.6))
         };
         if replies {
-            let lat = core.delay_us(target, pid);
-            let back = arrival + lat;
             // The reply crosses this probe's access link on the way in.
-            let back = match core.link_fate(i, back.as_us()) {
-                PacketFate::Dropped => return,
-                PacketFate::Pass { extra_delay_us } => back + extra_delay_us,
-            };
-            let ttl = core.ttl_to(target, pid);
-            core.capture(
-                i,
-                back,
-                target,
-                pid,
-                Signal::PeerListReply(entries).wire_size(),
-                ttl,
-                PayloadKind::Signaling,
-            );
-            core.report.signal_packets += 1;
+            let back = arrival + core.delay_us(target, pid);
+            let size = Signal::PeerListReply(entries).wire_size();
+            if core.receive_signal(i, target, back, size).is_some() {
+                core.report.signal_packets += 1;
+            }
         }
     }
 }

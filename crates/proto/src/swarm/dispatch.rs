@@ -4,14 +4,13 @@
 //!
 //! For every popped event the dispatcher fans the matching hook out
 //! over the behaviour stack in fixed order — discovery, announce,
-//! churn-recovery, scheduling, the optional epidemic push, then custom
-//! behaviours in push order — and only then drains the action queue
-//! FIFO into the scheduler. Because the scheduler orders equal
-//! timestamps by a canonical `(origin, oseq)` key assigned at
-//! insertion, this two-phase scheme inserts events in exactly the order
-//! the monolithic handler did, which is what keeps same-seed runs
-//! byte-identical across the decomposition (pinned by
-//! `tests/golden_behaviours.rs`).
+//! churn-recovery, scheduling, then the optional epidemic push — and
+//! only then drains the action queue FIFO into the scheduler. Because
+//! the scheduler orders equal timestamps by a canonical `(origin,
+//! oseq)` key assigned at insertion, this two-phase scheme inserts
+//! events in exactly the order the monolithic handler did, which is
+//! what keeps same-seed runs byte-identical across the decomposition
+//! (pinned by `tests/golden_behaviours.rs`).
 //!
 //! ## Lane keys
 //!
@@ -29,8 +28,7 @@ use super::state::Event;
 use super::SwarmCore;
 use crate::peer::PeerId;
 use netaware_obs::{Level, ProfCell, ProfSpan};
-use netaware_sim::{PacketFate, Scheduler, SimTime, ORIGIN_CHURN, ORIGIN_INIT};
-use netaware_trace::PayloadKind;
+use netaware_sim::{Scheduler, SimTime, ORIGIN_CHURN, ORIGIN_INIT};
 
 /// Pre-registered profiler cells for the dispatch hot path: one per
 /// behaviour in the stack, labelled `behaviour.<`[`Behaviour::name`]`>`,
@@ -262,8 +260,14 @@ pub(crate) fn deliver(
                 let (to, from, chunk) = (*to, *from, *chunk);
                 prof.transfer.time(|| {
                     if let Some(ti) = ctx.core.probe_index(to) {
-                        ctx.core
-                            .receive_chunk_train(ctx.actions, ti, from, chunk, train);
+                        ctx.core.receive_chunk_train(
+                            ctx.actions,
+                            ti,
+                            from,
+                            chunk,
+                            train.complete,
+                            &train.pkts,
+                        );
                     }
                 });
             }
@@ -271,7 +275,7 @@ pub(crate) fn deliver(
                 let (to, from, size) = (*to, *from, *size);
                 prof.transfer.time(|| {
                     if let Some(ti) = ctx.core.probe_index(to) {
-                        ctx.core.receive_signal(now, from, ti, size);
+                        ctx.core.receive_signal(ti, from, now, size);
                     }
                 });
             }
@@ -302,10 +306,10 @@ pub(crate) fn deliver(
 }
 
 /// Receiver-side preamble of a chunk request arriving at a *probe*
-/// provider: the provider's inbound link fate and the RX capture of the
-/// request packet (the sender already ran its half in `signal_tx`).
-/// Returns `true` when the serve must NOT proceed now — the request was
-/// dropped, or it was delayed and re-scheduled as a deferred serve.
+/// provider: the provider receives the request packet (the sender
+/// already ran its half in `signal_tx`). Returns `true` when the serve
+/// must NOT proceed now — the request was dropped, or it was delayed
+/// and re-scheduled as a deferred serve.
 fn serve_preamble(
     ctx: &mut Ctx<'_, '_>,
     provider: PeerId,
@@ -313,32 +317,25 @@ fn serve_preamble(
     chunk: crate::chunk::ChunkId,
 ) -> bool {
     let now = ctx.now();
-    let core = &mut *ctx.core;
-    let Some(pi) = core.probe_index(provider) else {
+    let Some(pi) = ctx.core.probe_index(provider) else {
         return false; // external/source providers have no modelled inbound link
     };
-    match core.link_fate(pi, now.as_us()) {
-        PacketFate::Dropped => true, // request eaten at the provider's access link
-        PacketFate::Pass { extra_delay_us } => {
-            let at = now + extra_delay_us;
-            let size = crate::message::Signal::ChunkRequest(chunk).wire_size();
-            let ttl = core.ttl_to(to, provider);
-            core.capture(pi, at, to, provider, size, ttl, PayloadKind::Signaling);
-            if extra_delay_us == 0 {
-                false
-            } else {
-                // Fault-delayed: the provider sees the request late.
-                ctx.schedule(
-                    at,
-                    Event::Serve {
-                        provider,
-                        to,
-                        chunk,
-                        deferred: true,
-                    },
-                );
-                true
-            }
+    let size = crate::message::Signal::ChunkRequest(chunk).wire_size();
+    match ctx.core.receive_signal(pi, to, now, size) {
+        None => true, // request eaten at the provider's access link
+        Some(at) if at == now => false,
+        Some(at) => {
+            // Fault-delayed: the provider sees the request late.
+            ctx.schedule(
+                at,
+                Event::Serve {
+                    provider,
+                    to,
+                    chunk,
+                    deferred: true,
+                },
+            );
+            true
         }
     }
 }

@@ -8,16 +8,15 @@
 //! **random-peer** policy, biased by upstream capacity for the
 //! **bandwidth-aware** variant — and pushes the *latest useful* chunk it
 //! holds (the newest buffered chunk the target plausibly lacks, per the
-//! same static playout-lag heuristic the pull scheduler prices requests
-//! with).
+//! same playout-position guess the pull scheduler prices requests with,
+//! [`Neighbor::plausibly_holds`]).
 //!
 //! ## Determinism
 //!
-//! The push draws ride the pusher's private probe stream
-//! ([`Ctx::probe_rng`]-equivalent), so a profile without a push policy
-//! (`AppProfile::push == None`) consumes zero extra draws and stays
-//! byte-identical to the pre-epidemic engine — the paper-profile golden
-//! fingerprints pin that. Every push happens while handling the
+//! The push draws ride the pusher's private probe stream, so a profile
+//! without a push policy (`AppProfile::push == None`) consumes zero
+//! extra draws and stays byte-identical to the pre-epidemic engine —
+//! the paper-profile golden fingerprints pin that. Every push happens while handling the
 //! pusher's own `Tick` lane, and transfers reuse the two-sided
 //! `probe_serve_chunk` path.
 
@@ -107,40 +106,19 @@ impl Behaviour for EpidemicPush {
                 None => return,
             }
         };
-        // Latest useful chunk: newest held chunk the target
-        // plausibly lacks. Probes are priced by the same static
-        // playout-lag heuristic the pull scheduler uses (never the
-        // remote's live state); externals by their configured
-        // playout lag.
+        // Latest useful chunk: the newest held chunk the target
+        // plausibly lacks, by the pull scheduler's playout-position
+        // guess (never the remote's live state).
         let chunk = {
             let map = &core.probe_states[i].sched.bufmap;
             let base = map.base();
             let stream = core.cfg.stream;
-            let mut found = None;
-            for off in (0..BUFFER_WINDOW).rev() {
-                let c = ChunkId(base.0 + off);
-                if !map.contains(c) {
-                    continue;
-                }
-                let useful = match target.role {
-                    PeerRole::Probe => {
-                        stream.chunk_time_us(ChunkId(c.0 + 2 + target.fetch_lag_chunks))
-                            > now_us
-                    }
-                    PeerRole::External => stream.chunk_time_us(c) + target.lag_us > now_us,
-                    PeerRole::Source => false,
-                };
-                if useful {
-                    found = Some(c);
-                }
-                // Held chunks older than the newest useful one are
-                // plausibly held by the target too — stop at the
-                // first (newest) useful hit.
-                if found.is_some() {
-                    break;
-                }
-            }
-            found
+            (0..BUFFER_WINDOW)
+                .rev()
+                .map(|off| ChunkId(base.0 + off))
+                .find(|&c| {
+                    map.contains(c) && !target.plausibly_holds(stream.chunk_time_us(c), now_us)
+                })
         };
         let Some(chunk) = chunk else {
             return; // target plausibly holds everything we do

@@ -9,14 +9,14 @@
 //!
 //! ## Architecture: core + behaviour stack
 //!
-//! The protocol itself is a composition of typed, per-concern
-//! [`Behaviour`] modules (discovery, announce, churn-recovery,
-//! scheduling — see `behaviour.rs`), constructed from the profile by
-//! [`AppProfile::stack`](crate::profiles::AppProfile::stack) and driven
-//! by the deterministic dispatcher in `dispatch.rs`. The [`SwarmCore`]
-//! underneath holds what every concern shares: peer tables, per-probe
-//! state slices, the transfer machinery (`transfer.rs`), traces, and
-//! observability.
+//! The protocol itself is a composition of typed, per-concern behaviour
+//! modules (discovery, announce, churn-recovery, scheduling and the
+//! optional epidemic push — see `behaviour.rs`), which the profile
+//! builds from its built-ins and the deterministic dispatcher in
+//! `dispatch.rs` drives. The core underneath holds what every concern
+//! shares: peer tables, per-probe state slices, traces, observability
+//! and the transfer machinery (`transfer.rs`), whose receive routines
+//! are the one path by which a packet reaches a probe's capture.
 //!
 //! ## Fidelity boundary
 //!
@@ -43,16 +43,16 @@ pub(crate) mod scheduling;
 mod state;
 pub(crate) mod transfer;
 
-pub use behaviour::{Behaviour, BehaviourAction, BehaviourStack, Ctx};
+pub(crate) use behaviour::BehaviourStack;
 pub use report::{ProbePerf, SwarmReport};
-pub use state::{Event, ExternalSpec, NetworkEnv, PeerSetup, ProbeSpec};
+pub use state::{ExternalSpec, NetworkEnv, PeerSetup, ProbeSpec};
 
 use crate::chunk::StreamParams;
 use crate::peer::{PeerId, PeerInfo, PeerRole};
 use crate::profiles::AppProfile;
 use netaware_faults::FaultPlan;
 use netaware_obs::{Counter, Gauge, HistogramMetric, Level, Obs};
-use netaware_sim::{DetRng, LinkFaults, PacketFate, SimTime};
+use netaware_sim::{DetRng, LinkFaults, SimTime};
 use netaware_trace::{MemorySink, ProbeTrace, RecordSink, TraceError, TraceSet};
 use rayon::prelude::*;
 use state::{PeerMeta, ProbeState};
@@ -134,6 +134,10 @@ pub(crate) struct SwarmCore<'a> {
     /// (marked wherever a probe's state stores a peer id, read by
     /// eviction).
     pub(crate) presence: presence::Presence,
+    /// Scratch list of one external serve's packets as they reach the
+    /// requesting probe's access link (`(reach_us, wire_bytes)`), cleared
+    /// on each serve and kept only for its capacity.
+    pub(crate) ext_reach: Vec<(u64, u16)>,
 }
 
 impl SwarmCore<'_> {
@@ -143,20 +147,6 @@ impl SwarmCore<'_> {
 
     pub(crate) fn probe_index(&self, id: PeerId) -> Option<usize> {
         self.is_probe(id).then(|| id.0 as usize - 1)
-    }
-
-    /// Fate of one packet crossing probe `idx`'s access link at `at_us`.
-    /// Without link faults every packet passes undelayed, and no RNG is
-    /// consulted.
-    pub(crate) fn link_fate(&mut self, idx: usize, at_us: u64) -> PacketFate {
-        if self.links.is_empty() {
-            return PacketFate::Pass { extra_delay_us: 0 };
-        }
-        let fate = self.links[idx].packet_fate(at_us);
-        if fate.is_dropped() {
-            self.report.packets_dropped += 1;
-        }
-        fate
     }
 
     /// Whether `id` is currently offline (churned away).
@@ -185,11 +175,6 @@ impl<'a> Swarm<'a> {
     /// Builds a swarm over `env` with the given population.
     pub fn new(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Self {
         state::build(cfg, env, setup)
-    }
-
-    /// Number of probe vantage points.
-    pub fn n_probes(&self) -> usize {
-        self.core.n_probes
     }
 
     /// Attaches an observability handle: protocol events
@@ -241,18 +226,6 @@ impl<'a> Swarm<'a> {
             .as_ref()
             .map(|c| c.tracker_outages.clone())
             .unwrap_or_default();
-    }
-
-    /// The peer table (source, probes, externals).
-    pub fn peers(&self) -> &[PeerInfo] {
-        &self.core.peers
-    }
-
-    /// Appends a custom [`Behaviour`] to the stack. It runs after the
-    /// built-in behaviours on every event, in push order — no dispatcher
-    /// or state-core change needed.
-    pub fn push_behaviour(&mut self, behaviour: Box<dyn Behaviour>) {
-        self.stack.push(behaviour);
     }
 
     /// Runs the experiment and returns the captured traces plus the

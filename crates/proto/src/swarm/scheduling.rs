@@ -16,8 +16,6 @@ use crate::peer::{PeerId, PeerRole};
 use crate::policy::SelectionPolicy;
 use crate::profiles::AppProfile;
 use netaware_obs::Level;
-use netaware_sim::PacketFate;
-use netaware_trace::PayloadKind;
 
 /// Real clients rarely pull from the source itself once the swarm is
 /// warm; this factor keeps the source as a fallback, not a favourite.
@@ -98,31 +96,11 @@ impl Scheduling {
         untried.clear();
         {
             let s = &core.probe_states[i];
-            let stream = core.cfg.stream;
-            let chunk_ready_us = stream.chunk_time_us(chunk);
+            let chunk_ready_us = core.cfg.stream.chunk_time_us(chunk);
             for n in &s.disc.neighbors {
                 // Departed externals are scrubbed from neighbor tables
                 // eagerly, but a same-tick departure can race the scan.
-                if core.is_offline(n.id) {
-                    continue;
-                }
-                let available = match n.role {
-                    PeerRole::Source => true,
-                    // Playout-position heuristic, not the remote buffer
-                    // map: probe `q` fetches `2 + lag_q` chunks behind
-                    // the live head, so a chunk is plausibly held once
-                    // the stream has advanced that far past it. Real
-                    // clients guess from (stale) buffer-map gossip the
-                    // same way; the provider's authoritative `has` check
-                    // at serve time refuses misses. Crucially this reads
-                    // only the remote's *static* lag, never its live
-                    // state.
-                    PeerRole::Probe => {
-                        stream.chunk_time_us(ChunkId(chunk.0 + 2 + n.fetch_lag_chunks)) <= now_us
-                    }
-                    PeerRole::External => chunk_ready_us + n.lag_us <= now_us,
-                };
-                if !available {
+                if core.is_offline(n.id) || !n.plausibly_holds(chunk_ready_us, now_us) {
                     continue;
                 }
                 let est = s.sched.est_bps.get(&n.id).copied();
@@ -434,20 +412,10 @@ impl Behaviour for Scheduling {
         // The request packet arrives at the probe now — unless the
         // probe's access link eats it (the external retries on its own
         // schedule, which the Poisson demand process already models).
-        let now = match core.link_fate(i, now.as_us()) {
-            PacketFate::Dropped => return,
-            PacketFate::Pass { extra_delay_us } => now + extra_delay_us,
+        let size = Signal::ChunkRequest(ChunkId(0)).wire_size();
+        let Some(now) = core.receive_signal(i, requester, now, size) else {
+            return;
         };
-        let ttl = core.ttl_to(requester, pid);
-        core.capture(
-            i,
-            now,
-            requester,
-            pid,
-            Signal::ChunkRequest(ChunkId(0)).wire_size(),
-            ttl,
-            PayloadKind::Signaling,
-        );
         core.report.signal_packets += 1;
 
         core.probe_serve_external(now, pid, requester);

@@ -104,12 +104,12 @@ pub struct Neighbor {
     pub same_as: bool,
     /// Resolves to the owning probe's country.
     pub same_cc: bool,
-    /// Playout lag of an external neighbor, µs ([`PeerMeta::lag_us`];
-    /// 0 for the source and probes).
-    pub lag_us: u64,
-    /// Fetch lag of a probe neighbor, chunks
-    /// ([`SchedulingState::fetch_lag_chunks`]; 0 for the others).
-    pub fetch_lag_chunks: u32,
+    /// How long after a chunk is generated this neighbor plausibly
+    /// holds it, µs: an external's playout lag ([`PeerMeta::lag_us`]);
+    /// `2 + fetch_lag` chunk intervals for a probe, which fetches that
+    /// far behind the live head ([`SchedulingState::fetch_lag_chunks`]);
+    /// 0 for the source.
+    pub hold_lag_us: u64,
 }
 
 impl Neighbor {
@@ -122,6 +122,18 @@ impl Neighbor {
             same_cc: self.same_cc,
             is_last_provider,
         }
+    }
+
+    /// Whether this neighbor plausibly holds, at `now_us`, the chunk
+    /// generated at `chunk_ready_us` (`StreamParams::chunk_time_us`),
+    /// guessed from its playout position rather than its live buffer
+    /// map: the source holds every chunk, any other peer a chunk whose
+    /// [`Neighbor::hold_lag_us`] has passed. Real clients guess from
+    /// (stale) buffer-map gossip the same way, and the provider's
+    /// authoritative check at serve time refuses the misses. The guess
+    /// reads only the neighbor's *static* lag, never its live state.
+    pub(crate) fn plausibly_holds(&self, chunk_ready_us: u64, now_us: u64) -> bool {
+        self.role == PeerRole::Source || chunk_ready_us + self.hold_lag_us <= now_us
     }
 }
 
@@ -140,10 +152,13 @@ impl SwarmCore<'_> {
             same_subnet: m.ep.ip.same_subnet(me.ep.ip),
             same_as: m.ep.asn.is_some() && m.ep.asn == me.ep.asn,
             same_cc: m.cc.is_some() && m.cc == me.cc,
-            lag_us: m.lag_us,
-            fetch_lag_chunks: match role {
-                PeerRole::Probe => self.probe_states[id.0 as usize - 1].sched.fetch_lag_chunks,
-                PeerRole::Source | PeerRole::External => 0,
+            hold_lag_us: match role {
+                PeerRole::Source => 0,
+                PeerRole::Probe => {
+                    let fetch_lag = self.probe_states[id.0 as usize - 1].sched.fetch_lag_chunks;
+                    (2 + fetch_lag as u64) * self.cfg.stream.chunk_interval_us()
+                }
+                PeerRole::External => m.lag_us,
             },
         }
     }
@@ -297,7 +312,7 @@ impl DiscoveryTables {
 /// the path, the receiver applies its own loss process and downlink
 /// queueing when the train reaches it.
 #[derive(Clone, Debug)]
-pub struct ChunkTrain {
+pub(crate) struct ChunkTrain {
     /// No packet was dropped on the provider's side of the path; only a
     /// complete train can yield a `Delivered`.
     pub complete: bool,
@@ -308,7 +323,7 @@ pub struct ChunkTrain {
 
 /// Simulation events.
 #[derive(Clone, Debug)]
-pub enum Event {
+pub(crate) enum Event {
     /// Protocol tick at probe `i`.
     Tick(u32),
     /// Aggregate external demand arrival at probe `i`.
@@ -522,7 +537,7 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
     }
 
     // The profile *is* the behaviour composition: build the stack from
-    // it, then install the discovery tables the sampler needs.
+    // its built-ins, then install the discovery tables the sampler needs.
     let mut stack = cfg.profile.stack();
     stack.discovery.tables = DiscoveryTables {
         ext_ids,
@@ -545,6 +560,7 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
         m: super::SwarmMetrics::default(),
         links: Vec::new(),
         presence: super::presence::Presence::new(n_peers, n_probes),
+        ext_reach: Vec::new(),
     };
 
     // Neighbor tables: the source, then every probe-pair edge that the

@@ -1,5 +1,7 @@
 //! Swarm behaviour tests on a miniature scenario.
 
+use super::behaviour::{Behaviour, Ctx};
+use super::state::Event;
 use super::*;
 use crate::chunk::{ChunkId, StreamParams};
 use crate::profiles::AppProfile;
@@ -323,7 +325,8 @@ fn mini_swarm(_seed: u64) -> (netaware_net::GeoRegistry, PeerSetup) {
 /// The swarm's external peers, in id order.
 fn externals<'s>(swarm: &'s Swarm<'_>) -> impl Iterator<Item = PeerId> + 's {
     swarm
-        .peers()
+        .core
+        .peers
         .iter()
         .filter(|p| p.role == PeerRole::External)
         .map(|p| p.id)
@@ -540,7 +543,7 @@ fn departed_provider_pending_requests_move_to_requeue() {
         latency: LatencyModel::new(1),
     };
     let mut swarm = Swarm::new(mini_cfg(1, 1), env, mini_setup(20));
-    swarm.set_faults(&netaware_faults::FaultPlan::from_flags(None, None, true));
+    swarm.set_faults(&netaware_faults::FaultPlan::none().with_flags(None, None, true));
 
     // Pick an external neighbor of probe 0 (peers: source, 4 probes,
     // then externals — so any neighbor with id >= 5 is external).
@@ -656,7 +659,7 @@ fn departure_scrubs_every_slot_that_names_the_peer() {
         .unwrap();
     let now = netaware_sim::SimTime::from_secs(30);
     let probe = |k: usize| PeerId(1 + k as u32);
-    let churn = netaware_faults::FaultPlan::from_flags(None, None, true);
+    let churn = netaware_faults::FaultPlan::none().with_flags(None, None, true);
 
     // link.ext_up at probe 4: an external serve whose every packet the
     // probe's link drops creates the uplink entry but no flow entry.
@@ -807,7 +810,7 @@ fn churned_swarm_recovers_and_reports() {
         latency: LatencyModel::new(21),
     };
     let mut swarm = Swarm::new(mini_cfg(60, 21), env, mini_setup(80));
-    swarm.set_faults(&netaware_faults::FaultPlan::from_flags(Some(0.02), None, true));
+    swarm.set_faults(&netaware_faults::FaultPlan::none().with_flags(Some(0.02), None, true));
     let (_, report) = swarm.run();
     assert!(report.peers_departed > 0, "no churn happened");
     assert!(report.peers_arrived > 0, "departed peers never came back");
@@ -837,16 +840,16 @@ fn assert_neighbor_cache_coherent(core: &SwarmCore<'_>) -> usize {
             assert_eq!(n.same_as, asn.is_some() && asn == my_asn, "{ctx}: AS");
             let (cc, my_cc) = (reg.country_of(peer.ip), reg.country_of(me));
             assert_eq!(n.same_cc, cc.is_some() && cc == my_cc, "{ctx}: country");
-            let (lag_us, fetch_lag_chunks) = match peer.role {
-                PeerRole::External => (state::ext_lag_us(peer.ip), 0),
+            let hold_lag_us = match peer.role {
+                PeerRole::External => state::ext_lag_us(peer.ip),
                 PeerRole::Probe => {
                     let q = &core.probe_states[n.id.0 as usize - 1];
-                    (0, q.sched.fetch_lag_chunks)
+                    let interval_us = core.cfg.stream.chunk_interval_us();
+                    (2 + q.sched.fetch_lag_chunks as u64) * interval_us
                 }
-                PeerRole::Source => (0, 0),
+                PeerRole::Source => 0,
             };
-            assert_eq!(n.lag_us, lag_us, "{ctx}: playout lag");
-            assert_eq!(n.fetch_lag_chunks, fetch_lag_chunks, "{ctx}: fetch lag");
+            assert_eq!(n.hold_lag_us, hold_lag_us, "{ctx}: hold lag");
             checked += 1;
         }
     }
@@ -868,7 +871,7 @@ fn neighbor_cache_matches_a_fresh_derivation() {
         };
         let mut swarm = Swarm::new(cfg, env, mini_setup(80));
         if churn {
-            swarm.set_faults(&netaware_faults::FaultPlan::from_flags(None, None, true));
+            swarm.set_faults(&netaware_faults::FaultPlan::none().with_flags(None, None, true));
         }
         let at_build = assert_neighbor_cache_coherent(&swarm.core);
         assert!(at_build > 0, "empty tables at build");
@@ -1013,51 +1016,6 @@ fn announce_tick_emits_buffer_maps() {
         swarm.core.report.signal_packets > before,
         "announce tick emitted no signalling"
     );
-}
-
-/// The dispatcher must run custom behaviours (after the built-ins) on
-/// every event, without any dispatcher or state-core change.
-#[test]
-fn dispatcher_runs_custom_behaviours() {
-    use std::cell::Cell;
-    use std::rc::Rc;
-
-    struct TickSpy {
-        ticks: Rc<Cell<u64>>,
-    }
-    impl Behaviour for TickSpy {
-        fn on_tick(&mut self, _ctx: &mut Ctx<'_, '_>, _i: usize) {
-            self.ticks.set(self.ticks.get() + 1);
-        }
-    }
-
-    let reg = mini_registry();
-    let env = NetworkEnv {
-        registry: &reg,
-        paths: PathModel::new(35),
-        latency: LatencyModel::new(35),
-    };
-    let mut swarm = Swarm::new(mini_cfg(1, 35), env, mini_setup(20));
-    let ticks = Rc::new(Cell::new(0));
-    swarm.push_behaviour(Box::new(TickSpy { ticks: ticks.clone() }));
-
-    let mut sched = netaware_sim::Scheduler::new();
-    let mut actions = behaviour::Actions::default();
-    {
-        let Swarm { core, stack } = &mut swarm;
-        let mut seq = dispatch::LaneSeqs::new(core.n_probes);
-        dispatch::deliver(
-            core,
-            stack,
-            &mut sched,
-            &mut actions,
-            &mut seq,
-            netaware_sim::SimTime::from_ms(100),
-            Event::Tick(0),
-            &dispatch::DispatchProf::disabled(),
-        );
-    }
-    assert_eq!(ticks.get(), 1, "custom behaviour hook not dispatched");
 }
 
 /// Attaching the no-op plan must leave the run byte-identical to never

@@ -7,10 +7,19 @@
 //! and drain through the receiver's downlink — so the inter-packet gaps
 //! a probe records genuinely encode the path bottleneck, which is the
 //! signal the analysis' BW classifier extracts.
+//!
+//! Every packet that reaches a probe goes through one of two receive
+//! routines: [`SwarmCore::receive_signal`] for a signalling packet and
+//! [`SwarmCore::receive_chunk_train`] for the packets of a chunk. They
+//! apply the probe link's fate, the downlink pacing (video only), the
+//! path TTL and the capture, which is where the paper's BW (minimum
+//! inter-packet gap) and HOP (128 − TTL) readings come from. The link
+//! fate and the capture are private to this module.
 
 use super::behaviour::{Actions, BehaviourAction};
 use super::state::{ChunkTrain, Event};
 use super::SwarmCore;
+use crate::chunk::ChunkId;
 use crate::message::Signal;
 use crate::peer::PeerId;
 use netaware_net::{ttl_at_receiver, DEFAULT_TTL};
@@ -28,6 +37,20 @@ const MODEM_BURST_GAP_US: u64 = 100;
 const EXT_BACKLOG_CAP_US: u64 = 2_000_000;
 
 impl SwarmCore<'_> {
+    /// Fate of one packet crossing probe `idx`'s access link at `at_us`.
+    /// Without link faults every packet passes undelayed, and no RNG is
+    /// consulted.
+    fn link_fate(&mut self, idx: usize, at_us: u64) -> PacketFate {
+        if self.links.is_empty() {
+            return PacketFate::Pass { extra_delay_us: 0 };
+        }
+        let fate = self.links[idx].packet_fate(at_us);
+        if fate.is_dropped() {
+            self.report.packets_dropped += 1;
+        }
+        fate
+    }
+
     /// Delivers a packet through a probe's downlink.
     ///
     /// The downlink paces each *flow* at its bottleneck: a packet from
@@ -42,7 +65,7 @@ impl SwarmCore<'_> {
     /// On low-bandwidth accesses the modem burst-coalescing model (ADSL
     /// interleaving) applies on top: packets draining within one
     /// interleave window reach the capture point back-to-back.
-    pub(crate) fn deliver_to_probe(
+    pub(super) fn deliver_to_probe(
         &mut self,
         probe_idx: usize,
         from: PeerId,
@@ -83,7 +106,7 @@ impl SwarmCore<'_> {
     }
 
     /// TTL a packet from `from` carries when it reaches `to`.
-    pub(crate) fn ttl_to(&self, from: PeerId, to: PeerId) -> u8 {
+    fn ttl_to(&self, from: PeerId, to: PeerId) -> u8 {
         let a = self.meta[from.0 as usize].ep;
         let b = self.meta[to.0 as usize].ep;
         ttl_at_receiver(self.env.paths.hops_between(a, b))
@@ -91,7 +114,7 @@ impl SwarmCore<'_> {
 
     /// Records a packet in probe `probe_idx`'s trace.
     #[allow(clippy::too_many_arguments)]
-    pub(crate) fn capture(
+    fn capture(
         &mut self,
         probe_idx: usize,
         ts: SimTime,
@@ -120,10 +143,10 @@ impl SwarmCore<'_> {
     /// propagation delay. Returns when the packet reaches the
     /// *receiver's access link*, or `None` when the sender's link ate it
     /// (the TX capture still materialises — tcpdump sits before the
-    /// access link). The receiver's fate and RX capture are applied on
-    /// the receiver's side: by [`SwarmCore::receive_signal`] for
-    /// probe receivers (via [`Event::SignalRx`]), by the `Serve`
-    /// preamble for chunk requests, and not at all for externals.
+    /// access link). A probe receiver applies its half through
+    /// [`SwarmCore::receive_signal`] when the packet reaches it (via
+    /// [`Event::SignalRx`], or the `Serve` preamble for chunk requests);
+    /// externals have no modelled receive side.
     pub(crate) fn signal_tx(
         &mut self,
         now: SimTime,
@@ -148,34 +171,34 @@ impl SwarmCore<'_> {
         Some(now + self.delay_us(from, to) + extra)
     }
 
-    /// Receiver-side half of probe-destined signalling: the receiving
-    /// probe's link fate and RX capture, at the time the packet reached
-    /// its access link.
-    pub(crate) fn receive_signal(&mut self, now: SimTime, from: PeerId, to_idx: usize, size: u16) {
-        match self.link_fate(to_idx, now.as_us()) {
-            PacketFate::Dropped => {}
-            PacketFate::Pass { extra_delay_us } => {
-                let to = PeerId((1 + to_idx) as u32);
-                let ttl = self.ttl_to(from, to);
-                self.capture(
-                    to_idx,
-                    now + extra_delay_us,
-                    from,
-                    to,
-                    size,
-                    ttl,
-                    PayloadKind::Signaling,
-                );
-            }
-        }
+    /// Receiving end of a signalling packet from `from` that reaches
+    /// probe `i`'s access link at `at`: applies the link's fate and, if
+    /// the packet passes, captures it at `at` plus the fault delay with
+    /// the path's TTL. Returns the capture time, or `None` when the link
+    /// dropped the packet. Callers keep their own `signal_packets`
+    /// accounting.
+    pub(crate) fn receive_signal(
+        &mut self,
+        i: usize,
+        from: PeerId,
+        at: SimTime,
+        size: u16,
+    ) -> Option<SimTime> {
+        let PacketFate::Pass { extra_delay_us } = self.link_fate(i, at.as_us()) else {
+            return None;
+        };
+        let at = at + extra_delay_us;
+        let to = PeerId((1 + i) as u32);
+        let ttl = self.ttl_to(from, to);
+        self.capture(i, at, from, to, size, ttl, PayloadKind::Signaling);
+        Some(at)
     }
 
     /// Provider-side half of a probe-served chunk: packetises through
     /// the provider's uplink, captures TX records, applies the
     /// provider's link fates, and (when the requester is a probe)
     /// schedules the surviving packet train as an [`Event::ChunkRx`] on
-    /// the requester, whose handler applies its loss process,
-    /// downlink queueing and RX captures in
+    /// the requester, whose handler receives it through
     /// [`SwarmCore::receive_chunk_train`].
     pub(crate) fn probe_serve_chunk(
         &mut self,
@@ -183,7 +206,7 @@ impl SwarmCore<'_> {
         now: SimTime,
         provider: PeerId,
         to: PeerId,
-        chunk: crate::chunk::ChunkId,
+        chunk: ChunkId,
     ) {
         let stream = self.cfg.stream;
         let n_pkts = stream.packets_per_chunk();
@@ -235,67 +258,72 @@ impl SwarmCore<'_> {
         }
     }
 
-    /// Receiver-side half of a probe→probe chunk transfer: applies the
-    /// receiving probe's link fates, drains packets through its
-    /// downlink (per-flow pacing, modem coalescing), captures RX
-    /// records, and — when every packet of the chunk survived both
-    /// sides — schedules the [`Event::Delivered`] completion.
+    /// Receiving end of a chunk's packets at probe `i`: each packet
+    /// `(reach_us, wire_bytes)` that reaches the access link crosses the
+    /// link's fate, drains through the downlink (per-flow pacing, modem
+    /// coalescing) and is captured. When the train left its sender
+    /// `complete` and every packet survived, the span from the first to
+    /// the last arrival gives the bandwidth estimate the requester
+    /// learns, and an [`Event::Delivered`] is scheduled at the last
+    /// arrival. An incomplete chunk schedules nothing: the requester's
+    /// pending entry rides out its (backed-off) timeout and the chunk is
+    /// re-requested.
     pub(crate) fn receive_chunk_train(
         &mut self,
         actions: &mut Actions,
-        to_idx: usize,
+        i: usize,
         from: PeerId,
-        chunk: crate::chunk::ChunkId,
-        train: &ChunkTrain,
+        chunk: ChunkId,
+        complete: bool,
+        pkts: &[(u64, u16)],
     ) {
-        let stream = self.cfg.stream;
-        let to = PeerId((1 + to_idx) as u32);
+        let to = PeerId((1 + i) as u32);
         let ttl = self.ttl_to(from, to);
         let mut first_arrival = None;
         let mut last_arrival = SimTime::ZERO;
-        let mut chunk_ok = train.complete;
-        for &(reach_us, size) in &train.pkts {
-            let down_extra = match self.link_fate(to_idx, reach_us) {
-                PacketFate::Dropped => {
-                    chunk_ok = false;
-                    continue;
-                }
-                PacketFate::Pass { extra_delay_us } => extra_delay_us,
+        let mut chunk_ok = complete;
+        for &(reach_us, size) in pkts {
+            let PacketFate::Pass { extra_delay_us } = self.link_fate(i, reach_us) else {
+                chunk_ok = false;
+                continue;
             };
-            let reach = SimTime::from_us(reach_us) + down_extra;
-            let a = self.deliver_to_probe(to_idx, from, reach, size as u32);
-            self.capture(to_idx, a, from, to, size, ttl, PayloadKind::Video);
+            let reach = SimTime::from_us(reach_us) + extra_delay_us;
+            let a = self.deliver_to_probe(i, from, reach, size as u32);
+            self.capture(i, a, from, to, size, ttl, PayloadKind::Video);
             first_arrival.get_or_insert(a);
             last_arrival = a;
         }
-        if chunk_ok {
-            let span = last_arrival.since(first_arrival.unwrap_or(last_arrival)).max(1);
-            let est = (stream.chunk_bytes as u64 * 8).saturating_mul(1_000_000) / span;
-            actions.queue.push_back(BehaviourAction::Schedule {
-                at: last_arrival,
-                ev: Event::Delivered {
-                    to,
-                    from,
-                    chunk,
-                    est_bps: est,
-                },
-            });
+        if !chunk_ok {
+            return;
         }
+        let span = last_arrival.since(first_arrival.unwrap_or(last_arrival)).max(1);
+        let est_bps = (self.cfg.stream.chunk_bytes as u64 * 8).saturating_mul(1_000_000) / span;
+        actions.queue.push_back(BehaviourAction::Schedule {
+            at: last_arrival,
+            ev: Event::Delivered {
+                to,
+                from,
+                chunk,
+                est_bps,
+            },
+        });
     }
 
-    /// Serves one chunk from an external provider to a probe requester.
+    /// Serves one chunk from an external provider to a probe requester:
+    /// packetises through the requester's copy of the provider's uplink,
+    /// then receives the packets through
+    /// [`SwarmCore::receive_chunk_train`].
     pub(crate) fn external_serve_chunk(
         &mut self,
         actions: &mut Actions,
         now: SimTime,
         provider: PeerId,
         to: PeerId,
-        chunk: crate::chunk::ChunkId,
+        chunk: ChunkId,
     ) {
         let stream = self.cfg.stream;
         let n_pkts = stream.packets_per_chunk();
         let lat = self.delay_us(provider, to);
-        let ttl = self.ttl_to(provider, to);
         #[expect(clippy::expect_used, reason = "only probes issue chunk requests")]
         let to_idx = self
             .probe_index(to)
@@ -330,56 +358,29 @@ impl SwarmCore<'_> {
         // we cannot see. A short burst ahead of ours delays the train
         // start; occasional interleaved packets stretch some gaps
         // (min-IPG still finds clean back-to-back pairs). The pattern's
-        // draws come from the probe's stream, in packet order; the link
-        // fates below draw from the link's own stream.
+        // draws come from the probe's stream, in packet order, while the
+        // receive routine's link fates draw from the link's own stream,
+        // so computing every arrival before any fate keeps both orders.
         let bg_before = self.probe_states[to_idx].rng.range(0..3u32);
         for _ in 0..bg_before {
             up.enqueue(now, stream.packet_bytes);
         }
-        let mut first_arrival = None;
-        let mut last_arrival = SimTime::ZERO;
-        let mut chunk_ok = true;
+        let mut reach = std::mem::take(&mut self.ext_reach);
+        reach.clear();
         for i in 0..n_pkts {
             if self.probe_states[to_idx].rng.chance(0.08) {
                 up.enqueue(now, stream.packet_bytes); // interleaved bg
             }
             let size = stream.packet_size(i);
-            let reach = up.enqueue(now, size) + lat;
-            let size = size as u16;
-            // Only the probe's own access link is fault-modelled: the
-            // external's link sits outside the observable path, so its
-            // impairments are indistinguishable from capacity noise.
-            let down_extra = match self.link_fate(to_idx, reach.as_us()) {
-                PacketFate::Dropped => {
-                    chunk_ok = false;
-                    continue;
-                }
-                PacketFate::Pass { extra_delay_us } => extra_delay_us,
-            };
-            let arrival = self.deliver_to_probe(to_idx, provider, reach + down_extra, size as u32);
-            self.capture(to_idx, arrival, provider, to, size, ttl, PayloadKind::Video);
-            first_arrival.get_or_insert(arrival);
-            last_arrival = arrival;
+            reach.push(((up.enqueue(now, size) + lat).as_us(), size as u16));
         }
         self.probe_states[to_idx].link.ext_up.insert(provider, up);
         self.report.chunks_served_by_externals += 1;
-        if !chunk_ok {
-            // Incomplete chunk: the requester's pending entry rides out
-            // its (backed-off) timeout and the chunk is re-requested.
-            return;
-        }
-
-        let span = last_arrival.since(first_arrival.unwrap_or(last_arrival)).max(1);
-        let est = (stream.chunk_bytes as u64 * 8).saturating_mul(1_000_000) / span;
-        actions.queue.push_back(BehaviourAction::Schedule {
-            at: last_arrival,
-            ev: Event::Delivered {
-                to,
-                from: provider,
-                chunk,
-                est_bps: est,
-            },
-        });
+        // Only the probe's own access link is fault-modelled: the
+        // external's link sits outside the observable path, so its
+        // impairments are indistinguishable from capacity noise.
+        self.receive_chunk_train(actions, to_idx, provider, chunk, true, &reach);
+        self.ext_reach = reach;
     }
 
     /// Serves one chunk from probe `prov_idx` to an external requester
@@ -425,7 +426,7 @@ impl SwarmCore<'_> {
 }
 
 /// Picks a uniformly random held chunk from a buffer map.
-pub(crate) fn sample_held(map: &crate::chunk::BufferMap, pick: u32) -> Option<crate::chunk::ChunkId> {
+pub(crate) fn sample_held(map: &crate::chunk::BufferMap, pick: u32) -> Option<ChunkId> {
     let held = map.held();
     if held == 0 {
         return None;
@@ -433,7 +434,7 @@ pub(crate) fn sample_held(map: &crate::chunk::BufferMap, pick: u32) -> Option<cr
     let target = pick % held;
     let mut seen = 0;
     for off in 0..crate::chunk::BUFFER_WINDOW {
-        let c = crate::chunk::ChunkId(map.base().0 + off);
+        let c = ChunkId(map.base().0 + off);
         if map.contains(c) {
             if seen == target {
                 return Some(c);

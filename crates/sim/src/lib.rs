@@ -32,7 +32,7 @@ pub mod time;
 
 pub use event::{Scheduler, ORIGIN_CHURN, ORIGIN_INIT};
 pub use fault::{LinkFaultParams, LinkFaults, PacketFate};
-pub use link::{AccessSerializer, DownlinkQueue};
+pub use link::AccessSerializer;
 pub use rng::DetRng;
 pub use stats::{Histogram, MeanMax, RateMeter, Welford};
 pub use time::SimTime;

@@ -103,28 +103,6 @@ impl AccessSerializer {
     }
 }
 
-/// Downlink direction of an access link. Same mechanics as the uplink
-/// serialiser; a separate type only so call sites cannot mix directions.
-#[derive(Debug, Clone)]
-pub struct DownlinkQueue {
-    inner: AccessSerializer,
-}
-
-impl DownlinkQueue {
-    /// A downlink draining at `rate_bps`.
-    pub fn new(rate_bps: u64) -> Self {
-        DownlinkQueue {
-            inner: AccessSerializer::new(rate_bps),
-        }
-    }
-
-    /// Enqueues an arriving packet; returns when its last bit is
-    /// delivered to the host.
-    pub fn deliver(&mut self, now: SimTime, bytes: u32) -> SimTime {
-        self.inner.enqueue(now, bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -220,13 +198,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_rate_rejected() {
         let _ = AccessSerializer::new(0);
-    }
-
-    #[test]
-    fn downlink_wrapper() {
-        let mut d = DownlinkQueue::new(4_000_000);
-        let t = d.deliver(SimTime::ZERO, 500);
-        assert_eq!(t, SimTime::from_us(1_000));
     }
 
     #[test]

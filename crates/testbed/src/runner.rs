@@ -30,8 +30,6 @@ pub struct ExperimentOptions {
     pub scale: f64,
     /// Experiment duration, µs (the paper ran 1 hour).
     pub duration_us: u64,
-    /// Analysis thresholds.
-    pub analysis: AnalysisConfig,
     /// Keep the raw traces in the output (they can be large).
     pub keep_traces: bool,
     /// Observability handle threaded through the swarm, the trace
@@ -54,20 +52,9 @@ impl Default for ExperimentOptions {
             seed: 42,
             scale: 0.05,
             duration_us: 120_000_000,
-            analysis: AnalysisConfig::default(),
             keep_traces: false,
             obs: Obs::default(),
             faults: FaultPlan::none(),
-        }
-    }
-}
-
-impl ExperimentOptions {
-    /// CI-scale options: a few percent of the population, two minutes.
-    pub fn ci_scale(seed: u64) -> Self {
-        ExperimentOptions {
-            seed,
-            ..Default::default()
         }
     }
 }
@@ -120,7 +107,7 @@ pub fn run_on_scenario(
             let analysis = analyze_with_obs(
                 &traces,
                 &scenario.registry,
-                &opts.analysis,
+                &AnalysisConfig::default(),
                 &scenario.highbw_probe_ips,
                 &opts.obs,
             );
@@ -136,10 +123,13 @@ pub fn run_on_scenario(
 }
 
 /// Runs one application end-to-end with the capture spilled to an
-/// on-disk corpus at `dir` and the analysis streamed back off disk —
-/// the full `TraceSet` is never resident, so peak memory is bounded by
-/// one probe's capture plus the analysis accumulators. The corpus
-/// directory is left in place for re-analysis or sharing.
+/// on-disk corpus at `dir` and the analysis streamed back off disk. The
+/// swarm still holds every probe's capture until its event loop ends
+/// (see [`Swarm::run_into`]), so spilling does not bound the run's peak
+/// memory; it bounds what stays resident after the run — the corpus is
+/// on disk, not a `TraceSet` — and the analysis, which streams one
+/// record at a time into its accumulators. The corpus directory is left
+/// in place for re-analysis or sharing.
 pub fn run_streamed(
     profile: AppProfile,
     opts: &ExperimentOptions,
@@ -156,7 +146,7 @@ pub fn run_streamed(
             let analysis = analyze_corpus_with_obs(
                 dir,
                 &scenario.registry,
-                &opts.analysis,
+                &AnalysisConfig::default(),
                 &scenario.highbw_probe_ips,
                 &opts.obs,
             )?;
@@ -247,7 +237,6 @@ mod tests {
             seed: 7,
             scale: 0.02,
             duration_us: 40_000_000,
-            analysis: AnalysisConfig::default(),
             keep_traces: false,
             obs: Obs::default(),
             faults: FaultPlan::none(),

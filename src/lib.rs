@@ -28,8 +28,9 @@
 //! ```no_run
 //! use netaware::testbed::{run_paper_suite, ExperimentOptions};
 //!
-//! // A CI-scale rendition of the paper's experiment suite.
-//! let outputs = run_paper_suite(&ExperimentOptions::ci_scale(42));
+//! // A CI-scale rendition of the paper's experiment suite (5 % of the
+//! // population, two minutes, seed 42).
+//! let outputs = run_paper_suite(&ExperimentOptions::default());
 //! for out in &outputs {
 //!     let bw = out.analysis.preference("BW").unwrap();
 //!     println!(

@@ -119,7 +119,7 @@ fn swarm_loop_allocates_less_than_once_per_event() {
     };
     let plans = [
         ("clean", FaultPlan::none()),
-        ("faulted", FaultPlan::from_flags(Some(0.05), Some(2_000), true)),
+        ("faulted", FaultPlan::none().with_flags(Some(0.05), Some(2_000), true)),
     ];
     let mut cells = vec![(AppProfile::pplive(), "flash crowd", flashcrowd)];
     for profile in [

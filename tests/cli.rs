@@ -73,6 +73,31 @@ fn nextgen_prints_locality_columns_and_transit_saving() {
     assert!(s.contains("NAPA-NG transit share "), "no transit saving in {s}");
 }
 
+/// `mesh` runs the full chunk-level mesh and checks the swarm's
+/// statistical external-peer model against it.
+#[test]
+fn mesh_checks_the_external_peer_model() {
+    let args = ["mesh", "--peers", "300", "--secs", "60", "--seed", "7"];
+    let out = cli().args(args).output().expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    let s = String::from_utf8_lossy(&out.stdout);
+    assert!(s.contains("lag distribution (chunk intervals):"), "{s}");
+    assert!(s.contains("the substitution is supported"), "{s}");
+}
+
+/// A mesh needs two peers: fewer is a usage error naming the flag.
+#[test]
+fn mesh_rejects_fewer_than_two_peers() {
+    let args = ["mesh", "--peers", "1"];
+    let out = cli().args(args).output().expect("spawn");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(err.contains("--peers"), "unexpected stderr {err}");
+    assert!(!err.contains("panicked"), "{err}");
+    assert!(out.stdout.is_empty());
+}
+
 #[test]
 fn run_produces_tables_and_json() {
     let json = std::env::temp_dir().join("netaware_cli_test.json");

@@ -5,7 +5,6 @@
 //! reduction anywhere in the scenario → simulation → capture path will
 //! eventually show up here as a byte diff between two same-seed runs.
 
-use netaware::analysis::AnalysisConfig;
 use netaware::obs::{EventSink, Level, RingSink, WallClock};
 use netaware::testbed::{run_experiment, ExperimentOptions};
 use netaware::trace::write_trace;
@@ -17,7 +16,6 @@ fn options() -> ExperimentOptions {
         seed: 777,
         scale: 0.03,
         duration_us: 30_000_000,
-        analysis: AnalysisConfig::default(),
         keep_traces: true,
         obs: netaware::Obs::default(),
         faults: FaultPlan::none(),
@@ -26,7 +24,7 @@ fn options() -> ExperimentOptions {
 
 /// A mixed fault plan: link loss + jitter + churn, all enabled.
 fn fault_plan() -> FaultPlan {
-    FaultPlan::from_flags(Some(0.05), Some(2_000), true)
+    FaultPlan::none().with_flags(Some(0.05), Some(2_000), true)
 }
 
 /// Serialises every probe trace of one full experiment run.
@@ -203,7 +201,7 @@ fn noop_fault_plan_matches_fault_free_baseline() {
     // constructed plan-free ExperimentOptions would be vacuous — instead
     // check the no-op plan against a *disabled but present* link config.
     let noop_via_flags = ExperimentOptions {
-        faults: FaultPlan::from_flags(None, None, false),
+        faults: FaultPlan::none().with_flags(None, None, false),
         ..options()
     };
     assert!(noop_via_flags.faults.is_noop());

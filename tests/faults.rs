@@ -3,7 +3,6 @@
 //! tracker blackouts. The byte-identity guarantees (same-seed fault
 //! runs, no-op plans) live in `tests/determinism.rs`.
 
-use netaware::analysis::AnalysisConfig;
 use netaware::testbed::{run_experiment, ExperimentOptions};
 use netaware::{AppProfile, ChurnPlan, FaultPlan, TrackerOutage};
 
@@ -12,7 +11,6 @@ fn options(faults: FaultPlan) -> ExperimentOptions {
         seed: 99,
         scale: 0.03,
         duration_us: 30_000_000,
-        analysis: AnalysisConfig::default(),
         keep_traces: false,
         obs: netaware::Obs::default(),
         faults,
@@ -20,7 +18,7 @@ fn options(faults: FaultPlan) -> ExperimentOptions {
 }
 
 fn continuity_under_loss(loss: f64) -> f64 {
-    let plan = FaultPlan::from_flags((loss > 0.0).then_some(loss), None, false);
+    let plan = FaultPlan::none().with_flags((loss > 0.0).then_some(loss), None, false);
     let out = run_experiment(AppProfile::tvants(), &options(plan));
     out.report.continuity()
 }
@@ -60,7 +58,7 @@ fn heavy_churn_never_deadlocks() {
             initial_offline: 0.33,
             tracker_outages: Vec::new(),
         }),
-        ..FaultPlan::from_flags(Some(0.05), None, false)
+        ..FaultPlan::none().with_flags(Some(0.05), None, false)
     };
     let out = run_experiment(AppProfile::sopcast(), &options(plan));
     let r = &out.report;
@@ -115,7 +113,7 @@ fn requeue_recovery_beats_timeout_only_waiting() {
             initial_offline: 0.0,
             tracker_outages: Vec::new(),
         }),
-        ..FaultPlan::from_flags(Some(0.15), None, false)
+        ..FaultPlan::none().with_flags(Some(0.15), None, false)
     };
     let out = run_experiment(AppProfile::tvants(), &options(plan));
     assert!(

@@ -27,7 +27,6 @@
 //! and paste the printed table over `GOLDEN` below, saying why in the
 //! commit message.
 
-use netaware::analysis::AnalysisConfig;
 use netaware::obs::{Event, FieldValue, RingSink};
 use netaware::testbed::{run_experiment, ExperimentOptions};
 use netaware::trace::write_trace;
@@ -73,7 +72,6 @@ fn options(faults: FaultPlan, obs: Obs) -> ExperimentOptions {
         seed: 777,
         scale: 0.02,
         duration_us: 20_000_000,
-        analysis: AnalysisConfig::default(),
         keep_traces: true,
         obs,
         faults,
@@ -111,7 +109,7 @@ fn fingerprint(profile: AppProfile, faults: FaultPlan) -> (u64, u64, u64, u64) {
 }
 
 fn fault_plan() -> FaultPlan {
-    FaultPlan::from_flags(Some(0.05), Some(2_000), true)
+    FaultPlan::none().with_flags(Some(0.05), Some(2_000), true)
 }
 
 /// The fault plan a golden cell runs under.
