@@ -35,11 +35,7 @@ pub struct AsMatrix {
 ///
 /// `highbw_probes` is testbed knowledge (Table I tells which probes sit
 /// on institution LANs) — legitimately available to the experimenters.
-pub fn as_matrix(
-    pfs: &[ProbeFlows],
-    reg: &GeoRegistry,
-    highbw_probes: &BTreeSet<Ip>,
-) -> AsMatrix {
+pub fn as_matrix(pfs: &[ProbeFlows], reg: &GeoRegistry, highbw_probes: &BTreeSet<Ip>) -> AsMatrix {
     // TX bytes per ordered probe pair, read from the sender's trace.
     let mut pair_bytes: BTreeMap<(Ip, Ip), u64> = BTreeMap::new();
     for pf in pfs {
@@ -77,8 +73,10 @@ pub fn as_matrix(
             if a == b {
                 continue;
             }
-            let (Some(ia), Some(ib)) = (as_of(a).and_then(|x| idx.get(&x)), as_of(b).and_then(|x| idx.get(&x)))
-            else {
+            let (Some(ia), Some(ib)) = (
+                as_of(a).and_then(|x| idx.get(&x)),
+                as_of(b).and_then(|x| idx.get(&x)),
+            ) else {
                 continue;
             };
             let bytes = pair_bytes.get(&(a, b)).copied().unwrap_or(0) as f64;
@@ -106,8 +104,16 @@ pub fn as_matrix(
                 .collect()
         })
         .collect();
-    let intra_mean = if intra.1 == 0 { f64::NAN } else { intra.0 / intra.1 as f64 };
-    let inter_mean = if inter.1 == 0 { f64::NAN } else { inter.0 / inter.1 as f64 };
+    let intra_mean = if intra.1 == 0 {
+        f64::NAN
+    } else {
+        intra.0 / intra.1 as f64
+    };
+    let inter_mean = if inter.1 == 0 {
+        f64::NAN
+    } else {
+        inter.0 / inter.1 as f64
+    };
     let r_ratio = if inter_mean > 0.0 {
         intra_mean / inter_mean
     } else {

@@ -69,8 +69,15 @@ pub fn bootstrap_bytes_ci(
         for _ in 0..n {
             resample.push(pfs[rng.range(0..n)].clone());
         }
-        let v: PrefValue =
-            preference(&resample, registry, cfg, hop_threshold, metric, dir, exclude);
+        let v: PrefValue = preference(
+            &resample,
+            registry,
+            cfg,
+            hop_threshold,
+            metric,
+            dir,
+            exclude,
+        );
         if v.is_measurable() && !v.bytes_pct.is_nan() {
             samples.push(v.bytes_pct);
         }

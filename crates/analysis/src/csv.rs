@@ -110,8 +110,14 @@ mod tests {
             selfbias: SelfBias::default(),
             preferences: vec![MetricPreference {
                 metric: "BW".into(),
-                download_nonw: PrefValue { peers_pct: 85.0, bytes_pct: 96.0 },
-                download_all: PrefValue { peers_pct: 86.0, bytes_pct: 95.5 },
+                download_nonw: PrefValue {
+                    peers_pct: 85.0,
+                    bytes_pct: 96.0,
+                },
+                download_all: PrefValue {
+                    peers_pct: 86.0,
+                    bytes_pct: 95.5,
+                },
                 upload_nonw: PrefValue::nan(),
                 upload_all: PrefValue::nan(),
             }],

@@ -84,7 +84,10 @@ pub fn geo_breakdown(pfs: &[ProbeFlows], reg: &GeoRegistry) -> GeoBreakdown {
         .into_iter()
         .map(|l| GeoRow {
             label: l.to_string(),
-            peers_pct: pct(peers_by.get(l).copied().unwrap_or(0) as u64, total_peers as u64),
+            peers_pct: pct(
+                peers_by.get(l).copied().unwrap_or(0) as u64,
+                total_peers as u64,
+            ),
             rx_pct: pct(rx_by.get(l).copied().unwrap_or(0), rx_total),
             tx_pct: pct(tx_by.get(l).copied().unwrap_or(0), tx_total),
         })
@@ -129,12 +132,18 @@ mod tests {
             probe: p,
             ..Default::default()
         };
-        pf.flows
-            .insert(Ip::from_octets(58, 1, 1, 1), flow(p, Ip::from_octets(58, 1, 1, 1), 70, 10));
-        pf.flows
-            .insert(Ip::from_octets(130, 192, 5, 5), flow(p, Ip::from_octets(130, 192, 5, 5), 20, 30));
-        pf.flows
-            .insert(Ip::from_octets(12, 1, 1, 1), flow(p, Ip::from_octets(12, 1, 1, 1), 10, 60));
+        pf.flows.insert(
+            Ip::from_octets(58, 1, 1, 1),
+            flow(p, Ip::from_octets(58, 1, 1, 1), 70, 10),
+        );
+        pf.flows.insert(
+            Ip::from_octets(130, 192, 5, 5),
+            flow(p, Ip::from_octets(130, 192, 5, 5), 20, 30),
+        );
+        pf.flows.insert(
+            Ip::from_octets(12, 1, 1, 1),
+            flow(p, Ip::from_octets(12, 1, 1, 1), 10, 60),
+        );
         let g = geo_breakdown(&[pf], &reg());
         let peers: f64 = g.rows.iter().map(|r| r.peers_pct).sum();
         let rx: f64 = g.rows.iter().map(|r| r.rx_pct).sum();

@@ -181,7 +181,11 @@ mod tests {
 
     #[test]
     fn render_contains_sparkline() {
-        let d = hop_distribution(&pf_with_hops(&[5, 19, 19, 30]), &AnalysisConfig::default(), 19);
+        let d = hop_distribution(
+            &pf_with_hops(&[5, 19, 19, 30]),
+            &AnalysisConfig::default(),
+            19,
+        );
         let out = d.render("X");
         assert!(out.contains("hops 0..40"));
         assert!(out.contains("median") || out.contains("Q1"));

@@ -53,7 +53,10 @@ pub fn render_report(analyses: &[&ExperimentAnalysis], title: &str) -> String {
 
     // Table III.
     let _ = writeln!(s, "\n## Table III — probe self-bias\n");
-    let _ = writeln!(s, "| app | contrib peer % | contrib bytes % | all peer % | all bytes % |");
+    let _ = writeln!(
+        s,
+        "| app | contrib peer % | contrib bytes % | all peer % | all bytes % |"
+    );
     let _ = writeln!(s, "|---|---|---|---|---|");
     for a in analyses {
         let b = &a.selfbias;
@@ -81,7 +84,9 @@ pub fn render_report(analyses: &[&ExperimentAnalysis], title: &str) -> String {
         .unwrap_or_default();
     for metric in &metrics {
         for a in analyses {
-            let Some(m) = a.preference(metric) else { continue };
+            let Some(m) = a.preference(metric) else {
+                continue;
+            };
             let pair = |v: crate::preference::PrefValue| {
                 format!("{} / {}", cell(v.bytes_pct, 1), cell(v.peers_pct, 1))
             };
@@ -196,11 +201,26 @@ mod tests {
             app: app.into(),
             summary: AppSummary {
                 app: app.into(),
-                rx_kbps: MeanMaxVal { mean: 550.0, max: 900.0 },
-                tx_kbps: MeanMaxVal { mean: 3000.0, max: 12000.0 },
-                peers: MeanMaxVal { mean: 5000.0, max: 8000.0 },
-                contrib_rx: MeanMaxVal { mean: 200.0, max: 500.0 },
-                contrib_tx: MeanMaxVal { mean: 600.0, max: 900.0 },
+                rx_kbps: MeanMaxVal {
+                    mean: 550.0,
+                    max: 900.0,
+                },
+                tx_kbps: MeanMaxVal {
+                    mean: 3000.0,
+                    max: 12000.0,
+                },
+                peers: MeanMaxVal {
+                    mean: 5000.0,
+                    max: 8000.0,
+                },
+                contrib_rx: MeanMaxVal {
+                    mean: 200.0,
+                    max: 500.0,
+                },
+                contrib_tx: MeanMaxVal {
+                    mean: 600.0,
+                    max: 900.0,
+                },
             },
             selfbias: SelfBias {
                 contrib_peer_pct: 2.4,
@@ -210,8 +230,14 @@ mod tests {
             },
             preferences: vec![MetricPreference {
                 metric: "BW".into(),
-                download_nonw: PrefValue { peers_pct: 94.6, bytes_pct: 98.5 },
-                download_all: PrefValue { peers_pct: 94.5, bytes_pct: 98.6 },
+                download_nonw: PrefValue {
+                    peers_pct: 94.6,
+                    bytes_pct: 98.5,
+                },
+                download_all: PrefValue {
+                    peers_pct: 94.5,
+                    bytes_pct: 98.6,
+                },
                 upload_nonw: PrefValue::nan(),
                 upload_all: PrefValue::nan(),
             }],

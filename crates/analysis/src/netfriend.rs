@@ -33,11 +33,7 @@ pub struct Friendliness {
 }
 
 /// Computes the friendliness summary over contributor flows.
-pub fn friendliness(
-    pfs: &[ProbeFlows],
-    reg: &GeoRegistry,
-    cfg: &AnalysisConfig,
-) -> Friendliness {
+pub fn friendliness(pfs: &[ProbeFlows], reg: &GeoRegistry, cfg: &AnalysisConfig) -> Friendliness {
     let mut total = 0u64;
     let mut subnet = 0u64;
     let mut intra_as = 0u64;
@@ -47,8 +43,16 @@ pub fn friendliness(
 
     for pf in pfs {
         for f in pf.flows.values() {
-            let rx = if is_rx_contributor(f, cfg) { f.bytes_rx } else { 0 };
-            let tx = if is_tx_contributor(f, cfg) { f.bytes_tx } else { 0 };
+            let rx = if is_rx_contributor(f, cfg) {
+                f.bytes_rx
+            } else {
+                0
+            };
+            let tx = if is_tx_contributor(f, cfg) {
+                f.bytes_tx
+            } else {
+                0
+            };
             let bytes = rx + tx;
             if bytes == 0 {
                 continue;
@@ -105,7 +109,12 @@ mod tests {
     fn reg() -> GeoRegistry {
         let mut b = GeoRegistryBuilder::new();
         b.register_as(AsInfo::new(2, CountryCode::IT, AsKind::Academic, "GARR"));
-        b.register_as(AsInfo::new(3, CountryCode::IT, AsKind::ResidentialIsp, "IT-DSL"));
+        b.register_as(AsInfo::new(
+            3,
+            CountryCode::IT,
+            AsKind::ResidentialIsp,
+            "IT-DSL",
+        ));
         b.register_as(AsInfo::new(100, CountryCode::CN, AsKind::Carrier, "CN"));
         b.announce(Prefix::of(Ip::from_octets(130, 192, 0, 0), 16), AsId(2))
             .unwrap();
@@ -146,7 +155,7 @@ mod tests {
             &pfs(vec![
                 contributor_flow(probe, Ip::from_octets(130, 192, 1, 2), 25_000, 128), // subnet
                 contributor_flow(probe, Ip::from_octets(130, 192, 9, 2), 25_000, 124), // AS
-                contributor_flow(probe, Ip::from_octets(151, 0, 3, 3), 25_000, 118), // CC
+                contributor_flow(probe, Ip::from_octets(151, 0, 3, 3), 25_000, 118),   // CC
                 contributor_flow(probe, Ip::from_octets(58, 1, 1, 1), 25_000, 109), // transit far
             ]),
             &reg(),

@@ -116,7 +116,12 @@ mod tests {
     fn reg() -> GeoRegistry {
         let mut b = GeoRegistryBuilder::new();
         b.register_as(AsInfo::new(2, CountryCode::IT, AsKind::Academic, "GARR"));
-        b.register_as(AsInfo::new(3, CountryCode::IT, AsKind::ResidentialIsp, "IT-DSL"));
+        b.register_as(AsInfo::new(
+            3,
+            CountryCode::IT,
+            AsKind::ResidentialIsp,
+            "IT-DSL",
+        ));
         b.register_as(AsInfo::new(100, CountryCode::CN, AsKind::Carrier, "CN"));
         b.announce(Prefix::of(Ip::from_octets(130, 192, 0, 0), 16), AsId(2))
             .unwrap();
@@ -152,7 +157,10 @@ mod tests {
     fn bw_partition_follows_ipg() {
         let r = reg();
         let cfg = AnalysisConfig::default();
-        let mut f = flow(Ip::from_octets(130, 192, 1, 1), Ip::from_octets(58, 1, 1, 1));
+        let mut f = flow(
+            Ip::from_octets(130, 192, 1, 1),
+            Ip::from_octets(58, 1, 1, 1),
+        );
         f.min_ipg_us = Some(120);
         assert_eq!(Metric::Bw.preferred(&ctx_for(&f, &r, &cfg)), Some(true));
         f.min_ipg_us = Some(8_000);
@@ -199,11 +207,19 @@ mod tests {
         let cfg = AnalysisConfig::default();
         let p = Ip::from_octets(130, 192, 1, 1);
         assert_eq!(
-            Metric::Net.preferred(&ctx_for(&flow(p, Ip::from_octets(130, 192, 1, 77)), &r, &cfg)),
+            Metric::Net.preferred(&ctx_for(
+                &flow(p, Ip::from_octets(130, 192, 1, 77)),
+                &r,
+                &cfg
+            )),
             Some(true)
         );
         assert_eq!(
-            Metric::Net.preferred(&ctx_for(&flow(p, Ip::from_octets(130, 192, 2, 77)), &r, &cfg)),
+            Metric::Net.preferred(&ctx_for(
+                &flow(p, Ip::from_octets(130, 192, 2, 77)),
+                &r,
+                &cfg
+            )),
             Some(false)
         );
     }

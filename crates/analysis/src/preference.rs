@@ -343,7 +343,11 @@ mod tests {
         ]);
         let v = preference(&pfs, &r, &cfg, 19, Metric::Bw, Dir::Download, None);
         assert!((v.peers_pct - 66.666).abs() < 0.01, "{}", v.peers_pct);
-        assert!((v.bytes_pct - 100.0 * 90.0 / 110.0).abs() < 0.01, "{}", v.bytes_pct);
+        assert!(
+            (v.bytes_pct - 100.0 * 90.0 / 110.0).abs() < 0.01,
+            "{}",
+            v.bytes_pct
+        );
     }
 
     #[test]
@@ -391,7 +395,11 @@ mod tests {
     fn bw_upload_is_unmeasurable() {
         let r = reg();
         let cfg = AnalysisConfig::default();
-        let pfs = pfs_of(vec![rx_flow(Ip::from_octets(58, 0, 0, 1), 45_000, Some(100))]);
+        let pfs = pfs_of(vec![rx_flow(
+            Ip::from_octets(58, 0, 0, 1),
+            45_000,
+            Some(100),
+        )]);
         let v = preference(&pfs, &r, &cfg, 19, Metric::Bw, Dir::Upload, None);
         assert!(!v.is_measurable());
     }
@@ -400,7 +408,15 @@ mod tests {
     fn empty_contributor_set_is_nan() {
         let r = reg();
         let cfg = AnalysisConfig::default();
-        let v = preference(&pfs_of(vec![]), &r, &cfg, 19, Metric::As, Dir::Download, None);
+        let v = preference(
+            &pfs_of(vec![]),
+            &r,
+            &cfg,
+            19,
+            Metric::As,
+            Dir::Download,
+            None,
+        );
         assert!(!v.is_measurable());
     }
 
@@ -425,7 +441,11 @@ mod tests {
     fn full_block_has_five_rows() {
         let r = reg();
         let cfg = AnalysisConfig::default();
-        let pfs = pfs_of(vec![rx_flow(Ip::from_octets(58, 0, 0, 1), 45_000, Some(100))]);
+        let pfs = pfs_of(vec![rx_flow(
+            Ip::from_octets(58, 0, 0, 1),
+            45_000,
+            Some(100),
+        )]);
         let w = BTreeSet::new();
         let block = all_preferences(&pfs, &r, &cfg, 19, &w);
         assert_eq!(block.len(), 5);

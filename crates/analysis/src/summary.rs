@@ -124,7 +124,11 @@ mod tests {
         }
         set.add(t);
         let sum = table2(&set);
-        assert!((sum.rx_kbps.mean - 384.0).abs() < 4.0, "{}", sum.rx_kbps.mean);
+        assert!(
+            (sum.rx_kbps.mean - 384.0).abs() < 4.0,
+            "{}",
+            sum.rx_kbps.mean
+        );
         assert!(sum.tx_kbps.mean < 1.0);
         assert_eq!(sum.peers.mean, 1.0);
         assert_eq!(sum.peers.max, 1.0);

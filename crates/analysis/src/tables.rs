@@ -11,7 +11,12 @@ fn cell(v: f64, width: usize, decimals: usize) -> String {
     if v.is_nan() {
         format!("{:>width$}", "-", width = width)
     } else {
-        format!("{:>width$.decimals$}", v, width = width, decimals = decimals)
+        format!(
+            "{:>width$.decimals$}",
+            v,
+            width = width,
+            decimals = decimals
+        )
     }
 }
 
@@ -83,7 +88,10 @@ pub fn render_table3(rows: &[(String, SelfBias)]) -> String {
 /// Renders Table IV (one block of metric rows per application).
 pub fn render_table4(blocks: &[(String, Vec<MetricPreference>)]) -> String {
     let mut s = String::new();
-    let _ = writeln!(s, "TABLE IV — network awareness as peer-wise and byte-wise bias");
+    let _ = writeln!(
+        s,
+        "TABLE IV — network awareness as peer-wise and byte-wise bias"
+    );
     let _ = writeln!(
         s,
         "{:<5} {:<9} | {:>7} {:>7} {:>7} {:>7} | {:>7} {:>7} {:>7} {:>7}",
@@ -121,7 +129,10 @@ pub fn render_table4(blocks: &[(String, Vec<MetricPreference>)]) -> String {
 /// Renders Figure 1 as a table of shares.
 pub fn render_fig1(rows: &[(String, GeoBreakdown)]) -> String {
     let mut s = String::new();
-    let _ = writeln!(s, "FIGURE 1 — geographical breakdown (% peers / % RX / % TX)");
+    let _ = writeln!(
+        s,
+        "FIGURE 1 — geographical breakdown (% peers / % RX / % TX)"
+    );
     for (app, g) in rows {
         let _ = writeln!(s, "{app} (total observed peers: {})", g.total_peers);
         let _ = writeln!(s, "  {:<4} {:>8} {:>8} {:>8}", "CC", "#%", "RX%", "TX%");
@@ -180,11 +191,26 @@ mod tests {
     fn table2_contains_app_and_numbers() {
         let rows = vec![AppSummary {
             app: "PPLive".into(),
-            rx_kbps: MeanMaxVal { mean: 552.0, max: 934.0 },
-            tx_kbps: MeanMaxVal { mean: 3384.0, max: 11818.0 },
-            peers: MeanMaxVal { mean: 23101.0, max: 39797.0 },
-            contrib_rx: MeanMaxVal { mean: 391.0, max: 841.0 },
-            contrib_tx: MeanMaxVal { mean: 1025.0, max: 2570.0 },
+            rx_kbps: MeanMaxVal {
+                mean: 552.0,
+                max: 934.0,
+            },
+            tx_kbps: MeanMaxVal {
+                mean: 3384.0,
+                max: 11818.0,
+            },
+            peers: MeanMaxVal {
+                mean: 23101.0,
+                max: 39797.0,
+            },
+            contrib_rx: MeanMaxVal {
+                mean: 391.0,
+                max: 841.0,
+            },
+            contrib_tx: MeanMaxVal {
+                mean: 1025.0,
+                max: 2570.0,
+            },
         }];
         let out = render_table2(&rows);
         assert!(out.contains("PPLive"));
@@ -196,15 +222,24 @@ mod tests {
     fn table4_groups_metric_rows() {
         let block = vec![MetricPreference {
             metric: "BW".into(),
-            download_nonw: PrefValue { peers_pct: 85.9, bytes_pct: 95.9 },
-            download_all: PrefValue { peers_pct: 86.1, bytes_pct: 95.6 },
+            download_nonw: PrefValue {
+                peers_pct: 85.9,
+                bytes_pct: 95.9,
+            },
+            download_all: PrefValue {
+                peers_pct: 86.1,
+                bytes_pct: 95.6,
+            },
             upload_nonw: PrefValue::nan(),
             upload_all: PrefValue::nan(),
         }];
         let out = render_table4(&[("PPLive".into(), block)]);
         assert!(out.contains("BW"));
         assert!(out.contains("95.9"));
-        assert!(out.contains("-"), "unmeasurable cells must render as dashes");
+        assert!(
+            out.contains("-"),
+            "unmeasurable cells must render as dashes"
+        );
     }
 
     #[test]

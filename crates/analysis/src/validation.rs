@@ -135,7 +135,10 @@ mod tests {
         let mut truth = GroundTruth::default();
         truth.high_bw.insert(fast);
         let v = validate_bw(
-            &pfs(vec![flow(probe, fast, Some(100)), flow(probe, slow, Some(20_000))]),
+            &pfs(vec![
+                flow(probe, fast, Some(100)),
+                flow(probe, slow, Some(20_000)),
+            ]),
             &AnalysisConfig::default(),
             &truth,
         );

@@ -139,10 +139,7 @@ mod tests {
             got.push(ip);
         }
         assert_eq!(got.len(), 6); // 8 - network - broadcast
-        assert!(matches!(
-            a.next_ip(),
-            Err(NetError::PrefixExhausted { .. })
-        ));
+        assert!(matches!(a.next_ip(), Err(NetError::PrefixExhausted { .. })));
     }
 
     #[test]

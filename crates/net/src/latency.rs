@@ -92,7 +92,11 @@ mod tests {
         let m = LatencyModel::new(1);
         let r = reg();
         assert_eq!(
-            m.one_way_us(&r, Ip::from_octets(130, 192, 1, 1), Ip::from_octets(130, 192, 1, 2)),
+            m.one_way_us(
+                &r,
+                Ip::from_octets(130, 192, 1, 1),
+                Ip::from_octets(130, 192, 1, 2)
+            ),
             100
         );
     }
@@ -138,7 +142,11 @@ mod tests {
     fn unregistered_hosts_get_plausible_delay() {
         let m = LatencyModel::new(5);
         let r = reg();
-        let d = m.one_way_us(&r, Ip::from_octets(99, 0, 0, 1), Ip::from_octets(98, 0, 0, 1));
+        let d = m.one_way_us(
+            &r,
+            Ip::from_octets(99, 0, 0, 1),
+            Ip::from_octets(98, 0, 0, 1),
+        );
         assert!((60_000..=150_000).contains(&d), "{d}");
     }
 }

@@ -48,9 +48,7 @@ impl GeoRegistry {
     pub fn as_of(&self, ip: Ip) -> Option<AsId> {
         // entries are sorted by base and non-overlapping: the candidate is
         // the last prefix whose base is <= ip.
-        let pos = self
-            .entries
-            .partition_point(|(p, _)| p.first() <= ip);
+        let pos = self.entries.partition_point(|(p, _)| p.first() <= ip);
         if pos == 0 {
             return None;
         }
@@ -317,11 +315,8 @@ mod tests {
         let mut b = GeoRegistryBuilder::new();
         b.register_as(AsInfo::new(1, CountryCode::CN, AsKind::Carrier, "A"));
         for i in 0..64u32 {
-            b.announce(
-                Prefix::new_truncating(0x0A00_0000 | (i << 8), 24),
-                AsId(1),
-            )
-            .unwrap();
+            b.announce(Prefix::new_truncating(0x0A00_0000 | (i << 8), 24), AsId(1))
+                .unwrap();
         }
         let r = b.build();
         assert_eq!(r.len(), 64);

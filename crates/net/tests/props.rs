@@ -63,7 +63,10 @@ fn allocators_unique() {
         let seed = rng.next_u64();
         let len: u8 = rng.range(20..=28u8);
         let p = Prefix::of(Ip::from_octets(10, 7, 0, 0), len);
-        for mut alloc in [AddressAllocator::dense(p), AddressAllocator::scattered(p, seed)] {
+        for mut alloc in [
+            AddressAllocator::dense(p),
+            AddressAllocator::scattered(p, seed),
+        ] {
             let cap = alloc.capacity();
             let mut seen = std::collections::BTreeSet::new();
             for _ in 0..cap {

@@ -191,7 +191,13 @@ mod tests {
 
     #[test]
     fn levels_round_trip_and_order() {
-        for l in [Level::Trace, Level::Debug, Level::Info, Level::Warn, Level::Error] {
+        for l in [
+            Level::Trace,
+            Level::Debug,
+            Level::Info,
+            Level::Warn,
+            Level::Error,
+        ] {
             assert_eq!(Level::parse(l.as_str()), Some(l));
         }
         assert!(Level::Trace < Level::Debug);

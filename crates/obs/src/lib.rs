@@ -179,9 +179,7 @@ impl Obs {
 
     /// Whether the span profiler is armed (see [`Obs::with_profiler`]).
     pub fn profiling(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.profiler.is_some())
+        self.inner.as_ref().is_some_and(|i| i.profiler.is_some())
     }
 
     /// Opens a profiler span; nests under the innermost open span on
@@ -284,15 +282,31 @@ mod tests {
         // Disabled handle: nothing runs.
         let obs = Obs::disabled();
         let mut hits = 0u32;
-        event!(obs, Level::Error, "swarm.handshake", SimTime::ZERO,
-               "n" = { hits += 1; hits });
+        event!(
+            obs,
+            Level::Error,
+            "swarm.handshake",
+            SimTime::ZERO,
+            "n" = {
+                hits += 1;
+                hits
+            }
+        );
         assert_eq!(hits, 0, "field expression ran on a disabled handle");
 
         // An enabled handle evaluates the fields at any level.
         let sink = Arc::new(NullSink::new());
         let obs = Obs::new(sink.clone());
-        event!(obs, Level::Trace, "swarm.chunk_sched", SimTime::ZERO,
-               "n" = { hits += 1; hits });
+        event!(
+            obs,
+            Level::Trace,
+            "swarm.chunk_sched",
+            SimTime::ZERO,
+            "n" = {
+                hits += 1;
+                hits
+            }
+        );
         assert_eq!(hits, 1);
         assert_eq!(sink.events_seen(), 1);
     }
@@ -301,7 +315,13 @@ mod tests {
     fn ring_sink_round_trip_through_handle() {
         let ring = Arc::new(RingSink::new(16));
         let obs = Obs::new(ring.clone());
-        event!(obs, Level::Info, "pass.flow", SimTime::from_us(5), "probe" = 3u64);
+        event!(
+            obs,
+            Level::Info,
+            "pass.flow",
+            SimTime::from_us(5),
+            "probe" = 3u64
+        );
         event!(obs, Level::Info, "pass.flow", SimTime::from_us(6));
         let events = ring.snapshot();
         assert_eq!(events.len(), 2);

@@ -205,7 +205,12 @@ impl MetricsSnapshot {
         }
         for (name, h) in &self.histograms {
             out.push_str(&format!("histogram,{name},total,{}\n", h.total));
-            for (stat, q) in [("p50", h.p50), ("p90", h.p90), ("p99", h.p99), ("max", h.max)] {
+            for (stat, q) in [
+                ("p50", h.p50),
+                ("p90", h.p90),
+                ("p99", h.p99),
+                ("max", h.max),
+            ] {
                 if let Some(q) = q {
                     out.push_str(&format!("histogram,{name},{stat},{q}\n"));
                 }

@@ -268,9 +268,10 @@ impl Drop for ProfSpan {
             s.clock.elapsed_ns().saturating_sub(s.start_ns),
             Ordering::Relaxed,
         );
-        stats
-            .allocs
-            .fetch_add(heap.allocs.saturating_sub(s.start_allocs), Ordering::Relaxed);
+        stats.allocs.fetch_add(
+            heap.allocs.saturating_sub(s.start_allocs),
+            Ordering::Relaxed,
+        );
         stats.alloc_bytes.fetch_add(
             heap.bytes.saturating_sub(s.start_alloc_bytes),
             Ordering::Relaxed,
@@ -699,7 +700,10 @@ mod tests {
         assert_eq!(hook.calls, 5);
         assert_eq!(hook.wall_ns, 3_000);
         let text = tree.render();
-        assert!(text.contains("  hook "), "cell row nests under its span:\n{text}");
+        assert!(
+            text.contains("  hook "),
+            "cell row nests under its span:\n{text}"
+        );
     }
 
     #[test]

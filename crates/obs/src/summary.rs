@@ -89,8 +89,7 @@ impl LogSummary {
                 line: lineno,
                 reason: reason.to_string(),
             };
-            let value = serde_json::parse_value(&line)
-                .map_err(|e| malformed(&format!("{e:?}")))?;
+            let value = serde_json::parse_value(&line).map_err(|e| malformed(&format!("{e:?}")))?;
             let map = value.as_map().ok_or_else(|| malformed("not an object"))?;
             let t = serde_json::value::field(map, "t")
                 .as_u64()
@@ -230,7 +229,11 @@ impl LogSummary {
             counters.sort_by(|a, b| b.1.cmp(a.1).then(a.0.cmp(b.0)));
             let _ = writeln!(out, "counter throughput (per sim-second):");
             for (name, n) in counters.iter().take(12) {
-                let _ = writeln!(out, "  {name:<32} {:>12.1}/s  ({n} total)", **n as f64 / span);
+                let _ = writeln!(
+                    out,
+                    "  {name:<32} {:>12.1}/s  ({n} total)",
+                    **n as f64 / span
+                );
             }
         }
         if !m.histograms.is_empty() {
@@ -328,8 +331,8 @@ mod tests {
     #[test]
     fn truncated_line_is_an_error() {
         let broken = &LOG[..LOG.len() - 30]; // cut mid-line
-        let err = LogSummary::from_reader(BufReader::new(broken.as_bytes()))
-            .expect_err("must fail");
+        let err =
+            LogSummary::from_reader(BufReader::new(broken.as_bytes())).expect_err("must fail");
         match err {
             SummaryError::Malformed { line, .. } => assert_eq!(line, 7),
             other => panic!("wrong error: {other}"),

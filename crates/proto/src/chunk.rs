@@ -205,7 +205,10 @@ mod tests {
         for c in [0u32, 1, 100, 7199] {
             let t = s.chunk_time_us(ChunkId(c));
             assert_eq!(s.head_at(t), Some(ChunkId(c)));
-            assert_eq!(s.head_at(t - 1), if c == 0 { None } else { Some(ChunkId(c - 1)) });
+            assert_eq!(
+                s.head_at(t - 1),
+                if c == 0 { None } else { Some(ChunkId(c - 1)) }
+            );
         }
     }
 

@@ -302,8 +302,16 @@ pub fn run_mesh(cfg: &MeshConfig) -> MeshReport {
         },
         median_lag_chunks: lag_hist.quantile(0.5).unwrap_or(0) as u32,
         p95_lag_chunks: lag_hist.quantile(0.95).unwrap_or(0) as u32,
-        mean_lag_high: if n_high == 0 { 0.0 } else { lag_sum_high / n_high as f64 },
-        mean_lag_low: if n_low == 0 { 0.0 } else { lag_sum_low / n_low as f64 },
+        mean_lag_high: if n_high == 0 {
+            0.0
+        } else {
+            lag_sum_high / n_high as f64
+        },
+        mean_lag_low: if n_low == 0 {
+            0.0
+        } else {
+            lag_sum_low / n_low as f64
+        },
     }
 }
 

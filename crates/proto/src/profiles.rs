@@ -458,7 +458,10 @@ mod tests {
             unpop.download_policy.same_as_boost,
             pop.download_policy.same_as_boost
         );
-        assert_eq!(unpop.download_policy.bw_exponent, pop.download_policy.bw_exponent);
+        assert_eq!(
+            unpop.download_policy.bw_exponent,
+            pop.download_policy.bw_exponent
+        );
     }
 
     #[test]
@@ -487,7 +490,10 @@ mod tests {
             ]
         );
         // Paper apps are a strict prefix, preserving presentation order.
-        let paper: Vec<String> = AppProfile::paper_apps().iter().map(|p| p.name.clone()).collect();
+        let paper: Vec<String> = AppProfile::paper_apps()
+            .iter()
+            .map(|p| p.name.clone())
+            .collect();
         assert_eq!(&names[..3], &paper[..]);
     }
 
@@ -501,8 +507,14 @@ mod tests {
         }
         assert_eq!(AppProfile::by_name("nextgen").unwrap().name, "NAPA-NG");
         assert_eq!(AppProfile::by_name("napa-ng").unwrap().name, "NAPA-NG");
-        assert_eq!(AppProfile::by_name("epidemic_rp").unwrap().name, "Epidemic-RP");
-        assert_eq!(AppProfile::by_name("epidemic-ba").unwrap().name, "Epidemic-BA");
+        assert_eq!(
+            AppProfile::by_name("epidemic_rp").unwrap().name,
+            "Epidemic-RP"
+        );
+        assert_eq!(
+            AppProfile::by_name("epidemic-ba").unwrap().name,
+            "Epidemic-BA"
+        );
         assert!(AppProfile::by_name("no-such-app").is_none());
     }
 

@@ -110,7 +110,14 @@ pub(crate) trait Behaviour {
     /// A chunk request arrived at its provider.
     fn on_serve(&mut self, ctx: &mut Ctx, provider: PeerId, to: PeerId, chunk: ChunkId) {}
     /// A chunk finished arriving at `to`.
-    fn on_delivered(&mut self, ctx: &mut Ctx, to: PeerId, from: PeerId, chunk: ChunkId, est_bps: u64) {
+    fn on_delivered(
+        &mut self,
+        ctx: &mut Ctx,
+        to: PeerId,
+        from: PeerId,
+        chunk: ChunkId,
+        est_bps: u64,
+    ) {
     }
     /// An external peer's session ended (churn).
     fn on_depart(&mut self, ctx: &mut Ctx, peer: PeerId) {}

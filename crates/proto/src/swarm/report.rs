@@ -88,8 +88,18 @@ mod tests {
     fn worst_probe_lookup() {
         let r = SwarmReport {
             per_probe: vec![
-                ProbePerf { probe: Ip(1), delivered: 90, lost: 10, continuity: 0.9 },
-                ProbePerf { probe: Ip(2), delivered: 99, lost: 1, continuity: 0.99 },
+                ProbePerf {
+                    probe: Ip(1),
+                    delivered: 90,
+                    lost: 10,
+                    continuity: 0.9,
+                },
+                ProbePerf {
+                    probe: Ip(2),
+                    delivered: 99,
+                    lost: 1,
+                    continuity: 0.99,
+                },
             ],
             ..Default::default()
         };

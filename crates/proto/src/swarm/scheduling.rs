@@ -73,13 +73,7 @@ impl Scheduling {
     }
 
     /// Selects a provider for `chunk` and fires the request.
-    fn request_chunk(
-        &mut self,
-        ctx: &mut Ctx<'_, '_>,
-        i: usize,
-        pid: PeerId,
-        chunk: ChunkId,
-    ) {
+    fn request_chunk(&mut self, ctx: &mut Ctx<'_, '_>, i: usize, pid: PeerId, chunk: ChunkId) {
         let now = ctx.now();
         let now_us = now.as_us();
         let core = &mut *ctx.core;

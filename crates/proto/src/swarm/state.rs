@@ -422,7 +422,12 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
         access: setup.source.access,
         role: PeerRole::Source,
     });
-    meta.push(meta_of(env.registry, setup.source.ip, setup.source.access, 0));
+    meta.push(meta_of(
+        env.registry,
+        setup.source.ip,
+        setup.source.access,
+        0,
+    ));
 
     for (i, p) in setup.probes.iter().enumerate() {
         peers.push(PeerInfo {
@@ -491,8 +496,7 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
         let prng = DetRng::substream(cfg.seed, "probe", i as u64);
 
         // External demand rate on this probe: capped by its uplink.
-        let target_bps = cfg.profile.upload_target_factor * stream.rate_bps as f64
-            * popularity[i];
+        let target_bps = cfg.profile.upload_target_factor * stream.rate_bps as f64 * popularity[i];
         let cap_bps = 0.7 * m.up_bps as f64;
         let mut demand_hz = target_bps.min(cap_bps) / chunk_bits;
         if m.fw {

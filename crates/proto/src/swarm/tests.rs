@@ -136,7 +136,11 @@ fn probes_receive_roughly_the_stream_rate() {
             t.probe
         );
     }
-    assert!(report.continuity() > 0.9, "continuity {}", report.continuity());
+    assert!(
+        report.continuity() > 0.9,
+        "continuity {}",
+        report.continuity()
+    );
 }
 
 #[test]
@@ -183,11 +187,7 @@ fn rx_video_ipg_reflects_sender_class() {
     let (set, _) = run_mini(profile, 60, 5);
     let reg = mini_registry();
     let lan_probe = Ip::from_octets(130, 192, 1, 10);
-    let trace = set
-        .traces
-        .iter()
-        .find(|t| t.probe == lan_probe)
-        .unwrap();
+    let trace = set.traces.iter().find(|t| t.probe == lan_probe).unwrap();
     let mut min_gap: std::collections::BTreeMap<Ip, u64> = std::collections::BTreeMap::new();
     let mut last_ts: std::collections::BTreeMap<Ip, u64> = std::collections::BTreeMap::new();
     for r in trace.records() {
@@ -264,10 +264,7 @@ fn pplive_contacts_vastly_more_peers() {
         s.len()
     };
     let (n_pp, n_tv) = (distinct(&set_pp), distinct(&set_tv));
-    assert!(
-        n_pp > n_tv,
-        "PPLive contacted {n_pp} ≤ TVAnts {n_tv}"
-    );
+    assert!(n_pp > n_tv, "PPLive contacted {n_pp} ≤ TVAnts {n_tv}");
 }
 
 #[test]
@@ -277,7 +274,11 @@ fn upload_factor_orders_tx_volume() {
     let tx_bytes = |set: &netaware_trace::TraceSet| -> u64 {
         set.traces
             .iter()
-            .flat_map(|t| t.records().iter().filter(|r| r.is_tx_at(t.probe) && r.size >= 1000))
+            .flat_map(|t| {
+                t.records()
+                    .iter()
+                    .filter(|r| r.is_tx_at(t.probe) && r.size >= 1000)
+            })
             .map(|r| r.size as u64)
             .sum()
     };
@@ -313,7 +314,10 @@ fn empty_external_population_still_runs() {
     };
     let (set, report) = Swarm::new(cfg, env, setup).run();
     assert_eq!(set.traces.len(), 4);
-    assert!(report.chunks_delivered > 0, "source alone must sustain the stream");
+    assert!(
+        report.chunks_delivered > 0,
+        "source alone must sustain the stream"
+    );
 }
 
 // ---------- transfer-layer internals ----------
@@ -368,7 +372,10 @@ fn deliver_to_probe_paces_per_flow() {
     let far = netaware_sim::SimTime::from_secs(500);
     let _ = swarm.core.deliver_to_probe(0, b, far, 1250);
     let d4 = swarm.core.deliver_to_probe(0, a, t0 + 10_000, 1250);
-    assert!(d4 < netaware_sim::SimTime::from_secs(1), "poisoned by foreign flow: {d4:?}");
+    assert!(
+        d4 < netaware_sim::SimTime::from_secs(1),
+        "poisoned by foreign flow: {d4:?}"
+    );
 }
 
 #[test]
@@ -555,11 +562,14 @@ fn departed_provider_pending_requests_move_to_requeue() {
         .find(|id| id.0 >= 5)
         .expect("bootstrap gave probe 0 an external neighbor");
     let chunk = ChunkId(123);
-    swarm.core.probe_states[0].sched.pending.push(state::Pending {
-        chunk,
-        provider,
-        deadline_us: 10_000_000,
-    });
+    swarm.core.probe_states[0]
+        .sched
+        .pending
+        .push(state::Pending {
+            chunk,
+            provider,
+            deadline_us: 10_000_000,
+        });
     let neighbors_before = swarm.core.probe_states[0].disc.neighbors.len();
 
     let mut sched = netaware_sim::Scheduler::new();
@@ -584,8 +594,16 @@ fn departed_provider_pending_requests_move_to_requeue() {
         s.sched.pending.iter().all(|p| p.provider != provider),
         "request still pending on a departed peer"
     );
-    assert_eq!(s.rec.requeue, vec![chunk], "chunk must be promptly re-queued");
-    assert_eq!(s.disc.neighbors.len(), neighbors_before - 1, "departed peer must be evicted");
+    assert_eq!(
+        s.rec.requeue,
+        vec![chunk],
+        "chunk must be promptly re-queued"
+    );
+    assert_eq!(
+        s.disc.neighbors.len(),
+        neighbors_before - 1,
+        "departed peer must be evicted"
+    );
     assert!(s.disc.neighbors.iter().all(|n| n.id != provider));
     assert_eq!(swarm.core.report.requests_requeued, 1);
     assert_eq!(swarm.core.report.peers_departed, 1);
@@ -926,7 +944,10 @@ fn discovery_tick_evicts_expired_neighbors() {
         s.disc.neighbors.iter().all(|n| n.expires_us > now.as_us()),
         "expired entry survived the tick"
     );
-    assert!(actions.queue.is_empty(), "discovery tick must not emit actions");
+    assert!(
+        actions.queue.is_empty(),
+        "discovery tick must not emit actions"
+    );
 }
 
 #[test]
@@ -939,11 +960,14 @@ fn recovery_tick_times_out_overdue_requests() {
     };
     let mut swarm = Swarm::new(mini_cfg(1, 32), env, mini_setup(20));
     let provider = crate::peer::PeerId(6);
-    swarm.core.probe_states[0].sched.pending.push(state::Pending {
-        chunk: ChunkId(9),
-        provider,
-        deadline_us: 5_000,
-    });
+    swarm.core.probe_states[0]
+        .sched
+        .pending
+        .push(state::Pending {
+            chunk: ChunkId(9),
+            provider,
+            deadline_us: 5_000,
+        });
     let mut actions = behaviour::Actions::default();
     {
         let Swarm { core, stack } = &mut swarm;
@@ -983,7 +1007,9 @@ fn scheduling_delivery_fills_buffer_once() {
             actions: &mut actions,
             now: netaware_sim::SimTime::from_ms(500),
         };
-        stack.scheduling.on_delivered(&mut ctx, to, from, chunk, 500_000);
+        stack
+            .scheduling
+            .on_delivered(&mut ctx, to, from, chunk, 500_000);
     }
     let s = &swarm.core.probe_states[0];
     assert!(s.sched.bufmap.contains(chunk));

@@ -226,8 +226,19 @@ impl SwarmCore<'_> {
         };
         for i in 0..n_pkts {
             let size = stream.packet_size(i) as u16;
-            let dep = self.probe_states[prov_idx].link.uplink.enqueue(now, size as u32);
-            self.capture(prov_idx, dep, provider, to, size, DEFAULT_TTL, PayloadKind::Video);
+            let dep = self.probe_states[prov_idx]
+                .link
+                .uplink
+                .enqueue(now, size as u32);
+            self.capture(
+                prov_idx,
+                dep,
+                provider,
+                to,
+                size,
+                DEFAULT_TTL,
+                PayloadKind::Video,
+            );
             // The packet crosses the provider's access link at `dep`; a
             // drop there means the chunk can never complete — the
             // requester's timeout + backoff re-request is the recovery
@@ -236,7 +247,9 @@ impl SwarmCore<'_> {
             match self.link_fate(prov_idx, dep.as_us()) {
                 PacketFate::Dropped => train.complete = false,
                 PacketFate::Pass { extra_delay_us } => {
-                    train.pkts.push(((dep + lat + extra_delay_us).as_us(), size));
+                    train
+                        .pkts
+                        .push(((dep + lat + extra_delay_us).as_us(), size));
                 }
             }
         }
@@ -296,7 +309,9 @@ impl SwarmCore<'_> {
         if !chunk_ok {
             return;
         }
-        let span = last_arrival.since(first_arrival.unwrap_or(last_arrival)).max(1);
+        let span = last_arrival
+            .since(first_arrival.unwrap_or(last_arrival))
+            .max(1);
         let est_bps = (self.cfg.stream.chunk_bytes as u64 * 8).saturating_mul(1_000_000) / span;
         actions.queue.push_back(BehaviourAction::Schedule {
             at: last_arrival,
@@ -416,8 +431,19 @@ impl SwarmCore<'_> {
         let stream = self.cfg.stream;
         for i in 0..stream.packets_per_chunk() {
             let size = stream.packet_size(i) as u16;
-            let dep = self.probe_states[prov_idx].link.uplink.enqueue(now, size as u32);
-            self.capture(prov_idx, dep, provider, to, size, DEFAULT_TTL, PayloadKind::Video);
+            let dep = self.probe_states[prov_idx]
+                .link
+                .uplink
+                .enqueue(now, size as u32);
+            self.capture(
+                prov_idx,
+                dep,
+                provider,
+                to,
+                size,
+                DEFAULT_TTL,
+                PayloadKind::Video,
+            );
         }
         self.report.chunks_served_by_probes += 1;
         self.report.video_bytes_tx += stream.chunk_bytes as u64;

@@ -128,7 +128,9 @@ fn packets_cover_chunk() {
             chunk_bytes,
             packet_bytes,
         };
-        let total: u64 = (0..s.packets_per_chunk()).map(|i| s.packet_size(i) as u64).sum();
+        let total: u64 = (0..s.packets_per_chunk())
+            .map(|i| s.packet_size(i) as u64)
+            .sum();
         assert_eq!(total, chunk_bytes as u64);
         for i in 0..s.packets_per_chunk() {
             assert!(s.packet_size(i) <= packet_bytes);
@@ -155,14 +157,30 @@ fn policy_weight_monotone() {
         } else {
             None
         };
-        let base = Candidate { est_up_bps: est, ..Default::default() };
+        let base = Candidate {
+            est_up_bps: est,
+            ..Default::default()
+        };
         let w0 = p.weight(&base);
         assert!(w0.is_finite() && w0 > 0.0);
         for upgraded in [
-            Candidate { same_as: true, ..base },
-            Candidate { same_subnet: true, same_as: true, ..base },
-            Candidate { same_cc: true, ..base },
-            Candidate { is_last_provider: true, ..base },
+            Candidate {
+                same_as: true,
+                ..base
+            },
+            Candidate {
+                same_subnet: true,
+                same_as: true,
+                ..base
+            },
+            Candidate {
+                same_cc: true,
+                ..base
+            },
+            Candidate {
+                is_last_provider: true,
+                ..base
+            },
         ] {
             let w1 = p.weight(&upgraded);
             assert!(w1 >= w0 - 1e-12, "upgrade lowered weight: {w0} -> {w1}");
@@ -182,8 +200,14 @@ fn policy_weight_bw_monotone() {
         let a: u64 = rng.range(1_000..1_000_000_000u64);
         let b: u64 = rng.range(1_000..1_000_000_000u64);
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let w_lo = p.weight(&Candidate { est_up_bps: Some(lo), ..Default::default() });
-        let w_hi = p.weight(&Candidate { est_up_bps: Some(hi), ..Default::default() });
+        let w_lo = p.weight(&Candidate {
+            est_up_bps: Some(lo),
+            ..Default::default()
+        });
+        let w_hi = p.weight(&Candidate {
+            est_up_bps: Some(hi),
+            ..Default::default()
+        });
         assert!(w_hi >= w_lo - 1e-12);
     }
 }

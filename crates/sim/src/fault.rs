@@ -284,7 +284,9 @@ mod tests {
         };
         let run = || {
             let mut f = LinkFaults::new(params, rng());
-            (0..5_000u64).map(|t| f.packet_fate(t * 500)).collect::<Vec<_>>()
+            (0..5_000u64)
+                .map(|t| f.packet_fate(t * 500))
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }

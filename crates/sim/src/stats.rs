@@ -123,7 +123,11 @@ impl MeanMax {
         }
         let had = self.w.count() > 0;
         self.w.merge(&other.w);
-        self.max = if had { self.max.max(other.max) } else { other.max };
+        self.max = if had {
+            self.max.max(other.max)
+        } else {
+            other.max
+        };
     }
 }
 

@@ -65,8 +65,9 @@ fn serializer_work_conservation() {
     let mut rng = DetRng::stream(0xD15EA5E, "sim/serializer_work_conservation");
     for _ in 0..CASES {
         let rate: u64 = rng.range(100_000..200_000_000u64);
-        let mut arrivals =
-            vec_of(&mut rng, 200, |r| (r.range(0..5_000_000u64), r.range(40..1500u32)));
+        let mut arrivals = vec_of(&mut rng, 200, |r| {
+            (r.range(0..5_000_000u64), r.range(40..1500u32))
+        });
         if arrivals.is_empty() {
             arrivals.push((rng.range(0..5_000_000u64), rng.range(40..1500u32)));
         }
@@ -80,7 +81,10 @@ fn serializer_work_conservation() {
             let tx = l.tx_time_us(size);
             busy += tx;
             assert!(dep >= prev_dep + tx, "FIFO spacing violated");
-            assert!(dep.as_us() >= t + tx, "departed before transmission finished");
+            assert!(
+                dep.as_us() >= t + tx,
+                "departed before transmission finished"
+            );
             prev_dep = dep;
         }
         assert_eq!(l.busy_us(), busy);
@@ -176,8 +180,9 @@ fn histogram_quantile_matches_sorted() {
 fn rate_meter_conserves() {
     let mut rng = DetRng::stream(0xD15EA5E, "sim/rate_meter");
     for _ in 0..CASES {
-        let mut events =
-            vec_of(&mut rng, 200, |r| (r.range(0..60_000_000u64), r.range(1..100_000u64)));
+        let mut events = vec_of(&mut rng, 200, |r| {
+            (r.range(0..60_000_000u64), r.range(1..100_000u64))
+        });
         if events.is_empty() {
             events.push((rng.range(0..60_000_000u64), rng.range(1..100_000u64)));
         }

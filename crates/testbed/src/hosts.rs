@@ -24,13 +24,41 @@ pub struct Site {
 
 /// The seven sites of the experiments.
 pub const SITES: [Site; 7] = [
-    Site { name: "BME", cc: CountryCode::HU, as_label: "AS1" },
-    Site { name: "PoliTO", cc: CountryCode::IT, as_label: "AS2" },
-    Site { name: "MT", cc: CountryCode::HU, as_label: "AS3" },
-    Site { name: "ENST", cc: CountryCode::FR, as_label: "AS4" },
-    Site { name: "FFT", cc: CountryCode::FR, as_label: "AS5" },
-    Site { name: "UniTN", cc: CountryCode::IT, as_label: "AS2" },
-    Site { name: "WUT", cc: CountryCode::PL, as_label: "AS6" },
+    Site {
+        name: "BME",
+        cc: CountryCode::HU,
+        as_label: "AS1",
+    },
+    Site {
+        name: "PoliTO",
+        cc: CountryCode::IT,
+        as_label: "AS2",
+    },
+    Site {
+        name: "MT",
+        cc: CountryCode::HU,
+        as_label: "AS3",
+    },
+    Site {
+        name: "ENST",
+        cc: CountryCode::FR,
+        as_label: "AS4",
+    },
+    Site {
+        name: "FFT",
+        cc: CountryCode::FR,
+        as_label: "AS5",
+    },
+    Site {
+        name: "UniTN",
+        cc: CountryCode::IT,
+        as_label: "AS2",
+    },
+    Site {
+        name: "WUT",
+        cc: CountryCode::PL,
+        as_label: "AS6",
+    },
 ];
 
 /// One probe host row.
@@ -108,15 +136,39 @@ pub fn table1_hosts() -> Vec<HostDef> {
     for h in 1..=4 {
         v.push(HostDef::lan("BME", h));
     }
-    v.push(HostDef::home("BME", 5, AccessClass::Dsl(6_000, 512), false, false));
+    v.push(HostDef::home(
+        "BME",
+        5,
+        AccessClass::Dsl(6_000, 512),
+        false,
+        false,
+    ));
 
     // PoliTO, IT, AS2: 1-9 high-bw; 10 DSL 4/0.384; 11-12 DSL 8/0.384 NAT.
     for h in 1..=9 {
         v.push(HostDef::lan("PoliTO", h));
     }
-    v.push(HostDef::home("PoliTO", 10, AccessClass::Dsl(4_000, 384), false, false));
-    v.push(HostDef::home("PoliTO", 11, AccessClass::Dsl(8_000, 384), true, false));
-    v.push(HostDef::home("PoliTO", 12, AccessClass::Dsl(8_000, 384), true, false));
+    v.push(HostDef::home(
+        "PoliTO",
+        10,
+        AccessClass::Dsl(4_000, 384),
+        false,
+        false,
+    ));
+    v.push(HostDef::home(
+        "PoliTO",
+        11,
+        AccessClass::Dsl(8_000, 384),
+        true,
+        false,
+    ));
+    v.push(HostDef::home(
+        "PoliTO",
+        12,
+        AccessClass::Dsl(8_000, 384),
+        true,
+        false,
+    ));
 
     // MT, HU, AS3: 1-4 high-bw.
     for h in 1..=4 {
@@ -132,7 +184,13 @@ pub fn table1_hosts() -> Vec<HostDef> {
     for h in 1..=4 {
         v.push(HostDef::lan_flags("ENST", h, false, true));
     }
-    v.push(HostDef::home("ENST", 5, AccessClass::Dsl(22_000, 1_800), true, false));
+    v.push(HostDef::home(
+        "ENST",
+        5,
+        AccessClass::Dsl(22_000, 1_800),
+        true,
+        false,
+    ));
 
     // UniTN, IT, AS2: 1-5 high-bw; 6-7 high-bw NAT; 8 DSL 2.5/0.384 NAT+FW.
     for h in 1..=5 {
@@ -140,13 +198,25 @@ pub fn table1_hosts() -> Vec<HostDef> {
     }
     v.push(HostDef::lan_flags("UniTN", 6, true, false));
     v.push(HostDef::lan_flags("UniTN", 7, true, false));
-    v.push(HostDef::home("UniTN", 8, AccessClass::Dsl(2_500, 384), true, true));
+    v.push(HostDef::home(
+        "UniTN",
+        8,
+        AccessClass::Dsl(2_500, 384),
+        true,
+        true,
+    ));
 
     // WUT, PL, AS6: 1-8 high-bw; 9 CATV 6/0.512.
     for h in 1..=8 {
         v.push(HostDef::lan("WUT", h));
     }
-    v.push(HostDef::home("WUT", 9, AccessClass::Catv(6_000, 512), false, false));
+    v.push(HostDef::home(
+        "WUT",
+        9,
+        AccessClass::Catv(6_000, 512),
+        false,
+        false,
+    ));
 
     v
 }
@@ -211,7 +281,12 @@ mod tests {
         let hosts = table1_hosts();
         for h in &hosts {
             if h.home {
-                assert!(!h.is_high_bw(), "home host {}:{} must be low-bw", h.site, h.host);
+                assert!(
+                    !h.is_high_bw(),
+                    "home host {}:{} must be low-bw",
+                    h.site,
+                    h.host
+                );
             } else {
                 assert!(h.is_high_bw());
             }

@@ -21,9 +21,9 @@ pub mod scenario;
 pub use hosts::{table1_hosts, HostDef, Site, SITES};
 pub use matrix::{run_matrix, FaultSpec, MatrixConfig, SessionSpec};
 pub use population::PopulationConfig;
+pub use replication::{run_replicated, ReplicatedSummary, RunStat};
 pub use runner::{
     run_ablation, run_experiment, run_on_scenario, run_paper_suite, run_streamed,
     ExperimentOptions, ExperimentOutput,
 };
-pub use replication::{run_replicated, ReplicatedSummary, RunStat};
 pub use scenario::{BuiltScenario, ScenarioConfig};

@@ -156,9 +156,9 @@ impl MatrixConfig {
         }
         for sess in &self.sessions {
             for fs in &self.faults {
-                cell_plan(sess, fs).validate().map_err(|e| {
-                    format!("session {:?} × faults {:?}: {e}", sess.name, fs.name)
-                })?;
+                cell_plan(sess, fs)
+                    .validate()
+                    .map_err(|e| format!("session {:?} × faults {:?}: {e}", sess.name, fs.name))?;
             }
         }
         Ok(())
@@ -176,7 +176,13 @@ fn cell_plan(sess: &SessionSpec, fs: &FaultSpec) -> FaultPlan {
 
 /// Stable cell label: `<profile>/x<scale>/<session>/<faults>`.
 fn cell_label(profile: &str, scale: f64, session: &str, faults: &str) -> String {
-    format!("{}/x{}/{}/{}", profile.to_lowercase(), scale, session, faults)
+    format!(
+        "{}/x{}/{}/{}",
+        profile.to_lowercase(),
+        scale,
+        session,
+        faults
+    )
 }
 
 /// Filesystem-safe form of a cell label (per-cell corpus directory).
@@ -200,8 +206,8 @@ pub fn run_matrix(cfg: &MatrixConfig, out_dir: Option<&Path>) -> Result<MatrixRe
     // in the collected results regardless of execution interleaving.
     let mut todo = Vec::new();
     for pname in &cfg.profiles {
-        let profile = AppProfile::by_name(pname)
-            .ok_or_else(|| format!("unknown profile {pname:?}"))?;
+        let profile =
+            AppProfile::by_name(pname).ok_or_else(|| format!("unknown profile {pname:?}"))?;
         for &scale in &cfg.scales {
             for sess in &cfg.sessions {
                 for fs in &cfg.faults {
@@ -231,7 +237,9 @@ pub fn run_matrix(cfg: &MatrixConfig, out_dir: Option<&Path>) -> Result<MatrixRe
             // `None` where the cell leaves it unmeasurable.
             let pref_bytes = |metric: &str| {
                 out.analysis.preference(metric).and_then(|p| {
-                    p.download_all.is_measurable().then_some(p.download_all.bytes_pct)
+                    p.download_all
+                        .is_measurable()
+                        .then_some(p.download_all.bytes_pct)
                 })
             };
             Ok(CellSummary {
@@ -274,7 +282,10 @@ mod tests {
     fn example_config_validates_and_round_trips() {
         let cfg = MatrixConfig::from_json(&MatrixConfig::example_json()).expect("example parses");
         assert_eq!(cfg, MatrixConfig::example());
-        assert_eq!(cfg.profiles.len() * cfg.sessions.len() * cfg.faults.len(), 8);
+        assert_eq!(
+            cfg.profiles.len() * cfg.sessions.len() * cfg.faults.len(),
+            8
+        );
     }
 
     #[test]
@@ -328,6 +339,9 @@ mod tests {
         assert_eq!(a.cells[1].profile, "Epidemic-BA");
         // The epidemic cell actually pushed; the pull-only cell did not.
         assert_eq!(a.cells[0].chunks_pushed, 0);
-        assert!(a.cells[1].chunks_pushed > 0, "epidemic profile never pushed");
+        assert!(
+            a.cells[1].chunks_pushed > 0,
+            "epidemic profile never pushed"
+        );
     }
 }

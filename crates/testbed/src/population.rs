@@ -156,13 +156,25 @@ mod tests {
 
     #[test]
     fn generates_requested_count() {
-        let peers = generate(&slots(), &PopulationConfig { size: 2_000, seed: 1 });
+        let peers = generate(
+            &slots(),
+            &PopulationConfig {
+                size: 2_000,
+                seed: 1,
+            },
+        );
         assert_eq!(peers.len(), 2_000);
     }
 
     #[test]
     fn respects_weights_roughly() {
-        let peers = generate(&slots(), &PopulationConfig { size: 5_000, seed: 2 });
+        let peers = generate(
+            &slots(),
+            &PopulationConfig {
+                size: 5_000,
+                seed: 2,
+            },
+        );
         let cn = peers
             .iter()
             .filter(|p| Prefix::of(Ip::from_octets(58, 0, 0, 0), 9).contains(p.ip))
@@ -173,7 +185,13 @@ mod tests {
 
     #[test]
     fn addresses_unique_and_in_prefix() {
-        let peers = generate(&slots(), &PopulationConfig { size: 3_000, seed: 3 });
+        let peers = generate(
+            &slots(),
+            &PopulationConfig {
+                size: 3_000,
+                seed: 3,
+            },
+        );
         let mut seen = std::collections::BTreeSet::new();
         for p in &peers {
             assert!(seen.insert(p.ip), "duplicate {ip}", ip = p.ip);

@@ -176,12 +176,15 @@ mod tests {
             duration_us: 45_000_000,
             ..Default::default()
         };
-        let (summary, outputs) =
-            run_replicated(&AppProfile::sopcast(), &base, &[11, 12, 13]);
+        let (summary, outputs) = run_replicated(&AppProfile::sopcast(), &base, &[11, 12, 13]);
         assert_eq!(outputs.len(), 3);
         assert_eq!(summary.seeds, vec![11, 12, 13]);
         // BW conclusion must hold for every seed, tightly.
-        assert!(summary.bw_bytes_pct.min > 90.0, "{:?}", summary.bw_bytes_pct);
+        assert!(
+            summary.bw_bytes_pct.min > 90.0,
+            "{:?}",
+            summary.bw_bytes_pct
+        );
         assert!(summary.bw_bytes_pct.stddev < 5.0);
         assert!(summary.continuity.min > 0.9);
         let txt = summary.render();

@@ -13,9 +13,7 @@ use netaware_analysis::{
 };
 use netaware_faults::FaultPlan;
 use netaware_obs::{Level, Obs};
-use netaware_proto::{
-    AppProfile, NetworkEnv, StreamParams, Swarm, SwarmConfig, SwarmReport,
-};
+use netaware_proto::{AppProfile, NetworkEnv, StreamParams, Swarm, SwarmConfig, SwarmReport};
 use netaware_sim::SimTime;
 use netaware_trace::{CorpusSink, MemorySink, RecordSink, TraceError, TraceSet};
 use rayon::prelude::*;
@@ -267,8 +265,8 @@ mod tests {
 
     #[test]
     fn streamed_run_matches_in_memory_run() {
-        let dir = std::env::temp_dir()
-            .join(format!("netaware_runner_streamed_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("netaware_runner_streamed_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut opts = quick_opts();
         opts.duration_us = 25_000_000;

@@ -172,10 +172,7 @@ impl BuiltScenario {
                     .find(|(id, ..)| *id == asn)
                     .expect("home AS registered");
                 let alloc = home_allocs.entry(asn).or_insert_with(|| {
-                    AddressAllocator::dense(Prefix::of(
-                        Ip::from_octets(p[0], p[1], 77, 0),
-                        24,
-                    ))
+                    AddressAllocator::dense(Prefix::of(Ip::from_octets(p[0], p[1], 77, 0), 24))
                 });
                 #[expect(clippy::expect_used, reason = "a /24 holds every Table-1 home host")]
                 alloc.next_ip().expect("home subnet has room")
@@ -224,8 +221,16 @@ impl BuiltScenario {
             CountryCode::PL => 0.010,
             _ => 0.0,
         };
-        for cc in [CountryCode::HU, CountryCode::IT, CountryCode::FR, CountryCode::PL] {
-            let ases: Vec<_> = AS_RESIDENTIAL.iter().filter(|(_, _, c, _)| *c == cc).collect();
+        for cc in [
+            CountryCode::HU,
+            CountryCode::IT,
+            CountryCode::FR,
+            CountryCode::PL,
+        ] {
+            let ases: Vec<_> = AS_RESIDENTIAL
+                .iter()
+                .filter(|(_, _, c, _)| *c == cc)
+                .collect();
             for (_, _, _, p) in &ases {
                 slots.push(PopulationSlot {
                     prefix: Prefix::of(Ip::from_octets(p[0], p[1], 0, 0), 16),
@@ -269,11 +274,8 @@ impl BuiltScenario {
 
         // The scattered allocators roam whole ISP prefixes, which include
         // the home-probe subnets: drop the rare collisions.
-        let taken: std::collections::BTreeSet<Ip> = probes
-            .iter()
-            .map(|p| p.ip)
-            .chain([source.ip])
-            .collect();
+        let taken: std::collections::BTreeSet<Ip> =
+            probes.iter().map(|p| p.ip).chain([source.ip]).collect();
         externals.retain(|e| !taken.contains(&e.ip));
 
         BuiltScenario {
@@ -401,10 +403,7 @@ mod tests {
         let s = build_small();
         let mut cn = 0;
         for e in &s.externals {
-            let cc = s
-                .registry
-                .country_of(e.ip)
-                .expect("external must resolve");
+            let cc = s.registry.country_of(e.ip).expect("external must resolve");
             if cc == CountryCode::CN {
                 cn += 1;
             }
@@ -438,8 +437,22 @@ mod tests {
 
     #[test]
     fn scale_shrinks_population() {
-        let full = BuiltScenario::build(&ScenarioConfig { seed: 1, scale: 1.0, ..Default::default() }, 4_000);
-        let tenth = BuiltScenario::build(&ScenarioConfig { seed: 1, scale: 0.1, ..Default::default() }, 4_000);
+        let full = BuiltScenario::build(
+            &ScenarioConfig {
+                seed: 1,
+                scale: 1.0,
+                ..Default::default()
+            },
+            4_000,
+        );
+        let tenth = BuiltScenario::build(
+            &ScenarioConfig {
+                seed: 1,
+                scale: 0.1,
+                ..Default::default()
+            },
+            4_000,
+        );
         // Exact counts minus the rare probe-address collisions.
         assert!((3_995..=4_000).contains(&full.externals.len()));
         assert!((395..=400).contains(&tenth.externals.len()));

@@ -66,11 +66,17 @@ impl fmt::Display for TraceError {
             TraceError::BadMagic(m) => write!(f, "bad magic {m:?}, not a NAWT trace"),
             TraceError::BadVersion(v) => write!(f, "unsupported trace version {v}"),
             TraceError::Truncated { expected, got } => {
-                write!(f, "truncated trace: header said {expected} records, found {got}")
+                write!(
+                    f,
+                    "truncated trace: header said {expected} records, found {got}"
+                )
             }
             TraceError::CorruptRecord(i) => write!(f, "corrupt record at index {i}"),
             TraceError::OutOfOrder(i) => {
-                write!(f, "record {i} is out of timestamp order; finalize before writing")
+                write!(
+                    f,
+                    "record {i} is out of timestamp order; finalize before writing"
+                )
             }
             TraceError::BadManifest(why) => write!(f, "bad corpus manifest: {why}"),
         }
@@ -159,8 +165,16 @@ mod tests {
         for i in 0..n {
             t.push(PacketRecord {
                 ts_us: i * 100,
-                src: if i % 2 == 0 { probe } else { Ip(i as u32 | 0x3A00_0000) },
-                dst: if i % 2 == 0 { Ip(i as u32 | 0x3A00_0000) } else { probe },
+                src: if i % 2 == 0 {
+                    probe
+                } else {
+                    Ip(i as u32 | 0x3A00_0000)
+                },
+                dst: if i % 2 == 0 {
+                    Ip(i as u32 | 0x3A00_0000)
+                } else {
+                    probe
+                },
                 sport: (i % 65536) as u16,
                 dport: 8021,
                 size: 60 + (i % 1300) as u16,

@@ -303,7 +303,10 @@ mod tests {
     fn global_header_fields() {
         let mut buf = Vec::new();
         export_pcap(&sample_trace(), &mut buf).unwrap();
-        assert_eq!(u32::from_le_bytes(buf[0..4].try_into().unwrap()), PCAP_MAGIC);
+        assert_eq!(
+            u32::from_le_bytes(buf[0..4].try_into().unwrap()),
+            PCAP_MAGIC
+        );
         assert_eq!(u16::from_le_bytes(buf[4..6].try_into().unwrap()), 2);
         assert_eq!(u16::from_le_bytes(buf[6..8].try_into().unwrap()), 4);
         assert_eq!(

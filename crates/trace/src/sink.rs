@@ -247,8 +247,7 @@ mod tests {
 
     #[test]
     fn corpus_sink_matches_write_dir_layout() {
-        let dir = std::env::temp_dir()
-            .join(format!("netaware_sink_layout_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("netaware_sink_layout_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let p1 = Ip::from_octets(10, 0, 0, 1);
         let p2 = Ip::from_octets(10, 0, 1, 1);
@@ -264,8 +263,8 @@ mod tests {
         assert_eq!(set.total_packets(), 12);
         // Byte-identical manifest to the TraceSet::write_dir path.
         let via_sink = std::fs::read_to_string(dir.join("manifest.json")).unwrap();
-        let dir2 = std::env::temp_dir()
-            .join(format!("netaware_sink_layout2_{}", std::process::id()));
+        let dir2 =
+            std::env::temp_dir().join(format!("netaware_sink_layout2_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir2);
         set.write_dir(&dir2).unwrap();
         let via_set = std::fs::read_to_string(dir2.join("manifest.json")).unwrap();
@@ -276,8 +275,8 @@ mod tests {
 
     #[test]
     fn corpus_sink_replaces_an_older_spill() {
-        let dir = std::env::temp_dir()
-            .join(format!("netaware_sink_respill_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("netaware_sink_respill_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let p1 = Ip::from_octets(10, 0, 0, 1);
         let spill = |n| {

@@ -117,8 +117,7 @@ impl<R: Read> RecordStream<R> {
             }
             Err(e) => return Err(e.into()),
         }
-        let rec =
-            PacketRecord::decode(&buf).ok_or(TraceError::CorruptRecord(self.yielded))?;
+        let rec = PacketRecord::decode(&buf).ok_or(TraceError::CorruptRecord(self.yielded))?;
         if rec.ts_us < self.last_ts {
             return Err(TraceError::OutOfOrder(self.yielded));
         }
@@ -357,8 +356,7 @@ mod tests {
 
     #[test]
     fn corpus_stream_walks_every_probe() {
-        let dir = std::env::temp_dir()
-            .join(format!("netaware_stream_walk_{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("netaware_stream_walk_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut set = TraceSet::new("SopCast", 60_000_000);
         for k in 0..3u8 {
@@ -389,8 +387,8 @@ mod tests {
 
     #[test]
     fn corpus_stream_detects_probe_mismatch() {
-        let dir = std::env::temp_dir()
-            .join(format!("netaware_stream_mismatch_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("netaware_stream_mismatch_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let probe = Ip::from_octets(10, 0, 0, 1);
         let other = Ip::from_octets(10, 0, 9, 9);
@@ -400,9 +398,8 @@ mod tests {
         set.write_dir(&dir).unwrap();
         // Overwrite the probe file with a capture from someone else.
         let imposter = ProbeTrace::new(other);
-        let mut w = std::io::BufWriter::new(
-            File::create(dir.join(format!("{probe}.nawt"))).unwrap(),
-        );
+        let mut w =
+            std::io::BufWriter::new(File::create(dir.join(format!("{probe}.nawt"))).unwrap());
         write_trace(&imposter, &mut w).unwrap();
         drop(w);
         let corpus = CorpusStream::open(&dir).unwrap();

@@ -55,6 +55,8 @@ fn main() {
     }
     let hop = out.analysis.preference("HOP").unwrap();
     if (35.0..65.0).contains(&hop.download_nonw.bytes_pct) {
-        println!("→ no preference for shorter paths once the probe set is excluded (not HOP-aware)");
+        println!(
+            "→ no preference for shorter paths once the probe set is excluded (not HOP-aware)"
+        );
     }
 }

@@ -56,7 +56,11 @@ fn main() {
 
     // Native binary format round trip.
     let bin_path = format!("{out_dir}/probe.nawt");
-    write_trace(&trace, &mut BufWriter::new(File::create(&bin_path).unwrap())).unwrap();
+    write_trace(
+        &trace,
+        &mut BufWriter::new(File::create(&bin_path).unwrap()),
+    )
+    .unwrap();
     let back = read_trace(&mut BufReader::new(File::open(&bin_path).unwrap())).unwrap();
     assert_eq!(back.len(), trace.len());
     println!(
@@ -66,9 +70,16 @@ fn main() {
 
     // Classic pcap export + import.
     let pcap_path = format!("{out_dir}/probe.pcap");
-    export_pcap(&trace, &mut BufWriter::new(File::create(&pcap_path).unwrap())).unwrap();
-    let (reimported, skipped) =
-        import_pcap(trace.probe, &mut BufReader::new(File::open(&pcap_path).unwrap())).unwrap();
+    export_pcap(
+        &trace,
+        &mut BufWriter::new(File::create(&pcap_path).unwrap()),
+    )
+    .unwrap();
+    let (reimported, skipped) = import_pcap(
+        trace.probe,
+        &mut BufReader::new(File::open(&pcap_path).unwrap()),
+    )
+    .unwrap();
     assert_eq!(skipped, 0);
     assert_eq!(reimported.len(), trace.len());
     println!(

@@ -87,15 +87,14 @@
 use netaware::analysis::tables;
 use netaware::analysis::AnalysisConfig;
 use netaware::net::{CountryCode, Ip};
-use netaware::testbed::{
-    self, run_experiment, run_paper_suite, BuiltScenario, ExperimentOptions, ScenarioConfig,
-};
 use netaware::obs::{
-    alloc, EventSink, JsonlSink, LogSummary, MetricsSnapshot, NullSink, ProfileNode,
-    WallClock,
+    alloc, EventSink, JsonlSink, LogSummary, MetricsSnapshot, NullSink, ProfileNode, WallClock,
 };
 use netaware::proto::mesh::{run_mesh, MeshConfig};
 use netaware::proto::StreamParams;
+use netaware::testbed::{
+    self, run_experiment, run_paper_suite, BuiltScenario, ExperimentOptions, ScenarioConfig,
+};
 use netaware::trace::pcap::{export_pcap, import_pcap};
 use netaware::trace::{ProbeTrace, TraceError, TraceSet};
 use netaware::{AppProfile, FaultPlan, Obs};
@@ -221,7 +220,11 @@ fn parse_common(args: &[String]) -> Result<Common, String> {
             "--faults" => faults_file = Some(take(&mut i)?),
             "--loss" => loss = Some(take(&mut i)?.parse().map_err(|e| format!("loss: {e}"))?),
             "--jitter-us" => {
-                jitter_us = Some(take(&mut i)?.parse().map_err(|e| format!("jitter-us: {e}"))?)
+                jitter_us = Some(
+                    take(&mut i)?
+                        .parse()
+                        .map_err(|e| format!("jitter-us: {e}"))?,
+                )
             }
             "--churn" => churn = true,
             "--app" => c.app = Some(take(&mut i)?),
@@ -241,9 +244,7 @@ fn parse_common(args: &[String]) -> Result<Common, String> {
                 }
             }
             "--probe" => {
-                let ip: Ip = take(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--probe: {e}"))?;
+                let ip: Ip = take(&mut i)?.parse().map_err(|e| format!("--probe: {e}"))?;
                 pending_probe = Some(ip);
             }
             other if !other.starts_with("--") => {
@@ -263,8 +264,8 @@ fn parse_common(args: &[String]) -> Result<Common, String> {
     // overriding/extending it.
     let plan = match &faults_file {
         Some(path) => {
-            let body = std::fs::read_to_string(path)
-                .map_err(|e| format!("--faults {path}: {e}"))?;
+            let body =
+                std::fs::read_to_string(path).map_err(|e| format!("--faults {path}: {e}"))?;
             FaultPlan::from_json(&body).map_err(|e| format!("--faults {path}: {e}"))?
         }
         None => FaultPlan::none(),
@@ -280,26 +281,66 @@ fn parse_common(args: &[String]) -> Result<Common, String> {
 fn flags_read_by(cmd: &str) -> Option<&'static [&'static str]> {
     Some(match cmd {
         "suite" => &[
-            "--scale", "--secs", "--seed", "--faults", "--loss", "--jitter-us", "--churn",
-            "--json", "--csv", "--markdown",
+            "--scale",
+            "--secs",
+            "--seed",
+            "--faults",
+            "--loss",
+            "--jitter-us",
+            "--churn",
+            "--json",
+            "--csv",
+            "--markdown",
         ],
         "run" => &[
-            "--app", "--uniform", "--persite", "--spill", "--scale", "--secs", "--seed",
-            "--faults", "--loss", "--jitter-us", "--churn", "--json", "--obs-log", "--metrics",
+            "--app",
+            "--uniform",
+            "--persite",
+            "--spill",
+            "--scale",
+            "--secs",
+            "--seed",
+            "--faults",
+            "--loss",
+            "--jitter-us",
+            "--churn",
+            "--json",
+            "--obs-log",
+            "--metrics",
             "--profile",
         ],
         "replicate" => &[
-            "--app", "--runs", "--scale", "--secs", "--seed", "--faults", "--loss", "--jitter-us",
+            "--app",
+            "--runs",
+            "--scale",
+            "--secs",
+            "--seed",
+            "--faults",
+            "--loss",
+            "--jitter-us",
             "--churn",
         ],
         "nextgen" => &[
-            "--scale", "--secs", "--seed", "--faults", "--loss", "--jitter-us", "--churn",
+            "--scale",
+            "--secs",
+            "--seed",
+            "--faults",
+            "--loss",
+            "--jitter-us",
+            "--churn",
         ],
         "matrix" => &["--config", "--out", "--seed", "--json", "--example"],
         "testbed" => &["--scale"],
         "mesh" => &["--peers", "--secs", "--seed"],
         "export" => &[
-            "--app", "--dir", "--scale", "--secs", "--seed", "--faults", "--loss", "--jitter-us",
+            "--app",
+            "--dir",
+            "--scale",
+            "--secs",
+            "--seed",
+            "--faults",
+            "--loss",
+            "--jitter-us",
             "--churn",
         ],
         "analyze" => &["--dir", "--probe", "--json", "--profile"],
@@ -406,7 +447,12 @@ fn cmd_suite(c: &Common) -> ExitCode {
         let f = &o.analysis.friendliness;
         println!(
             "  {:<8} {:>9.1} {:>9.1} {:>9.1} {:>10.1} {:>10.1}",
-            o.app, f.subnet_pct, f.intra_as_pct, f.intra_cc_pct, f.transit_pct, f.mean_hops_per_byte
+            o.app,
+            f.subnet_pct,
+            f.intra_as_pct,
+            f.intra_cc_pct,
+            f.transit_pct,
+            f.mean_hops_per_byte
         );
     }
     println!();
@@ -439,10 +485,7 @@ fn write_suite_artifacts(c: &Common, outs: &[testbed::ExperimentOutput]) -> Resu
         eprintln!("CSV artifacts written to {dir}/");
     }
     if let Some(path) = &c.markdown {
-        let md = netaware::analysis::markdown::render_report(
-            &refs,
-            "netaware reproduction suite",
-        );
+        let md = netaware::analysis::markdown::render_report(&refs, "netaware reproduction suite");
         write_file(path, md)?;
         eprintln!("markdown report written to {path}");
     }
@@ -504,7 +547,11 @@ fn cmd_run(c: &Common) -> ExitCode {
     if c.persite {
         let traces = out.traces.as_ref().expect("keep_traces set");
         let scenario = BuiltScenario::build(
-            &ScenarioConfig { seed: c.seed, scale: c.scale, ..Default::default() },
+            &ScenarioConfig {
+                seed: c.seed,
+                scale: c.scale,
+                ..Default::default()
+            },
             1, // registry only; population size irrelevant here
         );
         let pfs = netaware::analysis::flows::aggregate(traces, &AnalysisConfig::default());
@@ -559,7 +606,11 @@ fn cmd_run(c: &Common) -> ExitCode {
             eprintln!("run: no metrics recorded");
             return ExitCode::FAILURE;
         };
-        let body = if path.ends_with(".csv") { snap.to_csv() } else { snap.to_json() };
+        let body = if path.ends_with(".csv") {
+            snap.to_csv()
+        } else {
+            snap.to_json()
+        };
         if let Err(e) = std::fs::write(path, body) {
             eprintln!("run: writing metrics to {path} failed: {e}");
             return ExitCode::FAILURE;
@@ -572,7 +623,11 @@ fn cmd_run(c: &Common) -> ExitCode {
     }
     if let Some(tree) = obs.profile_tree() {
         for phase in tree.phases() {
-            eprintln!("timing: {:<20} {:>10.3} ms", phase.name, phase.wall_ns as f64 / 1e6);
+            eprintln!(
+                "timing: {:<20} {:>10.3} ms",
+                phase.name,
+                phase.wall_ns as f64 / 1e6
+            );
         }
     }
     ExitCode::SUCCESS
@@ -678,7 +733,9 @@ fn cmd_replicate(c: &Common) -> ExitCode {
         eprintln!("unknown app {name}");
         return ExitCode::from(2);
     };
-    let seeds: Vec<u64> = (0..c.runs).map(|i| c.seed.wrapping_add(i.wrapping_mul(37))).collect();
+    let seeds: Vec<u64> = (0..c.runs)
+        .map(|i| c.seed.wrapping_add(i.wrapping_mul(37)))
+        .collect();
     let (summary, _) = netaware::testbed::run_replicated(&profile, &opts_of(c), &seeds);
     println!("{}", summary.render());
     ExitCode::SUCCESS
@@ -798,8 +855,14 @@ fn cmd_testbed(c: &Common) -> ExitCode {
     println!("{}", testbed::hosts::render_table1());
 
     let scale = c.scale;
-    let scenario =
-        BuiltScenario::build(&ScenarioConfig { seed: 42, scale, ..Default::default() }, 20_000);
+    let scenario = BuiltScenario::build(
+        &ScenarioConfig {
+            seed: 42,
+            scale,
+            ..Default::default()
+        },
+        20_000,
+    );
     let registry = &scenario.registry;
     println!("registered ASes ({}):", registry.ases().len());
     for info in registry.ases() {
@@ -820,7 +883,10 @@ fn cmd_testbed(c: &Common) -> ExitCode {
     }
 
     let externals = &scenario.externals;
-    println!("\nexternal population at scale {scale}: {} peers", externals.len());
+    println!(
+        "\nexternal population at scale {scale}: {} peers",
+        externals.len()
+    );
     let mut by_cc: std::collections::BTreeMap<&str, (usize, usize)> = Default::default();
     for e in externals {
         let cc = registry.country_of(e.ip).unwrap_or(CountryCode::Other);
@@ -830,7 +896,10 @@ fn cmd_testbed(c: &Common) -> ExitCode {
             entry.1 += 1;
         }
     }
-    println!("  {:<4} {:>8} {:>10} {:>10}", "CC", "peers", "high-bw", "share");
+    println!(
+        "  {:<4} {:>8} {:>10} {:>10}",
+        "CC", "peers", "high-bw", "share"
+    );
     for (cc, (n, high)) in &by_cc {
         println!(
             "  {:<4} {:>8} {:>10} {:>9.1}%",
@@ -952,7 +1021,9 @@ fn write_pcap(trace: &ProbeTrace, path: &str) -> Result<(), TraceError> {
 
 fn cmd_analyze(c: &Common) -> ExitCode {
     if c.dir.is_none() && c.pcaps.is_empty() {
-        eprintln!("analyze: `--dir CORPUS` or at least one `--probe IP FILE.pcap` pair is required");
+        eprintln!(
+            "analyze: `--dir CORPUS` or at least one `--probe IP FILE.pcap` pair is required"
+        );
         return ExitCode::from(2);
     }
     let obs = if c.profile_out.is_some() {
@@ -961,7 +1032,14 @@ fn cmd_analyze(c: &Common) -> ExitCode {
         Obs::default()
     };
     // Resolve against the reconstructed testbed registry.
-    let scenario = BuiltScenario::build(&ScenarioConfig { seed: 42, scale: 0.01, ..Default::default() }, 100);
+    let scenario = BuiltScenario::build(
+        &ScenarioConfig {
+            seed: 42,
+            scale: 0.01,
+            ..Default::default()
+        },
+        100,
+    );
     let cfg = AnalysisConfig::default();
     let a = if let Some(dir) = &c.dir {
         // A saved corpus directory (from `export` or `run --spill`)
@@ -996,7 +1074,10 @@ fn cmd_analyze(c: &Common) -> ExitCode {
             &obs,
         )
     };
-    println!("{}", tables::render_table4(&[(a.app.clone(), a.preferences.clone())]));
+    println!(
+        "{}",
+        tables::render_table4(&[(a.app.clone(), a.preferences.clone())])
+    );
     println!(
         "{} packets, {} peers observed, hop threshold {}",
         a.total_packets, a.geo.total_peers, a.hop_threshold
@@ -1022,7 +1103,14 @@ fn read_pcaps(pcaps: &[(Ip, String)]) -> Result<TraceSet, String> {
         if skipped > 0 {
             eprintln!("{path}: skipped {skipped} non-UDP/IPv4 frames");
         }
-        max_ts = max_ts.max(trace.records_unsorted().iter().map(|r| r.ts_us).max().unwrap_or(0));
+        max_ts = max_ts.max(
+            trace
+                .records_unsorted()
+                .iter()
+                .map(|r| r.ts_us)
+                .max()
+                .unwrap_or(0),
+        );
         set.add(trace);
     }
     set.duration_us = max_ts + 1;

@@ -55,6 +55,4 @@ pub use netaware_analysis::{analyze, analyze_corpus, AnalysisConfig, ExperimentA
 pub use netaware_faults::{ChurnPlan, FaultPlan, LinkFaultPlan, SessionModel, TrackerOutage};
 pub use netaware_obs::Obs;
 pub use netaware_proto::AppProfile;
-pub use netaware_testbed::{
-    run_experiment, run_paper_suite, run_streamed, ExperimentOptions,
-};
+pub use netaware_testbed::{run_experiment, run_paper_suite, run_streamed, ExperimentOptions};

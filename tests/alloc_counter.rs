@@ -75,8 +75,15 @@ fn scheduler_steady_state_allocates_nothing() {
     let phase = |s: &mut Scheduler<u64>| {
         let mut x = 0x9e3779b97f4a7c15u64;
         for i in 0..20_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            s.push_keyed(SimTime::from_us(s.now().as_us() + (x >> 40) % 5_000), 1, i as u32, i);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            s.push_keyed(
+                SimTime::from_us(s.now().as_us() + (x >> 40) % 5_000),
+                1,
+                i as u32,
+                i,
+            );
             if i % 2 == 0 {
                 s.pop();
             }
@@ -119,7 +126,10 @@ fn swarm_loop_allocates_less_than_once_per_event() {
     };
     let plans = [
         ("clean", FaultPlan::none()),
-        ("faulted", FaultPlan::none().with_flags(Some(0.05), Some(2_000), true)),
+        (
+            "faulted",
+            FaultPlan::none().with_flags(Some(0.05), Some(2_000), true),
+        ),
     ];
     let mut cells = vec![(AppProfile::pplive(), "flash crowd", flashcrowd)];
     for profile in [

@@ -31,13 +31,26 @@ fn testbed_prints_table1() {
 
     // After Table I: the AS/prefix plan and the external census at the
     // requested scale.
-    let out = cli().args(["testbed", "--scale", "0.02"]).output().expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = cli()
+        .args(["testbed", "--scale", "0.02"])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let s = String::from_utf8_lossy(&out.stdout);
     assert!(s.contains("TABLE I"));
     assert!(s.contains("registered ASes ("), "no AS plan in {s}");
-    assert!(s.contains("external population at scale 0.02: "), "no census in {s}");
-    assert!(s.lines().any(|l| l.split_whitespace().next() == Some("CN")), "no CN row in {s}");
+    assert!(
+        s.contains("external population at scale 0.02: "),
+        "no census in {s}"
+    );
+    assert!(
+        s.lines().any(|l| l.split_whitespace().next() == Some("CN")),
+        "no CN row in {s}"
+    );
     assert!(s.contains("high-bandwidth (institution LANs)"));
 }
 
@@ -45,10 +58,21 @@ fn testbed_prints_table1() {
 /// friendliness table and one ground-truth line per paper application.
 #[test]
 fn suite_prints_hops_friendliness_and_truth() {
-    let out = cli().args(["suite", "--scale", "0.02", "--secs", "5"]).output().expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = cli()
+        .args(["suite", "--scale", "0.02", "--secs", "5"])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let s = String::from_utf8_lossy(&out.stdout);
-    for block in ["TABLE IV", "HOP DISTRIBUTIONS", "NETWORK FRIENDLINESS (extension metrics)"] {
+    for block in [
+        "TABLE IV",
+        "HOP DISTRIBUTIONS",
+        "NETWORK FRIENDLINESS (extension metrics)",
+    ] {
         assert!(s.contains(block), "no {block} block in {s}");
     }
     let truth: Vec<&str> = s.lines().filter(|l| l.starts_with("[truth] ")).collect();
@@ -62,15 +86,28 @@ fn suite_prints_hops_friendliness_and_truth() {
 /// and in-country columns, then states the transit saving.
 #[test]
 fn nextgen_prints_locality_columns_and_transit_saving() {
-    let out = cli().args(["nextgen", "--scale", "0.02", "--secs", "5"]).output().expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = cli()
+        .args(["nextgen", "--scale", "0.02", "--secs", "5"])
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let s = String::from_utf8_lossy(&out.stdout);
     let header = s.lines().next().unwrap_or_default();
     for column in ["subnet%", "intraAS%", "intraCC%", "transit%", "continuity"] {
         assert!(header.contains(column), "no {column} in {header}");
     }
-    assert!(s.lines().any(|l| l.starts_with("NAPA-NG ")), "no NAPA-NG row in {s}");
-    assert!(s.contains("NAPA-NG transit share "), "no transit saving in {s}");
+    assert!(
+        s.lines().any(|l| l.starts_with("NAPA-NG ")),
+        "no NAPA-NG row in {s}"
+    );
+    assert!(
+        s.contains("NAPA-NG transit share "),
+        "no transit saving in {s}"
+    );
 }
 
 /// `mesh` runs the full chunk-level mesh and checks the swarm's
@@ -103,20 +140,16 @@ fn run_produces_tables_and_json() {
     let json = std::env::temp_dir().join("netaware_cli_test.json");
     let out = cli()
         .args([
-            "run",
-            "tvants",
-            "--scale",
-            "0.02",
-            "--secs",
-            "30",
-            "--seed",
-            "9",
-            "--json",
+            "run", "tvants", "--scale", "0.02", "--secs", "30", "--seed", "9", "--json",
         ])
         .arg(&json)
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let s = String::from_utf8_lossy(&out.stdout);
     assert!(s.contains("TABLE IV"));
     assert!(s.contains("friendliness:"));
@@ -170,17 +203,32 @@ fn run_obs_log_and_metrics_roundtrip() {
     let log = std::env::temp_dir().join("netaware_cli_obs.jsonl");
     let metrics = std::env::temp_dir().join("netaware_cli_metrics.json");
     let out = cli()
-        .args(["run", "tvants", "--scale", "0.02", "--secs", "20", "--obs-log"])
+        .args([
+            "run",
+            "tvants",
+            "--scale",
+            "0.02",
+            "--secs",
+            "20",
+            "--obs-log",
+        ])
         .arg(&log)
         .arg("--metrics")
         .arg(&metrics)
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("event log written"));
     assert!(err.contains("metrics snapshot written"));
-    assert!(!err.contains("timing:"), "phase timings printed without --profile");
+    assert!(
+        !err.contains("timing:"),
+        "phase timings printed without --profile"
+    );
 
     // The event log is JSONL naming every instrumented layer.
     let body = std::fs::read_to_string(&log).unwrap();
@@ -195,13 +243,27 @@ fn run_obs_log_and_metrics_roundtrip() {
     let snap: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&metrics).unwrap()).unwrap();
     let counters = serde_json::value::field(snap.as_map().expect("object"), "counters");
-    let requested =
-        serde_json::value::field(counters.as_map().expect("counters"), "proto.chunks_requested");
-    assert!(requested.as_u64().is_some_and(|n| n > 0), "no chunks requested");
+    let requested = serde_json::value::field(
+        counters.as_map().expect("counters"),
+        "proto.chunks_requested",
+    );
+    assert!(
+        requested.as_u64().is_some_and(|n| n > 0),
+        "no chunks requested"
+    );
 
     // `obs summarize` renders the same log.
-    let out = cli().arg("obs").arg("summarize").arg(&log).output().expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = cli()
+        .arg("obs")
+        .arg("summarize")
+        .arg(&log)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let s = String::from_utf8_lossy(&out.stdout);
     assert!(s.contains("top targets:"));
     assert!(s.contains("swarm.scheduling.chunk_sched"));
@@ -211,8 +273,16 @@ fn run_obs_log_and_metrics_roundtrip() {
     // silently short.
     let cut = body.len() - 20;
     std::fs::write(&log, &body.as_bytes()[..cut]).unwrap();
-    let out = cli().arg("obs").arg("summarize").arg(&log).output().expect("spawn");
-    assert!(!out.status.success(), "truncated log summarized successfully");
+    let out = cli()
+        .arg("obs")
+        .arg("summarize")
+        .arg(&log)
+        .output()
+        .expect("spawn");
+    assert!(
+        !out.status.success(),
+        "truncated log summarized successfully"
+    );
     assert!(String::from_utf8_lossy(&out.stderr).contains("line"));
 
     let _ = std::fs::remove_file(&log);
@@ -240,7 +310,11 @@ fn export_then_analyze_roundtrip() {
         .arg(&dir)
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 
     // Pick one exported pcap and re-analyze it.
     let pcap = std::fs::read_dir(&dir)
@@ -255,7 +329,11 @@ fn export_then_analyze_roundtrip() {
         .arg(&pcap)
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let s = String::from_utf8_lossy(&out.stdout);
     assert!(s.contains("TABLE IV"));
     assert!(s.contains("packets"));
@@ -267,24 +345,46 @@ fn run_profile_prints_phase_timings() {
     let profile =
         std::env::temp_dir().join(format!("netaware_cli_profile_{}.json", std::process::id()));
     let out = cli()
-        .args(["run", "tvants", "--scale", "0.02", "--secs", "10", "--profile"])
+        .args([
+            "run",
+            "tvants",
+            "--scale",
+            "0.02",
+            "--secs",
+            "10",
+            "--profile",
+        ])
         .arg(&profile)
         .output()
         .expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(
         err.lines().any(|l| l.starts_with("timing: analysis.sweep")),
         "no analysis.sweep timing in {err}"
     );
     assert!(
-        err.lines().any(|l| l.starts_with("profile written to") && l.contains("peak heap")),
+        err.lines()
+            .any(|l| l.starts_with("profile written to") && l.contains("peak heap")),
         "no profile line with the peak heap in {err}"
     );
 
     // `obs profile` renders what `--profile` wrote.
-    let out = cli().arg("obs").arg("profile").arg(&profile).output().expect("spawn");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = cli()
+        .arg("obs")
+        .arg("profile")
+        .arg(&profile)
+        .output()
+        .expect("spawn");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let table = String::from_utf8_lossy(&out.stdout);
     for span in ["swarm.dispatch", "analysis.sweep"] {
         assert!(
@@ -294,11 +394,23 @@ fn run_profile_prints_phase_timings() {
     }
 
     // A file in the old report format is an error naming the file.
-    std::fs::write(&profile, r#"{"schema":1,"meta":{"scenario":"tvants_clean"}}"#).unwrap();
-    let out = cli().arg("obs").arg("profile").arg(&profile).output().expect("spawn");
+    std::fs::write(
+        &profile,
+        r#"{"schema":1,"meta":{"scenario":"tvants_clean"}}"#,
+    )
+    .unwrap();
+    let out = cli()
+        .arg("obs")
+        .arg("profile")
+        .arg(&profile)
+        .output()
+        .expect("spawn");
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{err}");
-    assert!(err.contains(&*profile.to_string_lossy()), "file not named in {err}");
+    assert!(
+        err.contains(&*profile.to_string_lossy()),
+        "file not named in {err}"
+    );
     assert!(!err.contains("panicked"), "obs profile panicked: {err}");
     let _ = std::fs::remove_file(&profile);
 }
@@ -309,28 +421,56 @@ fn run_profile_prints_phase_timings() {
 #[test]
 fn obs_diff_pairs_spans_and_flags_workload_drift() {
     let tmp = |tag: &str| {
-        std::env::temp_dir().join(format!("netaware_cli_diff_{tag}_{}.json", std::process::id()))
+        std::env::temp_dir().join(format!(
+            "netaware_cli_diff_{tag}_{}.json",
+            std::process::id()
+        ))
     };
     let (a, b, c) = (tmp("a"), tmp("b"), tmp("c"));
     for (path, secs) in [(&a, "10"), (&b, "10"), (&c, "11")] {
         let out = cli()
-            .args(["run", "tvants", "--scale", "0.02", "--seed", "5", "--secs", secs, "--profile"])
+            .args([
+                "run",
+                "tvants",
+                "--scale",
+                "0.02",
+                "--seed",
+                "5",
+                "--secs",
+                secs,
+                "--profile",
+            ])
             .arg(path)
             .output()
             .expect("spawn");
-        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
     }
     let diff = |x: &std::path::Path, y: &std::path::Path| {
-        cli().args(["obs", "diff"]).arg(x).arg(y).output().expect("spawn")
+        cli()
+            .args(["obs", "diff"])
+            .arg(x)
+            .arg(y)
+            .output()
+            .expect("spawn")
     };
 
     // The same seeded run twice did the same work: one row per span.
     let out = diff(&a, &b);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     let table = String::from_utf8_lossy(&out.stdout);
     for span in ["swarm.dispatch", "behaviour.scheduling", "analysis.sweep"] {
         assert!(
-            table.lines().any(|l| l.trim_start().starts_with(span) && l.contains('→')),
+            table
+                .lines()
+                .any(|l| l.trim_start().starts_with(span) && l.contains('→')),
             "no {span} row in {table}"
         );
     }
@@ -349,7 +489,10 @@ fn obs_diff_pairs_spans_and_flags_workload_drift() {
     let out = diff(&a, &c);
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{err}");
-    assert!(err.contains(&*c.to_string_lossy()), "file not named in {err}");
+    assert!(
+        err.contains(&*c.to_string_lossy()),
+        "file not named in {err}"
+    );
     assert!(!err.contains("panicked"), "obs diff panicked: {err}");
     for f in [a, b, c] {
         let _ = std::fs::remove_file(f);
@@ -366,7 +509,10 @@ fn subcommands_reject_flags_they_do_not_read() {
     let cases: [(&[&str], &str); 5] = [
         (&["suite", "--profile", &tmp], "--profile"),
         (&["nextgen", "--json", &tmp], "--json"),
-        (&["replicate", "tvants", "--runs", "1", "--json", &tmp], "--json"),
+        (
+            &["replicate", "tvants", "--runs", "1", "--json", &tmp],
+            "--json",
+        ),
         (&["suite", "--spill", &tmp], "--spill"),
         (&["run", "tvants", "--csv", &tmp], "--csv"),
     ];
@@ -377,17 +523,22 @@ fn subcommands_reject_flags_they_do_not_read() {
         let message = format!("{} does not take {flag}", args[0]);
         assert!(err.contains(&message), "{args:?}: unexpected stderr {err}");
         assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
-        assert!(out.stdout.is_empty(), "{args:?} ran before rejecting {flag}");
+        assert!(
+            out.stdout.is_empty(),
+            "{args:?} ran before rejecting {flag}"
+        );
     }
-    assert!(!std::path::Path::new(&tmp).exists(), "a rejected flag wrote {tmp}");
+    assert!(
+        !std::path::Path::new(&tmp).exists(),
+        "a rejected flag wrote {tmp}"
+    );
 }
 
 /// A hostile nesting depth in a JSON input is a parse error, not a
 /// stack overflow that kills the process.
 #[test]
 fn deeply_nested_json_is_rejected() {
-    let deep =
-        std::env::temp_dir().join(format!("netaware_cli_deep_{}.json", std::process::id()));
+    let deep = std::env::temp_dir().join(format!("netaware_cli_deep_{}.json", std::process::id()));
     std::fs::write(&deep, "[".repeat(100_000)).unwrap();
     let cases: [(&[&str], i32); 2] = [
         (&["run", "pplive", "--faults"], 2),
@@ -396,9 +547,15 @@ fn deeply_nested_json_is_rejected() {
     for (args, code) in cases {
         let out = cli().args(args).arg(&deep).output().expect("spawn");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(out.status.code().is_some(), "{args:?} killed by a signal: {err}");
+        assert!(
+            out.status.code().is_some(),
+            "{args:?} killed by a signal: {err}"
+        );
         assert_eq!(out.status.code(), Some(code), "{args:?}: {err}");
-        assert!(err.contains("nesting deeper than"), "{args:?}: unexpected stderr {err}");
+        assert!(
+            err.contains("nesting deeper than"),
+            "{args:?}: unexpected stderr {err}"
+        );
     }
     let _ = std::fs::remove_file(&deep);
 }
@@ -411,11 +568,36 @@ fn ordinary_mistakes_exit_without_panicking() {
     let dir = dir.to_string_lossy().into_owned();
     let json = "/nonexistent/dir/o.json";
     let cases: [(&[&str], i32, &str); 4] = [
-        (&["export", "--dir", &dir, "--app", "bogus"], 2, "unknown app bogus"),
-        (&["run", "tvants", "--scale", "0.02", "--secs", "5", "--json", json], 1, json),
-        (&["analyze", "--probe", "10.0.0.1", "/missing.pcap"], 1, "/missing.pcap"),
+        (
+            &["export", "--dir", &dir, "--app", "bogus"],
+            2,
+            "unknown app bogus",
+        ),
+        (
+            &[
+                "run", "tvants", "--scale", "0.02", "--secs", "5", "--json", json,
+            ],
+            1,
+            json,
+        ),
+        (
+            &["analyze", "--probe", "10.0.0.1", "/missing.pcap"],
+            1,
+            "/missing.pcap",
+        ),
         // The first whole second past what u64 microseconds hold.
-        (&["run", "tvants", "--scale", "0.02", "--secs", "18446744073710"], 2, "secs"),
+        (
+            &[
+                "run",
+                "tvants",
+                "--scale",
+                "0.02",
+                "--secs",
+                "18446744073710",
+            ],
+            2,
+            "secs",
+        ),
     ];
     for (args, code, message) in cases {
         let out = cli().args(args).output().expect("spawn");
@@ -426,11 +608,22 @@ fn ordinary_mistakes_exit_without_panicking() {
     }
     // Replicate seeds step by 37 and wrap past u64::MAX.
     let args = [
-        "replicate", "tvants", "--seed", "18446744073709551615", "--runs", "2", "--scale", "0.02",
-        "--secs", "5",
+        "replicate",
+        "tvants",
+        "--seed",
+        "18446744073709551615",
+        "--runs",
+        "2",
+        "--scale",
+        "0.02",
+        "--secs",
+        "5",
     ];
     let out = cli().args(args).output().expect("spawn");
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(0), "{args:?}: {err}");
-    assert!(String::from_utf8_lossy(&out.stdout).contains("over 2 seeds"), "{args:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("over 2 seeds"),
+        "{args:?}"
+    );
 }

@@ -109,7 +109,10 @@ fn same_seed_obs_artifacts_are_byte_identical() {
     let profiled = |sink| Obs::with_profiler(sink, Arc::new(WallClock::new()));
     let (log_p, metrics_p) = observed_run_with(777, FaultPlan::none(), profiled);
     assert_eq!(log_a, log_p, "arming the profiler changed the event log");
-    assert_eq!(metrics_a, metrics_p, "arming the profiler changed the metrics");
+    assert_eq!(
+        metrics_a, metrics_p,
+        "arming the profiler changed the metrics"
+    );
 }
 
 #[test]
@@ -171,7 +174,10 @@ fn same_seed_fault_runs_are_byte_identical() {
     let a = run_bytes_with(&opts);
     let b = run_bytes_with(&opts);
     assert!(!a.is_empty(), "fault run captured no traces");
-    assert!(a == b, "same-seed fault runs produced different trace bytes");
+    assert!(
+        a == b,
+        "same-seed fault runs produced different trace bytes"
+    );
     // And faults must actually perturb the run vs the clean baseline.
     assert!(a != run_bytes(), "armed fault plan changed nothing");
 }
@@ -191,7 +197,10 @@ fn same_seed_fault_obs_artifacts_are_byte_identical() {
         log_a.contains("\"target\":\"swarm.continuity\""),
         "no continuity events in the log"
     );
-    assert!(metrics_a.contains("proto.peers_departed"), "no churn metric");
+    assert!(
+        metrics_a.contains("proto.peers_departed"),
+        "no churn metric"
+    );
 }
 
 #[test]

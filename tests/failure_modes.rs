@@ -201,10 +201,10 @@ fn streaming_truncation_reports_records_already_yielded() {
     const WIRE: usize = PacketRecord::WIRE_SIZE;
     let buf = full_trace_bytes(50);
     for (cut, want_got) in [
-        (18, 0u64),                 // header only
-        (18 + WIRE - 1, 0),         // first record cut short
-        (18 + 7 * WIRE + 5, 7),     // mid-stream cut
-        (buf.len() - 1, 49),        // last record one byte short
+        (18, 0u64),             // header only
+        (18 + WIRE - 1, 0),     // first record cut short
+        (18 + 7 * WIRE + 5, 7), // mid-stream cut
+        (buf.len() - 1, 49),    // last record one byte short
     ] {
         let sliced = &buf[..cut];
         let mut stream = RecordStream::new(sliced).unwrap();
@@ -238,7 +238,11 @@ fn streaming_corrupt_record_carries_its_index() {
     buf[18 + 3 * WIRE + (WIRE - 1)] = 0xFF;
     let stream = RecordStream::new(&buf[..]).unwrap();
     let results: Vec<_> = stream.collect();
-    assert_eq!(results.len(), 4, "three good records, then the error, then fused");
+    assert_eq!(
+        results.len(),
+        4,
+        "three good records, then the error, then fused"
+    );
     assert!(results[..3].iter().all(|r| r.is_ok()));
     match &results[3] {
         Err(TraceError::CorruptRecord(idx)) => assert_eq!(*idx, 3),
@@ -265,19 +269,30 @@ fn streaming_rejects_out_of_order_records() {
         Err(TraceError::OutOfOrder(idx)) => assert_eq!(*idx, 1),
         other => panic!("unexpected {other:?}"),
     }
-    assert_eq!(results.len(), 2, "stream must fuse after the ordering error");
+    assert_eq!(
+        results.len(),
+        2,
+        "stream must fuse after the ordering error"
+    );
 
     // The eager readers collect the same stream, so they refuse the
     // unsorted file too instead of sorting it behind the caller's back.
-    assert!(matches!(read_trace(&mut &buf[..]), Err(TraceError::OutOfOrder(1))));
-    let dir = std::env::temp_dir().join(format!("netaware_failure_unsorted_{}", std::process::id()));
+    assert!(matches!(
+        read_trace(&mut &buf[..]),
+        Err(TraceError::OutOfOrder(1))
+    ));
+    let dir =
+        std::env::temp_dir().join(format!("netaware_failure_unsorted_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     t.finalize();
     let mut set = TraceSet::new("X", 1_000_000);
     set.add(t);
     set.write_dir(&dir).unwrap();
     std::fs::write(dir.join(format!("{probe}.nawt")), &buf).unwrap();
-    assert!(matches!(TraceSet::read_dir(&dir), Err(TraceError::OutOfOrder(1))));
+    assert!(matches!(
+        TraceSet::read_dir(&dir),
+        Err(TraceError::OutOfOrder(1))
+    ));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -288,7 +303,12 @@ fn corrupt_corpus_surfaces_errors_not_partial_analyses() {
     let probe = Ip::from_octets(10, 0, 0, 1);
     let mut t = ProbeTrace::new(probe);
     for i in 0..60u64 {
-        t.push(video_rec(i * 1_000, Ip::from_octets(58, 0, 0, 1), probe, 110));
+        t.push(video_rec(
+            i * 1_000,
+            Ip::from_octets(58, 0, 0, 1),
+            probe,
+            110,
+        ));
     }
     let mut set = TraceSet::new("X", 1_000_000);
     set.add(t);

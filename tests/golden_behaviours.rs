@@ -161,6 +161,7 @@ struct Golden {
 /// unchanged. The flash-crowd row was generated before departures began
 /// scrubbing only the probes that hold the departed peer, which left it
 /// unchanged too.
+#[rustfmt::skip]
 const GOLDEN: &[Golden] = &[
     Golden { app: "PPLive", plan: Clean, corpus: 0xc138c8aab60ccdf4, obs_log: 0x9586a9df3958f2e9, metrics: 0x205509e05444cf95, analysis: 0x6c7776a1746e4273 },
     Golden { app: "PPLive", plan: Faulted, corpus: 0x08461cc584e098be, obs_log: 0xa55c30d317e7636a, metrics: 0xe587f424aa94650b, analysis: 0xffea966eb236147e },
@@ -250,12 +251,30 @@ fn epidemic_profiles_match_golden_and_differ() {
     // bandwidth-aware push produce different traffic, so every artifact
     // fingerprint differs cell-by-cell.
     for plan in [Clean, Faulted] {
-        let rp = GOLDEN.iter().find(|g| g.app == "Epidemic-RP" && g.plan == plan).unwrap();
-        let ba = GOLDEN.iter().find(|g| g.app == "Epidemic-BA" && g.plan == plan).unwrap();
-        assert_ne!(rp.corpus, ba.corpus, "push policies indistinguishable (corpus, {plan:?})");
-        assert_ne!(rp.obs_log, ba.obs_log, "push policies indistinguishable (obs log, {plan:?})");
-        assert_ne!(rp.metrics, ba.metrics, "push policies indistinguishable (metrics, {plan:?})");
-        assert_ne!(rp.analysis, ba.analysis, "push policies indistinguishable (analysis, {plan:?})");
+        let rp = GOLDEN
+            .iter()
+            .find(|g| g.app == "Epidemic-RP" && g.plan == plan)
+            .unwrap();
+        let ba = GOLDEN
+            .iter()
+            .find(|g| g.app == "Epidemic-BA" && g.plan == plan)
+            .unwrap();
+        assert_ne!(
+            rp.corpus, ba.corpus,
+            "push policies indistinguishable (corpus, {plan:?})"
+        );
+        assert_ne!(
+            rp.obs_log, ba.obs_log,
+            "push policies indistinguishable (obs log, {plan:?})"
+        );
+        assert_ne!(
+            rp.metrics, ba.metrics,
+            "push policies indistinguishable (metrics, {plan:?})"
+        );
+        assert_ne!(
+            rp.analysis, ba.analysis,
+            "push policies indistinguishable (analysis, {plan:?})"
+        );
     }
 }
 

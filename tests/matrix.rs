@@ -125,7 +125,10 @@ fn lossy_churned_cell_reports_drops_requeues_and_worst_probe() {
         c.continuity
     );
     let md = report.to_markdown();
-    let row = md.lines().find(|l| l.starts_with("| sopcast/")).expect("row");
+    let row = md
+        .lines()
+        .find(|l| l.starts_with("| sopcast/"))
+        .expect("row");
     assert!(
         row.ends_with(&format!(
             "| {:.3} | {} | {} |",
@@ -154,7 +157,10 @@ fn committed_ci_config_is_valid() {
     // Ext. H's fault sweep: every registered profile, static and
     // churned, clean and at four loss rates.
     let sweep = read("fault-sweep.json");
-    let every: Vec<String> = netaware::AppProfile::all().into_iter().map(|p| p.name).collect();
+    let every: Vec<String> = netaware::AppProfile::all()
+        .into_iter()
+        .map(|p| p.name)
+        .collect();
     let named: Vec<String> = sweep
         .profiles
         .iter()

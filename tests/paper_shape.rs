@@ -132,9 +132,21 @@ fn net_preference_exists_only_where_as_preference_does() {
     let t = output("TVAnts").analysis.preference("NET").unwrap();
     let p = output("PPLive").analysis.preference("NET").unwrap();
     let s = output("SopCast").analysis.preference("NET").unwrap();
-    assert!(t.download_all.bytes_pct > 5.0, "TVAnts NET {:.1}", t.download_all.bytes_pct);
-    assert!(p.download_all.bytes_pct > 2.0, "PPLive NET {:.1}", p.download_all.bytes_pct);
-    assert!(s.download_all.bytes_pct < 5.0, "SopCast NET {:.1}", s.download_all.bytes_pct);
+    assert!(
+        t.download_all.bytes_pct > 5.0,
+        "TVAnts NET {:.1}",
+        t.download_all.bytes_pct
+    );
+    assert!(
+        p.download_all.bytes_pct > 2.0,
+        "PPLive NET {:.1}",
+        p.download_all.bytes_pct
+    );
+    assert!(
+        s.download_all.bytes_pct < 5.0,
+        "SopCast NET {:.1}",
+        s.download_all.bytes_pct
+    );
 }
 
 #[test]
@@ -195,8 +207,16 @@ fn self_bias_ordering_matches_paper() {
     let p = output("PPLive").analysis.selfbias;
     assert!(t.contrib_bytes_pct > s.contrib_bytes_pct);
     assert!(s.contrib_bytes_pct > p.contrib_bytes_pct);
-    assert!(t.contrib_bytes_pct > 30.0, "TVAnts {:.1}", t.contrib_bytes_pct);
-    assert!(p.contrib_bytes_pct < 15.0, "PPLive {:.1}", p.contrib_bytes_pct);
+    assert!(
+        t.contrib_bytes_pct > 30.0,
+        "TVAnts {:.1}",
+        t.contrib_bytes_pct
+    );
+    assert!(
+        p.contrib_bytes_pct < 15.0,
+        "PPLive {:.1}",
+        p.contrib_bytes_pct
+    );
 }
 
 // ---------- Table II (§II) ----------
@@ -262,9 +282,19 @@ fn china_dominates_peers_and_bytes() {
         // CN-majority peer check is only meaningful for overlays that
         // still dwarf the probe set.
         if out.analysis.geo.total_peers > 500 {
-            assert!(cn.peers_pct > 50.0, "{}: CN peers {:.1}%", out.app, cn.peers_pct);
+            assert!(
+                cn.peers_pct > 50.0,
+                "{}: CN peers {:.1}%",
+                out.app,
+                cn.peers_pct
+            );
         } else {
-            assert!(cn.peers_pct > 15.0, "{}: CN peers {:.1}%", out.app, cn.peers_pct);
+            assert!(
+                cn.peers_pct > 15.0,
+                "{}: CN peers {:.1}%",
+                out.app,
+                cn.peers_pct
+            );
         }
         assert!(cn.rx_pct > 15.0, "{}: CN RX {:.1}%", out.app, cn.rx_pct);
     }

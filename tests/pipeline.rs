@@ -35,7 +35,12 @@ fn run_with_traces() -> (TraceSet, BuiltScenario) {
 fn binary_roundtrip_preserves_analysis() {
     let (traces, scenario) = run_with_traces();
     let cfg = AnalysisConfig::default();
-    let before = analyze(&traces, &scenario.registry, &cfg, &scenario.highbw_probe_ips);
+    let before = analyze(
+        &traces,
+        &scenario.registry,
+        &cfg,
+        &scenario.highbw_probe_ips,
+    );
 
     // Serialise every probe trace and read it back.
     let mut rebuilt = TraceSet::new(traces.app.clone(), traces.duration_us);
@@ -45,7 +50,12 @@ fn binary_roundtrip_preserves_analysis() {
         rebuilt.add(read_trace(&mut buf.as_slice()).unwrap());
     }
     rebuilt.finalize();
-    let after = analyze(&rebuilt, &scenario.registry, &cfg, &scenario.highbw_probe_ips);
+    let after = analyze(
+        &rebuilt,
+        &scenario.registry,
+        &cfg,
+        &scenario.highbw_probe_ips,
+    );
 
     assert_eq!(before.total_packets, after.total_packets);
     assert_eq!(before.total_bytes, after.total_bytes);
@@ -64,7 +74,12 @@ fn binary_roundtrip_preserves_analysis() {
 fn pcap_roundtrip_preserves_headline_metrics() {
     let (traces, scenario) = run_with_traces();
     let cfg = AnalysisConfig::default();
-    let before = analyze(&traces, &scenario.registry, &cfg, &scenario.highbw_probe_ips);
+    let before = analyze(
+        &traces,
+        &scenario.registry,
+        &cfg,
+        &scenario.highbw_probe_ips,
+    );
 
     // pcap loses the ground-truth payload tag but none of the fields the
     // analysis reads; results must be bit-identical.
@@ -77,7 +92,12 @@ fn pcap_roundtrip_preserves_headline_metrics() {
         rebuilt.add(back);
     }
     rebuilt.finalize();
-    let after = analyze(&rebuilt, &scenario.registry, &cfg, &scenario.highbw_probe_ips);
+    let after = analyze(
+        &rebuilt,
+        &scenario.registry,
+        &cfg,
+        &scenario.highbw_probe_ips,
+    );
 
     assert_eq!(before.total_packets, after.total_packets);
     let (a, b) = (
@@ -167,7 +187,14 @@ fn json_export_round_trips() {
 #[test]
 fn empty_trace_set_analyzes_cleanly() {
     let set = TraceSet::new("Empty", 1_000_000);
-    let scenario = BuiltScenario::build(&ScenarioConfig { seed: 1, scale: 0.01, ..Default::default() }, 100);
+    let scenario = BuiltScenario::build(
+        &ScenarioConfig {
+            seed: 1,
+            scale: 0.01,
+            ..Default::default()
+        },
+        100,
+    );
     let a = analyze(
         &set,
         &scenario.registry,

@@ -52,7 +52,11 @@ fn same_seed_reports_are_byte_identical_modulo_masked_fields() {
     // Wall time and allocation counts are host observations and may
     // differ; everything else — tree shape, call counts, record and
     // event tallies — must replay exactly.
-    assert_eq!(masked_json(&a), masked_json(&b), "same-seed profile trees diverge");
+    assert_eq!(
+        masked_json(&a),
+        masked_json(&b),
+        "same-seed profile trees diverge"
+    );
     // The contract is not vacuous: the tree carries real deterministic
     // workload tallies.
     assert!(sum(&a, |n| n.events) > 0, "no events tallied");
@@ -89,12 +93,26 @@ fn each_workload_is_counted_once_at_its_owner() {
     let (tree, out) = profiled_run(321);
     let events = out.report.events_dispatched;
     assert!(events > 0, "no events dispatched");
-    assert_eq!(tree.find("testbed.run/swarm.run").map(|n| n.events), Some(events));
-    assert_eq!(sum(&tree, |n| n.events), events, "events tallied off their owner");
+    assert_eq!(
+        tree.find("testbed.run/swarm.run").map(|n| n.events),
+        Some(events)
+    );
+    assert_eq!(
+        sum(&tree, |n| n.events),
+        events,
+        "events tallied off their owner"
+    );
     let records = out.analysis.total_packets as u64;
     assert!(records > 0, "no records swept");
-    assert_eq!(tree.find("testbed.run/analysis.sweep").map(|n| n.records), Some(records));
-    assert_eq!(sum(&tree, |n| n.records), records, "records tallied off their owner");
+    assert_eq!(
+        tree.find("testbed.run/analysis.sweep").map(|n| n.records),
+        Some(records)
+    );
+    assert_eq!(
+        sum(&tree, |n| n.records),
+        records,
+        "records tallied off their owner"
+    );
 }
 
 /// The dispatch profile holds one cell per behaviour in the stack: the
@@ -103,10 +121,16 @@ fn each_workload_is_counted_once_at_its_owner() {
 fn dispatch_profile_has_a_cell_per_stacked_behaviour() {
     const EPIDEMIC: &str = "testbed.run/swarm.run/swarm.dispatch/behaviour.epidemic";
     let (tvants, _) = profiled_run(321);
-    assert!(tvants.find(EPIDEMIC).is_none(), "pull-only TVAnts carries an epidemic row");
+    assert!(
+        tvants.find(EPIDEMIC).is_none(),
+        "pull-only TVAnts carries an epidemic row"
+    );
     let (push, _) = profiled_run_of(AppProfile::epidemic_rp(), 321);
     let calls = push.find(EPIDEMIC).map(|n| n.calls);
-    assert!(calls.is_some_and(|c| c > 0), "Epidemic-RP epidemic calls: {calls:?}");
+    assert!(
+        calls.is_some_and(|c| c > 0),
+        "Epidemic-RP epidemic calls: {calls:?}"
+    );
 }
 
 #[test]
@@ -128,6 +152,16 @@ fn panicking_scope_still_closes_the_whole_stack() {
     let tree = obs.profile_tree().expect("profiling");
     let outer = tree.find("phase.outer").expect("outer closed");
     assert_eq!(outer.calls, 1);
-    assert_eq!(tree.find("phase.outer/phase.inner").expect("inner nested").calls, 1);
-    assert_eq!(tree.find("phase.after").expect("root-level after panic").calls, 1);
+    assert_eq!(
+        tree.find("phase.outer/phase.inner")
+            .expect("inner nested")
+            .calls,
+        1
+    );
+    assert_eq!(
+        tree.find("phase.after")
+            .expect("root-level after panic")
+            .calls,
+        1
+    );
 }

@@ -6,7 +6,9 @@ use netaware::analysis::flows::aggregate_probe;
 use netaware::analysis::partition::Metric;
 use netaware::analysis::preference::{preference, Dir};
 use netaware::analysis::AnalysisConfig;
-use netaware::net::{AsId, AsInfo, AsKind, CountryCode, GeoRegistry, GeoRegistryBuilder, Ip, Prefix};
+use netaware::net::{
+    AsId, AsInfo, AsKind, CountryCode, GeoRegistry, GeoRegistryBuilder, Ip, Prefix,
+};
 use netaware::sim::DetRng;
 use netaware::trace::{PacketRecord, PayloadKind, ProbeTrace};
 
@@ -17,7 +19,8 @@ fn registry() -> GeoRegistry {
     let mut b = GeoRegistryBuilder::new();
     b.register_as(AsInfo::new(1, CountryCode::IT, AsKind::Academic, "HOME"));
     b.register_as(AsInfo::new(2, CountryCode::CN, AsKind::Carrier, "FAR"));
-    b.announce(Prefix::of(Ip(0x0A00_0000), 16), AsId(1)).unwrap();
+    b.announce(Prefix::of(Ip(0x0A00_0000), 16), AsId(1))
+        .unwrap();
     b.announce(Prefix::of(Ip(0x3A00_0000), 8), AsId(2)).unwrap();
     b.build()
 }
@@ -72,7 +75,10 @@ fn aggregation_conserves_totals() {
         let total_pkts: u64 = flows.flows.values().map(|f| f.pkts_rx + f.pkts_tx).sum();
         let total_bytes: u64 = flows.flows.values().map(|f| f.bytes_rx + f.bytes_tx).sum();
         assert_eq!(total_pkts, records.len() as u64);
-        assert_eq!(total_bytes, records.iter().map(|r| r.size as u64).sum::<u64>());
+        assert_eq!(
+            total_bytes,
+            records.iter().map(|r| r.size as u64).sum::<u64>()
+        );
         // Video subsets never exceed totals.
         for f in flows.flows.values() {
             assert!(f.video_bytes_rx <= f.bytes_rx);
@@ -148,14 +154,28 @@ fn exclusion_set_monotonicity() {
         let empty = std::collections::BTreeSet::new();
         let everything: std::collections::BTreeSet<Ip> = flows[0].flows.keys().copied().collect();
         let base = preference(&flows, &reg, &cfg, 19, Metric::Net, Dir::Download, None);
-        let with_empty =
-            preference(&flows, &reg, &cfg, 19, Metric::Net, Dir::Download, Some(&empty));
+        let with_empty = preference(
+            &flows,
+            &reg,
+            &cfg,
+            19,
+            Metric::Net,
+            Dir::Download,
+            Some(&empty),
+        );
         assert_eq!(base.is_measurable(), with_empty.is_measurable());
         if base.is_measurable() {
             assert_eq!(base.peers_pct.to_bits(), with_empty.peers_pct.to_bits());
         }
-        let none_left =
-            preference(&flows, &reg, &cfg, 19, Metric::Net, Dir::Download, Some(&everything));
+        let none_left = preference(
+            &flows,
+            &reg,
+            &cfg,
+            19,
+            Metric::Net,
+            Dir::Download,
+            Some(&everything),
+        );
         assert!(!none_left.is_measurable());
     }
 }

@@ -13,7 +13,11 @@ fn opts(seed: u64) -> ExperimentOptions {
     }
 }
 
-fn run_with_cn(cn_fraction: f64, profile: AppProfile, seed: u64) -> netaware::testbed::ExperimentOutput {
+fn run_with_cn(
+    cn_fraction: f64,
+    profile: AppProfile,
+    seed: u64,
+) -> netaware::testbed::ExperimentOutput {
     let scenario = BuiltScenario::build(
         &ScenarioConfig {
             seed,
@@ -50,8 +54,18 @@ fn as_awareness_grows_with_local_population() {
     // opportunity-weighted preference, not a profile constant.
     let low = run_with_cn(0.95, AppProfile::tvants(), 33);
     let high = run_with_cn(0.60, AppProfile::tvants(), 33);
-    let p_low = low.analysis.preference("AS").unwrap().download_nonw.peers_pct;
-    let p_high = high.analysis.preference("AS").unwrap().download_nonw.peers_pct;
+    let p_low = low
+        .analysis
+        .preference("AS")
+        .unwrap()
+        .download_nonw
+        .peers_pct;
+    let p_high = high
+        .analysis
+        .preference("AS")
+        .unwrap()
+        .download_nonw
+        .peers_pct;
     assert!(
         p_high > p_low,
         "P'_D(AS) with many EU peers {p_high:.2}% must exceed CN-saturated {p_low:.2}%"

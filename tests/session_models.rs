@@ -29,12 +29,13 @@ fn pareto_ccdf_matches_analytic_tail() {
     let xm = mean_us as f64 * (shape - 1.0) / shape;
     let n = 200_000usize;
     let mut r = rng();
-    let samples: Vec<u64> = (0..n).map(|_| model.draw_session_us(&mut r, mean_us)).collect();
+    let samples: Vec<u64> = (0..n)
+        .map(|_| model.draw_session_us(&mut r, mean_us))
+        .collect();
     for factor in [1.5f64, 3.0, 8.0] {
         let x = xm * factor;
         let analytic = (xm / x).powf(shape);
-        let empirical =
-            samples.iter().filter(|&&s| s as f64 > x).count() as f64 / n as f64;
+        let empirical = samples.iter().filter(|&&s| s as f64 > x).count() as f64 / n as f64;
         assert!(
             (empirical - analytic).abs() < 0.01,
             "CCDF at {factor}·x_m: empirical {empirical:.4} vs analytic {analytic:.4}"
@@ -147,8 +148,5 @@ fn noop_session_model_is_byte_identical_to_model_free_churn() {
         "default session model perturbed the trace bytes"
     );
     assert_eq!(plain.analysis.to_json(), modeled.analysis.to_json());
-    assert_eq!(
-        plain.report.peers_departed,
-        modeled.report.peers_departed
-    );
+    assert_eq!(plain.report.peers_departed, modeled.report.peers_departed);
 }

@@ -10,7 +10,11 @@ use netaware::AppProfile;
 
 fn run(profile: AppProfile, seed: u64) -> (BuiltScenario, netaware::trace::TraceSet) {
     let scenario = BuiltScenario::build(
-        &ScenarioConfig { seed, scale: 0.04, ..Default::default() },
+        &ScenarioConfig {
+            seed,
+            scale: 0.04,
+            ..Default::default()
+        },
         profile.overlay_size,
     );
     let opts = ExperimentOptions {
@@ -83,7 +87,11 @@ fn hop_median_lands_in_the_papers_band() {
             "{app}: hop median {median} (distribution {:?})",
             &d.counts[..30]
         );
-        assert!(d.measurable > 50, "{app}: only {} measurable flows", d.measurable);
+        assert!(
+            d.measurable > 50,
+            "{app}: only {} measurable flows",
+            d.measurable
+        );
     }
 }
 
@@ -105,7 +113,14 @@ fn hop_threshold_splits_roughly_in_half_for_blind_apps() {
 
 #[test]
 fn ground_truth_census_is_consistent() {
-    let scenario = BuiltScenario::build(&ScenarioConfig { seed: 1, scale: 0.05, ..Default::default() }, 4_000);
+    let scenario = BuiltScenario::build(
+        &ScenarioConfig {
+            seed: 1,
+            scale: 0.05,
+            ..Default::default()
+        },
+        4_000,
+    );
     let t = scenario.ground_truth();
     // The source and the 39 LAN probes are high-bandwidth.
     assert!(t.high_bw.contains(&scenario.source.ip));
