@@ -29,10 +29,15 @@ use super::SwarmCore;
 use crate::peer::PeerId;
 use netaware_obs::{Level, ProfCell, ProfSpan};
 use netaware_sim::{Scheduler, SimTime, ORIGIN_CHURN, ORIGIN_INIT};
+use netaware_trace::{RecordSink, TraceError};
+
+/// Simulated time between two seals of the probes' captures, µs.
+const SEAL_EVERY_US: u64 = 1_000_000;
 
 /// Pre-registered profiler cells for the dispatch hot path: one per
 /// behaviour in the stack, labelled `behaviour.<`[`Behaviour::name`]`>`,
-/// one for the receiver-side transfer work, one for the action drain.
+/// one for the receiver-side transfer work, one for the action drain
+/// and one for the seals that hand the captures to the sink.
 /// When the obs handle is not profiling every cell is disabled and
 /// [`ProfCell::time`] reduces to a bare closure call, keeping the
 /// disabled path within the `obs_overhead` bench budget.
@@ -41,6 +46,7 @@ pub(crate) struct DispatchProf {
     behaviours: Vec<ProfCell>,
     transfer: ProfCell,
     drain: ProfCell,
+    seal: ProfCell,
 }
 
 impl DispatchProf {
@@ -52,6 +58,7 @@ impl DispatchProf {
                 .collect(),
             transfer: span.cell("transfer.rx"),
             drain: span.cell("drain"),
+            seal: span.cell("seal"),
         }
     }
 
@@ -62,6 +69,7 @@ impl DispatchProf {
             behaviours: Vec::new(),
             transfer: ProfCell::disabled(),
             drain: ProfCell::disabled(),
+            seal: ProfCell::disabled(),
         }
     }
 }
@@ -124,7 +132,22 @@ fn handler_lane(core: &SwarmCore<'_>, ev: &Event) -> u32 {
 /// per-probe processes, fires the `on_start` hooks, drains both into
 /// the `ORIGIN_INIT` lane, and dispatches until the queue runs dry or
 /// passes the horizon.
-pub(crate) fn run(core: &mut SwarmCore<'_>, stack: &mut BehaviourStack, horizon: SimTime) {
+///
+/// Dispatch runs in windows that end at each whole second of simulated
+/// time and at the horizon. After each window, one round of segments
+/// goes to `sink` (`SwarmCore::seal`): every record at or before the
+/// window's end, which no later event can add to, because each capture
+/// lands no earlier than the event being dispatched. The round after
+/// the last window takes every record left, including those past the
+/// horizon. Nothing is scheduled between windows, so the events pop in
+/// the order one uninterrupted run would pop them. The first sink error
+/// ends the run.
+pub(crate) fn run<S: RecordSink>(
+    core: &mut SwarmCore<'_>,
+    stack: &mut BehaviourStack,
+    horizon: SimTime,
+    sink: &mut S,
+) -> Result<(), TraceError> {
     let dspan = core.obs.pspan("swarm.dispatch");
     let prof = DispatchProf::new(&dspan, stack);
     let mut sched: Scheduler<Event> = Scheduler::new();
@@ -169,12 +192,22 @@ pub(crate) fn run(core: &mut SwarmCore<'_>, stack: &mut BehaviourStack, horizon:
         ORIGIN_INIT,
     );
 
-    // ---- The event loop. -----------------------------------------------
-    let dispatched = sched.run_until(horizon, |sched, now, ev| {
-        deliver(core, stack, sched, &mut actions, &mut seq, now, ev, &prof);
-    });
+    // ---- The event loop, one window at a time. --------------------------
+    let mut through: u64 = 0;
+    loop {
+        through = through.saturating_add(SEAL_EVERY_US).min(horizon.as_us());
+        core.report.events_dispatched +=
+            sched.run_until(SimTime::from_us(through), |sched, now, ev| {
+                deliver(core, stack, sched, &mut actions, &mut seq, now, ev, &prof);
+            });
+        let last = through == horizon.as_us();
+        prof.seal
+            .time(|| core.seal(if last { u64::MAX } else { through }, sink))?;
+        if last {
+            break;
+        }
+    }
 
-    core.report.events_dispatched = dispatched;
     let saturated = sched.saturated();
     if saturated > 0 {
         // Past-time insertions were clamped to "now". Zero on healthy
@@ -187,6 +220,7 @@ pub(crate) fn run(core: &mut SwarmCore<'_>, stack: &mut BehaviourStack, horizon:
             "events" = saturated,
         );
     }
+    Ok(())
 }
 
 /// Runs `hook` on every behaviour in dispatch order, each under its

@@ -54,7 +54,6 @@ use netaware_faults::FaultPlan;
 use netaware_obs::{Counter, Gauge, HistogramMetric, Level, Obs};
 use netaware_sim::{DetRng, LinkFaults, SimTime};
 use netaware_trace::{MemorySink, ProbeTrace, RecordSink, TraceError, TraceSet};
-use rayon::prelude::*;
 use state::{PeerMeta, ProbeState};
 
 /// Experiment-level configuration of one swarm run.
@@ -118,7 +117,12 @@ pub(crate) struct SwarmCore<'a> {
     pub(crate) meta: Vec<PeerMeta>,
     pub(crate) n_probes: usize,
     pub(crate) probe_states: Vec<ProbeState>,
+    /// Per-probe capture buffers: what each probe captured that has not
+    /// gone to the sink yet (see `dispatch::run`).
     pub(crate) traces: Vec<ProbeTrace>,
+    /// End of the last sealed window, µs: every record at or before it
+    /// has gone to the sink, so no capture may land there any more.
+    pub(crate) sealed_us: Option<u64>,
     pub(crate) rng: DetRng,
     pub(crate) report: SwarmReport,
     /// Observability handle; events it emits are keyed by sim time, so
@@ -233,48 +237,37 @@ impl<'a> Swarm<'a> {
     pub fn run(self) -> (TraceSet, SwarmReport) {
         match self.run_into(MemorySink::new()) {
             Ok(out) => out,
-            // MemorySink::sink_probe / finish are infallible.
+            // MemorySink fails only on an out-of-order segment, and the
+            // seals hand it time-sorted ones.
             Err(_) => unreachable!("in-memory sink cannot fail"),
         }
     }
 
-    /// Runs the experiment, then hands each probe's finalized capture to
-    /// `sink` in probe order.
+    /// Runs the experiment into `sink` and returns what the sink built
+    /// plus the ground-truth report.
     ///
-    /// Every capture stays in `core.traces` until the event loop ends:
-    /// transfers push future-timestamped records into any probe's trace
-    /// at any time. Finalize then trims each capture to its length and
-    /// sorts the captures in parallel — each one stably and on its own,
-    /// so what the sink receives does not depend on the thread count. A
-    /// spill-to-disk sink therefore bounds what is kept after the run,
-    /// not the peak of the capture itself.
+    /// The event loop runs in one-second windows of simulated time.
+    /// After each window, every probe hands `sink` its next segment: the
+    /// records at or before the window's end, stably sorted by time.
+    /// Those records are final, because every capture lands no earlier
+    /// than the event being dispatched. The round after the last window,
+    /// which ends at the horizon, takes every record left. Joined, a
+    /// probe's segments are exactly its capture sorted stably once, so a
+    /// spill-to-disk sink keeps the run's peak at the swarm's own state
+    /// plus about one window of records. The first sink error ends the
+    /// run and is returned.
     pub fn run_into<S: RecordSink>(
         mut self,
         mut sink: S,
     ) -> Result<(S::Output, SwarmReport), TraceError> {
-        self.execute();
-        let mut traces = std::mem::take(&mut self.core.traces);
-        // Trim before sorting, so the spare capacity is gone before the
-        // sorts allocate their scratch buffers.
-        traces.iter_mut().for_each(ProbeTrace::shrink_to_fit);
-        let traces: Vec<ProbeTrace> = traces
-            .into_par_iter()
-            .map(|mut trace| {
-                trace.finalize();
-                trace
-            })
-            .collect();
-        for trace in traces {
-            sink.sink_probe(trace)?;
-        }
+        self.execute(&mut sink)?;
         let out = sink.finish(&self.core.cfg.profile.name, self.core.cfg.duration_us)?;
         Ok((out, self.core.report))
     }
 
-    /// Runs the dispatcher's event loop and fills the ground-truth
-    /// report. Captured records accumulate in `core.traces`, unsorted
-    /// (transfers push future-timestamped receiver records).
-    fn execute(&mut self) {
+    /// Runs the dispatcher's event loop, sealing the probes' captures
+    /// into `sink` window by window, and fills the ground-truth report.
+    fn execute<S: RecordSink>(&mut self, sink: &mut S) -> Result<(), TraceError> {
         let horizon = SimTime::from_us(self.core.cfg.duration_us);
         let pspan = self.core.obs.pspan("swarm.run");
         netaware_obs::event!(
@@ -289,7 +282,7 @@ impl<'a> Swarm<'a> {
         );
 
         let Swarm { core, stack } = self;
-        dispatch::run(core, stack, horizon);
+        dispatch::run(core, stack, horizon, sink)?;
 
         let mut min_permille: i64 = 1000;
         for (i, s) in core.probe_states.iter().enumerate() {
@@ -348,6 +341,7 @@ impl<'a> Swarm<'a> {
             "refused" = core.report.chunks_refused,
             "events" = core.report.events_dispatched,
         );
+        Ok(())
     }
 }
 

@@ -558,6 +558,7 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
         n_probes,
         probe_states,
         traces,
+        sealed_us: None,
         rng,
         report: SwarmReport::default(),
         obs: netaware_obs::Obs::default(),

@@ -893,7 +893,9 @@ fn neighbor_cache_matches_a_fresh_derivation() {
         }
         let at_build = assert_neighbor_cache_coherent(&swarm.core);
         assert!(at_build > 0, "empty tables at build");
-        swarm.execute();
+        swarm
+            .execute(&mut netaware_trace::MemorySink::new())
+            .unwrap();
         let at_end = assert_neighbor_cache_coherent(&swarm.core);
         assert!(at_end > 0, "no neighbor entries left to check");
         swarm.core.report

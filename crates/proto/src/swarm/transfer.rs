@@ -24,7 +24,7 @@ use crate::message::Signal;
 use crate::peer::PeerId;
 use netaware_net::{ttl_at_receiver, DEFAULT_TTL};
 use netaware_sim::{AccessSerializer, PacketFate, SimTime};
-use netaware_trace::{PacketRecord, PayloadKind};
+use netaware_trace::{PacketRecord, PayloadKind, RecordSink, TraceError};
 use std::collections::btree_map::Entry;
 
 /// ADSL interleave window: packets draining within the same window reach
@@ -124,6 +124,11 @@ impl SwarmCore<'_> {
         ttl: u8,
         kind: PayloadKind,
     ) {
+        debug_assert!(
+            self.sealed_us.is_none_or(|sealed| ts.as_us() > sealed),
+            "probe {probe_idx} captured a record at {ts:?}, in a window sealed through {:?} µs",
+            self.sealed_us
+        );
         let sm = &self.meta[src.0 as usize];
         let dm = &self.meta[dst.0 as usize];
         self.traces[probe_idx].push(PacketRecord {
@@ -136,6 +141,23 @@ impl SwarmCore<'_> {
             ttl,
             kind,
         });
+    }
+
+    /// Hands `sink` one round of segments: each probe's records at or
+    /// before `through_us`, stably sorted by time, in probe order (an
+    /// empty segment for a probe with none). The caller must have
+    /// dispatched every event up to `through_us`; from here on a capture
+    /// at or before it trips the assertion in `capture`.
+    pub(crate) fn seal<S: RecordSink>(
+        &mut self,
+        through_us: u64,
+        sink: &mut S,
+    ) -> Result<(), TraceError> {
+        for trace in &mut self.traces {
+            sink.sink_probe(trace.drain_through(through_us))?;
+        }
+        self.sealed_us = Some(through_us);
+        Ok(())
     }
 
     /// Sender-side half of a signalling packet `from → to`: TX capture

@@ -114,20 +114,19 @@ pub fn run_on_scenario(
     );
     match out {
         Ok(out) => out,
-        // MemorySink::sink_probe / finish are infallible, and so is the
-        // in-memory analysis.
+        // MemorySink fails only on an out-of-order segment, which the
+        // swarm never hands it, and the in-memory analysis is infallible.
         Err(_) => unreachable!("in-memory run cannot fail"),
     }
 }
 
 /// Runs one application end-to-end with the capture spilled to an
 /// on-disk corpus at `dir` and the analysis streamed back off disk. The
-/// swarm still holds every probe's capture until its event loop ends
-/// (see [`Swarm::run_into`]), so spilling does not bound the run's peak
-/// memory; it bounds what stays resident after the run — the corpus is
-/// on disk, not a `TraceSet` — and the analysis, which streams one
-/// record at a time into its accumulators. The corpus directory is left
-/// in place for re-analysis or sharing.
+/// swarm hands the corpus each probe's records once per second of
+/// simulated time (see [`Swarm::run_into`]), so the run's peak memory
+/// is the swarm's own state plus about one second of records. The
+/// analysis streams one record at a time into its accumulators, and the
+/// corpus directory is left in place for re-analysis or sharing.
 pub fn run_streamed(
     profile: AppProfile,
     opts: &ExperimentOptions,

@@ -110,13 +110,26 @@ impl From<io::Error> for TraceError {
 /// ```
 pub fn write_trace<W: Write>(trace: &ProbeTrace, out: &mut W) -> Result<(), TraceError> {
     let records = trace.records_unsorted();
+    write_header(trace.probe, records.len() as u64, out)?;
+    Ok(write_records(records, out)?)
+}
+
+/// Byte offset of the record count in the header.
+pub(crate) const COUNT_OFFSET: u64 = 10;
+
+/// Writes the 18-byte header of a `count`-record capture at `probe`.
+pub(crate) fn write_header<W: Write>(probe: Ip, count: u64, out: &mut W) -> io::Result<()> {
     out.write_all(&MAGIC)?;
     out.write_all(&VERSION.to_le_bytes())?;
-    out.write_all(&trace.probe.0.to_le_bytes())?;
-    out.write_all(&(records.len() as u64).to_le_bytes())?;
+    out.write_all(&probe.0.to_le_bytes())?;
+    out.write_all(&count.to_le_bytes())
+}
+
+/// Writes the encodings of `records`, with no header.
+pub(crate) fn write_records<W: Write>(records: &[PacketRecord], out: &mut W) -> io::Result<()> {
     // Encode in chunks to amortise the Vec growth without holding the
     // whole serialisation in memory.
-    let mut buf = Vec::with_capacity(PacketRecord::WIRE_SIZE * 4096);
+    let mut buf = Vec::with_capacity(PacketRecord::WIRE_SIZE * records.len().min(4096));
     for block in records.chunks(4096) {
         buf.clear();
         for r in block {

@@ -17,9 +17,9 @@
 //! * [`stream`] — incremental readers ([`RecordStream`],
 //!   [`CorpusStream`]) that yield records straight off disk so analyses
 //!   can run without materialising a [`TraceSet`];
-//! * [`sink`] — [`RecordSink`] consumers for captures as they are
-//!   produced: in-memory ([`MemorySink`]) or spill-to-disk
-//!   ([`CorpusSink`]).
+//! * [`sink`] — [`RecordSink`] consumers that take the captures in
+//!   rounds of time-sorted segments as they are produced: in-memory
+//!   ([`MemorySink`]) or spill-to-disk ([`CorpusSink`]).
 //!
 //! The analysis crate never looks at [`PayloadKind`] ground truth — it
 //! classifies video vs. signalling from packet sizes exactly like the

@@ -1,5 +1,6 @@
 //! Per-probe traces and experiment trace sets.
 
+use crate::format::TraceError;
 use crate::record::PacketRecord;
 use netaware_net::Ip;
 use serde::{Deserialize, Serialize};
@@ -82,28 +83,111 @@ impl ProbeTrace {
         self.records.iter().map(|r| r.size as u64).sum()
     }
 
-    /// Releases the spare capacity a capture grown push by push keeps
-    /// (up to its own length again).
-    pub fn shrink_to_fit(&mut self) {
-        self.records.shrink_to_fit();
-    }
-
-    /// Sorts records by timestamp (idempotent).
+    /// Sorts records stably by timestamp (idempotent).
     pub fn finalize(&mut self) {
         if !self.sorted {
-            self.records.sort_by_key(|r| r.ts_us);
+            sort_by_ts(&mut self.records);
             self.sorted = true;
         }
     }
 
+    /// Sorts the capture as [`ProbeTrace::finalize`] does, then moves
+    /// every record at or before `ts_us` into a new trace of the same
+    /// probe and keeps the later ones. Because the sort is stable, a
+    /// capture drained at rising `ts_us`, with every record pushed after
+    /// a drain later than that drain's `ts_us`, comes out in pieces that
+    /// join into exactly what one `finalize` would have produced.
+    pub fn drain_through(&mut self, ts_us: u64) -> ProbeTrace {
+        self.finalize();
+        let n = self.records.partition_point(|r| r.ts_us <= ts_us);
+        ProbeTrace {
+            probe: self.probe,
+            records: self.records.drain(..n).collect(),
+            sorted: true,
+        }
+    }
+
+    /// Index in `self` of the first record earlier than the one before
+    /// it, the first record being compared with `after_us`.
+    pub(crate) fn first_out_of_order(&self, after_us: u64) -> Option<usize> {
+        if self.sorted {
+            return self
+                .records
+                .first()
+                .filter(|r| r.ts_us < after_us)
+                .map(|_| 0);
+        }
+        let mut last = after_us;
+        self.records
+            .iter()
+            .position(|r| std::mem::replace(&mut last, r.ts_us) > r.ts_us)
+    }
+
+    /// Appends the records of `later`, a later segment of the same
+    /// capture. Fails with [`TraceError::OutOfOrder`], appending
+    /// nothing, if that would put a record before an earlier one.
+    pub(crate) fn append(&mut self, later: ProbeTrace) -> Result<(), TraceError> {
+        let last_us = self.records.last().map_or(0, |r| r.ts_us);
+        if let Some(i) = later.first_out_of_order(last_us) {
+            return Err(TraceError::OutOfOrder((self.len() + i) as u64));
+        }
+        if self.records.is_empty() {
+            self.records = later.records;
+        } else {
+            self.records.extend_from_slice(&later.records);
+        }
+        Ok(())
+    }
+
     /// Builds from pre-collected records (sorts them).
     pub fn from_records(probe: Ip, mut records: Vec<PacketRecord>) -> Self {
-        records.sort_by_key(|r| r.ts_us);
+        sort_by_ts(&mut records);
         ProbeTrace {
             probe,
             records,
             sorted: true,
         }
+    }
+}
+
+/// Sorts `records` stably by timestamp: a least-significant-digit radix
+/// sort over each timestamp's offset from the earliest one, 11 bits per
+/// counting pass. One second of a capture and what lies up to a second
+/// past it span about 21 bits, so a seal's sort takes two passes where a
+/// comparison sort takes `log2(n)`.
+fn sort_by_ts(records: &mut [PacketRecord]) {
+    const BITS: u32 = 11;
+    let Some(min) = records.iter().map(|r| r.ts_us).min() else {
+        return;
+    };
+    let span = records.iter().map(|r| r.ts_us - min).max().unwrap_or(0);
+    if span == 0 {
+        return;
+    }
+    let mut scratch = records.to_vec();
+    let (mut src, mut dst) = (&mut *records, &mut scratch[..]);
+    let mut shift = 0;
+    while shift < u64::BITS && span >> shift != 0 {
+        let digit = |r: &PacketRecord| ((r.ts_us - min) >> shift) as usize & ((1 << BITS) - 1);
+        let mut next = [0usize; 1 << BITS];
+        for r in src.iter() {
+            next[digit(r)] += 1;
+        }
+        let mut at = 0;
+        for slot in &mut next {
+            at += std::mem::replace(slot, at);
+        }
+        for r in src.iter() {
+            let d = digit(r);
+            dst[next[d]] = *r;
+            next[d] += 1;
+        }
+        std::mem::swap(&mut src, &mut dst);
+        shift += BITS;
+    }
+    // After an odd number of passes the sorted records sit in `scratch`.
+    if (shift / BITS) % 2 == 1 {
+        records.copy_from_slice(&scratch);
     }
 }
 
@@ -212,6 +296,41 @@ mod tests {
         t.push(rec(20, p, r, 100));
         t.push(rec(10, r, p, 100));
         let _ = t.records();
+    }
+
+    #[test]
+    fn radix_sort_matches_a_stable_comparison_sort() {
+        let p = Ip::from_octets(10, 0, 0, 1);
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            x >> 33
+        };
+        // Spans that take no pass, one, two (a seal's), three and six;
+        // the sizes tell records with equal timestamps apart.
+        for (span, n) in [
+            (0, 5),
+            (1_000, 500),
+            (2_500_000, 3_000),
+            (5_000_000_000, 2_000),
+            (u64::MAX, 700),
+        ] {
+            let recs: Vec<PacketRecord> = (0..n)
+                .map(|i| {
+                    let ts = if span == u64::MAX {
+                        next() << 31 | next()
+                    } else {
+                        7_000_000 + next() % (span + 1) / 16 * 16
+                    };
+                    rec(ts, p, Ip::from_octets(58, 0, 0, 1), i as u16)
+                })
+                .collect();
+            let mut want = recs.clone();
+            want.sort_by_key(|r| r.ts_us);
+            assert_eq!(ProbeTrace::from_records(p, recs).records(), &want[..]);
+        }
     }
 
     #[test]

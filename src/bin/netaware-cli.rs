@@ -43,11 +43,11 @@
 //! `--out DIR` additionally writes `report.json`/`report.md` plus a
 //! re-analysable per-cell trace corpus). `--seed` overrides the
 //! config's seed; same seed ⇒ byte-identical report.
-//! `run --spill DIR` spills the capture to an on-disk corpus once the
-//! swarm's event loop ends and streams the analysis back off disk. The
-//! swarm holds every probe's capture until then, so spilling does not
-//! bound the run's peak memory; it bounds what stays resident after the
-//! run and the analysis, and the corpus stays behind for `analyze --dir`.
+//! `run --spill DIR` spills the capture to an on-disk corpus as the
+//! swarm runs, one second of simulated time at a time, and streams the
+//! analysis back off disk. The run's peak memory is the swarm's own
+//! state plus about one second of records, and the corpus stays behind
+//! for `analyze --dir`.
 //! `analyze --dir` streams a saved corpus through the single-pass engine
 //! without loading it; `analyze --probe …` ingests classic pcap captures
 //! (e.g. produced by `export` or by tcpdump against the same address

@@ -1,8 +1,8 @@
 //! Counting-allocator accuracy, pinned against known allocation
 //! patterns, the allocation budgets of two hot loops (the swarm loop
-//! over every golden cell and a flash crowd), the bound on what
-//! a lying trace header can make the reader allocate, and the streaming
-//! analysis's memory bound. The counters are process-wide, so every
+//! over every golden cell and a flash crowd), the peak heap of a
+//! spilled swarm run, the bound on what a lying trace header can make
+//! the reader allocate, and the streaming analysis's memory bound. The counters are process-wide, so every
 //! check runs in sequence inside one test: tests of one binary run on
 //! parallel threads, and each would count the others' allocations.
 
@@ -12,8 +12,8 @@ use netaware::proto::{NetworkEnv, StreamParams, Swarm, SwarmConfig};
 use netaware::sim::{Scheduler, SimTime};
 use netaware::testbed::{BuiltScenario, ScenarioConfig};
 use netaware::trace::{
-    read_trace, write_trace, MemorySink, PacketRecord, PayloadKind, ProbeTrace, TraceError,
-    TraceSet,
+    read_trace, write_trace, CorpusSink, MemorySink, PacketRecord, PayloadKind, ProbeTrace,
+    TraceError, TraceSet,
 };
 use netaware::{analyze_corpus, AnalysisConfig, AppProfile, ChurnPlan, FaultPlan, SessionModel};
 use std::collections::BTreeSet;
@@ -26,6 +26,7 @@ fn counters_track_a_known_allocation_pattern_exactly() {
     known_pattern_is_counted_exactly();
     scheduler_steady_state_allocates_nothing();
     swarm_loop_allocates_less_than_once_per_event();
+    spilled_run_holds_a_window_of_records_not_the_capture();
     lying_trace_header_allocates_little();
     corpus_analysis_heap_is_bounded_by_remotes_not_records();
 }
@@ -114,8 +115,8 @@ fn scheduler_steady_state_allocates_nothing() {
 fn swarm_loop_allocates_less_than_once_per_event() {
     // The swarm's event loop keeps its per-event lists in reused
     // scratch buffers, so a whole run — dispatch, capture growth and
-    // the finalize sort — stays under one allocation per dispatched
-    // event. Per-event Vecs in a behaviour hook would cost several.
+    // the once-a-second seals that hand the sink its segments — stays
+    // under one allocation per dispatched event. Per-event Vecs in a behaviour hook would cost several.
     // The cells are the golden ones (seed 777, scale 0.02, 20 s; every
     // profile, clean and under loss, jitter and churn) plus PPLive under
     // a flash crowd, so churn recovery and epidemic push are covered.
@@ -181,6 +182,55 @@ fn swarm_loop_allocates_less_than_once_per_event() {
             allocs as f64 / events as f64
         );
     }
+}
+
+fn spilled_run_holds_a_window_of_records_not_the_capture() {
+    // The swarm hands each probe's capture to the sink once per second
+    // of simulated time, so a run spilled through `CorpusSink` holds
+    // about one second of records, not the whole capture. Holding them
+    // all would raise the peak by at least their own 24 bytes each; the
+    // bound is a quarter of that, over a PPLive run long enough for
+    // 10 MiB of records.
+    let profile = AppProfile::pplive();
+    let scenario = BuiltScenario::build(
+        &ScenarioConfig {
+            seed: 777,
+            scale: 0.02,
+            ..ScenarioConfig::default()
+        },
+        profile.overlay_size,
+    );
+    let env = NetworkEnv {
+        registry: &scenario.registry,
+        paths: scenario.paths,
+        latency: scenario.latency,
+    };
+    let cfg = SwarmConfig {
+        seed: 777,
+        duration_us: 30_000_000,
+        stream: StreamParams::cctv1(),
+        profile,
+    };
+    let swarm = Swarm::new(cfg, env, scenario.peer_setup());
+    let dir = std::env::temp_dir().join(format!("netaware_spill_bound_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let sink = CorpusSink::create(&dir).expect("create the corpus directory");
+
+    let base = snapshot().live_bytes;
+    reset_peak();
+    let spilled = swarm.run_into(sink);
+    let grew = snapshot().peak_bytes.saturating_sub(base);
+    let _ = std::fs::remove_dir_all(&dir);
+    let (manifest, _) = spilled.expect("the spill succeeds");
+    let records = (manifest.total_packets * std::mem::size_of::<PacketRecord>()) as u64;
+    assert!(
+        records >= 10 << 20,
+        "only {records} bytes of records: too few to show the bound"
+    );
+    assert!(
+        grew < records / 4,
+        "a spilled run grew the heap by {grew} bytes for {records} bytes of records"
+    );
 }
 
 fn lying_trace_header_allocates_little() {
