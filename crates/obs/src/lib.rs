@@ -201,6 +201,17 @@ impl Obs {
         }
     }
 
+    /// Registers a hot-path profiler cell at the top level of the tree,
+    /// outside every span open on this thread (no-op when not
+    /// profiling): for work that runs beside those spans on another
+    /// thread.
+    pub fn prof_top_cell(&self, name: &str) -> ProfCell {
+        match self.inner.as_ref().and_then(|i| i.profiler.as_ref()) {
+            None => ProfCell::disabled(),
+            Some(p) => p.top_cell(name),
+        }
+    }
+
     /// Snapshot of the profiler's span tree; `None` when not profiling.
     pub fn profile_tree(&self) -> Option<ProfileNode> {
         self.inner

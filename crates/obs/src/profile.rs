@@ -173,12 +173,14 @@ impl Profiler {
     /// Registers a leaf cell named `name` under the current ambient
     /// position, for hot paths that tally many times into one node.
     pub fn cell(&self, name: &str) -> ProfCell {
-        ProfCell {
-            inner: Some(Arc::new(CellInner {
-                node: self.current().child(name),
-                clock: Arc::clone(&self.clock),
-            })),
-        }
+        ProfCell::child_of(&self.current(), name, &self.clock)
+    }
+
+    /// Registers a leaf cell named `name` at the top level of the tree,
+    /// whatever spans are open on this thread: for work that runs
+    /// beside those spans, on another thread, rather than inside them.
+    pub fn top_cell(&self, name: &str) -> ProfCell {
+        ProfCell::child_of(&self.root, name, &self.clock)
     }
 
     /// Snapshot of the whole tree. The synthetic root (empty name)
@@ -235,12 +237,7 @@ impl ProfSpan {
     pub fn cell(&self, name: &str) -> ProfCell {
         match &self.state {
             None => ProfCell::disabled(),
-            Some(s) => ProfCell {
-                inner: Some(Arc::new(CellInner {
-                    node: s.node.child(name),
-                    clock: Arc::clone(&s.clock),
-                })),
-            },
+            Some(s) => ProfCell::child_of(&s.node, name, &s.clock),
         }
     }
 }
@@ -307,6 +304,16 @@ impl ProfCell {
         ProfCell { inner: None }
     }
 
+    /// A cell on a new (or existing) child `name` of `parent`.
+    fn child_of(parent: &Node, name: &str, clock: &Arc<dyn Clock>) -> ProfCell {
+        ProfCell {
+            inner: Some(Arc::new(CellInner {
+                node: parent.child(name),
+                clock: Arc::clone(clock),
+            })),
+        }
+    }
+
     /// Whether this cell actually records.
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
@@ -314,18 +321,32 @@ impl ProfCell {
 
     /// Runs `f`, charging its wall time and one call to the cell.
     pub fn time<R>(&self, f: impl FnOnce() -> R) -> R {
-        match &self.inner {
-            None => f(),
-            Some(c) => {
-                let t0 = c.clock.elapsed_ns();
-                let r = f();
-                let stats = &c.node.stats;
-                stats.calls.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .wall_ns
-                    .fetch_add(c.clock.elapsed_ns().saturating_sub(t0), Ordering::Relaxed);
-                r
-            }
+        if self.inner.is_none() {
+            return f();
+        }
+        let t0 = self.stamp();
+        let r = f();
+        self.charge_since(t0);
+        r
+    }
+
+    /// The cell's clock reading, for a later
+    /// [`ProfCell::charge_since`]; zero when the cell is disabled.
+    pub fn stamp(&self) -> u64 {
+        self.inner.as_ref().map_or(0, |c| c.clock.elapsed_ns())
+    }
+
+    /// Charges one call and the wall time since `stamp`, a reading of
+    /// [`ProfCell::stamp`]: for an interval that starts inside a closure
+    /// handed elsewhere and ends after it returns.
+    pub fn charge_since(&self, stamp: u64) {
+        if let Some(c) = &self.inner {
+            let stats = &c.node.stats;
+            stats.calls.fetch_add(1, Ordering::Relaxed);
+            stats.wall_ns.fetch_add(
+                c.clock.elapsed_ns().saturating_sub(stamp),
+                Ordering::Relaxed,
+            );
         }
     }
 
@@ -704,6 +725,30 @@ mod tests {
             text.contains("  hook "),
             "cell row nests under its span:\n{text}"
         );
+    }
+
+    #[test]
+    fn top_cells_root_outside_open_spans_and_charge_stamped_intervals() {
+        let (clock, p) = profiler();
+        let run = p.span("run");
+        let inner = p.span("dispatch");
+        let helper = p.top_cell("capture");
+        let wait = p.cell("seal");
+        helper.time(|| clock.advance(4));
+        let stamp = wait.stamp();
+        clock.advance(2);
+        wait.charge_since(stamp);
+        drop(inner);
+        drop(run);
+        let tree = p.tree();
+        let capture = tree.find("capture").expect("top-level cell");
+        assert_eq!((capture.calls, capture.wall_ns), (1, 4_000));
+        assert!(tree.find("run/dispatch/capture").is_none());
+        let seal = tree.find("run/dispatch/seal").expect("ambient cell");
+        assert_eq!((seal.calls, seal.wall_ns), (1, 2_000));
+        let off = ProfCell::disabled();
+        assert_eq!(off.stamp(), 0);
+        off.charge_since(0);
     }
 
     #[test]

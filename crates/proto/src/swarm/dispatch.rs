@@ -22,6 +22,15 @@
 //! own insertions, so an event's key depends only on the history of
 //! the lane that emitted it. Obs events go straight to the sink as the
 //! hooks emit them, so the event log follows dispatch order.
+//!
+//! ## The capture beside the loop
+//!
+//! The loop stays serial. Once per simulated second it stops only to
+//! move each probe's sealed records into a [`Round`]; the round's sort
+//! and its hand-over to the record sink then run on a second thread
+//! (`rayon::join`) while the loop dispatches the next window. The two
+//! sides share nothing: the loop owns the core and the scheduler, the
+//! helper owns the round and the sink.
 
 use super::behaviour::{Actions, Behaviour, BehaviourAction, BehaviourStack, Ctx};
 use super::state::Event;
@@ -29,7 +38,7 @@ use super::SwarmCore;
 use crate::peer::PeerId;
 use netaware_obs::{Level, ProfCell, ProfSpan};
 use netaware_sim::{Scheduler, SimTime, ORIGIN_CHURN, ORIGIN_INIT};
-use netaware_trace::{RecordSink, TraceError};
+use netaware_trace::{RecordSink, Round, TraceError};
 
 /// Simulated time between two seals of the probes' captures, µs.
 const SEAL_EVERY_US: u64 = 1_000_000;
@@ -37,7 +46,8 @@ const SEAL_EVERY_US: u64 = 1_000_000;
 /// Pre-registered profiler cells for the dispatch hot path: one per
 /// behaviour in the stack, labelled `behaviour.<`[`Behaviour::name`]`>`,
 /// one for the receiver-side transfer work, one for the action drain
-/// and one for the seals that hand the captures to the sink.
+/// and one for the loop's share of the seals: moving the sealed
+/// records into the round, plus any wait for the previous round's sink.
 /// When the obs handle is not profiling every cell is disabled and
 /// [`ProfCell::time`] reduces to a bare closure call, keeping the
 /// disabled path within the `obs_overhead` bench budget.
@@ -134,14 +144,21 @@ fn handler_lane(core: &SwarmCore<'_>, ev: &Event) -> u32 {
 /// passes the horizon.
 ///
 /// Dispatch runs in windows that end at each whole second of simulated
-/// time and at the horizon. After each window, one round of segments
-/// goes to `sink` (`SwarmCore::seal`): every record at or before the
-/// window's end, which no later event can add to, because each capture
-/// lands no earlier than the event being dispatched. The round after
-/// the last window takes every record left, including those past the
-/// horizon. Nothing is scheduled between windows, so the events pop in
-/// the order one uninterrupted run would pop them. The first sink error
-/// ends the run.
+/// time and at the horizon. After each window, `SwarmCore::seal` moves
+/// one round of segments into a [`Round`]: every record at or before
+/// the window's end, which no later event can add to, because each
+/// capture lands no earlier than the event being dispatched. The round
+/// goes to `sink` while the next window runs, through `rayon::join`, so
+/// at most one round is in flight; the round after the last window
+/// takes every record left, including those past the horizon, and is
+/// sunk before `run` returns. Nothing is scheduled between windows, so
+/// the events pop in the order one uninterrupted run would pop them,
+/// and the sink sees the rounds in order. The first sink error ends
+/// the run once the window beside it is done.
+///
+/// The profile charges the loop's share to `swarm.dispatch/seal` and
+/// each round's sort and hand-over to the top-level `swarm.capture`
+/// cell, whichever thread runs it.
 pub(crate) fn run<S: RecordSink>(
     core: &mut SwarmCore<'_>,
     stack: &mut BehaviourStack,
@@ -193,16 +210,34 @@ pub(crate) fn run<S: RecordSink>(
     );
 
     // ---- The event loop, one window at a time. --------------------------
+    let capture = core.obs.prof_top_cell("swarm.capture");
+    let mut round = Round::new();
     let mut through: u64 = 0;
     loop {
         through = through.saturating_add(SEAL_EVERY_US).min(horizon.as_us());
-        core.report.events_dispatched +=
-            sched.run_until(SimTime::from_us(through), |sched, now, ev| {
+        let last = through == horizon.as_us();
+        let until = SimTime::from_us(through);
+        let mut window = || {
+            let events = sched.run_until(until, |sched, now, ev| {
                 deliver(core, stack, sched, &mut actions, &mut seq, now, ev, &prof);
             });
-        let last = through == horizon.as_us();
-        prof.seal
-            .time(|| core.seal(if last { u64::MAX } else { through }, sink))?;
+            (events, prof.seal.stamp())
+        };
+        // The previous window's round, if any, is sorted and sunk beside this
+        // window; `sealing` stamps the end of the window's events.
+        let ((events, sealing), sunk) = if round.is_empty() {
+            (window(), Ok(()))
+        } else {
+            rayon::join(window, || capture.time(|| round.sink_into(sink)))
+        };
+        core.report.events_dispatched += events;
+        sunk?;
+        core.seal(if last { u64::MAX } else { through }, &mut round);
+        if last {
+            // No window follows the horizon to run beside.
+            capture.time(|| round.sink_into(sink))?;
+        }
+        prof.seal.charge_since(sealing);
         if last {
             break;
         }

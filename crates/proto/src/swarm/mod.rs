@@ -254,8 +254,11 @@ impl<'a> Swarm<'a> {
     /// which ends at the horizon, takes every record left. Joined, a
     /// probe's segments are exactly its capture sorted stably once, so a
     /// spill-to-disk sink keeps the run's peak at the swarm's own state
-    /// plus about one window of records. The first sink error ends the
-    /// run and is returned.
+    /// plus about two windows of records: each round is sorted and sunk
+    /// on a second thread, when the host has a second CPU, while the
+    /// loop runs the next window, which is why `sink` must be `Send`.
+    /// The sink sees the rounds in order either way. The first sink
+    /// error ends the run and is returned; `finish` is then not called.
     pub fn run_into<S: RecordSink>(
         mut self,
         mut sink: S,

@@ -10,7 +10,7 @@ use netaware_net::{
     AccessClass, AccessLink, AsId, AsInfo, AsKind, CountryCode, GeoRegistry, GeoRegistryBuilder,
     Ip, LatencyModel, PathModel, Prefix,
 };
-use netaware_trace::PayloadKind;
+use netaware_trace::{MemorySink, PayloadKind, ProbeTrace, RecordSink, TraceError};
 
 fn mini_registry() -> GeoRegistry {
     let mut b = GeoRegistryBuilder::new();
@@ -72,6 +72,16 @@ fn mini_setup(n_ext: usize) -> PeerSetup {
 }
 
 fn run_mini(profile: AppProfile, secs: u64, seed: u64) -> (netaware_trace::TraceSet, SwarmReport) {
+    run_mini_into(profile, secs * 1_000_000, seed, MemorySink::new()).unwrap()
+}
+
+/// The miniature scenario run for `duration_us` into `sink`.
+fn run_mini_into<S: RecordSink>(
+    profile: AppProfile,
+    duration_us: u64,
+    seed: u64,
+    sink: S,
+) -> Result<(S::Output, SwarmReport), TraceError> {
     let reg = mini_registry();
     let env = NetworkEnv {
         registry: &reg,
@@ -80,12 +90,115 @@ fn run_mini(profile: AppProfile, secs: u64, seed: u64) -> (netaware_trace::Trace
     };
     let cfg = SwarmConfig {
         seed,
-        duration_us: secs * 1_000_000,
+        duration_us,
         stream: StreamParams::cctv1(),
         profile,
     };
-    let swarm = Swarm::new(cfg, env, mini_setup(80));
-    swarm.run()
+    Swarm::new(cfg, env, mini_setup(80)).run_into(sink)
+}
+
+/// Logs every call it gets: `Some(segment)` per `sink_probe`, `None`
+/// for `finish`. With `fail_at: Some(k)`, the k-th `sink_probe` call
+/// (from zero) fails.
+struct Recording<'a> {
+    log: &'a mut Vec<Option<ProbeTrace>>,
+    fail_at: Option<usize>,
+}
+
+impl RecordSink for Recording<'_> {
+    type Output = ();
+
+    fn sink_probe(&mut self, segment: ProbeTrace) -> Result<(), TraceError> {
+        let call = self.log.len();
+        self.log.push(Some(segment));
+        match self.fail_at {
+            Some(k) if k == call => Err(TraceError::BadManifest(format!("call {call}"))),
+            _ => Ok(()),
+        }
+    }
+
+    fn finish(self, _: &str, _: u64) -> Result<(), TraceError> {
+        self.log.push(None);
+        Ok(())
+    }
+}
+
+/// Each whole simulated second, and the horizon, closes one round: a
+/// segment per probe, in probe order, each time-sorted inside its
+/// window, and a probe's segments join into exactly the capture an
+/// in-memory run of the same seed keeps.
+#[test]
+fn the_sink_gets_one_round_per_started_second_in_probe_order() {
+    let profile = || small_profile(AppProfile::tvants());
+    let duration_us = 7_500_000;
+    let mut log = Vec::new();
+    let sink = Recording {
+        log: &mut log,
+        fail_at: None,
+    };
+    run_mini_into(profile(), duration_us, 5, sink).unwrap();
+    assert!(log.pop().is_some_and(|finish| finish.is_none()));
+    let (whole, _) = run_mini_into(profile(), duration_us, 5, MemorySink::new()).unwrap();
+    let probes: Vec<Ip> = mini_setup(0).probes.iter().map(|p| p.ip).collect();
+    let segments: Vec<ProbeTrace> = log.into_iter().flatten().collect();
+    let rounds: Vec<&[ProbeTrace]> = segments.chunks(probes.len()).collect();
+    assert_eq!(rounds.len(), 8, "ceil(7.5 s) rounds");
+    let mut joined = vec![Vec::new(); probes.len()];
+    for (k, round) in rounds.iter().enumerate() {
+        let after = k as u64 * 1_000_000;
+        let through = if k == 7 { u64::MAX } else { after + 1_000_000 };
+        for ((segment, &probe), joined) in round.iter().zip(&probes).zip(&mut joined) {
+            assert_eq!(segment.probe, probe, "round {k} out of probe order");
+            let ts: Vec<u64> = segment.records().iter().map(|r| r.ts_us).collect();
+            assert!(ts.is_sorted(), "round {k}, probe {probe}: unsorted segment");
+            assert!(
+                ts.iter().all(|&t| (k == 0 || t > after) && t <= through),
+                "round {k}, probe {probe}: a record outside its window"
+            );
+            joined.extend_from_slice(segment.records());
+        }
+    }
+    assert!(rounds.iter().all(|r| r.len() == probes.len()));
+    assert!(rounds[..7]
+        .iter()
+        .flat_map(|r| r.iter())
+        .any(|s| !s.is_empty()));
+    for (t, joined) in whole.traces.iter().zip(&joined) {
+        assert_eq!(
+            t.records(),
+            &joined[..],
+            "probe {}: gaps or repeats",
+            t.probe
+        );
+    }
+}
+
+/// A sink error in any round, pipelined or the last one, ends the run
+/// with that error: no segment follows the failing one and the sink is
+/// never finished.
+#[test]
+fn a_sink_error_ends_the_run_before_any_later_call() {
+    let probes = mini_setup(0).probes.len();
+    for round in [0, 2, 7] {
+        let fail_at = round * probes + 1;
+        let mut log = Vec::new();
+        let sink = Recording {
+            log: &mut log,
+            fail_at: Some(fail_at),
+        };
+        let profile = small_profile(AppProfile::sopcast());
+        let err = run_mini_into(profile, 7_500_000, 9, sink).unwrap_err();
+        assert!(
+            matches!(&err, TraceError::BadManifest(m) if *m == format!("call {fail_at}")),
+            "round {round}: {err:?}"
+        );
+        assert_eq!(
+            log.len(),
+            fail_at + 1,
+            "round {round}: calls after the error"
+        );
+        assert!(log.iter().all(Option::is_some), "round {round}: finished");
+    }
 }
 
 fn small_profile(base: AppProfile) -> AppProfile {

@@ -24,7 +24,7 @@ use crate::message::Signal;
 use crate::peer::PeerId;
 use netaware_net::{ttl_at_receiver, DEFAULT_TTL};
 use netaware_sim::{AccessSerializer, PacketFate, SimTime};
-use netaware_trace::{PacketRecord, PayloadKind, RecordSink, TraceError};
+use netaware_trace::{PacketRecord, PayloadKind, Round};
 use std::collections::btree_map::Entry;
 
 /// ADSL interleave window: packets draining within the same window reach
@@ -143,21 +143,15 @@ impl SwarmCore<'_> {
         });
     }
 
-    /// Hands `sink` one round of segments: each probe's records at or
-    /// before `through_us`, stably sorted by time, in probe order (an
-    /// empty segment for a probe with none). The caller must have
+    /// Moves each probe's records at or before `through_us` into
+    /// `round`, in probe order (an empty segment for a probe with none)
+    /// and in push order; `Round::sink_into` sorts them and hands them
+    /// to the sink, on whichever thread runs it. The caller must have
     /// dispatched every event up to `through_us`; from here on a capture
     /// at or before it trips the assertion in `capture`.
-    pub(crate) fn seal<S: RecordSink>(
-        &mut self,
-        through_us: u64,
-        sink: &mut S,
-    ) -> Result<(), TraceError> {
-        for trace in &mut self.traces {
-            sink.sink_probe(trace.drain_through(through_us))?;
-        }
+    pub(crate) fn seal(&mut self, through_us: u64, round: &mut Round) {
+        round.take_through(&mut self.traces, through_us);
         self.sealed_us = Some(through_us);
-        Ok(())
     }
 
     /// Sender-side half of a signalling packet `from → to`: TX capture

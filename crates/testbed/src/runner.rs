@@ -124,7 +124,7 @@ pub fn run_on_scenario(
 /// on-disk corpus at `dir` and the analysis streamed back off disk. The
 /// swarm hands the corpus each probe's records once per second of
 /// simulated time (see [`Swarm::run_into`]), so the run's peak memory
-/// is the swarm's own state plus about one second of records. The
+/// is the swarm's own state plus about two seconds of records. The
 /// analysis streams one record at a time into its accumulators, and the
 /// corpus directory is left in place for re-analysis or sharing.
 pub fn run_streamed(

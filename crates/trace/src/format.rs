@@ -111,7 +111,7 @@ impl From<io::Error> for TraceError {
 pub fn write_trace<W: Write>(trace: &ProbeTrace, out: &mut W) -> Result<(), TraceError> {
     let records = trace.records_unsorted();
     write_header(trace.probe, records.len() as u64, out)?;
-    Ok(write_records(records, out)?)
+    Ok(write_records(records, &mut Vec::new(), out)?)
 }
 
 /// Byte offset of the record count in the header.
@@ -125,17 +125,21 @@ pub(crate) fn write_header<W: Write>(probe: Ip, count: u64, out: &mut W) -> io::
     out.write_all(&count.to_le_bytes())
 }
 
-/// Writes the encodings of `records`, with no header.
-pub(crate) fn write_records<W: Write>(records: &[PacketRecord], out: &mut W) -> io::Result<()> {
-    // Encode in chunks to amortise the Vec growth without holding the
-    // whole serialisation in memory.
-    let mut buf = Vec::with_capacity(PacketRecord::WIRE_SIZE * records.len().min(4096));
+/// Writes the encodings of `records`, with no header: blocks of at most
+/// 4 096 records, each encoded into `buf` and written with one
+/// `write_all`, so a whole capture never sits encoded in memory. A
+/// caller that writes again keeps `buf` for its capacity.
+pub(crate) fn write_records<W: Write>(
+    records: &[PacketRecord],
+    buf: &mut Vec<u8>,
+    out: &mut W,
+) -> io::Result<()> {
     for block in records.chunks(4096) {
         buf.clear();
         for r in block {
-            r.encode(&mut buf);
+            r.encode(buf);
         }
-        out.write_all(&buf)?;
+        out.write_all(buf)?;
     }
     Ok(())
 }

@@ -38,5 +38,5 @@ pub mod stream;
 pub use format::{read_trace, write_trace, TraceError};
 pub use record::{PacketRecord, PayloadKind};
 pub use set::{ProbeTrace, TraceSet};
-pub use sink::{CorpusSink, MemorySink, RecordSink};
+pub use sink::{CorpusSink, MemorySink, RecordSink, Round};
 pub use stream::{CorpusStream, FileRecordStream, RecordStream};

@@ -86,23 +86,39 @@ impl ProbeTrace {
     /// Sorts records stably by timestamp (idempotent).
     pub fn finalize(&mut self) {
         if !self.sorted {
-            sort_by_ts(&mut self.records);
+            sort_by_ts(&mut self.records, &mut Vec::new());
             self.sorted = true;
         }
     }
 
-    /// Sorts the capture as [`ProbeTrace::finalize`] does, then moves
-    /// every record at or before `ts_us` into a new trace of the same
-    /// probe and keeps the later ones. Because the sort is stable, a
-    /// capture drained at rising `ts_us`, with every record pushed after
-    /// a drain later than that drain's `ts_us`, comes out in pieces that
-    /// join into exactly what one `finalize` would have produced.
-    pub fn drain_through(&mut self, ts_us: u64) -> ProbeTrace {
-        self.finalize();
-        let n = self.records.partition_point(|r| r.ts_us <= ts_us);
+    /// How many records lie at or before `ts_us`.
+    pub(crate) fn count_through(&self, ts_us: u64) -> usize {
+        self.records.iter().filter(|r| r.ts_us <= ts_us).count()
+    }
+
+    /// Moves every record at or before `ts_us` to the end of `out` and
+    /// keeps the later ones; both sides stay in push order. Stable sorts
+    /// of what a capture split at rising `ts_us` hands out, with every
+    /// record pushed after a split later than that split's `ts_us`, join
+    /// into exactly what one [`ProbeTrace::finalize`] of the whole
+    /// capture would produce.
+    pub(crate) fn split_through(&mut self, ts_us: u64, out: &mut Vec<PacketRecord>) {
+        // What stays is a subsequence, so `sorted` still holds if it held.
+        self.records.retain(|r| {
+            let sealed = r.ts_us <= ts_us;
+            if sealed {
+                out.push(*r);
+            }
+            !sealed
+        });
+    }
+
+    /// A trace of records already sorted by timestamp.
+    pub(crate) fn from_sorted(probe: Ip, records: Vec<PacketRecord>) -> Self {
+        debug_assert!(records.is_sorted_by_key(|r| r.ts_us));
         ProbeTrace {
-            probe: self.probe,
-            records: self.records.drain(..n).collect(),
+            probe,
+            records,
             sorted: true,
         }
     }
@@ -141,7 +157,7 @@ impl ProbeTrace {
 
     /// Builds from pre-collected records (sorts them).
     pub fn from_records(probe: Ip, mut records: Vec<PacketRecord>) -> Self {
-        sort_by_ts(&mut records);
+        sort_by_ts(&mut records, &mut Vec::new());
         ProbeTrace {
             probe,
             records,
@@ -152,10 +168,11 @@ impl ProbeTrace {
 
 /// Sorts `records` stably by timestamp: a least-significant-digit radix
 /// sort over each timestamp's offset from the earliest one, 11 bits per
-/// counting pass. One second of a capture and what lies up to a second
-/// past it span about 21 bits, so a seal's sort takes two passes where a
-/// comparison sort takes `log2(n)`.
-fn sort_by_ts(records: &mut [PacketRecord]) {
+/// counting pass. One second of a capture spans about 20 bits, so a
+/// seal's sort takes two passes where a comparison sort takes
+/// `log2(n)`. `scratch` is the second buffer the passes move records
+/// between; a caller that sorts again keeps it for its capacity.
+pub(crate) fn sort_by_ts(records: &mut [PacketRecord], scratch: &mut Vec<PacketRecord>) {
     const BITS: u32 = 11;
     let Some(min) = records.iter().map(|r| r.ts_us).min() else {
         return;
@@ -164,7 +181,8 @@ fn sort_by_ts(records: &mut [PacketRecord]) {
     if span == 0 {
         return;
     }
-    let mut scratch = records.to_vec();
+    scratch.clear();
+    scratch.extend_from_slice(records);
     let (mut src, mut dst) = (&mut *records, &mut scratch[..]);
     let mut shift = 0;
     while shift < u64::BITS && span >> shift != 0 {
@@ -187,7 +205,7 @@ fn sort_by_ts(records: &mut [PacketRecord]) {
     }
     // After an odd number of passes the sorted records sit in `scratch`.
     if (shift / BITS) % 2 == 1 {
-        records.copy_from_slice(&scratch);
+        records.copy_from_slice(scratch);
     }
 }
 
@@ -309,7 +327,9 @@ mod tests {
             x >> 33
         };
         // Spans that take no pass, one, two (a seal's), three and six;
-        // the sizes tell records with equal timestamps apart.
+        // the sizes tell records with equal timestamps apart. One scratch
+        // buffer serves every sort, shrinking inputs after larger ones.
+        let mut scratch = Vec::new();
         for (span, n) in [
             (0, 5),
             (1_000, 500),
@@ -329,8 +349,54 @@ mod tests {
                 .collect();
             let mut want = recs.clone();
             want.sort_by_key(|r| r.ts_us);
+            let mut again = recs.clone();
+            sort_by_ts(&mut again, &mut scratch);
+            assert_eq!(again, want);
             assert_eq!(ProbeTrace::from_records(p, recs).records(), &want[..]);
         }
+    }
+
+    /// A capture pushed out of order, but never at or before a split
+    /// already made, split at rising times and each piece sorted, joins
+    /// into one stable sort of the whole capture.
+    #[test]
+    fn split_pieces_sorted_one_by_one_join_into_the_whole_sort() {
+        let p = Ip::from_octets(10, 0, 0, 1);
+        let ext = Ip::from_octets(58, 0, 0, 1);
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut capture = ProbeTrace::new(p);
+        let (mut all, mut joined, mut scratch) = (Vec::new(), Vec::new(), Vec::new());
+        for window in 1..=6u64 {
+            // Each record lands up to 1.5 windows after the window's
+            // start, at 10-µs steps, so equal timestamps are common and
+            // some fall on the split itself.
+            for i in 0..400u16 {
+                let ts = (window - 1) * 1_000 + 10 + next() % 1_500 / 10 * 10;
+                let r = rec(ts, ext, p, i);
+                capture.push(r);
+                all.push(r);
+            }
+            let through = if window == 6 {
+                u64::MAX
+            } else {
+                window * 1_000
+            };
+            let mut piece = Vec::new();
+            let want = capture.count_through(through);
+            capture.split_through(through, &mut piece);
+            assert_eq!(piece.len(), want);
+            assert!(capture.records_unsorted().iter().all(|r| r.ts_us > through));
+            sort_by_ts(&mut piece, &mut scratch);
+            joined.extend_from_slice(ProbeTrace::from_sorted(p, piece).records());
+        }
+        assert!(capture.is_empty());
+        assert_eq!(joined, ProbeTrace::from_records(p, all).records());
     }
 
     #[test]

@@ -4,22 +4,25 @@
 //! each round gives every probe its next time-sorted segment, in probe
 //! order, and a probe's segments joined in order make up its capture.
 //! The swarm seals one round per second of simulated time (see
-//! `Swarm::run_into`), and the sink decides what stays resident:
-//! [`MemorySink`] joins the segments into a [`TraceSet`], while
-//! [`CorpusSink`] appends each segment to its probe's corpus file as it
-//! arrives. A run spilled through [`CorpusSink`] therefore peaks at the
-//! swarm's own state plus about one window of records, not at the whole
-//! capture.
+//! `Swarm::run_into`) and carries it to the sink in a [`Round`], whose
+//! sort and hand-over may run on a second thread while the capture goes
+//! on. The sink decides what stays resident: [`MemorySink`] joins the
+//! segments into a [`TraceSet`], while [`CorpusSink`] appends each
+//! segment to its probe's corpus file as it arrives. A run spilled
+//! through [`CorpusSink`] therefore peaks at the swarm's own state plus
+//! about two windows of records (the one being captured and the one
+//! being sunk), not at the whole capture.
 
 use crate::corpus::CorpusManifest;
 use crate::format::{write_header, write_records, TraceError, COUNT_OFFSET};
-use crate::set::{ProbeTrace, TraceSet};
+use crate::record::PacketRecord;
+use crate::set::{sort_by_ts, ProbeTrace, TraceSet};
 use netaware_net::Ip;
 use netaware_obs::{Counter, Level, Obs, ProfCell};
 use netaware_sim::SimTime;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fs::File;
-use std::io::{BufWriter, ErrorKind, Seek, SeekFrom, Write};
+use std::io::{ErrorKind, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Opens `path` as a new, empty file, unlinking any file already there
@@ -46,7 +49,15 @@ fn create_replacing(path: &Path) -> std::io::Result<File> {
 /// [`TraceError::OutOfOrder`]. `finish` seals the sink with the
 /// experiment metadata and yields whatever the sink built (a
 /// [`TraceSet`], a [`CorpusManifest`], …).
-pub trait RecordSink {
+///
+/// A sink is `Send` because the swarm calls `sink_probe` on a helper
+/// thread while its event loop runs the next window. `sink_probe` must
+/// therefore emit no obs event: the event log follows dispatch order,
+/// and a helper's events would land in it wherever the loop happened to
+/// be. Counters and profiler tallies are commutative and may be
+/// updated; per-probe events belong in `finish`, which runs on the
+/// loop's thread after the last round.
+pub trait RecordSink: Send {
     /// What the sink produces once sealed.
     type Output;
 
@@ -55,6 +66,81 @@ pub trait RecordSink {
 
     /// Seals the sink with experiment metadata.
     fn finish(self, app: &str, duration_us: u64) -> Result<Self::Output, TraceError>;
+}
+
+/// One round of segments on its way from the probes' capture buffers to
+/// a [`RecordSink`]. [`Round::take_through`] moves each probe's sealed
+/// records out of its capture buffer into the round, in push order;
+/// [`Round::sink_into`] sorts each probe's records and hands them to the
+/// sink as an exact-size segment. The two may run on different threads,
+/// so the capture's thread pays only for the move. The round's buffer
+/// and the sort's scratch buffer are kept from round to round: once
+/// warm, a round allocates only the segments the sink takes.
+#[derive(Default)]
+pub struct Round {
+    /// The round's records: each probe's in push order, probe after
+    /// probe.
+    records: Vec<PacketRecord>,
+    /// Each probe's address and the end of its records in `records`.
+    ends: Vec<(Ip, usize)>,
+    /// The radix sort's second buffer.
+    scratch: Vec<PacketRecord>,
+}
+
+impl Round {
+    /// An empty round.
+    pub fn new() -> Round {
+        Round::default()
+    }
+
+    /// `true` when the round holds no segment: nothing was taken since
+    /// it was last sunk.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Moves every record at or before `ts_us` out of each capture into
+    /// the round, one segment per capture, in the captures' order; the
+    /// later records stay in their captures. Both sides keep push order.
+    /// The caller must push nothing at or before `ts_us` into a capture
+    /// afterwards: the segments of a capture split at rising `ts_us` then
+    /// join, once sorted, into one stable sort of the whole capture.
+    /// The round must be empty (sunk) when it is taken.
+    pub fn take_through(&mut self, captures: &mut [ProbeTrace], ts_us: u64) {
+        debug_assert!(self.is_empty(), "a round taken before it was sunk");
+        let n: usize = captures.iter().map(|c| c.count_through(ts_us)).sum();
+        if self.records.capacity() < n {
+            // Headroom, so that a round a little larger than the largest
+            // so far does not move the buffer again.
+            self.records.reserve_exact(n + n / 8);
+        }
+        for capture in captures {
+            capture.split_through(ts_us, &mut self.records);
+            self.ends.push((capture.probe, self.records.len()));
+        }
+    }
+
+    /// Sorts each segment of the round stably by timestamp and hands it
+    /// to `sink`, in the order the segments were taken, then empties
+    /// the round. The first sink error stops the hand-over: no segment
+    /// after the failing one reaches the sink, and the rest are
+    /// dropped.
+    pub fn sink_into<S: RecordSink>(&mut self, sink: &mut S) -> Result<(), TraceError> {
+        let mut start = 0;
+        let mut result = Ok(());
+        for &(probe, end) in &self.ends {
+            let segment = &mut self.records[start..end];
+            start = end;
+            sort_by_ts(segment, &mut self.scratch);
+            result = sink.sink_probe(ProbeTrace::from_sorted(probe, segment.to_vec()));
+            if result.is_err() {
+                break;
+            }
+        }
+        self.records.clear();
+        self.ends.clear();
+        result
+    }
 }
 
 /// Joins each probe's segments in memory and builds a [`TraceSet`] —
@@ -132,6 +218,9 @@ pub struct CorpusSink {
     files: Vec<ProbeFile>,
     /// Position of each probe's file in `files`.
     index: BTreeMap<Ip, usize>,
+    /// The one encode buffer: every header and block of records is
+    /// encoded here and written to its file with one `write_all`.
+    buf: Vec<u8>,
     obs: Obs,
     records_sunk: Counter,
     probes_spilled: Counter,
@@ -141,7 +230,7 @@ pub struct CorpusSink {
 /// One probe's corpus file while segments are appended to it.
 struct ProbeFile {
     probe: Ip,
-    out: BufWriter<File>,
+    file: File,
     /// Records written so far.
     records: u64,
     /// Timestamp of the last record written (zero before the first).
@@ -164,6 +253,7 @@ impl CorpusSink {
             dir: dir.to_path_buf(),
             files: Vec::new(),
             index: BTreeMap::new(),
+            buf: Vec::new(),
             records_sunk: obs.counter("trace.records_sunk"),
             probes_spilled: obs.counter("trace.probes_spilled"),
             prof: obs.prof_cell("trace.spill"),
@@ -184,11 +274,13 @@ impl CorpusSink {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
                 let path = self.dir.join(format!("{}.nawt", segment.probe));
-                let mut out = BufWriter::new(create_replacing(&path)?);
-                write_header(segment.probe, 0, &mut out)?;
+                let mut file = create_replacing(&path)?;
+                self.buf.clear();
+                write_header(segment.probe, 0, &mut self.buf)?;
+                file.write_all(&self.buf)?;
                 self.files.push(ProbeFile {
                     probe: segment.probe,
-                    out,
+                    file,
                     records: 0,
                     last_us: 0,
                 });
@@ -200,7 +292,7 @@ impl CorpusSink {
             return Err(TraceError::OutOfOrder(f.records + i as u64));
         }
         let records = segment.records_unsorted();
-        write_records(records, &mut f.out)?;
+        write_records(records, &mut self.buf, &mut f.file)?;
         f.records += records.len() as u64;
         if let Some(last) = records.last() {
             f.last_us = last.ts_us;
@@ -221,10 +313,8 @@ impl RecordSink for CorpusSink {
         let mut probes = Vec::with_capacity(self.files.len());
         let mut total_packets = 0;
         for mut f in self.files {
-            // Seeking writes out the buffered records first.
-            f.out.seek(SeekFrom::Start(COUNT_OFFSET))?;
-            f.out.write_all(&f.records.to_le_bytes())?;
-            f.out.flush()?;
+            f.file.seek(SeekFrom::Start(COUNT_OFFSET))?;
+            f.file.write_all(&f.records.to_le_bytes())?;
             self.probes_spilled.inc();
             self.prof.add_calls(1);
             netaware_obs::event!(
@@ -319,8 +409,26 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir2);
     }
 
+    /// Records the segments handed to it, in order.
+    #[derive(Default)]
+    struct Recording(Vec<ProbeTrace>);
+
+    impl RecordSink for Recording {
+        type Output = Vec<ProbeTrace>;
+
+        fn sink_probe(&mut self, segment: ProbeTrace) -> Result<(), TraceError> {
+            self.0.push(segment);
+            Ok(())
+        }
+
+        fn finish(self, _: &str, _: u64) -> Result<Vec<ProbeTrace>, TraceError> {
+            Ok(self.0)
+        }
+    }
+
     /// Three probes' captures (the third empty) and the same captures
-    /// cut into three rounds of segments at 1 ms, 2.5 ms and the end.
+    /// cut into three rounds of segments at 1 ms, 2.5 ms and the end,
+    /// carried by one reused [`Round`].
     fn whole_and_rounds() -> (Vec<ProbeTrace>, Vec<Vec<ProbeTrace>>) {
         let whole = vec![
             trace(Ip::from_octets(10, 0, 0, 1), 9),
@@ -328,11 +436,48 @@ mod tests {
             ProbeTrace::new(Ip::from_octets(10, 0, 2, 1)),
         ];
         let mut left = whole.clone();
+        let mut round = Round::new();
         let rounds = [1_000, 2_500, u64::MAX]
             .into_iter()
-            .map(|through| left.iter_mut().map(|t| t.drain_through(through)).collect())
+            .map(|through| {
+                round.take_through(&mut left, through);
+                let mut got = Recording::default();
+                round.sink_into(&mut got).unwrap();
+                got.0
+            })
             .collect();
+        assert!(left.iter().all(ProbeTrace::is_empty));
         (whole, rounds)
+    }
+
+    #[test]
+    fn a_failing_sink_stops_the_round_at_its_error() {
+        struct FailSecond(usize);
+        impl RecordSink for FailSecond {
+            type Output = ();
+            fn sink_probe(&mut self, _: ProbeTrace) -> Result<(), TraceError> {
+                self.0 += 1;
+                match self.0 {
+                    2 => Err(TraceError::OutOfOrder(7)),
+                    _ => Ok(()),
+                }
+            }
+            fn finish(self, _: &str, _: u64) -> Result<(), TraceError> {
+                Ok(())
+            }
+        }
+        let mut captures: Vec<ProbeTrace> = (1..=3)
+            .map(|i| trace(Ip::from_octets(10, 0, i, 1), 4))
+            .collect();
+        let mut round = Round::new();
+        round.take_through(&mut captures, u64::MAX);
+        let mut sink = FailSecond(0);
+        let err = round.sink_into(&mut sink).unwrap_err();
+        assert!(matches!(err, TraceError::OutOfOrder(7)), "{err:?}");
+        assert_eq!(sink.0, 2, "a segment reached the sink after its error");
+        // The round is empty again: the next one starts from nothing.
+        round.sink_into(&mut sink).unwrap();
+        assert_eq!(sink.0, 2);
     }
 
     #[test]

@@ -46,7 +46,8 @@
 //! `run --spill DIR` spills the capture to an on-disk corpus as the
 //! swarm runs, one second of simulated time at a time, and streams the
 //! analysis back off disk. The run's peak memory is the swarm's own
-//! state plus about one second of records, and the corpus stays behind
+//! state plus about two seconds of records (the one being captured and
+//! the one being written beside it), and the corpus stays behind
 //! for `analyze --dir`.
 //! `analyze --dir` streams a saved corpus through the single-pass engine
 //! without loading it; `analyze --probe …` ingests classic pcap captures

@@ -133,6 +133,27 @@ fn dispatch_profile_has_a_cell_per_stacked_behaviour() {
     );
 }
 
+/// Each round's sort and hand-over to the sink run beside the event
+/// loop, so they tally into a top-level cell of their own, one call per
+/// round, and not under `swarm.dispatch`, whose self time stays its own.
+#[test]
+fn the_capture_beside_the_loop_has_its_own_node() {
+    const DISPATCH: &str = "testbed.run/swarm.run/swarm.dispatch";
+    let (tree, _) = profiled_run(321);
+    let rounds = 10; // one per simulated second of the 10-s run
+    let capture = tree.find("swarm.capture").expect("top-level capture cell");
+    assert_eq!(capture.calls, rounds);
+    assert!(capture.wall_ns > 0);
+    let seal = tree.find(&format!("{DISPATCH}/seal")).expect("seal cell");
+    assert_eq!(seal.calls, rounds);
+    assert!(tree.find(&format!("{DISPATCH}/swarm.capture")).is_none());
+    let dispatch = tree.find(DISPATCH).expect("dispatch span");
+    assert!(
+        dispatch.self_wall_ns() > 0,
+        "swarm.dispatch self time clamped to zero"
+    );
+}
+
 #[test]
 fn panicking_scope_still_closes_the_whole_stack() {
     let obs = Obs::profiled();
