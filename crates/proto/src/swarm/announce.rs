@@ -18,9 +18,6 @@ pub(crate) struct Announce {
     tx_n: u32,
     rx_n: u32,
     tick_us: u64,
-    /// Scratch list of the RX sample's external neighbors, cleared on
-    /// each tick and kept only for its capacity.
-    ext_neighbors: Vec<PeerId>,
 }
 
 impl Announce {
@@ -29,7 +26,6 @@ impl Announce {
             tx_n: p.announces_per_tick.0,
             rx_n: p.announces_per_tick.1,
             tick_us: p.tick_us,
-            ext_neighbors: Vec::new(),
         }
     }
 }
@@ -45,7 +41,7 @@ impl Behaviour for Announce {
         let now = ctx.now();
         let pid = PeerId((1 + i) as u32);
         let (tx_n, rx_n) = (self.tx_n, self.rx_n);
-        let n_neigh = ctx.core.probe_states[i].disc.neighbors.len();
+        let n_neigh = ctx.core.probe_states[i].disc.neighbors().len();
         if n_neigh == 0 {
             return;
         }
@@ -57,7 +53,7 @@ impl Behaviour for Announce {
         for k in 0..tx_n {
             let core = &mut *ctx.core;
             let pick = core.probe_states[i].rng.range(0..n_neigh);
-            let n = core.probe_states[i].disc.neighbors[pick];
+            let n = core.probe_states[i].disc.neighbors()[pick];
             let to = n.id;
             let at = now + (k as u64 * tick) / (tx_n.max(1) as u64 * 2);
             // Sender-side half here; a probe receiver charges its own
@@ -75,28 +71,21 @@ impl Behaviour for Announce {
             }
         }
         let core = &mut *ctx.core;
-        // RX: sample external neighbors only.
-        let ext_neighbors = &mut self.ext_neighbors;
-        ext_neighbors.clear();
-        ext_neighbors.extend(
-            core.probe_states[i]
-                .disc
-                .neighbors
-                .iter()
-                .filter(|n| n.role == PeerRole::External)
-                .map(|n| n.id),
-        );
-        if ext_neighbors.is_empty() {
-            return;
-        }
+        // RX: sample external neighbors only, from the table's external
+        // view, whose entries carry their inbound TTL.
         for k in 0..rx_n {
-            let pick = core.probe_states[i].rng.range(0..ext_neighbors.len());
-            let from = ext_neighbors[pick];
+            let s = &mut core.probe_states[i];
+            let ext = s.disc.external_view(&core.cfg.profile.upload_policy);
+            if ext.ids.is_empty() {
+                return;
+            }
+            let pick = s.rng.range(0..ext.ids.len());
+            let (from, ttl) = (ext.ids[pick], ext.ttls[pick]);
             let at = now + (k as u64 * tick) / (rx_n.max(1) as u64);
             // Incoming announces cross this probe's access link; a
             // faulty link silently eats some of them.
             if core
-                .receive_signal(i, from, at, Signal::BufferMap.wire_size())
+                .receive_signal_ttl(i, from, ttl, at, Signal::BufferMap.wire_size())
                 .is_some()
             {
                 core.report.signal_packets += 1;

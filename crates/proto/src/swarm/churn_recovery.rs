@@ -92,9 +92,7 @@ impl ChurnRecovery {
         for i in core.presence.take_holders(id) {
             let s = &mut core.probe_states[i];
             s.link.ext_up.remove(&id);
-            let had = s.disc.neighbors.len();
-            s.disc.neighbors.retain(|n| n.id != id);
-            if s.disc.neighbors.len() != had {
+            if s.disc.remove_neighbor(id) {
                 lost_neighbor(i);
             }
             s.sched.active_requesters.retain(|r| *r != id);
@@ -191,22 +189,24 @@ impl Behaviour for ChurnRecovery {
     fn on_tick(&mut self, ctx: &mut Ctx<'_, '_>, i: usize) {
         let now_us = ctx.now().as_us();
         let core = &mut *ctx.core;
+        let download = &core.cfg.profile.download_policy;
         let s = &mut core.probe_states[i];
-        let mut timed_out = Vec::new();
-        s.sched.pending.retain(|p| {
-            if p.deadline_us <= now_us {
-                timed_out.push(p.provider);
-                false
-            } else {
-                true
+        // The list leaves the state while the cap re-prices entries, and
+        // returns with its capacity.
+        let mut pending = std::mem::take(&mut s.sched.pending);
+        let in_flight = pending.len();
+        pending.retain(|p| {
+            if p.deadline_us > now_us {
+                return true;
             }
+            let est = s.sched.est_bps.get(&p.provider).copied();
+            let capped = est.map_or(TIMEOUT_EST_BPS, |e| e.min(TIMEOUT_EST_BPS));
+            s.set_estimate(download, p.provider, capped);
+            false
         });
-        core.m.requests_timed_out.add(timed_out.len() as u64);
-        let s = &mut core.probe_states[i];
-        for prov in timed_out {
-            let e = s.sched.est_bps.entry(prov).or_insert(TIMEOUT_EST_BPS);
-            *e = (*e).min(TIMEOUT_EST_BPS);
-        }
+        let timed_out = (in_flight - pending.len()) as u64;
+        s.sched.pending = pending;
+        core.m.requests_timed_out.add(timed_out);
     }
 
     /// Retry bookkeeping of a completed delivery: the chunk is no longer

@@ -65,7 +65,7 @@ impl Discovery {
     /// dispatcher routes here.
     pub(crate) fn try_discover(&mut self, ctx: &mut Ctx<'_, '_>, i: usize, now_us: u64) -> bool {
         let core = &mut *ctx.core;
-        if core.probe_states[i].disc.neighbors.len() >= self.max_neighbors {
+        if core.probe_states[i].disc.neighbors().len() >= self.max_neighbors {
             return false;
         }
         // Scheduled tracker outage: the rendezvous point is unreachable,
@@ -108,7 +108,7 @@ impl Discovery {
         // Already a neighbor?
         if core.probe_states[i]
             .disc
-            .neighbors
+            .neighbors()
             .iter()
             .any(|n| n.id == cand)
         {
@@ -156,7 +156,7 @@ impl Discovery {
             return false;
         }
         let entry = core.neighbor(i, cand, now_us.saturating_add(lifetime));
-        core.probe_states[i].disc.neighbors.push(entry);
+        core.probe_states[i].disc.push_neighbor(entry);
         core.presence.mark(cand, i);
         core.report.signal_packets += 1;
         core.m.handshakes_ok.inc();
@@ -182,10 +182,7 @@ impl Behaviour for Discovery {
     /// Neighbor churn: drop expired externals, top up via discovery.
     fn on_tick(&mut self, ctx: &mut Ctx<'_, '_>, i: usize) {
         let now_us = ctx.now().as_us();
-        ctx.core.probe_states[i]
-            .disc
-            .neighbors
-            .retain(|n| n.expires_us > now_us);
+        ctx.core.probe_states[i].disc.expire(now_us);
         let want = {
             let f = self.per_tick;
             let whole = f.floor() as usize;

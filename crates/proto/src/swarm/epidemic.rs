@@ -84,7 +84,7 @@ impl Behaviour for EpidemicPush {
         cand.extend(
             core.probe_states[i]
                 .disc
-                .neighbors
+                .neighbors()
                 .iter()
                 .filter(|n| n.role != PeerRole::Source && !core.is_offline(n.id)),
         );

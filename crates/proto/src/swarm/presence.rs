@@ -23,6 +23,11 @@
 //! request times out): the scrub then finds nothing at that probe, which
 //! is what the full walk found there too. Only eviction clears bits.
 //!
+//! The discovery slice's external view also stores peer ids, but it is
+//! derived from `disc.neighbors`, not a seventh slot: removing the
+//! neighbor entry marks it stale, and a stale view is rebuilt before
+//! anything reads it, so eviction only marks it.
+//!
 //! Per peer the table holds one offline flag and one bit per probe:
 //! 9 bytes up to 64 probes.
 
@@ -43,7 +48,7 @@ pub(crate) const PEER_SLOTS: [&str; 6] = [
 /// Which of [`PEER_SLOTS`] in `s` name `id`.
 pub(crate) fn slots_naming(s: &ProbeState, id: PeerId) -> [bool; 6] {
     [
-        s.disc.neighbors.iter().any(|n| n.id == id),
+        s.disc.neighbors().iter().any(|n| n.id == id),
         s.sched.pending.iter().any(|p| p.provider == id),
         s.sched.active_requesters.contains(&id),
         s.sched.last_provider == Some(id),

@@ -13,7 +13,6 @@ use super::state::{Event, Pending};
 use crate::chunk::ChunkId;
 use crate::message::Signal;
 use crate::peer::{PeerId, PeerRole};
-use crate::policy::SelectionPolicy;
 use crate::profiles::AppProfile;
 use netaware_obs::Level;
 
@@ -25,12 +24,6 @@ const ACTIVE_REQUESTER_CAP: usize = 48;
 
 /// The scheduling behaviour and its profile-derived parameters.
 pub(crate) struct Scheduling {
-    download_policy: SelectionPolicy,
-    upload_policy: SelectionPolicy,
-    /// `bw_term(None)` of each policy: the weight's bandwidth term for a
-    /// candidate never measured, which depends on the policy alone.
-    download_unknown_bw: f64,
-    upload_unknown_bw: f64,
     exploration: f64,
     max_parallel_requests: usize,
     request_timeout_us: u64,
@@ -40,9 +33,9 @@ pub(crate) struct Scheduling {
     scratch: Scratch,
 }
 
-/// Scratch lists of the request draft, the demand draft and the tick's
-/// request list. Each use clears them first; they live here only so
-/// their capacity survives across events.
+/// Scratch lists of the request draft and the tick's request list.
+/// Each use clears them first; they live here only so their capacity
+/// survives across events.
 #[derive(Default)]
 struct Scratch {
     /// Candidate peers, aligned with `weights`.
@@ -58,10 +51,6 @@ struct Scratch {
 impl Scheduling {
     pub(crate) fn from_profile(p: &AppProfile) -> Self {
         Scheduling {
-            download_policy: p.download_policy,
-            upload_policy: p.upload_policy,
-            download_unknown_bw: p.download_policy.bw_term(None),
-            upload_unknown_bw: p.upload_policy.bw_term(None),
             exploration: p.exploration,
             max_parallel_requests: p.max_parallel_requests,
             request_timeout_us: p.request_timeout_us,
@@ -78,7 +67,9 @@ impl Scheduling {
         let now_us = now.as_us();
         let core = &mut *ctx.core;
 
-        // Gather candidates that plausibly hold the chunk.
+        // Gather candidates that plausibly hold the chunk, each weighed by
+        // the download policy.
+        let download = &core.cfg.profile.download_policy;
         let Scratch {
             ids,
             weights,
@@ -91,25 +82,30 @@ impl Scheduling {
         {
             let s = &core.probe_states[i];
             let chunk_ready_us = core.cfg.stream.chunk_time_us(chunk);
-            for n in &s.disc.neighbors {
+            for n in s.disc.neighbors() {
                 // Departed externals are scrubbed from neighbor tables
                 // eagerly, but a same-tick departure can race the scan.
                 if core.is_offline(n.id) || !n.plausibly_holds(chunk_ready_us, now_us) {
                     continue;
                 }
-                let est = s.sched.est_bps.get(&n.id).copied();
-                let bw = match est {
-                    Some(_) => self.download_policy.bw_term(est),
-                    None => self.download_unknown_bw,
-                };
-                let cand = n.candidate(est, s.sched.last_provider == Some(n.id));
-                let mut w = self.download_policy.with_factors(bw, &cand);
+                // The entry carries its estimate's bandwidth term.
+                if cfg!(debug_assertions) {
+                    let est = s.sched.est_bps.get(&n.id).copied();
+                    debug_assert!(
+                        n.bw_term.to_bits() == download.bw_term(est).to_bits()
+                            && n.measured == est.is_some(),
+                        "probe {i}: entry of {} not re-priced at its last estimate",
+                        n.id.0
+                    );
+                }
+                let cand = n.candidate(s.sched.last_provider == Some(n.id));
+                let mut w = download.with_factors(n.bw_term, &cand);
                 if n.role == PeerRole::Source {
                     w *= SOURCE_WEIGHT_FACTOR;
                 }
                 ids.push(n.id);
                 weights.push(w);
-                if est.is_none() && n.role == PeerRole::External {
+                if !n.measured && n.role == PeerRole::External {
                     untried.push(n.id);
                 }
             }
@@ -328,6 +324,7 @@ impl Behaviour for Scheduling {
         let Some(ti) = core.probe_index(to) else {
             return;
         };
+        let download = &core.cfg.profile.download_policy;
         let s = &mut core.probe_states[ti];
         s.sched.pending.retain(|p| p.chunk != chunk);
         if !s.sched.bufmap.contains(chunk) && chunk.0 >= s.sched.bufmap.base().0 {
@@ -338,7 +335,7 @@ impl Behaviour for Scheduling {
             // playout base): the bytes were wasted.
             core.m.chunks_duplicate.inc();
         }
-        s.sched.est_bps.insert(from, est);
+        s.set_estimate(download, from, est);
         s.sched.last_provider = Some(from);
         core.presence.mark(from, ti);
     }
@@ -369,26 +366,18 @@ impl Behaviour for Scheduling {
                 Some(s.sched.active_requesters[k])
             } else {
                 // Weighted draft among external neighbors by the upload
-                // policy's locality terms.
-                let Scratch { ids, weights, .. } = &mut self.scratch;
-                let (policy, unknown_bw) = (&self.upload_policy, self.upload_unknown_bw);
-                ids.clear();
-                weights.clear();
-                for n in &core.probe_states[i].disc.neighbors {
-                    if n.role == PeerRole::External {
-                        ids.push(n.id);
-                        weights.push(policy.with_factors(unknown_bw, &n.candidate(None, false)));
-                    }
-                }
-                if ids.is_empty() {
+                // policy's locality terms, which the table's external
+                // view holds with their sum.
+                let s = &mut core.probe_states[i];
+                let view = s.disc.external_view(&core.cfg.profile.upload_policy);
+                if view.ids.is_empty() {
                     None
                 } else {
-                    let s = &mut core.probe_states[i];
                     let pick = s
                         .rng
-                        .pick_weighted(weights)
-                        .unwrap_or_else(|| s.rng.range(0..ids.len()));
-                    let r = ids[pick];
+                        .pick_weighted_with_total(&view.weights, view.total)
+                        .unwrap_or_else(|| s.rng.range(0..view.ids.len()));
+                    let r = view.ids[pick];
                     if !s.sched.active_requesters.contains(&r) {
                         if s.sched.active_requesters.len() >= ACTIVE_REQUESTER_CAP {
                             let evict = s.rng.range(0..s.sched.active_requesters.len());

@@ -13,7 +13,7 @@
 use super::{Swarm, SwarmConfig, SwarmCore, SwarmReport};
 use crate::chunk::{BufferMap, ChunkId};
 use crate::peer::{PeerId, PeerInfo, PeerRole};
-use crate::policy::Candidate;
+use crate::policy::{Candidate, SelectionPolicy};
 use netaware_net::{
     hash, AccessLink, AsId, CountryCode, Endpoint, GeoRegistry, Ip, LatencyModel, PathModel,
 };
@@ -86,10 +86,12 @@ pub struct PeerMeta {
 }
 
 /// A neighbor-table entry at a probe, carrying the per-pair facts the
-/// hot loops read. They are resolved once, by [`SwarmCore::neighbor`],
-/// and never go stale: roles, addresses and playout lags are fixed for
-/// the whole run. Live facts (offline state, bandwidth estimates) stay
-/// where they are kept.
+/// hot loops read, so that each is priced once per entry rather than at
+/// every read. [`SwarmCore::neighbor`] resolves them when it makes the
+/// entry. Roles, addresses, paths and playout lags are fixed for the
+/// whole run, so those facts never go stale. The bandwidth term follows
+/// the probe's estimate of the peer, which [`ProbeState::set_estimate`]
+/// refreshes. The offline flags stay where they are kept.
 #[derive(Clone, Copy, Debug)]
 pub struct Neighbor {
     /// The neighbor peer.
@@ -104,19 +106,37 @@ pub struct Neighbor {
     pub same_as: bool,
     /// Resolves to the owning probe's country.
     pub same_cc: bool,
+    /// Whether the owning probe has an estimate of this neighbor's
+    /// upstream (`sched.est_bps` holds its key): an external without one
+    /// is in the request draft's exploration pool.
+    pub measured: bool,
+    /// TTL of a packet from this neighbor when it reaches the owning
+    /// probe.
+    pub ttl: u8,
     /// How long after a chunk is generated this neighbor plausibly
     /// holds it, µs: an external's playout lag ([`PeerMeta::lag_us`]);
     /// `2 + fetch_lag` chunk intervals for a probe, which fetches that
     /// far behind the live head ([`SchedulingState::fetch_lag_chunks`]);
-    /// 0 for the source.
-    pub hold_lag_us: u64,
+    /// 0 for the source. A few seconds at most.
+    pub hold_lag_us: u32,
+    /// The download policy's bandwidth term for this neighbor,
+    /// `bw_term(Some(est))` under the probe's estimate or `bw_term(None)`
+    /// before it has one.
+    pub bw_term: f64,
 }
 
+// Every probe's table counts in a spilled run's peak heap, and the
+// epidemic push copies entries: the measured flag and the TTL share a
+// word with the role and locality flags, so the entry stays at 32 bytes.
+const _: () = assert!(std::mem::size_of::<Neighbor>() <= 32);
+
 impl Neighbor {
-    /// This neighbor as a selection candidate of the owning probe.
-    pub(crate) fn candidate(&self, est_up_bps: Option<u64>, is_last_provider: bool) -> Candidate {
+    /// This neighbor as a selection candidate of the owning probe. The
+    /// estimate is left out: a weight takes the bandwidth term instead
+    /// (`SelectionPolicy::with_factors`).
+    pub(crate) fn candidate(&self, is_last_provider: bool) -> Candidate {
         Candidate {
-            est_up_bps,
+            est_up_bps: None,
             same_subnet: self.same_subnet,
             same_as: self.same_as,
             same_cc: self.same_cc,
@@ -133,18 +153,29 @@ impl Neighbor {
     /// authoritative check at serve time refuses the misses. The guess
     /// reads only the neighbor's *static* lag, never its live state.
     pub(crate) fn plausibly_holds(&self, chunk_ready_us: u64, now_us: u64) -> bool {
-        self.role == PeerRole::Source || chunk_ready_us + self.hold_lag_us <= now_us
+        self.role == PeerRole::Source || chunk_ready_us + u64::from(self.hold_lag_us) <= now_us
     }
 }
 
 impl SwarmCore<'_> {
     /// The neighbor-table entry for peer `id` at probe `i`, expiring at
     /// `expires_us`. The bootstrap mesh and discovery both build their
-    /// entries here, so the cached facts have one derivation.
+    /// entries here, so the cached facts have one derivation. The
+    /// bandwidth term comes from the probe's estimates, which outlive
+    /// entries: a peer met again is priced by what was learned before.
     pub(crate) fn neighbor(&self, i: usize, id: PeerId, expires_us: u64) -> Neighbor {
         let me = &self.meta[1 + i];
         let m = &self.meta[id.0 as usize];
         let role = self.peers[id.0 as usize].role;
+        let est = self.probe_states[i].sched.est_bps.get(&id).copied();
+        let hold_lag_us = match role {
+            PeerRole::Source => 0,
+            PeerRole::Probe => {
+                let fetch_lag = self.probe_states[id.0 as usize - 1].sched.fetch_lag_chunks;
+                (2 + fetch_lag as u64) * self.cfg.stream.chunk_interval_us()
+            }
+            PeerRole::External => m.lag_us,
+        };
         Neighbor {
             id,
             expires_us,
@@ -152,14 +183,10 @@ impl SwarmCore<'_> {
             same_subnet: m.ep.ip.same_subnet(me.ep.ip),
             same_as: m.ep.asn.is_some() && m.ep.asn == me.ep.asn,
             same_cc: m.cc.is_some() && m.cc == me.cc,
-            hold_lag_us: match role {
-                PeerRole::Source => 0,
-                PeerRole::Probe => {
-                    let fetch_lag = self.probe_states[id.0 as usize - 1].sched.fetch_lag_chunks;
-                    (2 + fetch_lag as u64) * self.cfg.stream.chunk_interval_us()
-                }
-                PeerRole::External => m.lag_us,
-            },
+            measured: est.is_some(),
+            ttl: self.inbound_ttl(i, id),
+            hold_lag_us: u32::try_from(hold_lag_us).unwrap_or(u32::MAX),
+            bw_term: self.cfg.profile.download_policy.bw_term(est),
         }
     }
 }
@@ -206,10 +233,139 @@ pub struct LinkState {
 
 /// The discovery behaviour's slice of one probe's state.
 pub struct DiscoveryState {
-    /// Current neighbor table.
-    pub neighbors: Vec<Neighbor>,
+    /// Current neighbor table. Every change goes through a method here,
+    /// which marks `external` stale.
+    neighbors: Vec<Neighbor>,
+    /// The table's external entries, derived from it on the first read
+    /// after a change.
+    external: ExternalView,
     /// Per-probe halo contact rate, Hz.
     pub halo_rate_hz: f64,
+}
+
+/// The external entries of a probe's neighbor table, in table order,
+/// with what the demand draft and the announce RX sample read of each:
+/// the upload policy's draft weight, which depends only on the entry's
+/// static locality, and the entry's inbound TTL. The buffers are kept
+/// across rebuilds, so a rebuild allocates only while the table grows
+/// past its largest size so far.
+#[derive(Default)]
+pub(crate) struct ExternalView {
+    /// The external neighbors, in table order.
+    pub(crate) ids: Vec<PeerId>,
+    /// Upload-draft weight of each, aligned with `ids`.
+    pub(crate) weights: Vec<f64>,
+    /// Inbound TTL of each ([`Neighbor::ttl`]), aligned with `ids`.
+    pub(crate) ttls: Vec<u8>,
+    /// `weights.iter().sum()`, summed left to right at each rebuild and
+    /// never updated in place, since float addition does not reassociate.
+    pub(crate) total: f64,
+    /// The table changed since the last rebuild.
+    stale: bool,
+}
+
+impl ExternalView {
+    /// The external entries of `table` with their upload-draft weights
+    /// under `upload` (the upload policy), in table order.
+    fn derive<'t>(
+        table: &'t [Neighbor],
+        upload: &SelectionPolicy,
+    ) -> impl Iterator<Item = (&'t Neighbor, f64)> + Clone {
+        let (upload, bw) = (*upload, upload.bw_term(None));
+        table
+            .iter()
+            .filter(|n| n.role == PeerRole::External)
+            .map(move |n| (n, upload.with_factors(bw, &n.candidate(false))))
+    }
+
+    /// Refills the view from `table`.
+    fn rebuild(&mut self, table: &[Neighbor], upload: &SelectionPolicy) {
+        self.ids.clear();
+        self.weights.clear();
+        self.ttls.clear();
+        for (n, w) in Self::derive(table, upload) {
+            self.ids.push(n.id);
+            self.weights.push(w);
+            self.ttls.push(n.ttl);
+        }
+        self.total = self.weights.iter().sum();
+        self.stale = false;
+    }
+
+    /// Whether the view is bit for bit what a rebuild from `table` would
+    /// make; allocates nothing.
+    fn is_derived_from(&self, table: &[Neighbor], upload: &SelectionPolicy) -> bool {
+        let fresh = Self::derive(table, upload);
+        fresh.clone().count() == self.ids.len()
+            && fresh.clone().enumerate().all(|(k, (n, w))| {
+                n.id == self.ids[k]
+                    && n.ttl == self.ttls[k]
+                    && w.to_bits() == self.weights[k].to_bits()
+            })
+            && fresh.map(|(_, w)| w).sum::<f64>().to_bits() == self.total.to_bits()
+    }
+}
+
+impl DiscoveryState {
+    /// An empty table, whose view is built at its first read.
+    fn new(halo_rate_hz: f64) -> DiscoveryState {
+        DiscoveryState {
+            neighbors: Vec::new(),
+            external: ExternalView {
+                stale: true,
+                ..ExternalView::default()
+            },
+            halo_rate_hz,
+        }
+    }
+
+    /// The neighbor table.
+    pub(crate) fn neighbors(&self) -> &[Neighbor] {
+        &self.neighbors
+    }
+
+    /// Replaces the whole table (the bootstrap mesh) and returns the
+    /// old one.
+    pub(crate) fn replace_neighbors(&mut self, table: Vec<Neighbor>) -> Vec<Neighbor> {
+        self.external.stale = true;
+        std::mem::replace(&mut self.neighbors, table)
+    }
+
+    /// Appends an entry (a completed handshake).
+    pub(crate) fn push_neighbor(&mut self, n: Neighbor) {
+        self.external.stale = true;
+        self.neighbors.push(n);
+    }
+
+    /// Drops the entries expired at `now_us`.
+    pub(crate) fn expire(&mut self, now_us: u64) {
+        let had = self.neighbors.len();
+        self.neighbors.retain(|n| n.expires_us > now_us);
+        self.external.stale |= self.neighbors.len() != had;
+    }
+
+    /// Drops `id`'s entry (eviction); returns whether there was one.
+    pub(crate) fn remove_neighbor(&mut self, id: PeerId) -> bool {
+        let had = self.neighbors.len();
+        self.neighbors.retain(|n| n.id != id);
+        let removed = self.neighbors.len() != had;
+        self.external.stale |= removed;
+        removed
+    }
+
+    /// The table's external entries, rebuilt first if the table changed
+    /// since the last read. `upload` is the profile's upload policy.
+    /// Debug builds check the view against a fresh derivation.
+    pub(crate) fn external_view(&mut self, upload: &SelectionPolicy) -> &ExternalView {
+        if self.external.stale {
+            self.external.rebuild(&self.neighbors, upload);
+        }
+        debug_assert!(
+            self.external.is_derived_from(&self.neighbors, upload),
+            "external view out of step with the neighbor table: a table change did not mark it stale"
+        );
+        &self.external
+    }
 }
 
 /// The scheduling behaviour's slice of one probe's state.
@@ -259,6 +415,21 @@ pub struct ProbeState {
     /// This probe's private decision stream, shared by all concerns in
     /// dispatch order (draw order is part of the determinism contract).
     pub rng: DetRng,
+}
+
+impl ProbeState {
+    /// Records `est` as this probe's estimate of `id`'s upstream and
+    /// re-prices `id`'s neighbor entry, if it has one, under `download`
+    /// (the profile's download policy). Every write to `sched.est_bps`
+    /// goes through here, so an entry's bandwidth term is always the
+    /// one its estimate gives.
+    pub(crate) fn set_estimate(&mut self, download: &SelectionPolicy, id: PeerId, est: u64) {
+        self.sched.est_bps.insert(id, est);
+        if let Some(n) = self.disc.neighbors.iter_mut().find(|n| n.id == id) {
+            n.bw_term = download.bw_term(Some(est));
+            n.measured = true;
+        }
+    }
 }
 
 /// Discovery sampling structures shared by all probes.
@@ -515,11 +686,9 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
                 last_rx_from: BTreeMap::new(),
                 ext_up: BTreeMap::new(),
             },
-            disc: DiscoveryState {
-                // Filled below, once every probe's fetch lag exists.
-                neighbors: Vec::new(),
-                halo_rate_hz: cfg.profile.halo_contacts_per_sec * halo_jitter,
-            },
+            // The table is filled below, once every probe's fetch lag
+            // exists.
+            disc: DiscoveryState::new(cfg.profile.halo_contacts_per_sec * halo_jitter),
             sched: SchedulingState {
                 bufmap: BufferMap::new(),
                 fetch_lag_chunks: stagger,
@@ -583,7 +752,7 @@ pub fn build<'a>(cfg: SwarmConfig, env: NetworkEnv<'a>, setup: PeerSetup) -> Swa
                 neighbors.push(core.neighbor(i, PeerId((1 + j) as u32), u64::MAX));
             }
         }
-        core.probe_states[i].disc.neighbors = neighbors;
+        core.probe_states[i].disc.replace_neighbors(neighbors);
     }
 
     // Tracker bootstrap: hand each probe its initial external neighbors

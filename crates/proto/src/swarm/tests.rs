@@ -669,7 +669,7 @@ fn departed_provider_pending_requests_move_to_requeue() {
     // then externals — so any neighbor with id >= 5 is external).
     let provider = swarm.core.probe_states[0]
         .disc
-        .neighbors
+        .neighbors()
         .iter()
         .map(|n| n.id)
         .find(|id| id.0 >= 5)
@@ -683,7 +683,7 @@ fn departed_provider_pending_requests_move_to_requeue() {
             provider,
             deadline_us: 10_000_000,
         });
-    let neighbors_before = swarm.core.probe_states[0].disc.neighbors.len();
+    let neighbors_before = swarm.core.probe_states[0].disc.neighbors().len();
 
     let mut sched = netaware_sim::Scheduler::new();
     let mut actions = behaviour::Actions::default();
@@ -713,11 +713,11 @@ fn departed_provider_pending_requests_move_to_requeue() {
         "chunk must be promptly re-queued"
     );
     assert_eq!(
-        s.disc.neighbors.len(),
+        s.disc.neighbors().len(),
         neighbors_before - 1,
         "departed peer must be evicted"
     );
-    assert!(s.disc.neighbors.iter().all(|n| n.id != provider));
+    assert!(s.disc.neighbors().iter().all(|n| n.id != provider));
     assert_eq!(swarm.core.report.requests_requeued, 1);
     assert_eq!(swarm.core.report.peers_departed, 1);
     // The departed peer's return trip is scheduled.
@@ -829,10 +829,11 @@ fn departure_scrubs_every_slot_that_names_the_peer() {
     let as_sole_neighbor =
         |swarm: &mut Swarm<'_>, k: usize, hook: &dyn Fn(&mut BehaviourStack, &mut Ctx<'_, '_>)| {
             let entry = swarm.core.neighbor(k, x, u64::MAX);
-            let saved =
-                std::mem::replace(&mut swarm.core.probe_states[k].disc.neighbors, vec![entry]);
+            let saved = swarm.core.probe_states[k]
+                .disc
+                .replace_neighbors(vec![entry]);
             run_hook(swarm, now, |st, ctx| hook(st, ctx));
-            swarm.core.probe_states[k].disc.neighbors = saved;
+            swarm.core.probe_states[k].disc.replace_neighbors(saved);
         };
     for k in [6, 1] {
         as_sole_neighbor(&mut swarm, k, &|st, ctx| st.scheduling.on_tick(ctx, k));
@@ -954,15 +955,24 @@ fn churned_swarm_recovers_and_reports() {
     );
 }
 
-/// Every neighbor entry's cached facts — role, locality, static lag —
-/// equal a fresh derivation from the peer table, the registry and the
-/// probe states. Returns how many entries were checked.
-fn assert_neighbor_cache_coherent(core: &SwarmCore<'_>) -> usize {
+/// Every neighbor entry's cached facts (role, locality, static lag,
+/// inbound TTL, bandwidth term and measured flag) equal a fresh
+/// derivation from the peer table, the registry, the path model and the
+/// probe states, and each probe's external view equals a fresh filter
+/// of its table, total included, bit for bit. Returns how many entries
+/// were checked.
+fn assert_neighbor_cache_coherent(core: &mut SwarmCore<'_>) -> usize {
     let reg = core.env.registry;
+    let (download, upload) = (
+        core.cfg.profile.download_policy,
+        core.cfg.profile.upload_policy,
+    );
     let mut checked = 0;
-    for (i, s) in core.probe_states.iter().enumerate() {
+    for i in 0..core.n_probes {
+        let s = &core.probe_states[i];
         let me = core.peers[1 + i].ip;
-        for n in &s.disc.neighbors {
+        let (mut ids, mut weights, mut ttls) = (Vec::new(), Vec::new(), Vec::new());
+        for n in s.disc.neighbors() {
             let peer = &core.peers[n.id.0 as usize];
             let ctx = format!("probe {i}, neighbor {}", n.id.0);
             assert_eq!(n.role, peer.role, "{ctx}: role");
@@ -980,16 +990,51 @@ fn assert_neighbor_cache_coherent(core: &SwarmCore<'_>) -> usize {
                 }
                 PeerRole::Source => 0,
             };
-            assert_eq!(n.hold_lag_us, hold_lag_us, "{ctx}: hold lag");
+            assert_eq!(u64::from(n.hold_lag_us), hold_lag_us, "{ctx}: hold lag");
+            let ttl = netaware_net::ttl_at_receiver(core.env.paths.hops(reg, peer.ip, me));
+            assert_eq!(n.ttl, ttl, "{ctx}: inbound TTL");
+            let est = s.sched.est_bps.get(&n.id).copied();
+            assert_eq!(n.measured, est.is_some(), "{ctx}: measured");
+            assert_eq!(
+                n.bw_term.to_bits(),
+                download.bw_term(est).to_bits(),
+                "{ctx}: bandwidth term under estimate {est:?}"
+            );
+            if n.role == PeerRole::External {
+                let cand = crate::policy::Candidate {
+                    est_up_bps: None,
+                    same_subnet: n.same_subnet,
+                    same_as: n.same_as,
+                    same_cc: n.same_cc,
+                    is_last_provider: false,
+                };
+                ids.push(n.id);
+                weights.push(upload.weight(&cand).to_bits());
+                ttls.push(ttl);
+            }
             checked += 1;
         }
+        let total: f64 = weights.iter().map(|&w| f64::from_bits(w)).sum();
+        let view = core.probe_states[i].disc.external_view(&upload);
+        assert_eq!(view.ids, ids, "probe {i}: external view ids");
+        let view_weights: Vec<u64> = view.weights.iter().map(|w| w.to_bits()).collect();
+        assert_eq!(view_weights, weights, "probe {i}: external view weights");
+        assert_eq!(view.ttls, ttls, "probe {i}: external view TTLs");
+        assert_eq!(
+            view.total.to_bits(),
+            total.to_bits(),
+            "probe {i}: external view total"
+        );
     }
     checked
 }
 
 #[test]
 fn neighbor_cache_matches_a_fresh_derivation() {
-    let run = |profile: AppProfile, churn: bool, seed: u64| {
+    use netaware_faults::FaultPlan;
+    use std::sync::Arc;
+    // Returns the report and how many requests timed out.
+    let run = |profile: AppProfile, plan: FaultPlan, seed: u64| {
         let reg = mini_registry();
         let env = NetworkEnv {
             registry: &reg,
@@ -1001,27 +1046,38 @@ fn neighbor_cache_matches_a_fresh_derivation() {
             ..mini_cfg(30, seed)
         };
         let mut swarm = Swarm::new(cfg, env, mini_setup(80));
-        if churn {
-            swarm.set_faults(&netaware_faults::FaultPlan::none().with_flags(None, None, true));
-        }
-        let at_build = assert_neighbor_cache_coherent(&swarm.core);
+        swarm.set_faults(&plan);
+        swarm.set_obs(Obs::new(Arc::new(netaware_obs::NullSink::default())));
+        let at_build = assert_neighbor_cache_coherent(&mut swarm.core);
         assert!(at_build > 0, "empty tables at build");
         swarm
             .execute(&mut netaware_trace::MemorySink::new())
             .unwrap();
-        let at_end = assert_neighbor_cache_coherent(&swarm.core);
+        let at_end = assert_neighbor_cache_coherent(&mut swarm.core);
         assert!(at_end > 0, "no neighbor entries left to check");
-        swarm.core.report
+        let timed_out = swarm
+            .core
+            .obs
+            .metrics()
+            .and_then(|m| m.counters.get("proto.requests_timed_out").copied())
+            .unwrap_or(0);
+        (swarm.core.report, timed_out)
     };
-    let clean = run(AppProfile::pplive(), false, 41);
+    let (clean, _) = run(AppProfile::pplive(), FaultPlan::none(), 41);
     assert!(clean.chunks_delivered > 0);
     // Churn evicts departed neighbors and re-discovers replacements, so
     // the tables end up holding entries made mid-run.
-    let churned = run(AppProfile::sopcast(), true, 42);
+    let churn = FaultPlan::none().with_flags(None, None, true);
+    let (churned, _) = run(AppProfile::sopcast(), churn, 42);
     assert!(churned.peers_departed > 0, "no departures");
     assert!(churned.peers_arrived > 0, "no re-arrivals");
-    let pushed = run(AppProfile::epidemic_rp(), false, 43);
+    let (pushed, _) = run(AppProfile::epidemic_rp(), FaultPlan::none(), 43);
     assert!(pushed.chunks_pushed > 0, "Epidemic-RP never pushed");
+    // Lost packets leave chunks incomplete, so requests time out and the
+    // timeout cap re-prices their providers.
+    let lossy = FaultPlan::none().with_flags(Some(0.05), None, false);
+    let (_, timed_out) = run(AppProfile::pplive(), lossy, 44);
+    assert!(timed_out > 0, "no request timed out at 5 % loss");
 }
 
 // ---------- per-behaviour units (hand-built Ctx, no dispatcher) ----------
@@ -1036,13 +1092,13 @@ fn discovery_tick_evicts_expired_neighbors() {
     };
     let mut swarm = Swarm::new(mini_cfg(1, 31), env, mini_setup(40));
     // Age out one external neighbor entry.
-    swarm.core.probe_states[0]
-        .disc
-        .neighbors
+    let mut table = swarm.core.probe_states[0].disc.neighbors().to_vec();
+    table
         .iter_mut()
         .find(|n| n.id.0 >= 5)
         .expect("bootstrap gave probe 0 an external neighbor")
         .expires_us = 1;
+    swarm.core.probe_states[0].disc.replace_neighbors(table);
     let now = netaware_sim::SimTime::from_secs(10);
     let mut actions = behaviour::Actions::default();
     {
@@ -1056,13 +1112,67 @@ fn discovery_tick_evicts_expired_neighbors() {
     }
     let s = &swarm.core.probe_states[0];
     assert!(
-        s.disc.neighbors.iter().all(|n| n.expires_us > now.as_us()),
+        s.disc
+            .neighbors()
+            .iter()
+            .all(|n| n.expires_us > now.as_us()),
         "expired entry survived the tick"
     );
     assert!(
         actions.queue.is_empty(),
         "discovery tick must not emit actions"
     );
+}
+
+/// Each of the four changes to a neighbor table marks its external view
+/// stale, so the next read rebuilds it. A run replaces a table only at
+/// the bootstrap, before any read, so this test reads the view at one
+/// probe between changes of every kind.
+#[test]
+fn every_table_change_refreshes_the_external_view() {
+    let reg = mini_registry();
+    let env = NetworkEnv {
+        registry: &reg,
+        paths: PathModel::new(35),
+        latency: LatencyModel::new(35),
+    };
+    let mut swarm = Swarm::new(mini_cfg(1, 35), env, mini_setup(40));
+    let upload = swarm.core.cfg.profile.upload_policy;
+    let assert_view_current = |swarm: &mut Swarm<'_>, after: &str| {
+        let disc = &mut swarm.core.probe_states[0].disc;
+        let want: Vec<PeerId> = disc
+            .neighbors()
+            .iter()
+            .filter(|n| n.role == PeerRole::External)
+            .map(|n| n.id)
+            .collect();
+        assert_eq!(disc.external_view(&upload).ids, want, "after {after}");
+    };
+    assert_view_current(&mut swarm, "the bootstrap");
+    let entry = *swarm.core.probe_states[0]
+        .disc
+        .neighbors()
+        .iter()
+        .find(|n| n.role == PeerRole::External)
+        .expect("bootstrap gave probe 0 an external neighbor");
+    let disc = &mut swarm.core.probe_states[0].disc;
+    assert!(disc.remove_neighbor(entry.id));
+    assert_view_current(&mut swarm, "an eviction");
+    swarm.core.probe_states[0].disc.push_neighbor(entry);
+    assert_view_current(&mut swarm, "a handshake");
+    let disc = &mut swarm.core.probe_states[0].disc;
+    let mut table = disc.neighbors().to_vec();
+    table.reverse();
+    disc.replace_neighbors(table);
+    assert_view_current(&mut swarm, "a replaced table");
+    // Externals expire; the source and the probes never do.
+    swarm.core.probe_states[0].disc.expire(u64::MAX - 1);
+    assert_view_current(&mut swarm, "expiry");
+    assert!(swarm.core.probe_states[0]
+        .disc
+        .external_view(&upload)
+        .ids
+        .is_empty());
 }
 
 #[test]
@@ -1074,7 +1184,25 @@ fn recovery_tick_times_out_overdue_requests() {
         latency: LatencyModel::new(32),
     };
     let mut swarm = Swarm::new(mini_cfg(1, 32), env, mini_setup(20));
-    let provider = crate::peer::PeerId(6);
+    let download = swarm.core.cfg.profile.download_policy;
+    let entry_of = |swarm: &Swarm<'_>, id: PeerId| {
+        *swarm.core.probe_states[0]
+            .disc
+            .neighbors()
+            .iter()
+            .find(|n| n.id == id)
+            .expect("the provider stays in the table")
+    };
+    let provider = swarm.core.probe_states[0]
+        .disc
+        .neighbors()
+        .iter()
+        .find(|n| n.role == PeerRole::External)
+        .expect("bootstrap gave probe 0 an external neighbor")
+        .id;
+    let before = entry_of(&swarm, provider);
+    assert!(!before.measured, "fresh entry already measured");
+    assert_eq!(before.bw_term.to_bits(), download.bw_term(None).to_bits());
     swarm.core.probe_states[0]
         .sched
         .pending
@@ -1102,6 +1230,14 @@ fn recovery_tick_times_out_overdue_requests() {
         .copied()
         .expect("timed-out provider must get a punitive estimate");
     assert!(est <= 200_000, "punitive estimate too generous: {est}");
+    // The provider's entry is re-priced at the punitive estimate.
+    let after = entry_of(&swarm, provider);
+    assert!(after.measured, "capped provider still unmeasured");
+    assert_eq!(
+        after.bw_term.to_bits(),
+        download.bw_term(Some(est)).to_bits()
+    );
+    assert_ne!(after.bw_term.to_bits(), before.bw_term.to_bits());
 }
 
 #[test]
@@ -1131,6 +1267,21 @@ fn scheduling_delivery_fills_buffer_once() {
     assert_eq!(s.sched.delivered, 1, "duplicate delivery double-counted");
     assert_eq!(s.sched.est_bps.get(&from), Some(&500_000));
     assert_eq!(s.sched.last_provider, Some(from));
+    // The provider's entry (the source is in every table) is re-priced
+    // at the delivery's estimate.
+    let download = swarm.core.cfg.profile.download_policy;
+    let entry = s
+        .disc
+        .neighbors()
+        .iter()
+        .find(|n| n.id == from)
+        .expect("the source is in every table");
+    assert!(entry.measured, "delivering provider still unmeasured");
+    assert_eq!(
+        entry.bw_term.to_bits(),
+        download.bw_term(Some(500_000)).to_bits()
+    );
+    assert_ne!(entry.bw_term.to_bits(), download.bw_term(None).to_bits());
 }
 
 #[test]

@@ -14,7 +14,10 @@
 //! apply the probe link's fate, the downlink pacing (video only), the
 //! path TTL and the capture, which is where the paper's BW (minimum
 //! inter-packet gap) and HOP (128 − TTL) readings come from. The link
-//! fate and the capture are private to this module.
+//! fate, the TTL derivation and the capture are private to this module;
+//! a caller holding a neighbor entry passes its cached TTL to
+//! [`SwarmCore::receive_signal_ttl`], the one body of both signalling
+//! forms.
 
 use super::behaviour::{Actions, BehaviourAction};
 use super::state::{ChunkTrain, Event};
@@ -112,6 +115,12 @@ impl SwarmCore<'_> {
         ttl_at_receiver(self.env.paths.hops_between(a, b))
     }
 
+    /// TTL a packet from `from` carries when it reaches probe `i`, as
+    /// `SwarmCore::neighbor` caches it in `from`'s entry.
+    pub(super) fn inbound_ttl(&self, i: usize, from: PeerId) -> u8 {
+        self.ttl_to(from, PeerId((1 + i) as u32))
+    }
+
     /// Records a packet in probe `probe_idx`'s trace.
     #[allow(clippy::too_many_arguments)]
     fn capture(
@@ -200,12 +209,31 @@ impl SwarmCore<'_> {
         at: SimTime,
         size: u16,
     ) -> Option<SimTime> {
+        self.receive_signal_ttl(i, from, self.inbound_ttl(i, from), at, size)
+    }
+
+    /// [`SwarmCore::receive_signal`] for a caller that holds the path's
+    /// TTL already, `ttl`: the sender's neighbor entry caches it
+    /// (`Neighbor::ttl`). Debug builds check it against the path.
+    pub(crate) fn receive_signal_ttl(
+        &mut self,
+        i: usize,
+        from: PeerId,
+        ttl: u8,
+        at: SimTime,
+        size: u16,
+    ) -> Option<SimTime> {
+        let to = PeerId((1 + i) as u32);
+        debug_assert_eq!(
+            ttl,
+            self.ttl_to(from, to),
+            "probe {i}: stale TTL for packets from {}",
+            from.0
+        );
         let PacketFate::Pass { extra_delay_us } = self.link_fate(i, at.as_us()) else {
             return None;
         };
         let at = at + extra_delay_us;
-        let to = PeerId((1 + i) as u32);
-        let ttl = self.ttl_to(from, to);
         self.capture(i, at, from, to, size, ttl, PayloadKind::Signaling);
         Some(at)
     }

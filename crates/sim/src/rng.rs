@@ -90,7 +90,18 @@ impl DetRng {
     /// Picks an index according to non-negative weights; `None` when all
     /// weights are zero or the slice is empty.
     pub fn pick_weighted(&mut self, weights: &[f64]) -> Option<usize> {
-        let total: f64 = weights.iter().sum();
+        self.pick_weighted_with_total(weights, weights.iter().sum())
+    }
+
+    /// [`DetRng::pick_weighted`] for a caller that already holds
+    /// `total`, which must be `weights.iter().sum()` (bit for bit, so
+    /// the pick is the same): one draw, then the same linear scan.
+    pub fn pick_weighted_with_total(&mut self, weights: &[f64], total: f64) -> Option<usize> {
+        debug_assert_eq!(
+            total.to_bits(),
+            weights.iter().sum::<f64>().to_bits(),
+            "total is not the weights' sum"
+        );
         if total <= 0.0 || !total.is_finite() {
             return None;
         }
@@ -294,6 +305,40 @@ mod tests {
         assert_eq!(r.pick_weighted(&[]), None);
         assert_eq!(r.pick_weighted(&[0.0, 0.0]), None);
         assert_eq!(r.pick_weighted(&[0.0, 2.0]), Some(1));
+    }
+
+    #[test]
+    fn pick_with_total_picks_what_pick_weighted_picks() {
+        // The smallest subnormal: near it rounding is absolute, so
+        // `unit() * total` often rounds up to `total` itself and the
+        // scan falls off the end, onto the last index even when its
+        // weight is zero.
+        let tiny = f64::from_bits(1);
+        let vectors: [&[f64]; 8] = [
+            &[],
+            &[0.0, 0.0],
+            &[0.0, 1.0, 0.0, 1.0, 2.0, 0.0],
+            &[0.5, 0.5, 0.5, 0.5],
+            &[0.1; 10],
+            &[3.0, 1e-300, 1e300, 1e-300, 0.0],
+            &[tiny, tiny, tiny],
+            &[tiny, tiny, 0.0],
+        ];
+        let (mut a, mut b) = (DetRng::stream(17, "w"), DetRng::stream(17, "w"));
+        let mut fell_off = 0;
+        for w in vectors {
+            let total: f64 = w.iter().sum();
+            for _ in 0..2_000 {
+                let pick = a.pick_weighted(w);
+                assert_eq!(b.pick_weighted_with_total(w, total), pick, "{w:?}");
+                if let Some(k) = pick {
+                    assert!(k < w.len(), "{w:?}: index {k} out of range");
+                    fell_off += usize::from(w[k] == 0.0);
+                }
+            }
+        }
+        assert_eq!(a.next_u64(), b.next_u64(), "the streams drifted apart");
+        assert!(fell_off > 0, "no scan fell off the end");
     }
 
     #[test]

@@ -85,6 +85,10 @@
 //! Each subcommand takes only the flags it reads (see `flags_read_by`);
 //! any other flag is a usage error (exit 2) before anything runs.
 
+// The library crates' panic denies, for this binary's own crate root:
+// every failure here exits with a message instead.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use netaware::analysis::tables;
 use netaware::analysis::AnalysisConfig;
 use netaware::net::{CountryCode, Ip};
@@ -423,7 +427,9 @@ fn write_file(path: &str, body: impl AsRef<[u8]>) -> Result<(), String> {
 
 fn write_json(path: &str, outs: &[testbed::ExperimentOutput]) -> Result<(), String> {
     let all: Vec<_> = outs.iter().map(|o| &o.analysis).collect();
-    write_file(path, serde_json::to_string_pretty(&all).expect("serialise"))?;
+    let body = serde_json::to_string_pretty(&all)
+        .map_err(|e| format!("serialising the analysis for {path} failed: {e}"))?;
+    write_file(path, body)?;
     eprintln!("analysis written to {path}");
     Ok(())
 }
@@ -546,7 +552,10 @@ fn cmd_run(c: &Common) -> ExitCode {
         run_experiment(profile, &opts)
     };
     if c.persite {
-        let traces = out.traces.as_ref().expect("keep_traces set");
+        let Some(traces) = out.traces.as_ref() else {
+            eprintln!("run: --persite found no in-memory traces to read");
+            return ExitCode::FAILURE;
+        };
         let scenario = BuiltScenario::build(
             &ScenarioConfig {
                 seed: c.seed,
@@ -990,7 +999,10 @@ fn cmd_export(c: &Common) -> ExitCode {
     let mut opts = opts_of(c);
     opts.keep_traces = true;
     let out = run_experiment(profile, &opts);
-    let traces = out.traces.expect("keep_traces set");
+    let Some(traces) = out.traces else {
+        eprintln!("export: the run kept no traces to write");
+        return ExitCode::FAILURE;
+    };
     exit_on("export", export_corpus(&traces, dir))
 }
 
